@@ -6,10 +6,11 @@
 //!
 //! 1. the cube-kernel micro operations (packed vs the naive literal-vector
 //!    reference, PR 1 continuity),
-//! 2. the sparse cover-based engine vs the dense bitset engine: full prime
-//!    generation, minimization and static-hazard analysis at n = 16/20/24
-//!    (dense entries that would require enumerating the `2^n` space are
-//!    reported as `*.dense_infeasible = 1`), plus the indexed Step 5/7
+//! 2. the cover-based engine: full prime generation (against the dense
+//!    Quine–McCluskey oracle), minimization and static-hazard analysis (against
+//!    the dense adjacency walk) at n = 16/20/24 (oracle entries that would
+//!    require enumerating the `2^n` space are reported as
+//!    `*.dense_infeasible = 1`), plus the indexed Step 5/7
 //!    consensus engines on the same corpora (`consensus.n*.{cover,on_pairs}_ms`)
 //!    and a bounded dc-dense closure variant (`consensus.n16.cover_dc_ms`),
 //! 3. Step-2 state reduction on the large suite: bounded (pivoted, capped
@@ -22,9 +23,8 @@
 //!    `factor.*.ms` (threaded per-bit consensus fan-out, the default) and
 //!    `factor.*.serial_ms` (the `parallel_y = false` knob), with the spec /
 //!    hazard / Step-6 work excluded from the timed region,
-//! 6. end-to-end synthesis: the paper suite through the dense pipeline and
-//!    the large 40-state suite through the sparse pipeline, both unreduced
-//!    (`e2e.*`, the PR 2 stress shape) and with bounded Step-2 reduction
+//! 6. end-to-end synthesis of the large 40-state suite, unreduced (`e2e.*`,
+//!    the PR 2 stress shape) and with bounded Step-2 reduction
 //!    (`e2e_reduced.*`),
 //! 7. the batch synthesis service: a sequential `synthesize_sparse` loop
 //!    baseline vs [`seance::synthesize_many`] throughput at batch sizes
@@ -80,13 +80,12 @@ use fantom_bench::reference::{
     packed_words, random_cover, random_cube_strings, scalar_and_into_any, scalar_and_or2_into_any,
     scalar_cube_covers, scalar_cube_has_conflict, synthetic_cover_function, NaiveCube,
 };
-use fantom_bench::table1_options;
 use fantom_boolean::{lane, quine, recursive, Cube, Function};
 use fantom_flow::benchmarks;
 use fantom_minimize::{
     compatibility, maximal_compatibles_bounded, reduce, reduce_with_options, ReductionOptions,
 };
-use seance::{synthesize, synthesize_sparse, SynthesisOptions};
+use seance::{synthesize_sparse, SynthesisOptions};
 
 const PAIRS: usize = 512;
 const NUM_VARS: usize = 24;
@@ -357,7 +356,8 @@ fn lane_metrics(out: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// Sparse-vs-dense engine comparison at n = 16/20/24.
+/// The cube engine at n = 16/20/24, against the dense oracles where the
+/// `2^n` space is small enough to enumerate.
 fn engine_metrics(out: &mut BTreeMap<String, f64>) {
     for &n in &[16usize, 20, 24] {
         // --- Full prime generation on a completely specified union of cubes.
@@ -385,15 +385,7 @@ fn engine_metrics(out: &mut BTreeMap<String, f64>) {
         let cf = synthetic_cover_function(0xD0_0D + n as u64, n, 160, 24, n - 8);
         let (sparse_ms, sparse_cubes) = time_ms_once(|| cf.minimize().cube_count());
         out.insert(format!("engine.minimize.n{n}.sparse_ms"), sparse_ms);
-        if n <= fantom_boolean::MAX_DENSE_VARS {
-            let f = cf.to_function().expect("within dense limit");
-            let (dense_ms, dense_cubes) =
-                time_ms_once(|| fantom_boolean::minimize_function(&f).cube_count());
-            out.insert(format!("engine.minimize.n{n}.dense_ms"), dense_ms);
-            println!(
-                "  minimize n={n}: sparse {sparse_ms:>9.2} ms ({sparse_cubes} cubes)   dense {dense_ms:>9.2} ms ({dense_cubes} cubes)"
-            );
-        }
+        println!("  minimize n={n}: sparse {sparse_ms:>9.2} ms ({sparse_cubes} cubes)");
 
         // --- Static-hazard analysis of the minimized cover.
         let cover = cf.minimize();
@@ -711,7 +703,7 @@ fn sim_metrics(out: &mut BTreeMap<String, f64>) {
 /// asserting every report is clean — the dynamic confirmation of the
 /// analytical hazard verdicts.
 fn campaign_metrics(out: &mut BTreeMap<String, f64>) {
-    use seance::{run_campaign, run_campaign_sparse, CampaignOptions};
+    use seance::{run_campaign_sparse, CampaignOptions};
 
     let assignments = 1000;
     let synthesis = SynthesisOptions {
@@ -719,13 +711,13 @@ fn campaign_metrics(out: &mut BTreeMap<String, f64>) {
         ..SynthesisOptions::default()
     };
     for table in benchmarks::all() {
-        let result = synthesize(&table, &synthesis).expect("corpus synthesizes");
+        let result = synthesize_sparse(&table, &synthesis).expect("corpus synthesizes");
         let options = CampaignOptions {
             assignments,
             ..CampaignOptions::default()
         };
         let start = Instant::now();
-        let report = run_campaign(&result, &options);
+        let report = run_campaign_sparse(&result, &options);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(report.is_clean(), "{}:\n{}", table.name(), report.render());
         println!(
@@ -1000,25 +992,9 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
 }
 
 fn synthesis_metrics(out: &mut BTreeMap<String, f64>) {
-    // Paper suite through the dense pipeline (PR 1 continuity).
-    let options = table1_options();
-    for table in benchmarks::paper_suite() {
-        let start = Instant::now();
-        let runs = 5;
-        for _ in 0..runs {
-            std::hint::black_box(synthesize(&table, &options).expect("synthesis succeeds"));
-        }
-        let ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(runs);
-        println!("  synth {:<14} {ms:>9.3} ms (dense)", table.name());
-        out.insert(format!("synth.{}.ms", table.name()), ms);
-    }
-    // Large suite through the sparse pipeline. `e2e.*` keeps the PR 2 shape
-    // (Step 2 off, full 40-state tables) so the baseline comparison stays
-    // like-for-like; `e2e_reduced.*` is the default large-machine path with
-    // bounded Step-2 reduction enabled. Since the packed Step-3 engine the
-    // codes are short enough that the dense pipeline *accepts* these
-    // machines too — `dense_infeasible` is emitted only if that ever stops
-    // being true.
+    // `e2e.*` keeps the PR 2 shape (Step 2 off, full 40-state tables) so the
+    // baseline comparison stays like-for-like; `e2e_reduced.*` is the default
+    // large-machine path with bounded Step-2 reduction enabled.
     let unreduced = SynthesisOptions {
         minimize_states: false,
         ..SynthesisOptions::for_large_machines()
@@ -1045,9 +1021,6 @@ fn synthesis_metrics(out: &mut BTreeMap<String, f64>) {
             format!("e2e.{}.vars", table.name()),
             result.spec.num_vars() as f64,
         );
-        if synthesize(&table, &unreduced).is_err() {
-            out.insert(format!("e2e.{}.dense_infeasible", table.name()), 1.0);
-        }
 
         let start = Instant::now();
         let mut result = synthesize_sparse(&table, &reduced).expect("reduced synthesis succeeds");
@@ -1190,7 +1163,7 @@ fn main() {
     micro_metrics(&mut metrics);
     println!("\nlane kernels vs scalar word loops:");
     lane_metrics(&mut metrics);
-    println!("\nsparse vs dense engine:");
+    println!("\ncube engine vs dense oracles:");
     engine_metrics(&mut metrics);
     println!("\nstate reduction (Step 2):");
     reduction_metrics(&mut metrics);

@@ -36,10 +36,10 @@ fn main() {
     );
 
     println!("================================================================");
-    println!("E5 — Simulation validation (random delays, skewed input edges)");
+    println!("E5 — Simulation validation (delay campaigns, 64 assignments each)");
     println!("================================================================");
     println!(
         "{}",
-        fantom_bench::render_simulation(&fantom_bench::run_simulation(&[1, 2, 3]))
+        fantom_bench::render_simulation(&fantom_bench::run_simulation(64))
     );
 }

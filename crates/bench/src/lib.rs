@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `fantom-bench` binaries and Criterion
-//! benches.
+//! Experiment harness shared by the `fantom-bench` binaries.
 //!
 //! The paper's measured evaluation is Table 1 (logic depths of the
 //! synthesized machines for five MCNC benchmarks) plus a CPU-time remark in
@@ -13,7 +12,7 @@
 //! perf/correctness references), and the `bench_json` binary — the perf
 //! emitter and CI regression gate (`cargo run -p fantom-bench --release
 //! --bin bench_json -- OUT.json --baseline BENCH_baseline.json`), covering
-//! the micro cube kernel, sparse-vs-dense engine comparisons, Step-2
+//! the micro cube kernel, the cube engine against the dense oracle, Step-2
 //! reduction metrics (`reduce.*`) and end-to-end synthesis (`e2e.*`,
 //! `e2e_reduced.*`).
 
@@ -28,7 +27,10 @@ use std::time::{Duration, Instant};
 
 use fantom_flow::FlowTable;
 use seance::baseline::{huffman_baseline, stg_expansion_estimate};
-use seance::{synthesize, table1_row, SynthesisOptions, SynthesisResult, Table1Row};
+use seance::{
+    run_campaign_sparse, synthesize_sparse, table1_row, CampaignOptions, SparseSynthesisResult,
+    SynthesisOptions, Table1Row,
+};
 
 /// Depth values reported in Table 1 of the paper, for side-by-side comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +94,8 @@ pub fn table1_options() -> SynthesisOptions {
 /// # Panics
 ///
 /// Panics if synthesis fails — the shipped corpus always synthesizes.
-pub fn synthesize_benchmark(table: &FlowTable) -> SynthesisResult {
-    synthesize(table, &table1_options())
+pub fn synthesize_benchmark(table: &FlowTable) -> SparseSynthesisResult {
+    synthesize_sparse(table, &table1_options())
         .unwrap_or_else(|e| panic!("synthesis of {} failed: {e}", table.name()))
 }
 
@@ -257,14 +259,13 @@ pub fn run_ablation() -> Vec<AblationRow> {
     fantom_flow::benchmarks::paper_suite()
         .into_iter()
         .map(|table| {
-            let with = synthesize(&table, &table1_options())
-                .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
+            let with = synthesize_benchmark(&table);
             let without_opts = SynthesisOptions {
                 hazard_factoring: false,
                 fsv_all_primes: false,
                 ..table1_options()
             };
-            let without = synthesize(&table, &without_opts)
+            let without = synthesize_sparse(&table, &without_opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
             AblationRow {
                 benchmark: table.name().to_string(),
@@ -303,38 +304,54 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     out
 }
 
-/// One row of the simulation-validation experiment (E5).
+/// One row of the simulation-validation experiment (E5): a Monte-Carlo
+/// delay campaign over every stable transition of the machine.
 #[derive(Debug, Clone)]
 pub struct SimulationRow {
     /// Benchmark name.
     pub benchmark: String,
-    /// Multiple-input-change transitions simulated (× seeds).
-    pub transitions_checked: usize,
-    /// Whether every run settled.
-    pub all_settled: bool,
-    /// Whether every run reached the correct final state.
-    pub all_final_states_correct: bool,
-    /// Whether every run produced the correct final outputs.
-    pub all_outputs_correct: bool,
-    /// Glitches observed on invariant state variables across all runs.
-    pub invariant_glitches: usize,
+    /// Input-change steps simulated (stable transitions × assignments).
+    pub steps: u64,
+    /// Steps on multiple-input changes with unspecified intermediate
+    /// entries (checked informationally).
+    pub unprotected_steps: u64,
+    /// Steps that failed to settle within the event budget.
+    pub settle_failures: u64,
+    /// Steps ending in the wrong state code.
+    pub wrong_final_states: u64,
+    /// Steps ending with wrong (specified) output bits.
+    pub wrong_final_outputs: u64,
+    /// Glitches observed on invariant state variables across all steps.
+    pub invariant_glitches: u64,
+    /// Whether every strict (protected-transition) check passed.
+    pub clean: bool,
 }
 
-/// Run the simulation validation over the paper suite with the given delay
-/// seeds.
-pub fn run_simulation(seeds: &[u64]) -> Vec<SimulationRow> {
+/// Run the simulation validation over the paper suite: `assignments`
+/// sampled delay assignments per machine (unit, minimum, maximum and
+/// seeded-random delays, round-robin), each driving every stable transition.
+pub fn run_simulation(assignments: usize) -> Vec<SimulationRow> {
     fantom_flow::benchmarks::paper_suite()
         .into_iter()
         .map(|table| {
             let result = synthesize_benchmark(&table);
-            let summary = seance::validate::validate_machine(&result, seeds);
+            let r = run_campaign_sparse(
+                &result,
+                &CampaignOptions {
+                    assignments,
+                    ..CampaignOptions::default()
+                },
+            );
             SimulationRow {
                 benchmark: table.name().to_string(),
-                transitions_checked: summary.len(),
-                all_settled: summary.all_settled(),
-                all_final_states_correct: summary.all_final_states_correct(),
-                all_outputs_correct: summary.all_outputs_correct(),
-                invariant_glitches: summary.total_invariant_glitches(),
+                steps: r.steps,
+                unprotected_steps: r.unprotected_steps,
+                settle_failures: r.protected_settle_failures + r.unprotected_settle_failures,
+                wrong_final_states: r.wrong_final_state + r.unprotected_wrong_final_state,
+                wrong_final_outputs: r.wrong_final_output + r.unprotected_wrong_final_output,
+                invariant_glitches: r.protected_invariant_glitches
+                    + r.unprotected_invariant_glitches,
+                clean: r.is_clean(),
             }
         })
         .collect()
@@ -345,24 +362,28 @@ pub fn render_simulation(rows: &[SimulationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<14} {:>12} {:>9} {:>13} {:>14} {:>17}",
+        "{:<14} {:>6} {:>11} {:>15} {:>12} {:>13} {:>18} {:>6}",
         "Benchmark",
-        "transitions",
-        "settled",
-        "final states",
-        "final outputs",
-        "invariant glitches"
+        "steps",
+        "unprotected",
+        "settle failures",
+        "wrong states",
+        "wrong outputs",
+        "invariant glitches",
+        "clean"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<14} {:>12} {:>9} {:>13} {:>14} {:>17}",
+            "{:<14} {:>6} {:>11} {:>15} {:>12} {:>13} {:>18} {:>6}",
             r.benchmark,
-            r.transitions_checked,
-            r.all_settled,
-            r.all_final_states_correct,
-            r.all_outputs_correct,
+            r.steps,
+            r.unprotected_steps,
+            r.settle_failures,
+            r.wrong_final_states,
+            r.wrong_final_outputs,
             r.invariant_glitches,
+            r.clean,
         );
     }
     out
@@ -414,12 +435,16 @@ mod tests {
 
     #[test]
     fn simulation_experiment_settles_and_reaches_correct_states() {
-        let rows = run_simulation(&[3]);
+        let rows = run_simulation(4);
         assert_eq!(rows.len(), 5);
         for r in &rows {
-            assert!(r.transitions_checked > 0, "{}", r.benchmark);
-            assert!(r.all_settled, "{}", r.benchmark);
-            assert!(r.all_final_states_correct, "{}", r.benchmark);
+            assert!(r.steps > 0, "{}", r.benchmark);
+            assert!(r.clean, "{}", r.benchmark);
+            assert_eq!(r.settle_failures, 0, "{}", r.benchmark);
+            assert_eq!(r.wrong_final_states, 0, "{}", r.benchmark);
+            assert_eq!(r.wrong_final_outputs, 0, "{}", r.benchmark);
+            assert_eq!(r.invariant_glitches, 0, "{}", r.benchmark);
         }
+        assert!(render_simulation(&rows).contains("invariant glitches"));
     }
 }

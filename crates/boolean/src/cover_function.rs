@@ -96,7 +96,7 @@ impl CoverFunction {
 
     /// Convert a dense [`Function`] into cover form, one minterm cube per
     /// on/off point. This is the dense↔sparse bridge used by differential
-    /// tests and small-space callers; it scans the dense bitsets (word-
+    /// tests against the dense oracle; it scans the dense bitsets (word-
     /// skipping) and is only sensible below
     /// [`MAX_DENSE_VARS`](crate::MAX_DENSE_VARS).
     pub fn from_function(f: &Function) -> Self {
@@ -211,11 +211,11 @@ impl CoverFunction {
     }
 
     /// A set of prime implicants sufficient to cover the on-set, by greedy
-    /// expansion of each on-cube against the off-set cover — the sparse
-    /// counterpart of [`quine::expand_primes`](crate::quine::expand_primes):
-    /// each widening test is a word-parallel cube/cover intersection instead
-    /// of an off-minterm scan, and the result size is bounded by the on-cover
-    /// size rather than the total prime count.
+    /// expansion of each on-cube against the off-set cover: each widening
+    /// test is a word-parallel cube/cover intersection, and the result size
+    /// is bounded by the on-cover size rather than the total prime count
+    /// (which can be exponential for the don't-care-heavy functions of
+    /// flow-table synthesis).
     pub fn expand_primes(&self) -> Vec<Cube> {
         let off_index = crate::index::CoverIndex::build(&self.off);
         let mut cand = Vec::new();
@@ -243,7 +243,9 @@ impl CoverFunction {
     /// Produce an essential sum-of-products cover: expansion primes selected
     /// down to a minimal subset by the cover-based covering table
     /// ([`petrick::minimum_cover_sparse`](crate::petrick::minimum_cover_sparse)).
-    /// The sparse counterpart of [`minimize_function`](crate::minimize_function).
+    /// This is the reduction of SEANCE Steps 4 and 6 (the paper's
+    /// "Quine-McCluskey reduction technique to produce an essential SOP
+    /// expression").
     pub fn minimize(&self) -> Cover {
         let primes = self.expand_primes();
         crate::petrick::minimum_cover_sparse(self, &primes)

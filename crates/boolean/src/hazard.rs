@@ -40,7 +40,7 @@
 use crate::collections::HashSet;
 use crate::cube::sharp_pieces;
 use crate::index::{CoverIndex, IndexedCover};
-use crate::{all_primes_cover, Cover, Cube, Function, Literal};
+use crate::{Cover, Cube, Literal};
 
 /// A potential static-1 hazard between two adjacent on-set vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,37 +279,14 @@ pub fn is_static_hazard_free(cover: &Cover) -> bool {
     })
 }
 
-/// Produce a hazard-free cover for `f` by including **all** prime implicants
-/// ("adding consensus gates", Unger 1969).
-///
-/// The result implements `f` and is free of static-1 hazards for single-input
-/// changes within the specified (non-don't-care) part of the space.
-pub fn hazard_free_cover(f: &Function) -> Cover {
-    all_primes_cover(f)
-}
-
 /// Augment an existing cover with the missing prime implicants needed to make
 /// it hazard-free, keeping the original (typically minimal) cubes first.
 ///
 /// For every 1→1 adjacency not covered by a single product term, the pair's
 /// region is expanded against the off-set into a prime implicant and added to
-/// the cover (the classical "consensus gate").
-pub fn add_consensus_terms(f: &Function, base: &Cover) -> Cover {
-    let n = f.num_vars();
-    // Off-set as packed minterm cubes: each widening test below becomes a
-    // word-parallel containment check.
-    let off = Cover::from_cubes(
-        n,
-        f.off_minterms()
-            .map(|m| Cube::from_minterm(n, m).expect("within range"))
-            .collect(),
-    );
-    add_consensus_terms_cover(&off, base)
-}
-
-/// Cover-based variant of [`add_consensus_terms`]: the off-set is given as a
-/// cube cover, so the augmentation runs entirely on cube operations and
-/// scales to spaces far beyond the dense representation.
+/// the cover (the classical "consensus gate"). The off-set is given as a cube
+/// cover, so the augmentation runs entirely on cube operations and scales to
+/// spaces far beyond a dense representation.
 ///
 /// Hazard regions whose pairs touch the off-set are left alone — such a pair
 /// has an end the cover (legally) implements as 1 only because the point is a
@@ -517,7 +494,22 @@ pub fn add_consensus_terms_on_pairs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimize_function;
+    use crate::{quine, CoverFunction, Function};
+
+    /// The cover of every prime implicant: hazard-free under single-input
+    /// changes (Unger 1969).
+    fn all_primes(f: &Function) -> Cover {
+        Cover::from_cubes(f.num_vars(), quine::prime_implicants(f))
+    }
+
+    fn minterm_cover(n: usize, minterms: impl Iterator<Item = u64>) -> Cover {
+        Cover::from_cubes(
+            n,
+            minterms
+                .map(|m| Cube::from_minterm(n, m).unwrap())
+                .collect(),
+        )
+    }
 
     #[test]
     fn classic_mux_hazard_detected_and_fixed() {
@@ -528,7 +520,7 @@ mod tests {
         assert_eq!((hz[0].from, hz[0].to), (0b011, 0b111));
 
         let f = Function::from_cover(&cover, None).unwrap();
-        let fixed = hazard_free_cover(&f);
+        let fixed = all_primes(&f);
         assert!(is_static_hazard_free(&fixed));
         assert!(fixed.equivalent_to(&f));
         // The consensus term b·c must appear.
@@ -609,7 +601,7 @@ mod tests {
             (vec![0, 1, 2, 3, 4, 5, 6, 7], vec![]),
         ] {
             let f = Function::from_on_dc(4, &on, &dc).unwrap();
-            let cover = hazard_free_cover(&f);
+            let cover = all_primes(&f);
             assert!(is_static_hazard_free(&cover), "on={on:?} dc={dc:?}");
             assert!(cover.equivalent_to(&f));
         }
@@ -618,8 +610,9 @@ mod tests {
     #[test]
     fn minimal_cover_may_have_hazard_but_consensus_fixes_it() {
         let f = Function::from_on_set(3, &[3, 7, 4, 5]).unwrap();
-        let min = minimize_function(&f);
-        let fixed = add_consensus_terms(&f, &min);
+        let cf = CoverFunction::from_function(&f);
+        let min = cf.minimize();
+        let fixed = add_consensus_terms_cover(cf.off_cover(), &min);
         assert!(is_static_hazard_free(&fixed));
         assert!(fixed.equivalent_to(&f));
         // The original minimal cubes are still present.
@@ -630,26 +623,27 @@ mod tests {
 
     #[test]
     fn consensus_terms_from_off_cover_match_dense_path() {
+        // The off-set as one cube per tabulated off minterm (the dense view)
+        // and as the recursive complement of on ∪ dc (the cube view) must
+        // close the same function: both results implement `f` and leave no
+        // on/on adjacency hazardous.
         let f = Function::from_on_dc(4, &[3, 7, 11, 12, 13], &[5, 15]).unwrap();
-        let min = minimize_function(&f);
-        let dense = add_consensus_terms(&f, &min);
-        let off = Cover::from_cubes(
-            4,
-            f.off_minterms()
-                .map(|m| Cube::from_minterm(4, m).unwrap())
-                .collect(),
-        );
-        let sparse = add_consensus_terms_cover(&off, &min);
-        assert_eq!(dense.cubes(), sparse.cubes());
-        // All on/on adjacencies are hazard-free.
-        for h in static_hazards(&sparse) {
-            assert!(!(f.is_on(h.from) && f.is_on(h.to)));
+        let min = CoverFunction::from_function(&f).minimize();
+        let dense_off = minterm_cover(4, f.off_minterms());
+        let mut care = minterm_cover(4, f.on_minterms());
+        care.extend(minterm_cover(4, f.dc_minterms()).iter().cloned());
+        let cube_off = crate::recursive::complement(&care);
+        for off in [dense_off, cube_off] {
+            let fixed = add_consensus_terms_cover(&off, &min);
+            assert!(f.implemented_by(&fixed));
+            for h in static_hazards(&fixed) {
+                assert!(!(f.is_on(h.from) && f.is_on(h.to)));
+            }
         }
     }
 
     #[test]
     fn on_pair_consensus_fixes_every_on_adjacency() {
-        use crate::CoverFunction;
         for (on, dc) in [
             (vec![3u64, 7, 4, 5], vec![]),
             (vec![0, 3, 5, 9, 11, 12], vec![1u64, 8]),
@@ -657,7 +651,7 @@ mod tests {
         ] {
             let f = Function::from_on_dc(4, &on, &dc).unwrap();
             let cf = CoverFunction::from_function(&f);
-            let base = minimize_function(&f);
+            let base = cf.minimize();
             let fixed = add_consensus_terms_on_pairs(cf.on_cover(), cf.off_cover(), &base);
             assert!(fixed.equivalent_to(&f), "on={on:?}");
             for h in static_hazards(&fixed) {
@@ -675,7 +669,7 @@ mod tests {
     #[test]
     fn hazard_free_cover_of_constant_zero_is_empty() {
         let f = Function::constant_false(3).unwrap();
-        assert!(hazard_free_cover(&f).is_empty());
+        assert!(all_primes(&f).is_empty());
         assert!(is_static_hazard_free(&Cover::empty(3)));
     }
 

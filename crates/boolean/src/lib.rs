@@ -4,11 +4,15 @@
 //! pipeline (crate `seance`) is built on:
 //!
 //! * [`Cube`] / [`Cover`] — positional cube algebra over a fixed variable set,
-//! * [`Function`] — dense truth-table representation with on-, off- and
-//!   don't-care sets,
-//! * [`quine`] — Quine–McCluskey prime-implicant generation,
-//! * [`petrick`] — essential-prime extraction and minimum-cover selection
+//! * [`CoverFunction`] — incompletely specified functions as on/off cube
+//!   covers, with prime generation ([`recursive`]) and essential-SOP
+//!   minimization ([`CoverFunction::minimize`]) that never enumerate the
+//!   `2^n` space,
+//! * [`petrick`] — the cover-based covering table behind that minimization
 //!   (exact Petrick expansion with a greedy fallback),
+//! * [`Function`] and [`quine`] — dense truth tables and Quine–McCluskey
+//!   tabulation, kept as the exhaustive test oracle for the cube algorithms
+//!   on spaces of at most [`MAX_DENSE_VARS`] variables,
 //! * [`Expr`] — multi-level logic expressions with depth and literal metrics,
 //!   including the *first-level gate* (AND / AND–NOR) transformation required
 //!   by Step 7 of SEANCE,
@@ -57,11 +61,11 @@
 //! the least-significant input):
 //!
 //! ```
-//! use fantom_boolean::{minimize_function, Function};
+//! use fantom_boolean::{CoverFunction, Function};
 //!
 //! # fn main() -> Result<(), fantom_boolean::BooleanError> {
 //! let f = Function::from_on_set(3, &[1, 3, 5, 7])?;
-//! let cover = minimize_function(&f);
+//! let cover = CoverFunction::from_function(&f).minimize();
 //! assert_eq!(cover.cube_count(), 1);
 //! assert!(cover.equivalent_to(&f));
 //! # Ok(())
@@ -95,28 +99,3 @@ pub use error::BooleanError;
 pub use expr::Expr;
 pub use function::{Function, Minterms, MAX_DENSE_VARS};
 pub use index::{CoverIndex, IndexedCover};
-
-/// Produce an *essential sum-of-products* cover for `f`: prime implicants are
-/// generated by expansion from the on-set ([`quine::expand_primes`]), the
-/// essential ones are kept, and a minimal (Petrick/greedy) selection covers
-/// the remaining on-set minterms.
-///
-/// This is the reduction used by SEANCE Steps 4 and 6 of the paper (the
-/// "Quine-McCluskey reduction technique to produce an essential SOP
-/// expression"); expansion-based prime generation replaces the full
-/// tabulation so that the don't-care-heavy functions arising from larger flow
-/// tables stay tractable.
-pub fn minimize_function(f: &Function) -> Cover {
-    let primes = quine::expand_primes(f);
-    petrick::minimum_cover(f, &primes)
-}
-
-/// Produce a cover containing *all* prime implicants of `f`.
-///
-/// Including every prime implicant ("adding consensus gates") is the classic
-/// remedy for static and dynamic hazards under single-input changes
-/// (Unger 1969); SEANCE Step 7 applies it to the `fsv` equation.
-pub fn all_primes_cover(f: &Function) -> Cover {
-    let primes = quine::prime_implicants(f);
-    Cover::from_cubes(f.num_vars(), primes)
-}

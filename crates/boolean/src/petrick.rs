@@ -1,18 +1,20 @@
 //! Minimum-cover selection over a set of prime implicants.
 //!
-//! After prime generation ([`crate::quine`]), SEANCE reduces each function to
-//! an *essential* sum-of-products: the essential primes plus a small selection
-//! of additional primes covering the remaining on-set minterms. Exact
-//! selection uses Petrick's method (product-of-sums expansion); for large
-//! residual tables a greedy set-cover heuristic is used instead so that the
-//! synthesis pipeline stays fast on every benchmark.
+//! After prime generation, SEANCE reduces each function to an *essential*
+//! sum-of-products: the essential primes plus a small selection of
+//! additional primes covering the rest of the on-set. The covering table is
+//! built cube-wise from a [`CoverFunction`] ([`minimum_cover_sparse`]), so no
+//! step enumerates minterms. Exact selection uses Petrick's method
+//! (product-of-sums expansion); for large residual tables a greedy set-cover
+//! heuristic is used instead so that the synthesis pipeline stays fast on
+//! every benchmark.
 
 use std::collections::BTreeSet;
 
 use crate::index::CoverIndex;
-use crate::{quine, Cover, CoverFunction, Cube, Function};
+use crate::{Cover, CoverFunction, Cube};
 
-/// Upper bound on `primes × uncovered-minterms` for which the exact Petrick
+/// Upper bound on `primes × residual rows` for which the exact Petrick
 /// expansion is attempted before falling back to the greedy heuristic.
 const PETRICK_EXACT_LIMIT: usize = 2_000;
 
@@ -20,73 +22,6 @@ const PETRICK_EXACT_LIMIT: usize = 2_000;
 /// against the primes ([`minimum_cover_sparse`]); beyond it the sharp-based
 /// greedy selection is used instead.
 const FRAGMENT_LIMIT: usize = 2_048;
-
-/// Select a minimum (or near-minimum) subset of `primes` covering the on-set
-/// of `f`, always including every essential prime implicant.
-///
-/// The result is the "essential SOP expression" the paper refers to in
-/// Steps 4 and 6.
-///
-/// # Example
-///
-/// ```
-/// use fantom_boolean::{petrick, quine, Function};
-///
-/// # fn main() -> Result<(), fantom_boolean::BooleanError> {
-/// let f = Function::from_on_set(3, &[0, 1, 2, 3, 7])?;
-/// let primes = quine::prime_implicants(&f);
-/// let cover = petrick::minimum_cover(&f, &primes);
-/// assert!(cover.equivalent_to(&f));
-/// assert_eq!(cover.cube_count(), 2); // 0-- and -11
-/// # Ok(())
-/// # }
-/// ```
-pub fn minimum_cover(f: &Function, primes: &[Cube]) -> Cover {
-    let n = f.num_vars();
-    if primes.is_empty() {
-        return Cover::empty(n);
-    }
-
-    let mut selected: Vec<usize> = Vec::new();
-
-    // 1. Essential primes.
-    let on: Vec<u64> = f.on_minterms().collect();
-    for &m in &on {
-        let mut covering = (0..primes.len()).filter(|&i| primes[i].contains_minterm(m));
-        if let (Some(i), None) = (covering.next(), covering.next()) {
-            if !selected.contains(&i) {
-                selected.push(i);
-            }
-        }
-    }
-
-    // 2. Remaining on-set minterms: those no selected prime covers. Checked
-    // from the on-set side (word-parallel membership per prime) — never by
-    // enumerating a prime's own minterm set, which is exponential in its
-    // free variables.
-    let remaining: Vec<u64> = on
-        .iter()
-        .copied()
-        .filter(|&m| !selected.iter().any(|&i| primes[i].contains_minterm(m)))
-        .collect();
-    if remaining.is_empty() {
-        return build_cover(n, primes, &selected);
-    }
-
-    // Candidate primes that cover at least one remaining minterm.
-    let candidates: Vec<usize> = (0..primes.len())
-        .filter(|&i| !selected.contains(&i))
-        .filter(|&i| remaining.iter().any(|&m| primes[i].contains_minterm(m)))
-        .collect();
-
-    let extra = if candidates.len() * remaining.len() <= PETRICK_EXACT_LIMIT {
-        petrick_exact(primes, &candidates, &remaining)
-    } else {
-        greedy_cover(primes, &candidates, &remaining)
-    };
-    selected.extend(extra);
-    build_cover(n, primes, &selected)
-}
 
 fn build_cover(num_vars: usize, primes: &[Cube], selected: &[usize]) -> Cover {
     let mut idx: Vec<usize> = selected.to_vec();
@@ -96,49 +31,6 @@ fn build_cover(num_vars: usize, primes: &[Cube], selected: &[usize]) -> Cover {
         num_vars,
         idx.into_iter().map(|i| primes[i].clone()).collect(),
     )
-}
-
-/// Petrick's method: expand the product of sums of covering primes into a sum
-/// of products (sets of prime indices), keeping only minimal sets, and return
-/// the cheapest one (fewest primes, then fewest literals).
-fn petrick_exact(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
-    // Each element of `products` is one conjunction: a set of selected primes.
-    let mut products: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
-    for &m in remaining {
-        let covering: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&i| primes[i].contains_minterm(m))
-            .collect();
-        if covering.is_empty() {
-            // Minterm not coverable by the candidates (should not happen when
-            // primes were generated for the same function); skip it.
-            continue;
-        }
-        let mut next: Vec<BTreeSet<usize>> = Vec::new();
-        for product in &products {
-            for &p in &covering {
-                let mut grown = product.clone();
-                grown.insert(p);
-                next.push(grown);
-            }
-        }
-        absorb(&mut next);
-        // Keep the expansion bounded even in adversarial cases.
-        if next.len() > 10_000 {
-            return greedy_cover(primes, candidates, remaining);
-        }
-        products = next;
-    }
-
-    products
-        .into_iter()
-        .min_by_key(|set| {
-            let lits: usize = set.iter().map(|&i| primes[i].literal_count()).sum();
-            (set.len(), lits)
-        })
-        .map(|set| set.into_iter().collect())
-        .unwrap_or_default()
 }
 
 /// Remove any product term that is a superset of another (absorption law).
@@ -156,57 +48,35 @@ fn absorb(products: &mut Vec<BTreeSet<usize>>) {
     *products = kept;
 }
 
-/// Greedy set cover: repeatedly pick the prime covering the most remaining
-/// minterms (ties broken by fewer literals). The shrinking uncovered set is a
-/// plain vector scanned against the word-parallel `contains_minterm`, keeping
-/// every round O(|uncovered|) per candidate — never by enumerating a prime's
-/// own minterms (exponential in its free variables) and never by walking a
-/// dense 2ⁿ bitset when only a handful of minterms remain.
-fn greedy_cover(primes: &[Cube], candidates: &[usize], remaining: &[u64]) -> Vec<usize> {
-    let mut uncovered: Vec<u64> = remaining.to_vec();
-    let mut chosen = Vec::new();
-    while !uncovered.is_empty() {
-        let best = candidates
-            .iter()
-            .copied()
-            .filter(|&i| !chosen.contains(&i))
-            .max_by_key(|&i| {
-                let gain = uncovered
-                    .iter()
-                    .filter(|&&m| primes[i].contains_minterm(m))
-                    .count();
-                (gain, usize::MAX - primes[i].literal_count())
-            });
-        let Some(best) = best else { break };
-        let before = uncovered.len();
-        uncovered.retain(|&m| !primes[best].contains_minterm(m));
-        if uncovered.len() == before {
-            break;
-        }
-        chosen.push(best);
-    }
-    chosen
-}
-
-/// Convenience wrapper: generate primes for `f` and return a minimum cover.
-pub fn minimize(f: &Function) -> Cover {
-    let primes = quine::prime_implicants(f);
-    minimum_cover(f, &primes)
-}
-
 /// Select a minimum (or near-minimum) subset of `primes` covering the on-set
-/// of a sparse [`CoverFunction`], without enumerating minterms.
+/// of a [`CoverFunction`], always including every essential prime, without
+/// enumerating minterms. The result is the "essential SOP expression" the
+/// paper refers to in Steps 4 and 6.
 ///
 /// The covering table is built **cover-based**: the on-set cubes are
 /// fragmented against the primes (splitting a row into its intersection with
 /// a prime and the disjoint-sharp remainder) until every fragment is either
-/// inside or disjoint from each prime. Fragments then play the role the
-/// minterms play in the dense [`minimum_cover`]: fragments covered by exactly
-/// one prime make that prime essential, the residual table is solved by the
-/// exact Petrick expansion when small and greedily otherwise. If
-/// fragmentation explodes past the internal `FRAGMENT_LIMIT` rows, a sharp-based greedy
-/// selection (repeatedly subtracting the best prime from the uncovered cover)
-/// is used instead.
+/// inside or disjoint from each prime. Fragments then play the role minterms
+/// play in the textbook table: fragments covered by exactly one prime make
+/// that prime essential, the residual table is solved by the exact Petrick
+/// expansion when small and greedily otherwise. If fragmentation explodes
+/// past the internal `FRAGMENT_LIMIT` rows, a sharp-based greedy selection
+/// (repeatedly subtracting the best prime from the uncovered cover) is used
+/// instead.
+///
+/// # Example
+///
+/// ```
+/// use fantom_boolean::{petrick, CoverFunction, Function};
+///
+/// # fn main() -> Result<(), fantom_boolean::BooleanError> {
+/// let f = CoverFunction::from_function(&Function::from_on_set(3, &[0, 1, 2, 3, 7])?);
+/// let cover = petrick::minimum_cover_sparse(&f, &f.prime_implicants());
+/// assert!(f.implemented_by(&cover));
+/// assert_eq!(cover.cube_count(), 2); // 0-- and -11
+/// # Ok(())
+/// # }
+/// ```
 pub fn minimum_cover_sparse(f: &CoverFunction, primes: &[Cube]) -> Cover {
     let n = f.num_vars();
     if primes.is_empty() || f.on_cover().is_empty() {
@@ -299,9 +169,8 @@ fn petrick_exact_table(primes: &[Cube], rows: &[&Vec<usize>]) -> Vec<usize> {
             }
         }
         absorb(&mut next);
-        // Tighter than the dense bailout: absorb is quadratic in the product
-        // count, and the fragment tables of large sparse functions hit the
-        // worst case far more often than small dense residuals do.
+        // Bail out early: absorb is quadratic in the product count, and the
+        // fragment tables of large functions hit the worst case often.
         if next.len() > 2_000 {
             return greedy_table(rows);
         }
@@ -375,28 +244,39 @@ fn greedy_sharp_cover(f: &CoverFunction, primes: &[Cube]) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{quine, Function};
+
+    /// Minimize a dense function through the cover-based table over its
+    /// complete prime set.
+    fn min_cover(f: &Function) -> Cover {
+        let cf = CoverFunction::from_function(f);
+        minimum_cover_sparse(&cf, &cf.prime_implicants())
+    }
 
     #[test]
     fn wikipedia_example_minimum_size() {
         let f = Function::from_on_dc(4, &[4, 8, 10, 11, 12, 15], &[9, 14]).unwrap();
-        let cover = minimize(&f);
-        assert!(cover.equivalent_to(&f));
+        let cover = min_cover(&f);
+        assert!(f.implemented_by(&cover));
         // Known minimum: 3 product terms (e.g. -100 + 10-- + 1-1- or -100 + 1--0 + 1-1-).
         assert_eq!(cover.cube_count(), 3);
     }
 
     #[test]
     fn essential_primes_always_selected() {
-        // f = Σ m(0,1,5,7): minterm 0 forces 00-, minterm 7 forces a prime with x2=1,x3=1...
+        // f = Σ m(0,1,5,7): a prime that is the only one covering some
+        // on-set minterm must be in every cover.
         let f = Function::from_on_set(3, &[0, 1, 5, 7]).unwrap();
         let primes = quine::prime_implicants(&f);
-        let ess = quine::essential_primes(&f, &primes);
-        let cover = minimum_cover(&f, &primes);
-        for e in &ess {
-            assert!(
-                cover.cubes().contains(e),
-                "essential prime {e} missing from cover"
-            );
+        let cover = minimum_cover_sparse(&CoverFunction::from_function(&f), &primes);
+        for m in f.on_minterms() {
+            let covering: Vec<&Cube> = primes.iter().filter(|p| p.contains_minterm(m)).collect();
+            if let [only] = covering.as_slice() {
+                assert!(
+                    cover.cubes().contains(only),
+                    "essential prime {only} missing from cover"
+                );
+            }
         }
         assert!(cover.equivalent_to(&f));
     }
@@ -404,34 +284,33 @@ mod tests {
     #[test]
     fn constant_functions() {
         let zero = Function::constant_false(3).unwrap();
-        assert!(minimize(&zero).is_empty());
+        assert!(min_cover(&zero).is_empty());
 
         let one = Function::from_on_set(2, &[0, 1, 2, 3]).unwrap();
-        let cover = minimize(&one);
+        let cover = min_cover(&one);
         assert_eq!(cover.cube_count(), 1);
         assert!(cover.cubes()[0].is_universe());
     }
 
     #[test]
     fn dont_cares_reduce_cover_size() {
-        // Without DC: f = Σ m(1,3) over 3 vars needs cube 0--1? no wait 3 vars.
         // on = {1,3}: cube 0-1. With DC {5,7}: cube --1 suffices (1 literal).
         let strict = Function::from_on_set(3, &[1, 3]).unwrap();
         let relaxed = Function::from_on_dc(3, &[1, 3], &[5, 7]).unwrap();
-        let c1 = minimize(&strict);
-        let c2 = minimize(&relaxed);
-        assert!(c1.equivalent_to(&strict));
-        assert!(c2.equivalent_to(&relaxed));
+        let c1 = min_cover(&strict);
+        let c2 = min_cover(&relaxed);
+        assert!(strict.implemented_by(&c1));
+        assert!(relaxed.implemented_by(&c2));
         assert!(c2.literal_count() < c1.literal_count());
     }
 
     #[test]
     fn sparse_minimum_cover_matches_dense_quality() {
-        // Same Wikipedia example through the cover-based covering table.
+        // Expansion primes (the pipeline's prime set) on the Wikipedia
+        // example reach the known 3-term minimum too.
         let f = Function::from_on_dc(4, &[4, 8, 10, 11, 12, 15], &[9, 14]).unwrap();
         let cf = CoverFunction::from_function(&f);
-        let primes = quine::prime_implicants(&f);
-        let cover = minimum_cover_sparse(&cf, &primes);
+        let cover = cf.minimize();
         assert!(f.implemented_by(&cover));
         assert_eq!(cover.cube_count(), 3);
     }
@@ -450,11 +329,11 @@ mod tests {
 
     #[test]
     fn greedy_fallback_still_valid() {
-        // A moderately large random-ish function to exercise the greedy path
-        // via the candidate*remaining limit (forced by constructing many primes).
+        // A moderately large function whose residual table exceeds the exact
+        // Petrick limit, forcing the greedy path.
         let on: Vec<u64> = (0..256).filter(|m| m % 3 != 0).collect();
         let f = Function::from_on_set(8, &on).unwrap();
-        let cover = minimize(&f);
+        let cover = min_cover(&f);
         assert!(cover.equivalent_to(&f));
     }
 }

@@ -1,10 +1,10 @@
 //! Quine–McCluskey prime-implicant generation.
 //!
-//! SEANCE relies on two-level minimization in three places: the output (`Z`)
-//! equations, the stable-state-detector (`SSD`) equation (Step 4) and the
-//! `fsv` / next-state equations (Steps 6–7). The paper explicitly names the
-//! Quine–McCluskey procedure; this module implements the tabulation method
-//! over the dense [`Function`] representation.
+//! The paper names the Quine–McCluskey procedure for its two-level
+//! minimizations. The pipeline finds the same primes cube-wise
+//! ([`CoverFunction::prime_implicants`](crate::CoverFunction::prime_implicants));
+//! this module keeps the tabulation method over the dense [`Function`]
+//! representation as the exhaustive oracle it is checked against.
 //!
 //! The tabulation works directly on the packed `(mask, value)` word encoding
 //! that [`Cube::from_mask_value`] consumes; buckets are keyed by the packed
@@ -122,66 +122,6 @@ pub fn prime_implicants(f: &Function) -> Vec<Cube> {
     out
 }
 
-/// Compute a set of prime implicants sufficient to cover the on-set of `f` by
-/// *expansion*: each on-set minterm is greedily widened, one variable at a
-/// time, as far as the off-set allows. Every returned cube is prime (maximal),
-/// but unlike [`prime_implicants`] the set is not exhaustive — primes that
-/// cover only don't-care minterms, or that are not reachable by the fixed
-/// expansion order, are omitted.
-///
-/// This is the generation step used by [`crate::minimize_function`]: for the
-/// sparse, don't-care-heavy functions produced by flow-table synthesis the
-/// full tabulation can enumerate an exponential number of primes, while the
-/// expansion touches only `|on| × vars × |off|` combinations.
-pub fn expand_primes(f: &Function) -> Vec<Cube> {
-    let n = f.num_vars();
-    // Precompute the off-set as packed minterm cubes: each widening test is
-    // then a word-parallel containment check instead of a per-literal loop.
-    let off_cubes: Vec<Cube> = f
-        .off_minterms()
-        .map(|m| Cube::from_minterm(n, m).expect("minterm within range"))
-        .collect();
-    let mut out: Vec<Cube> = Vec::new();
-    // Dedup through an incremental CoverIndex: a prime produced by the fixed
-    // expansion order can only be *contained* in an earlier one by being
-    // *equal* to it (a strictly contained result would have kept widening
-    // along the earlier prime's free variables), so the word-parallel
-    // single-cube-coverage query is an exact duplicate test — and unlike a
-    // hash set it also absorbs any future non-maximal entries for free.
-    let mut seen = crate::index::CoverIndex::new(n);
-    let mut cand: Vec<u64> = Vec::new();
-    for m in f.on_minterms() {
-        let mut cube = Cube::from_minterm(n, m).expect("minterm within range");
-        for var in 0..n {
-            let widened = cube.with_literal(var, crate::Literal::DontCare);
-            if !off_cubes.iter().any(|o| widened.covers(o)) {
-                cube = widened;
-            }
-        }
-        if !seen.covering_candidates(&cube, &mut cand) {
-            seen.push(&cube);
-            out.push(cube);
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Identify the essential prime implicants among `primes` with respect to `f`:
-/// primes that are the *only* prime covering some on-set minterm.
-pub fn essential_primes(f: &Function, primes: &[Cube]) -> Vec<Cube> {
-    let mut essential: Vec<Cube> = Vec::new();
-    for m in f.on_minterms() {
-        let mut covering = primes.iter().filter(|p| p.contains_minterm(m));
-        if let (Some(p), None) = (covering.next(), covering.next()) {
-            if !essential.contains(p) {
-                essential.push(p.clone());
-            }
-        }
-    }
-    essential
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,25 +186,33 @@ mod tests {
 
     #[test]
     fn essential_primes_detected() {
-        // f = Σ m(0,1,5,7): primes are 00-, -01, 1-1, -11... essential ones cover
-        // minterms reachable by exactly one prime.
+        // f = Σ m(0,1,5,7): the primes are 00-, -01 and 1-1; minterm 0 is
+        // covered by 00- alone and minterm 7 by 1-1 alone, so both are
+        // essential, while -01 covers only minterms the others cover too.
         let f = Function::from_on_set(3, &[0, 1, 5, 7]).unwrap();
         let primes = prime_implicants(&f);
-        let ess = essential_primes(&f, &primes);
-        // minterm 0 only covered by 00-, minterm 7 only by 1-1 or -11 depending
-        // on the prime set; just check every essential is a prime and nonempty.
-        assert!(!ess.is_empty());
-        for e in &ess {
-            assert!(primes.contains(e));
-        }
+        let essential: HashSet<String> = f
+            .on_minterms()
+            .filter_map(|m| {
+                let covering: Vec<&Cube> =
+                    primes.iter().filter(|p| p.contains_minterm(m)).collect();
+                match covering.as_slice() {
+                    [only] => Some(only.to_string()),
+                    _ => None,
+                }
+            })
+            .collect();
+        let expected: HashSet<String> = ["00-", "1-1"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(essential, expected);
     }
 
     #[test]
     fn expansion_primes_match_tabulation_semantics() {
-        // Every expanded prime must be a true prime implicant, and together
-        // they must cover the on-set.
+        // Every prime the pipeline's cube-wise expansion finds must be a true
+        // prime implicant of the tabulated function, and together they must
+        // cover the on-set.
         let f = Function::from_on_dc(6, &[0, 5, 9, 13, 21, 33, 40, 52, 63], &[1, 8, 20]).unwrap();
-        let primes = expand_primes(&f);
+        let primes = crate::CoverFunction::from_function(&f).expand_primes();
         let cover = Cover::from_cubes(6, primes.clone());
         for m in f.on_minterms() {
             assert!(cover.covers_minterm(m));

@@ -1,11 +1,14 @@
 //! Property-based tests for the cube algebra and two-level minimization.
 
-use fantom_boolean::{
-    all_primes_cover, hazard, minimize_function, quine, Cover, Cube, Function, Literal,
-};
+use fantom_boolean::{hazard, quine, Cover, CoverFunction, Cube, Function, Literal};
 use proptest::prelude::*;
 
 const NUM_VARS: usize = 5;
+
+/// The pipeline's essential-SOP minimization of a tabulated function.
+fn minimized(f: &Function) -> Cover {
+    CoverFunction::from_function(f).minimize()
+}
 
 fn arb_literal() -> impl Strategy<Value = Literal> {
     prop_oneof![
@@ -89,7 +92,7 @@ proptest! {
     /// A minimized cover implements the function it was derived from.
     #[test]
     fn minimized_cover_implements_function(f in arb_function()) {
-        let cover = minimize_function(&f);
+        let cover = minimized(&f);
         prop_assert!(cover.equivalent_to(&f));
     }
 
@@ -97,16 +100,17 @@ proptest! {
     /// minterms (the trivial canonical cover).
     #[test]
     fn minimized_cover_no_worse_than_canonical(f in arb_function()) {
-        let cover = minimize_function(&f);
+        let cover = minimized(&f);
         prop_assert!(cover.cube_count() as u64 <= f.on_count().max(1));
     }
 
-    /// The all-primes cover implements the function and is free of static-1
-    /// hazards for single-input changes between *specified* on-set minterms
-    /// (transitions through don't-care vertices are unconstrained).
+    /// The all-primes cover (the cube-wise complete sum the Huffman baseline
+    /// uses) implements the function and is free of static-1 hazards for
+    /// single-input changes between *specified* on-set minterms (transitions
+    /// through don't-care vertices are unconstrained).
     #[test]
     fn all_primes_cover_is_hazard_free(f in arb_function()) {
-        let cover = all_primes_cover(&f);
+        let cover = Cover::from_cubes(NUM_VARS, CoverFunction::from_function(&f).prime_implicants());
         prop_assert!(cover.equivalent_to(&f));
         let on_set_hazards = hazard::static_hazards(&cover)
             .into_iter()
@@ -120,8 +124,9 @@ proptest! {
     /// static hazards between specified on-set minterms.
     #[test]
     fn consensus_terms_fix_hazards(f in arb_function()) {
-        let base = minimize_function(&f);
-        let fixed = hazard::add_consensus_terms(&f, &base);
+        let cf = CoverFunction::from_function(&f);
+        let base = cf.minimize();
+        let fixed = hazard::add_consensus_terms_cover(cf.off_cover(), &base);
         prop_assert!(fixed.equivalent_to(&f));
         let on_set_hazards = hazard::static_hazards(&fixed)
             .into_iter()
@@ -143,7 +148,7 @@ proptest! {
     #[test]
     fn first_level_gate_transform_is_equivalent(f in arb_function()) {
         use fantom_boolean::Expr;
-        let cover = minimize_function(&f);
+        let cover = minimized(&f);
         let two = Expr::from_cover(&cover);
         let flg = Expr::first_level_gates(&cover);
         for m in 0..(1u64 << NUM_VARS) {

@@ -4,7 +4,9 @@
 //!
 //! * **Classical Huffman synthesis** restricted to single-input changes: the
 //!   same flow table and USTT assignment, next-state logic expanded to all
-//!   prime implicants (hazard-free for single-input changes) — but *without*
+//!   prime implicants (hazard-free for single-input changes; the same primes
+//!   Quine–McCluskey tabulates, found cube-wise by
+//!   [`CoverFunction::prime_implicants`](fantom_boolean::CoverFunction::prime_implicants)) — but *without*
 //!   the fantom variable, so every function hazard found by the Step-5 search
 //!   is left unprotected. [`huffman_baseline`] measures its size and depth and
 //!   reports the count of unprotected hazards.
@@ -17,7 +19,7 @@
 //!   variable (`fsv`).
 
 use fantom_assign::assign;
-use fantom_boolean::{all_primes_cover, Cover, Expr};
+use fantom_boolean::{Cover, Expr};
 use fantom_flow::FlowTable;
 
 use crate::{hazard, outputs, SpecifiedTable, SynthesisError};
@@ -52,16 +54,19 @@ pub struct HuffmanBaseline {
 ///
 /// # Errors
 ///
-/// Propagates validation, assignment and dense-function errors.
+/// Propagates assignment and cover-construction errors.
 pub fn huffman_baseline(table: &FlowTable) -> Result<HuffmanBaseline, SynthesisError> {
     let assignment = assign(table);
     assignment.verify(table)?;
     let spec = SpecifiedTable::new(table.clone(), assignment)?;
 
-    let base = spec.next_state_functions()?;
-    let y_covers: Vec<Cover> = base.iter().map(all_primes_cover).collect();
+    let base = spec.next_state_cover_functions()?;
+    let y_covers: Vec<Cover> = base
+        .iter()
+        .map(|f| Cover::from_cubes(f.num_vars(), f.prime_implicants()))
+        .collect();
     let y_exprs: Vec<Expr> = y_covers.iter().map(Expr::from_cover).collect();
-    let out = outputs::generate(&spec)?;
+    let out = outputs::generate_covers(&spec)?;
     let hazards = hazard::analyze(&spec);
 
     let y_depth = y_exprs.iter().map(Expr::depth).max().unwrap_or(0);
@@ -128,7 +133,7 @@ pub fn stg_expansion_estimate(table: &FlowTable) -> StgExpansionEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisOptions};
+    use crate::{synthesize_sparse, SynthesisOptions};
     use fantom_flow::benchmarks;
 
     #[test]
@@ -145,7 +150,7 @@ mod tests {
     #[test]
     fn baseline_leaves_hazards_unprotected_where_fantom_finds_them() {
         for table in benchmarks::paper_suite() {
-            let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
+            let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
             let baseline = huffman_baseline(&result.reduced_table).unwrap();
             assert_eq!(
                 baseline.unprotected_hazard_states,
@@ -162,7 +167,7 @@ mod tests {
         // response) for hazard freedom; the baseline must therefore be
         // shallower or equal.
         for table in benchmarks::paper_suite() {
-            let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
+            let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
             let baseline = huffman_baseline(&result.reduced_table).unwrap();
             assert!(
                 baseline.total_depth <= result.depth.total_depth,

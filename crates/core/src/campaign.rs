@@ -29,8 +29,9 @@
 //! **protected** transitions (all intermediate columns specified to reach the
 //! destination) carry the strict zero-glitch / correct-final-state
 //! assertions, while **unprotected** ones (common in the don't-care-heavy
-//! large suite) are still simulated and counted, but divergences are
-//! informational. Single-input changes have no intermediate columns and are
+//! large suite) are still simulated and checked the same way, but their
+//! divergences (`unprotected_*` counters) are informational and never make a
+//! report unclean. Single-input changes have no intermediate columns and are
 //! always protected.
 //!
 //! All randomness derives from `(campaign seed, assignment, step)` via
@@ -50,7 +51,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::emit::{emit_parts, FantomNetlist, MachineParts};
-use crate::{SparseSynthesisResult, SynthesisResult};
+use crate::service::effective_parallelism;
+use crate::SparseSynthesisResult;
 
 /// Configuration of a validation campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +96,7 @@ impl Default for CampaignOptions {
 }
 
 /// Analytical hazard verdicts for every synthesized cover.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalyticVerdicts {
     /// The factored `fsv` cover is static-hazard-free.
     pub fsv_hazard_free: bool,
@@ -110,7 +112,7 @@ pub struct AnalyticVerdicts {
 
 /// Aggregated result of a campaign. All counters are exact and
 /// deterministic for a given `(machine, options)` pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignReport {
     /// Machine name.
     pub machine: String,
@@ -153,6 +155,14 @@ pub struct CampaignReport {
     /// Extra transitions (beyond the single USTT change) on changing state
     /// variables during protected steps.
     pub excess_state_changes: u64,
+    /// Unprotected steps ending in the wrong state code (informational).
+    pub unprotected_wrong_final_state: u64,
+    /// Unprotected steps ending with wrong (specified) output bits
+    /// (informational).
+    pub unprotected_wrong_final_output: u64,
+    /// Extra transitions on changing state variables during unprotected
+    /// steps (informational).
+    pub unprotected_excess_state_changes: u64,
     /// Protected steps where the zero-delay oracle disagreed with the
     /// settled simulator state.
     pub protected_oracle_disagreements: u64,
@@ -198,6 +208,7 @@ impl CampaignReport {
              init_failures={} settle_failures={}/{} wrong_state={} wrong_output={}\n\
              invariant_glitches={}/{} per_var=[{}] excess_changes={}\n\
              unprotected_per_var=[{}] output_per_var=[{}]\n\
+             unprotected_wrong_state={} unprotected_wrong_output={} unprotected_excess_changes={}\n\
              oracle_disagreements={}/{} oracle_unstable={}\n\
              analytic fsv={} y={} ssd={} z={}\n\
              clean={}\n",
@@ -218,6 +229,9 @@ impl CampaignReport {
             self.excess_state_changes,
             fmt_counts(&self.unprotected_glitches_per_var),
             fmt_counts(&self.output_glitches_per_var),
+            self.unprotected_wrong_final_state,
+            self.unprotected_wrong_final_output,
+            self.unprotected_excess_state_changes,
             self.protected_oracle_disagreements,
             self.unprotected_oracle_disagreements,
             self.oracle_unstable,
@@ -230,54 +244,28 @@ impl CampaignReport {
     }
 }
 
-/// Per-assignment counters, merged in assignment order.
-#[derive(Debug, Clone)]
-struct Counters {
-    steps: u64,
-    protected_steps: u64,
-    unprotected_steps: u64,
-    events: u64,
-    init_failures: u64,
-    protected_settle_failures: u64,
-    unprotected_settle_failures: u64,
-    wrong_final_state: u64,
-    wrong_final_output: u64,
-    protected_invariant_glitches: u64,
-    protected_glitches_per_var: Vec<u64>,
-    unprotected_invariant_glitches: u64,
-    unprotected_glitches_per_var: Vec<u64>,
-    output_glitches_per_var: Vec<u64>,
-    excess_state_changes: u64,
-    protected_oracle_disagreements: u64,
-    unprotected_oracle_disagreements: u64,
-    oracle_unstable: u64,
-}
-
-impl Counters {
-    fn new(num_vars: usize, num_outputs: usize) -> Self {
-        Counters {
-            steps: 0,
-            protected_steps: 0,
-            unprotected_steps: 0,
-            events: 0,
-            init_failures: 0,
-            protected_settle_failures: 0,
-            unprotected_settle_failures: 0,
-            wrong_final_state: 0,
-            wrong_final_output: 0,
-            protected_invariant_glitches: 0,
+impl CampaignReport {
+    /// An all-zero report sized to the machine: one per delay assignment,
+    /// merged in assignment order into the campaign's report.
+    fn empty(
+        machine: String,
+        analytic: AnalyticVerdicts,
+        num_vars: usize,
+        num_outputs: usize,
+    ) -> Self {
+        CampaignReport {
+            machine,
             protected_glitches_per_var: vec![0; num_vars],
-            unprotected_invariant_glitches: 0,
             unprotected_glitches_per_var: vec![0; num_vars],
             output_glitches_per_var: vec![0; num_outputs],
-            excess_state_changes: 0,
-            protected_oracle_disagreements: 0,
-            unprotected_oracle_disagreements: 0,
-            oracle_unstable: 0,
+            analytic,
+            ..CampaignReport::default()
         }
     }
 
-    fn merge(&mut self, other: &Counters) {
+    /// Add every step counter of `other` (one assignment's report) to `self`.
+    fn merge(&mut self, other: &CampaignReport) {
+        let add = |a: &mut Vec<u64>, b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
         self.steps += other.steps;
         self.protected_steps += other.protected_steps;
         self.unprotected_steps += other.unprotected_steps;
@@ -288,50 +276,35 @@ impl Counters {
         self.wrong_final_state += other.wrong_final_state;
         self.wrong_final_output += other.wrong_final_output;
         self.protected_invariant_glitches += other.protected_invariant_glitches;
-        for (a, b) in self
-            .protected_glitches_per_var
-            .iter_mut()
-            .zip(&other.protected_glitches_per_var)
-        {
-            *a += b;
-        }
+        add(
+            &mut self.protected_glitches_per_var,
+            &other.protected_glitches_per_var,
+        );
         self.unprotected_invariant_glitches += other.unprotected_invariant_glitches;
-        for (a, b) in self
-            .unprotected_glitches_per_var
-            .iter_mut()
-            .zip(&other.unprotected_glitches_per_var)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .output_glitches_per_var
-            .iter_mut()
-            .zip(&other.output_glitches_per_var)
-        {
-            *a += b;
-        }
+        add(
+            &mut self.unprotected_glitches_per_var,
+            &other.unprotected_glitches_per_var,
+        );
+        add(
+            &mut self.output_glitches_per_var,
+            &other.output_glitches_per_var,
+        );
         self.excess_state_changes += other.excess_state_changes;
+        self.unprotected_wrong_final_state += other.unprotected_wrong_final_state;
+        self.unprotected_wrong_final_output += other.unprotected_wrong_final_output;
+        self.unprotected_excess_state_changes += other.unprotected_excess_state_changes;
         self.protected_oracle_disagreements += other.protected_oracle_disagreements;
         self.unprotected_oracle_disagreements += other.unprotected_oracle_disagreements;
         self.oracle_unstable += other.oracle_unstable;
     }
 }
 
-/// Run a campaign over a dense-pipeline synthesis result.
-pub fn run_campaign(result: &SynthesisResult, options: &CampaignOptions) -> CampaignReport {
-    run_campaign_parts(&MachineParts::from(result), options)
-}
-
-/// Run a campaign over a sparse-pipeline synthesis result.
+/// Run a campaign over a synthesis result.
 pub fn run_campaign_sparse(
     result: &SparseSynthesisResult,
     options: &CampaignOptions,
 ) -> CampaignReport {
-    run_campaign_parts(&MachineParts::from(result), options)
-}
-
-/// Run a campaign from a [`MachineParts`] view.
-pub fn run_campaign_parts(parts: &MachineParts<'_>, options: &CampaignOptions) -> CampaignReport {
+    let parts = &MachineParts::from(result);
     let machine = emit_parts(parts, options.loop_stages.max(1));
     let transitions = parts.table.stable_transitions();
     let protected: Vec<bool> = transitions
@@ -343,9 +316,12 @@ pub fn run_campaign_parts(parts: &MachineParts<'_>, options: &CampaignOptions) -
     let num_outputs = machine.z.len();
 
     let n = options.assignments;
-    let mut merged = Counters::new(num_vars, num_outputs);
+    let mut merged = CampaignReport {
+        assignments: n,
+        ..CampaignReport::empty(parts.name.to_string(), analytic, num_vars, num_outputs)
+    };
     if n > 0 && !transitions.is_empty() {
-        let workers = effective_workers(options.workers).min(n);
+        let workers = effective_parallelism(options.workers).min(n);
         if workers <= 1 {
             for a in 0..n {
                 let c = run_assignment(parts, &machine, &transitions, &protected, options, a);
@@ -357,7 +333,8 @@ pub fn run_campaign_parts(parts: &MachineParts<'_>, options: &CampaignOptions) -
             // counters land in submission-order slots, so the merge below is
             // independent of scheduling.
             let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Counters>>> = (0..n).map(|_| Mutex::new(None)).collect();
+            let slots: Vec<Mutex<Option<CampaignReport>>> =
+                (0..n).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
@@ -381,39 +358,7 @@ pub fn run_campaign_parts(parts: &MachineParts<'_>, options: &CampaignOptions) -
         }
     }
 
-    CampaignReport {
-        machine: parts.name.to_string(),
-        assignments: n,
-        steps: merged.steps,
-        protected_steps: merged.protected_steps,
-        unprotected_steps: merged.unprotected_steps,
-        events: merged.events,
-        init_failures: merged.init_failures,
-        protected_settle_failures: merged.protected_settle_failures,
-        unprotected_settle_failures: merged.unprotected_settle_failures,
-        wrong_final_state: merged.wrong_final_state,
-        wrong_final_output: merged.wrong_final_output,
-        protected_invariant_glitches: merged.protected_invariant_glitches,
-        protected_glitches_per_var: merged.protected_glitches_per_var,
-        unprotected_invariant_glitches: merged.unprotected_invariant_glitches,
-        unprotected_glitches_per_var: merged.unprotected_glitches_per_var,
-        output_glitches_per_var: merged.output_glitches_per_var,
-        excess_state_changes: merged.excess_state_changes,
-        protected_oracle_disagreements: merged.protected_oracle_disagreements,
-        unprotected_oracle_disagreements: merged.unprotected_oracle_disagreements,
-        oracle_unstable: merged.oracle_unstable,
-        analytic,
-    }
-}
-
-fn effective_workers(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
+    merged
 }
 
 /// A transition is *protected* when every intermediate input column of the
@@ -475,7 +420,7 @@ fn run_assignment(
     protected: &[bool],
     options: &CampaignOptions,
     assignment: usize,
-) -> Counters {
+) -> CampaignReport {
     let sweep = DelaySweep {
         min: options.delay_min,
         max: options.delay_max,
@@ -504,7 +449,12 @@ fn run_assignment(
         b.build()
     };
 
-    let mut counters = Counters::new(machine.y.len(), machine.z.len());
+    let mut counters = CampaignReport::empty(
+        String::new(),
+        AnalyticVerdicts::default(),
+        machine.y.len(),
+        machine.z.len(),
+    );
     let mut harness = Harness::new(build(), options.oracle);
 
     let all = options.sequences_per_assignment == 0
@@ -595,8 +545,12 @@ fn run_assignment(
                     counters.unprotected_invariant_glitches += changes_seen;
                     counters.unprotected_glitches_per_var[i] += changes_seen;
                 }
-            } else if prot && changes_seen > 1 {
-                counters.excess_state_changes += changes_seen - 1;
+            } else if changes_seen > 1 {
+                if prot {
+                    counters.excess_state_changes += changes_seen - 1;
+                } else {
+                    counters.unprotected_excess_state_changes += changes_seen - 1;
+                }
             }
         }
 
@@ -615,23 +569,29 @@ fn run_assignment(
             }
         }
 
-        if prot {
-            let state_ok = machine
-                .y
+        let state_ok = machine
+            .y
+            .iter()
+            .enumerate()
+            .all(|(i, &net)| harness.sim().value(net) == to_code.bit(i));
+        if !state_ok {
+            if prot {
+                counters.wrong_final_state += 1;
+            } else {
+                counters.unprotected_wrong_final_state += 1;
+            }
+        }
+        if let Some(out) = parts.table.output(t.to_state, t.to_input.index()) {
+            let out_ok = machine
+                .z
                 .iter()
                 .enumerate()
-                .all(|(i, &net)| harness.sim().value(net) == to_code.bit(i));
-            if !state_ok {
-                counters.wrong_final_state += 1;
-            }
-            if let Some(out) = parts.table.output(t.to_state, t.to_input.index()) {
-                let out_ok = machine
-                    .z
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &net)| harness.sim().value(net) == out.bit(i));
-                if !out_ok {
+                .all(|(i, &net)| harness.sim().value(net) == out.bit(i));
+            if !out_ok {
+                if prot {
                     counters.wrong_final_output += 1;
+                } else {
+                    counters.unprotected_wrong_final_output += 1;
                 }
             }
         }
@@ -655,7 +615,7 @@ fn run_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisOptions};
+    use crate::{synthesize_sparse, SynthesisOptions};
     use fantom_flow::benchmarks;
 
     fn small_options() -> CampaignOptions {
@@ -666,14 +626,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lion_campaign_is_clean() {
+    fn lion() -> SparseSynthesisResult {
         let options = SynthesisOptions {
             minimize_states: false,
             ..SynthesisOptions::default()
         };
-        let result = synthesize(&benchmarks::lion(), &options).unwrap();
-        let report = run_campaign(&result, &small_options());
+        synthesize_sparse(&benchmarks::lion(), &options).unwrap()
+    }
+
+    #[test]
+    fn lion_campaign_is_clean() {
+        let report = run_campaign_sparse(&lion(), &small_options());
         assert!(report.steps > 0);
         assert!(report.protected_steps > 0);
         assert!(report.is_clean(), "{}", report.render());
@@ -691,23 +654,24 @@ mod tests {
 
     #[test]
     fn report_rendering_is_stable() {
-        let options = SynthesisOptions {
-            minimize_states: false,
-            ..SynthesisOptions::default()
-        };
-        let result = synthesize(&benchmarks::lion(), &options).unwrap();
-        let a = run_campaign(&result, &small_options()).render();
-        let b = run_campaign(&result, &small_options()).render();
+        let result = lion();
+        let a = run_campaign_sparse(&result, &small_options()).render();
+        let b = run_campaign_sparse(&result, &small_options()).render();
         assert_eq!(a, b);
         assert!(a.starts_with("campaign lion\n"));
+        assert!(a.contains("unprotected_wrong_state=0 unprotected_wrong_output=0"));
     }
 
     #[test]
     fn sparse_entry_point_matches_machine_shape() {
         let result =
-            crate::synthesize_sparse(&benchmarks::traffic(), &SynthesisOptions::default()).unwrap();
+            synthesize_sparse(&benchmarks::traffic(), &SynthesisOptions::default()).unwrap();
         let report = run_campaign_sparse(&result, &small_options());
         assert_eq!(report.machine, "traffic");
         assert!(report.steps > 0);
+        assert_eq!(
+            report.protected_glitches_per_var.len(),
+            result.spec.num_state_vars()
+        );
     }
 }

@@ -9,7 +9,6 @@
 //! logic, plus the VOM gate itself.
 
 use crate::factoring::FactoredEquations;
-use crate::outputs::OutputEquations;
 use fantom_boolean::Expr;
 
 /// Depth (and size) summary of a synthesized machine.
@@ -28,13 +27,8 @@ pub struct DepthReport {
     pub ssd_depth: usize,
 }
 
-/// Compute the depth report from the factored equations and the output stage.
-pub fn report(factored: &FactoredEquations, outputs: &OutputEquations) -> DepthReport {
-    report_parts(factored, &outputs.z_exprs, &outputs.ssd_expr)
-}
-
-/// Depth report from the raw output expressions; shared by the dense
-/// ([`report`]) and sparse (cover-based) pipelines.
+/// Compute the depth report from the factored equations and the output
+/// stage's expressions.
 pub fn report_parts(
     factored: &FactoredEquations,
     z_exprs: &[Expr],
@@ -54,7 +48,7 @@ pub fn report_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factoring::{factor, FactoringOptions};
+    use crate::factoring::{factor_covers, FactoringOptions};
     use crate::{fsv, hazard, outputs, SpecifiedTable};
     use fantom_assign::assign;
     use fantom_flow::benchmarks;
@@ -65,10 +59,10 @@ mod tests {
             let assignment = assign(&table);
             let spec = SpecifiedTable::new(table, assignment).unwrap();
             let analysis = hazard::analyze(&spec);
-            let eqs = fsv::generate(&spec, &analysis).unwrap();
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
-            let out = outputs::generate(&spec).unwrap();
-            let d = report(&factored, &out);
+            let eqs = fsv::generate_covers(&spec, &analysis).unwrap();
+            let factored = factor_covers(&spec, &eqs, FactoringOptions::default());
+            let out = outputs::generate_covers(&spec).unwrap();
+            let d = report_parts(&factored, &out.z_exprs, &out.ssd_expr);
             assert_eq!(d.total_depth, d.fsv_depth + d.y_depth + 1);
             assert!(
                 d.y_depth >= 1,

@@ -23,11 +23,10 @@ use fantom_sim::{GateKind, NetId, Netlist};
 
 use crate::factoring::FactoredEquations;
 use crate::spec::SpecifiedTable;
-use crate::{SparseSynthesisResult, SynthesisResult};
+use crate::SparseSynthesisResult;
 
 /// Borrowed view of the pieces of a synthesis result the emitter (and the
-/// campaign driver) needs, independent of whether the dense or the sparse
-/// pipeline produced them.
+/// campaign driver) needs.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineParts<'a> {
     /// Machine name.
@@ -48,22 +47,6 @@ pub struct MachineParts<'a> {
     pub ssd_cover: &'a Cover,
     /// Total combinational depth (sizes the loop-delay assumption).
     pub total_depth: usize,
-}
-
-impl<'a> From<&'a SynthesisResult> for MachineParts<'a> {
-    fn from(result: &'a SynthesisResult) -> Self {
-        MachineParts {
-            name: &result.name,
-            table: &result.reduced_table,
-            spec: &result.spec,
-            factored: &result.factored,
-            z_exprs: &result.outputs.z_exprs,
-            ssd_expr: &result.outputs.ssd_expr,
-            z_covers: &result.outputs.z_covers,
-            ssd_cover: &result.outputs.ssd_cover,
-            total_depth: result.depth.total_depth,
-        }
-    }
 }
 
 impl<'a> From<&'a SparseSynthesisResult> for MachineParts<'a> {
@@ -116,16 +99,11 @@ pub struct FantomNetlist {
 /// used by the validation harness.
 pub const DEFAULT_LOOP_STAGES: usize = 6;
 
-/// Instantiate the FANTOM machine for a dense-pipeline synthesis result.
+/// Instantiate the FANTOM machine from a [`MachineParts`] view (build one
+/// from a synthesis result with `MachineParts::from(&result)`).
 ///
 /// `loop_stages` buffers are inserted in every `Y → y` feedback path; pass
 /// [`DEFAULT_LOOP_STAGES`] unless an experiment needs to vary the loop delay.
-pub fn emit(result: &SynthesisResult, loop_stages: usize) -> FantomNetlist {
-    emit_parts(&MachineParts::from(result), loop_stages)
-}
-
-/// Instantiate the FANTOM machine from a [`MachineParts`] view (works for
-/// dense and sparse pipeline results alike).
 pub fn emit_parts(result: &MachineParts<'_>, loop_stages: usize) -> FantomNetlist {
     let spec = result.spec;
     let j = spec.num_inputs();
@@ -216,13 +194,17 @@ pub fn emit_parts(result: &MachineParts<'_>, loop_stages: usize) -> FantomNetlis
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisOptions};
+    use crate::{synthesize_sparse, SynthesisOptions};
     use fantom_flow::benchmarks;
+
+    fn netlist_of(result: &SparseSynthesisResult, loop_stages: usize) -> FantomNetlist {
+        emit_parts(&MachineParts::from(result), loop_stages)
+    }
 
     #[test]
     fn emitted_netlist_has_expected_ports() {
-        let result = synthesize(&benchmarks::lion(), &SynthesisOptions::default()).unwrap();
-        let machine = emit(&result, DEFAULT_LOOP_STAGES);
+        let result = synthesize_sparse(&benchmarks::lion(), &SynthesisOptions::default()).unwrap();
+        let machine = netlist_of(&result, DEFAULT_LOOP_STAGES);
         assert_eq!(machine.x.len(), 2);
         assert_eq!(machine.y.len(), result.spec.num_state_vars());
         assert_eq!(machine.z.len(), 1);
@@ -234,20 +216,20 @@ mod tests {
 
     #[test]
     fn loop_stage_count_is_respected() {
-        let result = synthesize(&benchmarks::lion(), &SynthesisOptions::default()).unwrap();
-        let small = emit(&result, 1);
-        let large = emit(&result, 8);
+        let result = synthesize_sparse(&benchmarks::lion(), &SynthesisOptions::default()).unwrap();
+        let small = netlist_of(&result, 1);
+        let large = netlist_of(&result, 8);
         assert!(large.netlist.num_gates() > small.netlist.num_gates());
         assert_eq!(large.loop_stages, 8);
         // Requesting zero stages is clamped to one buffer.
-        assert_eq!(emit(&result, 0).loop_stages, 1);
+        assert_eq!(netlist_of(&result, 0).loop_stages, 1);
     }
 
     #[test]
     fn every_benchmark_emits_a_netlist() {
         for table in benchmarks::paper_suite() {
-            let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
-            let machine = emit(&result, DEFAULT_LOOP_STAGES);
+            let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
+            let machine = netlist_of(&result, DEFAULT_LOOP_STAGES);
             assert!(machine.netlist.num_gates() > 0, "{}", table.name());
             assert!(machine.netlist.net_by_name("fsv").is_some());
             assert!(machine.netlist.net_by_name("capture").is_some());

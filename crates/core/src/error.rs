@@ -16,8 +16,9 @@ pub enum SynthesisError {
     Boolean(BooleanError),
     /// A flow-table-layer error.
     Flow(FlowError),
-    /// The machine is too large for the dense function representation
-    /// (inputs + state variables + fsv exceed the supported limit).
+    /// The machine's total states cannot index a `u64` minterm space:
+    /// inputs + state variables + fsv exceed
+    /// [`MAX_TOTAL_VARS`](crate::MAX_TOTAL_VARS).
     MachineTooLarge {
         /// Input bits plus state variables plus one (for fsv).
         total_vars: usize,

@@ -4,10 +4,11 @@
 //! The goals of this step, following Armstrong–Friedman–Menon (1968) and
 //! Hackbart–Dietmeyer (1971), are:
 //!
-//! * **`fsv`** is expanded to *all* of its prime implicants (removing logic
-//!   hazards) and converted to first-level-gate form: a first-level gate may
-//!   receive only true (uncomplemented) input and state variables, so a
-//!   product term with complemented literals becomes an AND–NOR pair.
+//! * **`fsv`** is closed under consensus (removing logic hazards between the
+//!   states it must mark) and converted to first-level-gate form: a
+//!   first-level gate may receive only true (uncomplemented) input and state
+//!   variables, so a product term with complemented literals becomes an
+//!   AND–NOR pair.
 //! * **`Yₙ`** is reduced to an essential SOP, made free of static hazards by
 //!   adding the missing consensus primes, factored on its own state variable
 //!   (`Yₙ = yₙ·Rₙ + …` — the latching terms are grouped so the hazardous
@@ -18,9 +19,9 @@
 //! measured on.
 
 use fantom_boolean::hazard::ConsensusScratch;
-use fantom_boolean::{all_primes_cover, hazard, Cover, Expr, Literal};
+use fantom_boolean::{hazard, Cover, Expr, Literal};
 
-use crate::fsv::{CoverEquations, FsvEquations};
+use crate::fsv::CoverEquations;
 use crate::SpecifiedTable;
 
 /// The factored, hazard-free equations produced by Step 7.
@@ -51,18 +52,13 @@ impl FactoredEquations {
     pub fn y_literals(&self) -> usize {
         self.y_exprs.iter().map(Expr::literal_count).sum()
     }
-
-    /// Total gate count of the factored equations (fsv plus next-state logic).
-    pub fn gate_count(&self) -> usize {
-        self.fsv_expr.gate_count() + self.y_exprs.iter().map(Expr::gate_count).sum::<usize>()
-    }
 }
 
 /// Options controlling Step 7 (used by the ablation experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FactoringOptions {
-    /// Expand `fsv` to all prime implicants (hazard-free). When `false` the
-    /// essential cover from Step 6 is used directly.
+    /// Close `fsv` under consensus (hazard-free). When `false` the essential
+    /// cover from Step 6 is used directly.
     pub fsv_all_primes: bool,
     /// Add consensus terms to the next-state covers and factor them on their
     /// own state variable with first-level gates. When `false` the plain
@@ -72,7 +68,7 @@ pub struct FactoringOptions {
     /// across scoped threads (the closures are independent: each reads only
     /// its own `Yₙ` cover function). Results are merged in bit order, so the
     /// output is **byte-identical** to the single-threaded run — the knob
-    /// only trades wall-clock for cores. No effect on the dense [`factor`].
+    /// only trades wall-clock for cores.
     pub parallel_y: bool,
 }
 
@@ -86,48 +82,7 @@ impl Default for FactoringOptions {
     }
 }
 
-/// Run Step 7 on the equations of Step 6.
-pub fn factor(
-    spec: &SpecifiedTable,
-    equations: &FsvEquations,
-    options: FactoringOptions,
-) -> FactoredEquations {
-    let fsv_cover = if options.fsv_all_primes {
-        all_primes_cover(&equations.fsv_function)
-    } else {
-        equations.fsv_cover.clone()
-    };
-    let fsv_expr = if options.hazard_factoring {
-        Expr::first_level_gates(&fsv_cover)
-    } else {
-        Expr::from_cover(&fsv_cover)
-    };
-
-    let mut y_covers = Vec::with_capacity(equations.y_covers.len());
-    let mut y_exprs = Vec::with_capacity(equations.y_covers.len());
-    for (var, cover) in equations.y_covers.iter().enumerate() {
-        if options.hazard_factoring {
-            let hazard_free = hazard::add_consensus_terms(&equations.y_functions[var], cover);
-            let self_var = spec.num_inputs() + var;
-            let expr = factor_next_state(&hazard_free, self_var);
-            y_covers.push(hazard_free);
-            y_exprs.push(expr);
-        } else {
-            y_covers.push(cover.clone());
-            y_exprs.push(Expr::from_cover(cover));
-        }
-    }
-
-    FactoredEquations {
-        fsv_cover,
-        fsv_expr,
-        y_covers,
-        y_exprs,
-    }
-}
-
-/// Run Step 7 on cover-form equations ([`CoverEquations`]) — the sparse
-/// counterpart of [`factor`], for machines beyond the dense variable limit.
+/// Run Step 7 on the cover-form equations ([`CoverEquations`]) of Step 6.
 ///
 /// Hazard freedom is established by **targeted consensus augmentation**
 /// ([`hazard::add_consensus_terms_on_pairs`]) rather than by expanding to
@@ -136,8 +91,7 @@ pub fn factor(
 /// machine only ever occupies specified total states — so exactly the
 /// on-set/on-set single-input adjacencies need single-cube coverage, and
 /// closing those costs a pass quadratic in the on-cover. With
-/// `fsv_all_primes` disabled the essential `fsv` cover is used unaugmented,
-/// mirroring the dense option.
+/// `fsv_all_primes` disabled the essential `fsv` cover is used unaugmented.
 ///
 /// The per-bit `Yₙ` closures are mutually independent, so with
 /// [`FactoringOptions::parallel_y`] they run on scoped threads (the `fsv`
@@ -293,14 +247,32 @@ mod tests {
     use super::*;
     use crate::{fsv, hazard as hazard_search};
     use fantom_assign::assign;
+    use fantom_boolean::Function;
     use fantom_flow::benchmarks;
 
-    fn setup(table: fantom_flow::FlowTable) -> (SpecifiedTable, FsvEquations) {
+    /// The factored equations plus the oracle `fsv` and `Y` functions they
+    /// must implement.
+    struct Setup {
+        spec: SpecifiedTable,
+        eqs: CoverEquations,
+        fsv_function: Function,
+        y_functions: Vec<Function>,
+    }
+
+    fn setup(table: fantom_flow::FlowTable) -> Setup {
         let assignment = assign(&table);
         let spec = SpecifiedTable::new(table, assignment).unwrap();
         let analysis = hazard_search::analyze(&spec);
-        let eqs = fsv::generate(&spec, &analysis).unwrap();
-        (spec, eqs)
+        Setup {
+            eqs: fsv::generate_covers(&spec, &analysis).unwrap(),
+            fsv_function: fsv::fsv_function(&spec, &analysis).unwrap(),
+            y_functions: fsv::y_functions(&spec, &analysis).unwrap(),
+            spec,
+        }
+    }
+
+    fn factored(s: &Setup, options: FactoringOptions) -> FactoredEquations {
+        factor_covers(&s.spec, &s.eqs, options)
     }
 
     fn eval_expr(expr: &Expr, vars: usize, minterm: u64) -> bool {
@@ -313,10 +285,11 @@ mod tests {
     #[test]
     fn factored_y_expressions_preserve_the_specified_function() {
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
-            let vars = spec.num_vars_extended();
-            for (var, f) in eqs.y_functions.iter().enumerate() {
+            let s = setup(table);
+            let factored = factored(&s, FactoringOptions::default());
+            let vars = s.spec.num_vars_extended();
+            for (var, f) in s.y_functions.iter().enumerate() {
+                assert!(f.implemented_by(&factored.y_covers[var]));
                 for m in 0..f.space_size() {
                     if f.is_dc(m) {
                         continue;
@@ -325,7 +298,7 @@ mod tests {
                         eval_expr(&factored.y_exprs[var], vars, m),
                         f.is_on(m),
                         "{}: Y{} differs at minterm {m}",
-                        spec.table().name(),
+                        s.spec.table().name(),
                         var + 1
                     );
                 }
@@ -336,17 +309,16 @@ mod tests {
     #[test]
     fn factored_fsv_preserves_the_fsv_function() {
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
-            let vars = spec.num_vars();
-            for m in 0..eqs.fsv_function.space_size() {
-                if eqs.fsv_function.is_dc(m) {
+            let s = setup(table);
+            let factored = factored(&s, FactoringOptions::default());
+            let vars = s.spec.num_vars();
+            let f = &s.fsv_function;
+            assert!(f.implemented_by(&factored.fsv_cover));
+            for m in 0..f.space_size() {
+                if f.is_dc(m) {
                     continue;
                 }
-                assert_eq!(
-                    eval_expr(&factored.fsv_expr, vars, m),
-                    eqs.fsv_function.is_on(m)
-                );
+                assert_eq!(eval_expr(&factored.fsv_expr, vars, m), f.is_on(m));
             }
         }
     }
@@ -354,7 +326,7 @@ mod tests {
     /// Static hazards are only meaningful between adjacent minterms that both
     /// belong to the *specified* on-set; transitions through don't-care points
     /// are unconstrained by the original function.
-    fn no_on_set_hazards(cover: &fantom_boolean::Cover, f: &fantom_boolean::Function) -> bool {
+    fn no_on_set_hazards(cover: &Cover, f: &Function) -> bool {
         hazard::static_hazards(cover)
             .into_iter()
             .all(|h| !(f.is_on(h.from) && f.is_on(h.to)))
@@ -363,12 +335,12 @@ mod tests {
     #[test]
     fn fsv_all_primes_cover_has_no_on_set_static_hazards() {
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
+            let s = setup(table);
+            let factored = factored(&s, FactoringOptions::default());
             assert!(
-                no_on_set_hazards(&factored.fsv_cover, &eqs.fsv_function),
+                no_on_set_hazards(&factored.fsv_cover, &s.fsv_function),
                 "{}",
-                spec.table().name()
+                s.spec.table().name()
             );
         }
     }
@@ -376,10 +348,10 @@ mod tests {
     #[test]
     fn y_covers_have_no_on_set_static_hazards_after_factoring() {
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
-            for (cover, f) in factored.y_covers.iter().zip(&eqs.y_functions) {
-                assert!(no_on_set_hazards(cover, f), "{}", spec.table().name());
+            let s = setup(table);
+            let factored = factored(&s, FactoringOptions::default());
+            for (cover, f) in factored.y_covers.iter().zip(&s.y_functions) {
+                assert!(no_on_set_hazards(cover, f), "{}", s.spec.table().name());
             }
         }
     }
@@ -396,8 +368,8 @@ mod tests {
             }
         }
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let factored = factor(&spec, &eqs, FactoringOptions::default());
+            let s = setup(table);
+            let factored = factored(&s, FactoringOptions::default());
             assert!(no_nots(&factored.fsv_expr));
             for y in &factored.y_exprs {
                 assert!(no_nots(y));
@@ -408,11 +380,10 @@ mod tests {
     #[test]
     fn disabling_factoring_gives_shallower_or_equal_two_level_forms() {
         for table in benchmarks::paper_suite() {
-            let (spec, eqs) = setup(table);
-            let with = factor(&spec, &eqs, FactoringOptions::default());
-            let without = factor(
-                &spec,
-                &eqs,
+            let s = setup(table);
+            let with = factored(&s, FactoringOptions::default());
+            let without = factored(
+                &s,
                 FactoringOptions {
                     fsv_all_primes: false,
                     hazard_factoring: false,

@@ -16,74 +16,22 @@
 //!   proceeds normally (this is what limits a FANTOM machine to at most two
 //!   state changes per input change).
 
-use fantom_boolean::{minimize_function, Cover, CoverFunction, Cube, Function, Literal};
+use fantom_boolean::{Cover, CoverFunction, Cube, Function, Literal};
 use fantom_flow::Bits;
 
 use crate::hazard::HazardAnalysis;
 use crate::{SpecifiedTable, SynthesisError};
 
-/// The equations produced by Step 6.
-#[derive(Debug, Clone)]
-pub struct FsvEquations {
-    /// The `fsv` function over the `(x, y)` space.
-    pub fsv_function: Function,
-    /// Essential SOP cover of `fsv` (before the all-primes expansion of Step 7).
-    pub fsv_cover: Cover,
-    /// Next-state functions over the `(x, y, fsv)` space.
-    pub y_functions: Vec<Function>,
-    /// Essential SOP cover of each next-state function.
-    pub y_covers: Vec<Cover>,
-}
-
-impl FsvEquations {
-    /// Number of product terms in the (essential) `fsv` cover.
-    pub fn fsv_product_terms(&self) -> usize {
-        self.fsv_cover.cube_count()
-    }
-
-    /// Total number of product terms across the next-state covers.
-    pub fn y_product_terms(&self) -> usize {
-        self.y_covers.iter().map(Cover::cube_count).sum()
-    }
-
-    /// Total literal count across the next-state covers.
-    pub fn y_literals(&self) -> usize {
-        self.y_covers.iter().map(Cover::literal_count).sum()
-    }
-}
-
-/// Generate the `fsv` and `Y` equations.
+/// Tabulate the `fsv` function minterm by minterm: 1 on every hazard-list
+/// state, 0 on every other total state the machine can actually occupy
+/// (specified entries and the interiors of their transition subcubes),
+/// don't-care on unused codes. The dense oracle for
+/// [`fsv_cover_function`] and the factored `fsv` cover.
 ///
 /// # Errors
 ///
-/// Propagates dense-function construction errors and the race-freedom check of
-/// [`SpecifiedTable::next_state_functions`].
-pub fn generate(
-    spec: &SpecifiedTable,
-    hazards: &HazardAnalysis,
-) -> Result<FsvEquations, SynthesisError> {
-    let fsv_function = fsv_function(spec, hazards)?;
-    let fsv_cover = minimize_function(&fsv_function);
-
-    let mut base = spec.next_state_functions()?;
-    constrain_unspecified_intermediates(spec, &mut base);
-    let mut y_functions = Vec::with_capacity(base.len());
-    for (var, base_fn) in base.iter().enumerate() {
-        y_functions.push(extend_next_state(spec, hazards, var, base_fn)?);
-    }
-    let y_covers: Vec<Cover> = y_functions.iter().map(minimize_function).collect();
-
-    Ok(FsvEquations {
-        fsv_function,
-        fsv_cover,
-        y_functions,
-        y_covers,
-    })
-}
-
-/// Build the `fsv` function: 1 on every hazard-list state, 0 on every other
-/// total state the machine can actually occupy (specified entries and the
-/// interiors of their transition subcubes), don't-care on unused codes.
+/// Returns an error above [`MAX_DENSE_VARS`](fantom_boolean::MAX_DENSE_VARS)
+/// variables.
 pub fn fsv_function(
     spec: &SpecifiedTable,
     hazards: &HazardAnalysis,
@@ -97,6 +45,29 @@ pub fn fsv_function(
         f.set_on(m);
     }
     Ok(f)
+}
+
+/// Tabulate the next-state functions over the `(x, y, fsv)` space minterm by
+/// minterm: [`SpecifiedTable::next_state_functions`] with unspecified
+/// intermediate entries pinned, then hazard-list minterms complemented in the
+/// `fsv = 0` half. The dense oracle for the cover functions of
+/// [`generate_covers`] and the factored `Y` covers.
+///
+/// # Errors
+///
+/// Returns an error above [`MAX_DENSE_VARS`](fantom_boolean::MAX_DENSE_VARS)
+/// extended variables, and propagates the race-freedom check of
+/// [`SpecifiedTable::next_state_functions`].
+pub fn y_functions(
+    spec: &SpecifiedTable,
+    hazards: &HazardAnalysis,
+) -> Result<Vec<Function>, SynthesisError> {
+    let mut base = spec.next_state_functions()?;
+    constrain_unspecified_intermediates(spec, &mut base);
+    base.iter()
+        .enumerate()
+        .map(|(var, base_fn)| extend_next_state(spec, hazards, var, base_fn))
+        .collect()
 }
 
 /// Complete the don't-cares that sit inside the input transition space of a
@@ -207,8 +178,7 @@ fn extend_next_state(
     Ok(f)
 }
 
-/// The Step 6 equations in sparse cover form, for machines beyond the dense
-/// variable limit (and as a faster path for cube-specified machines).
+/// The equations produced by Step 6, in cover form.
 #[derive(Debug, Clone)]
 pub struct CoverEquations {
     /// The `fsv` function over the `(x, y)` space, cover-represented.
@@ -221,26 +191,9 @@ pub struct CoverEquations {
     pub y_covers: Vec<Cover>,
 }
 
-impl CoverEquations {
-    /// Number of product terms in the (essential) `fsv` cover.
-    pub fn fsv_product_terms(&self) -> usize {
-        self.fsv_cover.cube_count()
-    }
-
-    /// Total number of product terms across the next-state covers.
-    pub fn y_product_terms(&self) -> usize {
-        self.y_covers.iter().map(Cover::cube_count).sum()
-    }
-
-    /// Total literal count across the next-state covers.
-    pub fn y_literals(&self) -> usize {
-        self.y_covers.iter().map(Cover::literal_count).sum()
-    }
-}
-
-/// Generate the `fsv` and `Y` equations entirely in cover form — the sparse
-/// counterpart of [`generate`]. No step enumerates the `2^n` space: the
-/// occupied region, hazard lists and transition subcubes all enter as cubes.
+/// Generate the `fsv` and `Y` equations in cover form. No step enumerates
+/// the `2^n` space: the occupied region, hazard lists and transition
+/// subcubes all enter as cubes.
 ///
 /// # Errors
 ///
@@ -273,7 +226,7 @@ pub fn generate_covers(
 /// Build the `fsv` function in cover form: on at every hazard-list total
 /// state, off on the rest of the occupied region (derived by disjoint sharp
 /// of the occupied cover against the hazard points), implicit don't-care on
-/// unused codes. The sparse counterpart of [`fsv_function`].
+/// unused codes. Implements the same partition as [`fsv_function`].
 ///
 /// # Errors
 ///
@@ -341,8 +294,8 @@ fn extend_cube(cube: &Cube, fsv: Literal) -> Cube {
 }
 
 /// Extend a next-state cover function into the `(x, y, fsv)` space,
-/// complementing hazard-list minterms in the `fsv = 0` half — the sparse
-/// counterpart of [`extend_next_state`]. The `fsv = 1` half carries the base
+/// complementing hazard-list minterms in the `fsv = 0` half (the cover form
+/// of [`extend_next_state`]). The `fsv = 1` half carries the base
 /// covers unchanged; in the `fsv = 0` half the hazard points are carved out
 /// of the base covers by disjoint sharp and re-pinned to the held (present)
 /// value.
@@ -424,7 +377,7 @@ mod tests {
     fn fsv_is_one_exactly_on_hazard_states_among_occupied() {
         for table in benchmarks::all() {
             let (spec, analysis) = setup(table);
-            let eqs = generate(&spec, &analysis).unwrap();
+            let eqs = generate_covers(&spec, &analysis).unwrap();
             for m in occupied_minterms(&spec) {
                 let expected = analysis.fl.contains(m);
                 assert_eq!(
@@ -441,8 +394,9 @@ mod tests {
     fn fsv_cover_implements_fsv_function() {
         for table in benchmarks::paper_suite() {
             let (spec, analysis) = setup(table);
-            let eqs = generate(&spec, &analysis).unwrap();
-            assert!(eqs.fsv_cover.equivalent_to(&eqs.fsv_function));
+            let eqs = generate_covers(&spec, &analysis).unwrap();
+            let f = fsv_function(&spec, &analysis).unwrap();
+            assert!(f.implemented_by(&eqs.fsv_cover));
         }
     }
 
@@ -450,9 +404,10 @@ mod tests {
     fn y_covers_implement_their_functions() {
         for table in benchmarks::paper_suite() {
             let (spec, analysis) = setup(table);
-            let eqs = generate(&spec, &analysis).unwrap();
-            for (f, c) in eqs.y_functions.iter().zip(&eqs.y_covers) {
-                assert!(c.equivalent_to(f), "{}", spec.table().name());
+            let eqs = generate_covers(&spec, &analysis).unwrap();
+            let y = y_functions(&spec, &analysis).unwrap();
+            for (f, c) in y.iter().zip(&eqs.y_covers) {
+                assert!(f.implemented_by(c), "{}", spec.table().name());
             }
         }
     }
@@ -461,14 +416,14 @@ mod tests {
     fn fsv_zero_half_holds_hazardous_variables() {
         for table in benchmarks::paper_suite() {
             let (spec, analysis) = setup(table);
-            let eqs = generate(&spec, &analysis).unwrap();
+            let eqs = generate_covers(&spec, &analysis).unwrap();
             for (var, hl) in analysis.hl.iter().enumerate() {
                 for m in hl.iter() {
                     let (_, code) = spec.decompose(m);
                     let present = code.bit(var);
                     let fsv0 = m << 1;
                     assert_eq!(
-                        eqs.y_functions[var].is_on(fsv0),
+                        eqs.y[var].is_on(fsv0),
                         present,
                         "{}: Y{} must hold its present value at hazard minterm {m}",
                         spec.table().name(),
@@ -483,7 +438,7 @@ mod tests {
     fn fsv_one_half_matches_the_specified_table() {
         for table in benchmarks::paper_suite() {
             let (spec, analysis) = setup(table);
-            let eqs = generate(&spec, &analysis).unwrap();
+            let eqs = generate_covers(&spec, &analysis).unwrap();
             let base = spec.next_state_functions().unwrap();
             for (var, base_fn) in base.iter().enumerate() {
                 for m in 0..base_fn.space_size() {
@@ -491,7 +446,7 @@ mod tests {
                         continue;
                     }
                     let fsv1 = (m << 1) | 1;
-                    assert_eq!(eqs.y_functions[var].is_on(fsv1), base_fn.is_on(m));
+                    assert_eq!(eqs.y[var].is_on(fsv1), base_fn.is_on(m));
                 }
             }
         }
@@ -501,26 +456,18 @@ mod tests {
     fn cover_equations_match_dense_equations_pointwise() {
         for table in benchmarks::all() {
             let (spec, analysis) = setup(table);
-            let dense = generate(&spec, &analysis).unwrap();
             let sparse = generate_covers(&spec, &analysis).unwrap();
             let name = spec.table().name();
             // fsv partition identical.
-            for m in 0..dense.fsv_function.space_size() {
-                assert_eq!(
-                    sparse.fsv.is_on(m),
-                    dense.fsv_function.is_on(m),
-                    "{name} fsv on {m}"
-                );
-                assert_eq!(
-                    sparse.fsv.is_off(m),
-                    dense.fsv_function.is_off(m),
-                    "{name} fsv off {m}"
-                );
+            let fsv = fsv_function(&spec, &analysis).unwrap();
+            for m in 0..fsv.space_size() {
+                assert_eq!(sparse.fsv.is_on(m), fsv.is_on(m), "{name} fsv on {m}");
+                assert_eq!(sparse.fsv.is_off(m), fsv.is_off(m), "{name} fsv off {m}");
             }
             assert!(sparse.fsv.implemented_by(&sparse.fsv_cover));
-            assert!(dense.fsv_function.implemented_by(&sparse.fsv_cover));
             // Next-state partitions identical, covers valid for both forms.
-            for (var, (df, sf)) in dense.y_functions.iter().zip(&sparse.y).enumerate() {
+            let y = y_functions(&spec, &analysis).unwrap();
+            for (var, (df, sf)) in y.iter().zip(&sparse.y).enumerate() {
                 for m in 0..df.space_size() {
                     assert_eq!(sf.is_on(m), df.is_on(m), "{name} Y{var} on {m}");
                     assert_eq!(sf.is_off(m), df.is_off(m), "{name} Y{var} off {m}");
@@ -540,7 +487,7 @@ mod tests {
         b.transition("A", "1", "B").unwrap();
         b.transition("B", "0", "A").unwrap();
         let (spec, analysis) = setup(b.build().unwrap());
-        let eqs = generate(&spec, &analysis).unwrap();
+        let eqs = generate_covers(&spec, &analysis).unwrap();
         assert!(eqs.fsv_cover.is_empty());
     }
 }

@@ -1,13 +1,17 @@
-//! Differential fuzzing of the two synthesis pipelines.
+//! Differential fuzzing of the synthesis pipeline against its dense oracle.
 //!
 //! The fuzz loop closes the circle the rest of the crate only samples:
-//! [`fantom_flow::generate`] draws a random-but-valid flow-table shape, both
-//! engines synthesize it under identical options, and the results are held
-//! against each other pointwise — every sparse cover must implement the dense
-//! pipeline's exact function, hazard counts must agree — before the winner is
+//! [`fantom_flow::generate`] draws a random-but-valid flow-table shape, the
+//! pipeline synthesizes it under the shipped large-machine options
+//! ([`SynthesisOptions::for_large_machines`]), and every factored `fsv`, `Y`,
+//! `Z` and `SSD` cover is held against the function the minterm-wise oracle
+//! builders tabulate for the same table ([`fsv::fsv_function`],
+//! [`fsv::y_functions`], [`SpecifiedTable::output_functions`](crate::SpecifiedTable::output_functions),
+//! [`SpecifiedTable::ssd_function`](crate::SpecifiedTable::ssd_function)) —
+//! whenever the machine fits [`MAX_DENSE_VARS`] — before the result is
 //! validated end to end by a Monte-Carlo delay campaign
-//! ([`crate::run_campaign_sparse`]). Any discrepancy is a bug in one of the
-//! engines by construction, because the generator only emits tables that pass
+//! ([`crate::run_campaign_sparse`]). Any discrepancy is a bug by
+//! construction, because the generator only emits tables that pass
 //! [`fantom_flow::validate`].
 //!
 //! Failing tables are [`shrink`]-minimized by greedy row deletion, input-column
@@ -35,14 +39,16 @@
 
 use std::time::{Duration, Instant};
 
+use fantom_boolean::{Cover, Function, MAX_DENSE_VARS};
 use fantom_flow::generate::{generate, GeneratorOptions};
 use fantom_flow::{kiss, validate, FlowTable, StateId};
+use fantom_sim::campaign::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    run_campaign_sparse, synthesize, synthesize_sparse, CampaignOptions, SynthesisError,
-    SynthesisOptions,
+    fsv, run_campaign_sparse, synthesize_sparse, CampaignOptions, SparseSynthesisResult,
+    SynthesisError, SynthesisOptions,
 };
 
 /// Configuration of a fuzz run.
@@ -98,8 +104,8 @@ pub struct FuzzFailure {
 pub struct FuzzReport {
     /// Cases generated and checked.
     pub cases: usize,
-    /// Cases where the machine fit the dense engine, so the full pointwise
-    /// differential ran (the rest were campaign-validated only).
+    /// Cases where the machine fit the dense oracle, so every cover was
+    /// checked against it (the rest were campaign-validated only).
     pub differential_cases: usize,
     /// Campaigns run (one per case that synthesized).
     pub campaign_cases: usize,
@@ -140,34 +146,10 @@ impl FuzzReport {
     }
 }
 
-/// Synthesis options used for every fuzz case: bounded Step 2/3 budgets (the
-/// large-machine profile, so reduction is exercised without exponential
-/// blow-ups on unlucky shapes) and no all-primes `fsv` expansion (the dense
-/// Quine–McCluskey pass over the doubled space is the one cost that scales
-/// with `2^n` rather than the specification; the differential compares
-/// functions against covers either way).
-pub fn fuzz_synthesis_options() -> SynthesisOptions {
-    SynthesisOptions {
-        fsv_all_primes: false,
-        ..SynthesisOptions::for_large_machines()
-    }
-}
-
-/// SplitMix64 finalizer (same derivation as `fantom_sim::campaign::derive_seed`
-/// and `fantom_flow::generate`'s stream keying).
-fn derive_stream(base: u64, stream: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Sample the generator shape for case `case` of `seed`. Pure function of its
 /// arguments: the sampled knobs are independent of every other case.
 pub fn sample_options(seed: u64, case: usize) -> GeneratorOptions {
-    let mut rng = StdRng::seed_from_u64(derive_stream(seed, case as u64));
+    let mut rng = StdRng::seed_from_u64(derive_seed(seed, case as u64));
     GeneratorOptions {
         states: rng.gen_range(3..=14),
         inputs: rng.gen_range(2..=4),
@@ -184,99 +166,32 @@ pub fn sample_options(seed: u64, case: usize) -> GeneratorOptions {
 /// Outcome bookkeeping for one clean case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseOutcome {
-    /// The dense engine accepted the machine, so the pointwise differential
-    /// ran (not just the campaign).
+    /// The machine fit the dense oracle, so every cover was checked against
+    /// it (not just the campaign).
     pub differential: bool,
 }
 
-/// Run the full fuzz check on one table: sparse synthesis, the dense/sparse
-/// pointwise differential (when the machine fits the dense engine), and a
-/// validation campaign on the sparse result.
+/// Run the full fuzz check on one table: synthesis under
+/// [`SynthesisOptions::for_large_machines`], the oracle differential (when
+/// the machine has at most [`MAX_DENSE_VARS`] extended variables), and a
+/// validation campaign on the result.
 ///
 /// # Errors
 ///
 /// Returns a description of the first discrepancy found: a pipeline that
-/// failed on a generator-certified-valid table, a sparse cover that does not
-/// implement the dense function, disagreeing hazard counts, or an unclean
-/// campaign report.
+/// failed on a generator-certified-valid table, a cover that does not
+/// implement its oracle function, or an unclean campaign report.
 pub fn check_table(table: &FlowTable, campaign_assignments: usize) -> Result<CaseOutcome, String> {
-    let options = fuzz_synthesis_options();
-    let sparse = synthesize_sparse(table, &options)
-        .map_err(|e| format!("sparse synthesis failed on a valid table: {e}"))?;
+    let result = synthesize_sparse(table, &SynthesisOptions::for_large_machines())
+        .map_err(|e| format!("synthesis failed on a valid table: {e}"))?;
 
-    let mut differential = false;
-    match synthesize(table, &options) {
-        Ok(dense) => {
-            differential = true;
-            if !dense
-                .equations
-                .fsv_function
-                .implemented_by(&sparse.factored.fsv_cover)
-            {
-                return Err("sparse fsv cover does not implement the dense fsv function".into());
-            }
-            if dense.equations.y_functions.len() != sparse.factored.y_covers.len() {
-                return Err(format!(
-                    "Y function counts disagree: dense {}, sparse {}",
-                    dense.equations.y_functions.len(),
-                    sparse.factored.y_covers.len()
-                ));
-            }
-            for (i, (f, c)) in dense
-                .equations
-                .y_functions
-                .iter()
-                .zip(&sparse.factored.y_covers)
-                .enumerate()
-            {
-                if !f.implemented_by(c) {
-                    return Err(format!(
-                        "sparse Y{} cover does not implement the dense function",
-                        i + 1
-                    ));
-                }
-            }
-            if dense.outputs.z_functions.len() != sparse.outputs.z_covers.len() {
-                return Err(format!(
-                    "Z function counts disagree: dense {}, sparse {}",
-                    dense.outputs.z_functions.len(),
-                    sparse.outputs.z_covers.len()
-                ));
-            }
-            for (i, (f, c)) in dense
-                .outputs
-                .z_functions
-                .iter()
-                .zip(&sparse.outputs.z_covers)
-                .enumerate()
-            {
-                if !f.implemented_by(c) {
-                    return Err(format!(
-                        "sparse Z{} cover does not implement the dense function",
-                        i + 1
-                    ));
-                }
-            }
-            if dense.hazards.hazard_state_count() != sparse.hazards.hazard_state_count() {
-                return Err(format!(
-                    "hazard state counts disagree: dense {}, sparse {}",
-                    dense.hazards.hazard_state_count(),
-                    sparse.hazards.hazard_state_count()
-                ));
-            }
-        }
-        // Too many extended variables for 2^n truth tables: the differential
-        // is skipped, the campaign below still validates the sparse result.
-        Err(SynthesisError::MachineTooLarge { .. }) => {}
-        Err(e) => {
-            return Err(format!(
-                "dense synthesis failed where sparse succeeded: {e}"
-            ));
-        }
+    let differential = result.spec.num_vars_extended() <= MAX_DENSE_VARS;
+    if differential {
+        check_against_oracle(&result)?;
     }
 
     let report = run_campaign_sparse(
-        &sparse,
+        &result,
         &CampaignOptions {
             assignments: campaign_assignments.max(1),
             ..CampaignOptions::default()
@@ -288,30 +203,43 @@ pub fn check_table(table: &FlowTable, campaign_assignments: usize) -> Result<Cas
     Ok(CaseOutcome { differential })
 }
 
-/// The campaign half of [`check_table`] alone: sparse synthesis plus the
-/// validation campaign, no dense differential. For machines where the dense
-/// `2^n` tabulation is *feasible but slow* (debug-build replay of the larger
-/// grid shapes) — [`check_table`] already skips infeasible ones on its own.
-///
-/// # Errors
-///
-/// Returns a description of the failure: sparse synthesis rejecting a valid
-/// table, or an unclean campaign report.
-pub fn check_table_campaign_only(
-    table: &FlowTable,
-    campaign_assignments: usize,
-) -> Result<(), String> {
-    let sparse = synthesize_sparse(table, &fuzz_synthesis_options())
-        .map_err(|e| format!("sparse synthesis failed on a valid table: {e}"))?;
-    let report = run_campaign_sparse(
-        &sparse,
-        &CampaignOptions {
-            assignments: campaign_assignments.max(1),
-            ..CampaignOptions::default()
-        },
-    );
-    if !report.is_clean() {
-        return Err(format!("campaign not clean:\n{}", report.render()));
+/// Hold the factored `fsv`/`Y` covers and the `Z`/`SSD` covers against the
+/// functions the minterm-wise builders tabulate.
+fn check_against_oracle(r: &SparseSynthesisResult) -> Result<(), String> {
+    let oracle = |e: SynthesisError| format!("oracle builder failed: {e}");
+    let fsv = fsv::fsv_function(&r.spec, &r.hazards).map_err(oracle)?;
+    check_covers(
+        "fsv",
+        std::slice::from_ref(&fsv),
+        std::slice::from_ref(&r.factored.fsv_cover),
+    )?;
+    let y = fsv::y_functions(&r.spec, &r.hazards).map_err(oracle)?;
+    check_covers("Y", &y, &r.factored.y_covers)?;
+    let z = r.spec.output_functions().map_err(oracle)?;
+    check_covers("Z", &z, &r.outputs.z_covers)?;
+    let ssd = r.spec.ssd_function().map_err(oracle)?;
+    check_covers(
+        "SSD",
+        std::slice::from_ref(&ssd),
+        std::slice::from_ref(&r.outputs.ssd_cover),
+    )
+}
+
+fn check_covers(name: &str, functions: &[Function], covers: &[Cover]) -> Result<(), String> {
+    if functions.len() != covers.len() {
+        return Err(format!(
+            "{name} counts disagree: oracle {}, pipeline {}",
+            functions.len(),
+            covers.len()
+        ));
+    }
+    for (i, (f, c)) in functions.iter().zip(covers).enumerate() {
+        if !f.implemented_by(c) {
+            return Err(format!(
+                "{name} cover {} does not implement the oracle function",
+                i + 1
+            ));
+        }
     }
     Ok(())
 }
@@ -500,7 +428,7 @@ pub fn regression_corpus() -> Vec<FlowTable> {
         .map(
             |(i, &(states, inputs, outputs, dc, fan_in, chain, mic, redundant))| {
                 let options = GeneratorOptions {
-                    seed: derive_stream(0x5EED_C0DE, i as u64),
+                    seed: derive_seed(0x5EED_C0DE, i as u64),
                     states,
                     inputs,
                     outputs,

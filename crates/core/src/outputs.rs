@@ -1,71 +1,18 @@
 //! Step 4 of SEANCE: output (`Z`) and stable-state-detector (`SSD`) equations.
 //!
 //! Both families of equations are reduced to an *essential* sum-of-products
-//! with Quine–McCluskey: because the FANTOM architecture self-synchronizes at
-//! the outputs (the `VOM` gating), transient output hazards cannot be
-//! captured, so it is not necessary to include every prime implicant in `Z`.
-//! Likewise `SSD` may glitch during a multiple-input change — the loop-delay
-//! assumption guarantees it settles before `fsv` does — so it too is reduced
-//! to an essential cover.
+//! (prime expansion plus a minimum covering selection): because the FANTOM
+//! architecture self-synchronizes at the outputs (the `VOM` gating),
+//! transient output hazards cannot be captured, so it is not necessary to
+//! include every prime implicant in `Z`. Likewise `SSD` may glitch during a
+//! multiple-input change — the loop-delay assumption guarantees it settles
+//! before `fsv` does — so it too is reduced to an essential cover.
 
-use fantom_boolean::{minimize_function, Cover, CoverFunction, Expr, Function};
+use fantom_boolean::{Cover, CoverFunction, Expr};
 
 use crate::{SpecifiedTable, SynthesisError};
 
-/// The output-stage equations produced by Step 4.
-#[derive(Debug, Clone)]
-pub struct OutputEquations {
-    /// Dense functions for each output bit over the `(x, y)` space.
-    pub z_functions: Vec<Function>,
-    /// Essential SOP cover for each output bit.
-    pub z_covers: Vec<Cover>,
-    /// Two-level expression for each output bit.
-    pub z_exprs: Vec<Expr>,
-    /// Dense function for the stable-state detector.
-    pub ssd_function: Function,
-    /// Essential SOP cover for the stable-state detector.
-    pub ssd_cover: Cover,
-    /// Two-level expression for the stable-state detector.
-    pub ssd_expr: Expr,
-}
-
-impl OutputEquations {
-    /// Total number of product terms across the output equations.
-    pub fn z_product_terms(&self) -> usize {
-        self.z_covers.iter().map(Cover::cube_count).sum()
-    }
-
-    /// Total literal count across the output equations.
-    pub fn z_literals(&self) -> usize {
-        self.z_covers.iter().map(Cover::literal_count).sum()
-    }
-}
-
-/// Generate the `Z` and `SSD` equations for a specified flow table.
-///
-/// # Errors
-///
-/// Propagates dense-function construction errors (machine too large).
-pub fn generate(spec: &SpecifiedTable) -> Result<OutputEquations, SynthesisError> {
-    let z_functions = spec.output_functions()?;
-    let z_covers: Vec<Cover> = z_functions.iter().map(minimize_function).collect();
-    let z_exprs: Vec<Expr> = z_covers.iter().map(Expr::from_cover).collect();
-
-    let ssd_function = spec.ssd_function()?;
-    let ssd_cover = minimize_function(&ssd_function);
-    let ssd_expr = Expr::from_cover(&ssd_cover);
-
-    Ok(OutputEquations {
-        z_functions,
-        z_covers,
-        z_exprs,
-        ssd_function,
-        ssd_cover,
-        ssd_expr,
-    })
-}
-
-/// The Step 4 equations in sparse cover form.
+/// The Step 4 equations in cover form.
 #[derive(Debug, Clone)]
 pub struct CoverOutputEquations {
     /// Cover-represented functions for each output bit over `(x, y)`.
@@ -83,19 +30,13 @@ pub struct CoverOutputEquations {
 }
 
 impl CoverOutputEquations {
-    /// Total number of product terms across the output equations.
-    pub fn z_product_terms(&self) -> usize {
-        self.z_covers.iter().map(Cover::cube_count).sum()
-    }
-
     /// Total literal count across the output equations.
     pub fn z_literals(&self) -> usize {
         self.z_covers.iter().map(Cover::literal_count).sum()
     }
 }
 
-/// Generate the `Z` and `SSD` equations in cover form — the sparse
-/// counterpart of [`generate`], for machines beyond the dense variable limit.
+/// Generate the `Z` and `SSD` equations in cover form.
 ///
 /// # Errors
 ///
@@ -134,11 +75,11 @@ mod tests {
     fn z_covers_implement_their_functions() {
         for table in benchmarks::all() {
             let spec = spec_for(table);
-            let eqs = generate(&spec).unwrap();
-            for (f, c) in eqs.z_functions.iter().zip(&eqs.z_covers) {
-                assert!(c.equivalent_to(f));
+            let eqs = generate_covers(&spec).unwrap();
+            for (f, c) in spec.output_functions().unwrap().iter().zip(&eqs.z_covers) {
+                assert!(f.implemented_by(c));
             }
-            assert!(eqs.ssd_cover.equivalent_to(&eqs.ssd_function));
+            assert!(spec.ssd_function().unwrap().implemented_by(&eqs.ssd_cover));
         }
     }
 
@@ -146,7 +87,7 @@ mod tests {
     fn ssd_asserts_at_every_stable_state() {
         let table = benchmarks::lion();
         let spec = spec_for(table);
-        let eqs = generate(&spec).unwrap();
+        let eqs = generate_covers(&spec).unwrap();
         for s in spec.table().states() {
             for c in spec.table().stable_columns(s) {
                 let m = spec.minterm(c, spec.code(s));
@@ -162,7 +103,7 @@ mod tests {
     fn ssd_deasserts_at_unstable_specified_states() {
         let table = benchmarks::test_example();
         let spec = spec_for(table);
-        let eqs = generate(&spec).unwrap();
+        let eqs = generate_covers(&spec).unwrap();
         for s in spec.table().states() {
             for c in 0..spec.table().num_columns() {
                 if let Some(t) = spec.table().next_state(s, c) {
@@ -179,7 +120,7 @@ mod tests {
     fn z_expressions_evaluate_like_covers() {
         let table = benchmarks::traffic();
         let spec = spec_for(table);
-        let eqs = generate(&spec).unwrap();
+        let eqs = generate_covers(&spec).unwrap();
         let vars = spec.num_vars();
         for (cover, expr) in eqs.z_covers.iter().zip(&eqs.z_exprs) {
             for m in 0..(1u64 << vars) {
@@ -193,42 +134,29 @@ mod tests {
     fn cover_outputs_match_dense_outputs_pointwise() {
         for table in benchmarks::all() {
             let spec = spec_for(table);
-            let dense = generate(&spec).unwrap();
             let sparse = generate_covers(&spec).unwrap();
             let name = spec.table().name().to_string();
-            for (df, sf) in dense.z_functions.iter().zip(&sparse.z) {
+            let z = spec.output_functions().unwrap();
+            for (df, sf) in z.iter().zip(&sparse.z) {
                 for m in 0..df.space_size() {
                     assert_eq!(sf.is_on(m), df.is_on(m), "{name} Z on {m}");
                     assert_eq!(sf.is_off(m), df.is_off(m), "{name} Z off {m}");
                 }
             }
-            for (df, c) in dense.z_functions.iter().zip(&sparse.z_covers) {
-                assert!(df.implemented_by(c), "{name} Z cover");
+            let ssd = spec.ssd_function().unwrap();
+            for m in 0..ssd.space_size() {
+                assert_eq!(sparse.ssd.is_on(m), ssd.is_on(m), "{name} ssd {m}");
+                assert_eq!(sparse.ssd.is_off(m), ssd.is_off(m), "{name} ssd off {m}");
             }
-            for m in 0..dense.ssd_function.space_size() {
-                assert_eq!(
-                    sparse.ssd.is_on(m),
-                    dense.ssd_function.is_on(m),
-                    "{name} ssd {m}"
-                );
-                assert_eq!(
-                    sparse.ssd.is_off(m),
-                    dense.ssd_function.is_off(m),
-                    "{name} ssd off {m}"
-                );
-            }
-            assert!(
-                dense.ssd_function.implemented_by(&sparse.ssd_cover),
-                "{name} ssd cover"
-            );
         }
     }
 
     #[test]
     fn product_term_and_literal_counters() {
         let spec = spec_for(benchmarks::lion());
-        let eqs = generate(&spec).unwrap();
-        assert!(eqs.z_product_terms() >= 1);
-        assert!(eqs.z_literals() >= eqs.z_product_terms());
+        let eqs = generate_covers(&spec).unwrap();
+        let cubes: usize = eqs.z_covers.iter().map(Cover::cube_count).sum();
+        assert!(cubes >= 1);
+        assert!(eqs.z_literals() >= cubes);
     }
 }

@@ -1,14 +1,33 @@
 //! The end-to-end SEANCE synthesis pipeline (the flow chart of Figure 3).
+//!
+//! [`synthesize_sparse`] runs the seven steps with every Boolean object held
+//! as a packed cube cover ([`fantom_boolean::CoverFunction`]): transition
+//! subcubes enter as cubes, the off-sets are derived by recursive
+//! sharp/complement, primes come from expansion against off covers, and
+//! hazard freedom is established by cube-pair-wise consensus augmentation.
+//! Cost therefore scales with the *specification size* (states × columns)
+//! rather than the variable count, so the same engine serves the small paper
+//! corpus and machines far beyond
+//! [`MAX_DENSE_VARS`](fantom_boolean::MAX_DENSE_VARS).
+//!
+//! Dense `2^n` truth tables survive only as the test oracle: the minterm-wise
+//! builders ([`SpecifiedTable::next_state_functions`],
+//! [`SpecifiedTable::output_functions`], [`SpecifiedTable::ssd_function`],
+//! [`fsv::fsv_function`] and [`fsv::y_functions`]) against which the tests and
+//! the fuzzer check every cover with `implemented_by`.
 
-use fantom_assign::{assign_with_options, AssignmentOptions, StateAssignment};
+use std::fmt::Write as _;
+
+use fantom_assign::{assign_in, AssignmentOptions, StateAssignment};
 use fantom_flow::{validate, FlowTable};
 use fantom_minimize::{reduce_with_options, ReductionOptions};
 
 use crate::depth::{self, DepthReport};
-use crate::factoring::{factor, FactoredEquations, FactoringOptions};
-use crate::fsv::{self, FsvEquations};
+use crate::factoring::{factor_covers_with, FactoredEquations, FactoringOptions};
+use crate::fsv::{self, CoverEquations};
 use crate::hazard::{self, HazardAnalysis};
-use crate::outputs::{self, OutputEquations};
+use crate::outputs::{self, CoverOutputEquations};
+use crate::workspace::Workspace;
 use crate::{SpecifiedTable, SynthesisError};
 
 /// Options controlling the synthesis pipeline.
@@ -20,7 +39,7 @@ pub struct SynthesisOptions {
     /// the state variable, first-level gates). Disabling it yields the plain
     /// two-level machine used by the ablation experiments.
     pub hazard_factoring: bool,
-    /// Expand `fsv` to all of its prime implicants in Step 7.
+    /// Close `fsv` under consensus in Step 7 (hazard-free `fsv`).
     pub fsv_all_primes: bool,
     /// Require the input flow table to pass validation (normal mode, strong
     /// connectivity, a stable column per state). Disable only for experiments
@@ -37,11 +56,10 @@ pub struct SynthesisOptions {
     /// [`AssignmentOptions::bounded`] trims the search on 40-state-class
     /// machines at a small cost in code width.
     pub assignment: AssignmentOptions,
-    /// Run the independent per-bit `Yₙ` consensus closures of the sparse
-    /// Step 7 on scoped threads (merged in bit order, so the result is
-    /// byte-identical to a single-threaded run). Costs nothing on a
-    /// single-core host beyond thread spawns; disable for strictly
-    /// single-threaded environments.
+    /// Run the independent per-bit `Yₙ` consensus closures of Step 7 on
+    /// scoped threads (merged in bit order, so the result is byte-identical
+    /// to a single-threaded run). Costs nothing on a single-core host beyond
+    /// thread spawns; disable for strictly single-threaded environments.
     pub parallel_factoring: bool,
 }
 
@@ -83,15 +101,14 @@ impl SynthesisOptions {
         }
     }
 
-    /// Options for large machines synthesized through the sparse pipeline:
-    /// Step 2 (state minimization) runs under the
-    /// [`ReductionOptions::bounded`] budgets — unbounded maximal-compatible
-    /// enumeration is exponential in the state count on unspecified-heavy
-    /// tables, so enumeration and cover selection are capped and degrade to
-    /// the greedy pair-merging cover instead of skipping reduction entirely
-    /// — and Step 3 (Tracey assignment) runs under the
-    /// [`AssignmentOptions::bounded`] budgets. All hazard-freedom steps stay
-    /// enabled.
+    /// Options for large machines: Step 2 (state minimization) runs under
+    /// the [`ReductionOptions::bounded`] budgets — unbounded
+    /// maximal-compatible enumeration is exponential in the state count on
+    /// unspecified-heavy tables, so enumeration and cover selection are
+    /// capped and degrade to the greedy pair-merging cover instead of
+    /// skipping reduction entirely — and Step 3 (Tracey assignment) runs
+    /// under the [`AssignmentOptions::bounded`] budgets. All hazard-freedom
+    /// steps stay enabled.
     pub fn for_large_machines() -> Self {
         SynthesisOptions {
             reduction: ReductionOptions::bounded(),
@@ -103,11 +120,9 @@ impl SynthesisOptions {
 
 /// Everything produced by a run of the SEANCE pipeline.
 #[derive(Debug, Clone)]
-pub struct SynthesisResult {
+pub struct SparseSynthesisResult {
     /// Benchmark / machine name (taken from the input table).
     pub name: String,
-    /// The input flow table as given.
-    pub original_table: FlowTable,
     /// The table actually synthesized (after Step 2, if enabled).
     pub reduced_table: FlowTable,
     /// The USTT state assignment of Step 3.
@@ -115,11 +130,11 @@ pub struct SynthesisResult {
     /// The reduced table paired with its assignment.
     pub spec: SpecifiedTable,
     /// Output-stage equations of Step 4.
-    pub outputs: OutputEquations,
+    pub outputs: CoverOutputEquations,
     /// Hazard analysis of Step 5.
     pub hazards: HazardAnalysis,
     /// `fsv` / next-state equations of Step 6.
-    pub equations: FsvEquations,
+    pub equations: CoverEquations,
     /// Factored, hazard-free equations of Step 7.
     pub factored: FactoredEquations,
     /// Depth metrics (Table 1).
@@ -128,86 +143,99 @@ pub struct SynthesisResult {
     pub options: SynthesisOptions,
 }
 
-impl SynthesisResult {
+impl SparseSynthesisResult {
     /// Human-readable rendering of every synthesized equation.
     pub fn render_equations(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let names = self.spec.var_names();
-        let ext = self.spec.var_names_extended();
-        let _ = writeln!(out, "machine {}", self.name);
-        let _ = writeln!(out, "fsv  = {}", self.factored.fsv_expr.render(&names));
-        for (i, y) in self.factored.y_exprs.iter().enumerate() {
-            let _ = writeln!(out, "Y{}   = {}", i + 1, y.render(&ext));
-        }
-        for (i, z) in self.outputs.z_exprs.iter().enumerate() {
-            let _ = writeln!(out, "Z{}   = {}", i + 1, z.render(&names));
-        }
-        let _ = writeln!(out, "SSD  = {}", self.outputs.ssd_expr.render(&names));
-        out
+        render_equations(
+            &self.name,
+            self.spec.num_inputs(),
+            self.spec.num_state_vars(),
+            &self.factored,
+            &self.outputs,
+        )
     }
 
-    /// Summary statistics of the synthesized machine.
-    pub fn stats(&self) -> SynthesisStats {
-        SynthesisStats {
-            states_before: self.original_table.num_states(),
-            states_after: self.reduced_table.num_states(),
-            state_vars: self.spec.num_state_vars(),
-            hazard_states: self.hazards.hazard_state_count(),
-            mic_transitions: self.reduced_table.multiple_input_change_transitions().len(),
-            fsv_product_terms: self.factored.fsv_cover.cube_count(),
-            y_literals: self.factored.y_literals(),
-            z_literals: self.outputs.z_literals(),
-            gate_count: self.factored.gate_count(),
-        }
+    /// Total literal count of the factored next-state expressions.
+    pub fn y_literals(&self) -> usize {
+        self.factored.y_literals()
     }
 }
 
-/// Size statistics of a synthesis result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SynthesisStats {
-    /// States before table reduction.
-    pub states_before: usize,
-    /// States after table reduction.
-    pub states_after: usize,
-    /// State variables used by the assignment.
-    pub state_vars: usize,
-    /// Hazardous total states found by the hazard search.
-    pub hazard_states: usize,
-    /// Multiple-input-change stable transitions in the synthesized table.
-    pub mic_transitions: usize,
-    /// Product terms of the (expanded) `fsv` cover.
-    pub fsv_product_terms: usize,
-    /// Literals across the factored next-state expressions.
-    pub y_literals: usize,
-    /// Literals across the output covers.
-    pub z_literals: usize,
-    /// Gates in the fsv + next-state logic.
-    pub gate_count: usize,
+/// The equation listing shared by [`SparseSynthesisResult`] and the
+/// service's relabeled results: `fsv` and `Z`/`SSD` over `x1..xj, y1..yn`,
+/// the next-state equations over the same names plus `fsv`.
+pub(crate) fn render_equations(
+    name: &str,
+    num_inputs: usize,
+    num_state_vars: usize,
+    factored: &FactoredEquations,
+    outputs: &CoverOutputEquations,
+) -> String {
+    let names: Vec<String> = (1..=num_inputs)
+        .map(|i| format!("x{i}"))
+        .chain((1..=num_state_vars).map(|i| format!("y{i}")))
+        .collect();
+    let mut ext = names.clone();
+    ext.push("fsv".to_string());
+    let mut out = String::new();
+    let _ = writeln!(out, "machine {name}");
+    let _ = writeln!(out, "fsv  = {}", factored.fsv_expr.render(&names));
+    for (i, y) in factored.y_exprs.iter().enumerate() {
+        let _ = writeln!(out, "Y{}   = {}", i + 1, y.render(&ext));
+    }
+    for (i, z) in outputs.z_exprs.iter().enumerate() {
+        let _ = writeln!(out, "Z{}   = {}", i + 1, z.render(&names));
+    }
+    let _ = writeln!(out, "SSD  = {}", outputs.ssd_expr.render(&names));
+    out
+}
+
+/// Step 1's acceptance test: normal mode, strong connectivity and a stable
+/// column for every state.
+pub(crate) fn check_acceptable(table: &FlowTable) -> Result<(), SynthesisError> {
+    let report = validate::validate(table);
+    if report.is_acceptable() {
+        return Ok(());
+    }
+    Err(SynthesisError::InvalidFlowTable(format!(
+        "{}: normal-mode violations: {}, strongly connected: {}, states without stable column: {}",
+        table.name(),
+        report.normal_mode_violations.len(),
+        report.strongly_connected,
+        report.states_without_stable_column.len()
+    )))
 }
 
 /// Run the complete SEANCE pipeline on `table`.
 ///
 /// # Errors
 ///
-/// Returns an error if the table fails validation, the machine is too large
-/// for the dense representation, or the state assignment cannot be verified.
-pub fn synthesize(
+/// Returns an error if the table fails validation, the machine exceeds
+/// [`MAX_TOTAL_VARS`](crate::spec::MAX_TOTAL_VARS), or the state assignment
+/// cannot be verified.
+pub fn synthesize_sparse(
     table: &FlowTable,
     options: &SynthesisOptions,
-) -> Result<SynthesisResult, SynthesisError> {
+) -> Result<SparseSynthesisResult, SynthesisError> {
+    synthesize_sparse_with(table, options, &mut Workspace::new())
+}
+
+/// [`synthesize_sparse`] with a caller-provided [`Workspace`]: the scratch
+/// buffers of the pipeline's hot loops are reused across calls instead of
+/// reallocated, which is how the batch service keeps a hot worker from
+/// allocating per machine. Results are identical to [`synthesize_sparse`].
+///
+/// # Errors
+///
+/// Same failure modes as [`synthesize_sparse`].
+pub fn synthesize_sparse_with(
+    table: &FlowTable,
+    options: &SynthesisOptions,
+    workspace: &mut Workspace,
+) -> Result<SparseSynthesisResult, SynthesisError> {
     // Step 1: flow-table preparation.
     if options.validate_input {
-        let report = validate::validate(table);
-        if !report.is_acceptable() {
-            return Err(SynthesisError::InvalidFlowTable(format!(
-                "{}: normal-mode violations: {}, strongly connected: {}, states without stable column: {}",
-                table.name(),
-                report.normal_mode_violations.len(),
-                report.strongly_connected,
-                report.states_without_stable_column.len()
-            )));
-        }
+        check_acceptable(table)?;
     }
 
     // Step 2: table reduction. The reduced machine must itself be an
@@ -228,31 +256,22 @@ pub fn synthesize(
     };
 
     // Step 3: USTT state assignment.
-    let assignment = assign_with_options(&reduced_table, &options.assignment);
+    let assignment = assign_in(&reduced_table, &options.assignment, &mut workspace.assign);
     assignment.verify(&reduced_table)?;
     let spec = SpecifiedTable::new(reduced_table.clone(), assignment.clone())?;
 
-    // The dense pipeline materialises 2^n truth tables over the extended
-    // (x, y, fsv) space; refuse early rather than thrash on machines beyond
-    // the dense limit (use `synthesize_sparse` for those).
-    if spec.num_vars_extended() > fantom_boolean::MAX_DENSE_VARS {
-        return Err(SynthesisError::MachineTooLarge {
-            total_vars: spec.num_vars_extended(),
-            limit: fantom_boolean::MAX_DENSE_VARS,
-        });
-    }
-
     // Step 4: output determination.
-    let outputs = outputs::generate(&spec)?;
+    let outputs = outputs::generate_covers(&spec)?;
 
-    // Step 5: hazard search.
+    // Step 5: hazard search (it walks transitions, not the space, and stores
+    // hash-backed hazard lists).
     let hazards = hazard::analyze(&spec);
 
     // Step 6: fsv and next-state equations.
-    let equations = fsv::generate(&spec, &hazards)?;
+    let equations = fsv::generate_covers(&spec, &hazards)?;
 
-    // Step 7: hazard factoring.
-    let factored = factor(
+    // Step 7: hazard factoring by consensus augmentation.
+    let factored = factor_covers_with(
         &spec,
         &equations,
         FactoringOptions {
@@ -260,13 +279,13 @@ pub fn synthesize(
             hazard_factoring: options.hazard_factoring,
             parallel_y: options.parallel_factoring,
         },
+        &mut workspace.consensus,
     );
 
-    let depth = depth::report(&factored, &outputs);
+    let depth = depth::report_parts(&factored, &outputs.z_exprs, &outputs.ssd_expr);
 
-    Ok(SynthesisResult {
+    Ok(SparseSynthesisResult {
         name: table.name().to_string(),
-        original_table: table.clone(),
         reduced_table,
         assignment,
         spec,
@@ -287,7 +306,7 @@ mod tests {
     #[test]
     fn pipeline_runs_on_every_benchmark() {
         for table in benchmarks::all() {
-            let result = synthesize(&table, &SynthesisOptions::default())
+            let result = synthesize_sparse(&table, &SynthesisOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
             assert_eq!(result.name, table.name());
             assert!(result.depth.total_depth >= 1);
@@ -309,7 +328,7 @@ mod tests {
             .into_iter()
             .zip([4usize, 4, 4, 9, 11])
         {
-            let result = synthesize(&table, &options).unwrap();
+            let result = synthesize_sparse(&table, &options).unwrap();
             assert_eq!(
                 result.reduced_table.num_states(),
                 expected_states,
@@ -332,7 +351,7 @@ mod tests {
         b.transition("B", "1", "A").unwrap();
         let table = b.build().unwrap();
         assert!(matches!(
-            synthesize(&table, &SynthesisOptions::default()),
+            synthesize_sparse(&table, &SynthesisOptions::default()),
             Err(SynthesisError::InvalidFlowTable(_))
         ));
     }
@@ -340,9 +359,9 @@ mod tests {
     #[test]
     fn minimization_collapses_redundant_states() {
         let table = benchmarks::redundant_traffic();
-        let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
+        let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
         assert!(result.reduced_table.num_states() < table.num_states());
-        let unreduced = synthesize(
+        let unreduced = synthesize_sparse(
             &table,
             &SynthesisOptions {
                 minimize_states: false,
@@ -356,8 +375,9 @@ mod tests {
     #[test]
     fn ablation_without_factoring_is_never_deeper() {
         for table in benchmarks::paper_suite() {
-            let full = synthesize(&table, &SynthesisOptions::default()).unwrap();
-            let ablated = synthesize(&table, &SynthesisOptions::without_factoring()).unwrap();
+            let full = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
+            let ablated =
+                synthesize_sparse(&table, &SynthesisOptions::without_factoring()).unwrap();
             assert!(ablated.depth.y_depth <= full.depth.y_depth);
             assert!(ablated.depth.total_depth <= full.depth.total_depth);
         }
@@ -370,15 +390,18 @@ mod tests {
             minimize_states: false,
             ..SynthesisOptions::default()
         };
-        let result = synthesize(&table, &options).unwrap();
-        let stats = result.stats();
-        assert_eq!(stats.states_before, 4);
-        assert_eq!(stats.states_after, 4);
-        assert!(stats.state_vars >= 2);
+        let result = synthesize_sparse(&table, &options).unwrap();
+        assert_eq!(result.reduced_table.num_states(), 4);
+        assert!(result.spec.num_state_vars() >= 2);
         let text = result.render_equations();
+        assert!(text.starts_with("machine test_example\n"));
         assert!(text.contains("fsv"));
         assert!(text.contains("Y1"));
         assert!(text.contains("SSD"));
+        assert_eq!(
+            text.lines().count(),
+            3 + result.spec.num_state_vars() + result.spec.num_outputs()
+        );
     }
 
     #[test]
@@ -387,12 +410,51 @@ mod tests {
             minimize_states: false,
             ..SynthesisOptions::default()
         };
-        let result = synthesize(&benchmarks::lion(), &options).unwrap();
+        let result = synthesize_sparse(&benchmarks::lion(), &options).unwrap();
         assert!(!result.hazards.is_hazard_free());
         assert!(result.depth.fsv_depth >= 2);
         assert_eq!(
             result.depth.total_depth,
             result.depth.fsv_depth + result.depth.y_depth + 1
         );
+    }
+
+    #[test]
+    fn sparse_pipeline_runs_on_every_small_benchmark() {
+        for table in benchmarks::all() {
+            let result = synthesize_sparse(&table, &SynthesisOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
+            // Covers implement their cover functions.
+            assert!(result
+                .equations
+                .fsv
+                .implemented_by(&result.equations.fsv_cover));
+            for (f, c) in result.equations.y.iter().zip(&result.factored.y_covers) {
+                assert!(f.implemented_by(c), "{}", table.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_covers_implement_the_dense_functions() {
+        // Every cover must implement the function the minterm-wise oracle
+        // builders tabulate for the same specified table.
+        for table in benchmarks::paper_suite() {
+            let r = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
+            let name = table.name();
+            let fsv = fsv::fsv_function(&r.spec, &r.hazards).unwrap();
+            assert!(fsv.implemented_by(&r.factored.fsv_cover), "{name}: fsv");
+            let y = fsv::y_functions(&r.spec, &r.hazards).unwrap();
+            assert_eq!(y.len(), r.factored.y_covers.len(), "{name}");
+            for (f, c) in y.iter().zip(&r.factored.y_covers) {
+                assert!(f.implemented_by(c), "{name}: Y cover");
+            }
+            let z = r.spec.output_functions().unwrap();
+            for (f, c) in z.iter().zip(&r.outputs.z_covers) {
+                assert!(f.implemented_by(c), "{name}: Z cover");
+            }
+            let ssd = r.spec.ssd_function().unwrap();
+            assert!(ssd.implemented_by(&r.outputs.ssd_cover), "{name}: SSD");
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::SynthesisResult;
+use crate::SparseSynthesisResult;
 
 /// One row of the paper's Table 1: the benchmark name and the depth metrics of
 /// the synthesized FANTOM machine.
@@ -48,7 +48,7 @@ impl fmt::Display for Table1Row {
 }
 
 /// Extract the Table-1 row of a synthesis result.
-pub fn table1_row(result: &SynthesisResult) -> Table1Row {
+pub fn table1_row(result: &SparseSynthesisResult) -> Table1Row {
     Table1Row {
         benchmark: result.name.clone(),
         fsv_depth: result.depth.fsv_depth,
@@ -62,13 +62,13 @@ pub fn table1_row(result: &SynthesisResult) -> Table1Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisOptions};
+    use crate::{synthesize_sparse, SynthesisOptions};
     use fantom_flow::benchmarks;
 
     #[test]
     fn row_reflects_result_and_formats() {
         let table = benchmarks::lion();
-        let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
+        let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
         let row = table1_row(&result);
         assert_eq!(row.benchmark, "lion");
         assert_eq!(row.total_depth, result.depth.total_depth);

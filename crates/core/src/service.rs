@@ -47,13 +47,15 @@ use fantom_assign::StateAssignment;
 use fantom_boolean::collections::HashMap;
 use fantom_boolean::{Cover, CoverFunction, Cube, Expr, Literal};
 use fantom_flow::canonical::{self, CanonicalOptions, Canonicalization};
-use fantom_flow::{validate, FlowTable};
+use fantom_flow::FlowTable;
 
 use crate::depth::DepthReport;
 use crate::factoring::FactoredEquations;
 use crate::outputs::CoverOutputEquations;
-use crate::pipeline::SynthesisOptions;
-use crate::sparse::{synthesize_sparse_with, SparseSynthesisResult};
+use crate::pipeline::{
+    check_acceptable, render_equations, synthesize_sparse_with, SparseSynthesisResult,
+    SynthesisOptions,
+};
 use crate::workspace::Workspace;
 use crate::SynthesisError;
 
@@ -140,28 +142,16 @@ impl ServiceResult {
         self.factored.y_literals()
     }
 
-    /// Human-readable rendering of every synthesized equation.
+    /// Human-readable rendering of every synthesized equation, in the same
+    /// format as [`SparseSynthesisResult::render_equations`].
     pub fn render_equations(&self) -> String {
-        use std::fmt::Write as _;
-        let ni = self.reduced_table.num_inputs();
-        let nv = self.assignment.num_vars();
-        let names: Vec<String> = (1..=ni)
-            .map(|i| format!("x{i}"))
-            .chain((1..=nv).map(|i| format!("y{i}")))
-            .collect();
-        let mut ext = names.clone();
-        ext.push("fsv".to_string());
-        let mut out = String::new();
-        let _ = writeln!(out, "machine {}", self.name);
-        let _ = writeln!(out, "fsv  = {}", self.factored.fsv_expr.render(&names));
-        for (i, y) in self.factored.y_exprs.iter().enumerate() {
-            let _ = writeln!(out, "Y{}   = {}", i + 1, y.render(&ext));
-        }
-        for (i, z) in self.outputs.z_exprs.iter().enumerate() {
-            let _ = writeln!(out, "Z{}   = {}", i + 1, z.render(&names));
-        }
-        let _ = writeln!(out, "SSD  = {}", self.outputs.ssd_expr.render(&names));
-        out
+        render_equations(
+            &self.name,
+            self.reduced_table.num_inputs(),
+            self.assignment.num_vars(),
+            &self.factored,
+            &self.outputs,
+        )
     }
 
     /// One-line summary in the service's report format. Deliberately
@@ -352,16 +342,7 @@ impl SynthesisService {
         // validity is isomorphism-invariant, so the canonical run below
         // passes the same check.
         if self.options.synthesis.validate_input {
-            let report = validate::validate(table);
-            if !report.is_acceptable() {
-                return Err(SynthesisError::InvalidFlowTable(format!(
-                    "{}: normal-mode violations: {}, strongly connected: {}, states without stable column: {}",
-                    table.name(),
-                    report.normal_mode_violations.len(),
-                    report.strongly_connected,
-                    report.states_without_stable_column.len()
-                )));
-            }
+            check_acceptable(table)?;
         }
 
         let canon = canonical::canonicalize(table, &self.options.canonical);
@@ -436,7 +417,8 @@ pub fn synthesize_many(tables: &[FlowTable], options: &ServiceOptions) -> Vec<Sy
     SynthesisService::new(*options).synthesize_many(tables)
 }
 
-fn effective_parallelism(requested: usize) -> usize {
+/// `requested` workers, or the host's available parallelism for `0`.
+pub(crate) fn effective_parallelism(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {
@@ -461,15 +443,7 @@ fn from_sparse(
         factored: r.factored,
         depth: r.depth,
         hazard_state_count: r.hazards.hazard_state_count(),
-        cache: CacheStatus::Uncached,
-    }
-    .with_cache(cache)
-}
-
-impl ServiceResult {
-    fn with_cache(mut self, cache: CacheStatus) -> Self {
-        self.cache = cache;
-        self
+        cache,
     }
 }
 

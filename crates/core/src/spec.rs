@@ -27,10 +27,9 @@ use fantom_flow::{Bits, FlowTable, StableTransition, StateId};
 
 use crate::SynthesisError;
 
-/// Maximum `(x, y, fsv)` variable count any representation supports: total
-/// states must index a `u64` minterm space. The dense pipeline additionally
-/// requires `num_vars_extended ≤` [`fantom_boolean::MAX_DENSE_VARS`]; the
-/// sparse (cover-based) pipeline runs anywhere below this bound.
+/// Maximum `(x, y, fsv)` variable count the pipeline supports: total states
+/// must index a `u64` minterm space. The dense oracle builders additionally
+/// require at most [`fantom_boolean::MAX_DENSE_VARS`] variables.
 pub const MAX_TOTAL_VARS: usize = 48;
 
 /// A flow table with a state assignment attached.
@@ -47,8 +46,8 @@ impl SpecifiedTable {
     ///
     /// Returns an error if the assignment has the wrong number of codes or the
     /// machine exceeds [`MAX_TOTAL_VARS`]. Machines above the dense-function
-    /// limit construct fine — the dense `*_functions` accessors will fail for
-    /// them, the cover-based `*_cover_functions` accessors will not.
+    /// limit construct fine — the dense `*_functions` oracle builders will
+    /// fail for them, the cover-based `*_cover_functions` accessors will not.
     pub fn new(table: FlowTable, assignment: StateAssignment) -> Result<Self, SynthesisError> {
         if assignment.num_states() != table.num_states() {
             return Err(SynthesisError::InvalidFlowTable(format!(
@@ -114,11 +113,6 @@ impl SpecifiedTable {
         ((column as u64) << n) | code.index() as u64
     }
 
-    /// Minterm index in the `(x, y, fsv)` space.
-    pub fn minterm_extended(&self, column: usize, code: &Bits, fsv: bool) -> u64 {
-        (self.minterm(column, code) << 1) | u64::from(fsv)
-    }
-
     /// Decompose an `(x, y)` minterm into its input column and state code.
     pub fn decompose(&self, minterm: u64) -> (usize, Bits) {
         let n = self.num_state_vars();
@@ -159,7 +153,7 @@ impl SpecifiedTable {
         let n = self.num_state_vars();
         let vars = self.num_vars();
         let mut functions: Vec<Function> = (0..n)
-            .map(|_| all_dont_care(vars))
+            .map(|_| Function::constant_dc(vars))
             .collect::<Result<_, _>>()?;
         // Track which minterms have been pinned, to detect conflicts.
         let mut pinned: Vec<Option<u64>> = vec![None; 1 << vars];
@@ -208,7 +202,7 @@ impl SpecifiedTable {
         let k = self.num_outputs();
         let vars = self.num_vars();
         let mut functions: Vec<Function> = (0..k)
-            .map(|_| all_dont_care(vars))
+            .map(|_| Function::constant_dc(vars))
             .collect::<Result<_, _>>()?;
         for s in self.table.states() {
             for c in 0..self.table.num_columns() {
@@ -238,7 +232,7 @@ impl SpecifiedTable {
     /// Returns an error only if the machine exceeds the dense-function limit.
     pub fn ssd_function(&self) -> Result<Function, SynthesisError> {
         let vars = self.num_vars();
-        let mut f = all_dont_care(vars)?;
+        let mut f = Function::constant_dc(vars)?;
         for s in self.table.states() {
             for c in 0..self.table.num_columns() {
                 let Some(t) = self.table.next_state(s, c) else {
@@ -440,14 +434,6 @@ impl SpecifiedTable {
         CoverFunction::from_on_off(Cover::from_cubes(vars, on), off_cover)
             .map_err(|e| SynthesisError::InvalidFlowTable(format!("inconsistent SSD: {e}")))
     }
-}
-
-fn all_dont_care(vars: usize) -> Result<Function, SynthesisError> {
-    let mut f = Function::constant_false(vars)?;
-    for m in 0..(1u64 << vars) {
-        f.set_dc(m);
-    }
-    Ok(f)
 }
 
 #[cfg(test)]

@@ -1,95 +1,32 @@
-//! Validation of synthesized FANTOM machines.
+//! Static validation of synthesized FANTOM machines.
 //!
-//! Two complementary kinds of checks are provided:
+//! The checks ([`verify_hold_property`], [`verify_fsv_marks_hazards`],
+//! [`verify_equations_implement_table`]) evaluate the factored equations at
+//! every specified total state and establish the paper's structural claims:
+//! hazardous minterms are held while `fsv = 0`, `fsv` marks exactly the
+//! hazard states, and the machine still implements the flow table. They walk
+//! the specified points of the cover functions, never the whole `2^n` space.
 //!
-//! * **static checks** ([`verify_hold_property`], [`verify_fsv_marks_hazards`],
-//!   [`verify_equations_implement_table`]) — exhaustive evaluations of the
-//!   factored equations that establish the paper's structural claims
-//!   (hazardous minterms are held while `fsv = 0`, `fsv` marks exactly the
-//!   hazard states, the machine still implements the flow table);
-//! * **delay-accurate simulation** ([`simulate_transition`],
-//!   [`validate_machine`]) — the emitted netlist is driven through every
-//!   multiple-input-change stable transition with skewed input edges and
-//!   randomized gate delays, and the final state, final outputs and the
-//!   glitch behaviour of the invariant state variables are checked.
+//! Delay-accurate validation of the emitted netlist — every stable
+//! transition under sampled gate delays and skewed input edges — is the
+//! job of the Monte-Carlo campaigns in [`crate::campaign`].
 
-use fantom_flow::StableTransition;
-use fantom_sim::{analysis, DelayModel, DelayStyle, Simulator};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use fantom_boolean::Cover;
 
-use crate::emit::{emit, FantomNetlist, DEFAULT_LOOP_STAGES};
-use crate::SynthesisResult;
+use crate::SparseSynthesisResult;
 
-/// Result of simulating a single stable-state transition.
-#[derive(Debug, Clone)]
-pub struct TransitionCheck {
-    /// The transition that was exercised.
-    pub transition: StableTransition,
-    /// Whether the circuit reached quiescence within the event budget.
-    pub settled: bool,
-    /// Whether the final state code equals the destination state's code.
-    pub final_state_correct: bool,
-    /// Whether the final (combinational) outputs match the destination
-    /// state's specified output bits.
-    pub outputs_correct: bool,
-    /// Number of spurious transitions observed on state variables that should
-    /// have remained invariant across the transition.
-    pub invariant_glitches: usize,
-    /// Largest number of transitions observed on any changing state variable.
-    pub changing_variable_transitions: usize,
-    /// Whether the latched outputs (captured by the `SSD ∧ ¬fsv` stage) ended
-    /// at the correct value.
-    pub latched_outputs_correct: bool,
+/// The variable values of `minterm` over `vars` variables, most significant
+/// variable first.
+fn minterm_bits(minterm: u64, vars: usize) -> Vec<bool> {
+    (0..vars)
+        .map(|i| (minterm >> (vars - 1 - i)) & 1 == 1)
+        .collect()
 }
 
-impl TransitionCheck {
-    /// `true` if the transition behaved correctly in every respect checked.
-    pub fn passed(&self) -> bool {
-        self.settled
-            && self.final_state_correct
-            && self.outputs_correct
-            && self.invariant_glitches == 0
-    }
-}
-
-/// Aggregate of the simulation checks over a whole machine.
-#[derive(Debug, Clone)]
-pub struct ValidationSummary {
-    /// Every individual transition check.
-    pub checks: Vec<TransitionCheck>,
-}
-
-impl ValidationSummary {
-    /// Whether every simulated transition settled.
-    pub fn all_settled(&self) -> bool {
-        self.checks.iter().all(|c| c.settled)
-    }
-
-    /// Whether every simulated transition reached the correct final state.
-    pub fn all_final_states_correct(&self) -> bool {
-        self.checks.iter().all(|c| c.final_state_correct)
-    }
-
-    /// Whether every simulated transition produced the correct final outputs.
-    pub fn all_outputs_correct(&self) -> bool {
-        self.checks.iter().all(|c| c.outputs_correct)
-    }
-
-    /// Total glitches observed on invariant state variables.
-    pub fn total_invariant_glitches(&self) -> usize {
-        self.checks.iter().map(|c| c.invariant_glitches).sum()
-    }
-
-    /// Number of transitions simulated.
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// `true` if no transitions were simulated.
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
+/// Every minterm of the on- and off-covers: the specified points of a cover
+/// function (overlapping cubes repeat their shared points).
+fn specified_minterms<'a>(on: &'a Cover, off: &'a Cover) -> impl Iterator<Item = u64> + 'a {
+    on.iter().chain(off.iter()).flat_map(|c| c.minterms_iter())
 }
 
 /// Static check: at every hazard-list minterm, the factored next-state
@@ -98,13 +35,13 @@ impl ValidationSummary {
 /// # Errors
 ///
 /// Returns a description of the first violated minterm.
-pub fn verify_hold_property(result: &SynthesisResult) -> Result<(), String> {
+pub fn verify_hold_property(result: &SparseSynthesisResult) -> Result<(), String> {
     let spec = &result.spec;
     let vars = spec.num_vars();
     for (var, hl) in result.hazards.hl.iter().enumerate() {
         for m in hl.iter() {
             let (_, code) = spec.decompose(m);
-            let mut bits: Vec<bool> = (0..vars).map(|i| (m >> (vars - 1 - i)) & 1 == 1).collect();
+            let mut bits = minterm_bits(m, vars);
             bits.push(false); // fsv = 0
             let value = result.factored.y_exprs[var].eval(&bits);
             if value != code.bit(var) {
@@ -119,20 +56,17 @@ pub fn verify_hold_property(result: &SynthesisResult) -> Result<(), String> {
 }
 
 /// Static check: the factored `fsv` expression is 1 on every hazard-list state
-/// and 0 on every other occupied total state.
+/// and 0 on every other occupied total state (the specified points of the
+/// `fsv` cover function; everything else is a don't-care).
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated minterm.
-pub fn verify_fsv_marks_hazards(result: &SynthesisResult) -> Result<(), String> {
-    let spec = &result.spec;
-    let vars = spec.num_vars();
-    for m in 0..(1u64 << vars) {
-        if result.equations.fsv_function.is_dc(m) {
-            continue;
-        }
-        let bits: Vec<bool> = (0..vars).map(|i| (m >> (vars - 1 - i)) & 1 == 1).collect();
-        let value = result.factored.fsv_expr.eval(&bits);
+pub fn verify_fsv_marks_hazards(result: &SparseSynthesisResult) -> Result<(), String> {
+    let vars = result.spec.num_vars();
+    let fsv = &result.equations.fsv;
+    for m in specified_minterms(fsv.on_cover(), fsv.off_cover()) {
+        let value = result.factored.fsv_expr.eval(&minterm_bits(m, vars));
         let expected = result.hazards.fl.contains(m);
         if value != expected {
             return Err(format!(
@@ -150,22 +84,18 @@ pub fn verify_fsv_marks_hazards(result: &SynthesisResult) -> Result<(), String> 
 /// # Errors
 ///
 /// Returns a description of the first violated minterm.
-pub fn verify_equations_implement_table(result: &SynthesisResult) -> Result<(), String> {
+pub fn verify_equations_implement_table(result: &SparseSynthesisResult) -> Result<(), String> {
     let spec = &result.spec;
     let vars = spec.num_vars();
     let base = spec
-        .next_state_functions()
+        .next_state_cover_functions()
         .map_err(|e| format!("could not rebuild next-state functions: {e}"))?;
-    for m in 0..(1u64 << vars) {
-        let bits: Vec<bool> = (0..vars).map(|i| (m >> (vars - 1 - i)) & 1 == 1).collect();
-        let fsv_value = result.factored.fsv_expr.eval(&bits);
-        let mut ext = bits.clone();
-        ext.push(fsv_value);
-        for (var, base_fn) in base.iter().enumerate() {
-            if base_fn.is_dc(m) {
-                continue;
-            }
-            let value = result.factored.y_exprs[var].eval(&ext);
+    for (var, base_fn) in base.iter().enumerate() {
+        for m in specified_minterms(base_fn.on_cover(), base_fn.off_cover()) {
+            let mut bits = minterm_bits(m, vars);
+            let fsv_value = result.factored.fsv_expr.eval(&bits);
+            bits.push(fsv_value);
+            let value = result.factored.y_exprs[var].eval(&bits);
             let expected = base_fn.is_on(m);
             // At a hazard minterm for this variable the fsv=0 half holds the
             // present value; with fsv asserted the table value applies.
@@ -181,160 +111,16 @@ pub fn verify_equations_implement_table(result: &SynthesisResult) -> Result<(), 
     Ok(())
 }
 
-/// Simulate one stable-state transition of the emitted machine with skewed
-/// input edges and the given delay seed.
-pub fn simulate_transition(
-    result: &SynthesisResult,
-    machine: &FantomNetlist,
-    transition: &StableTransition,
-    seed: u64,
-) -> TransitionCheck {
-    let spec = &result.spec;
-    // Gate delays are large compared with the input skew: in the FANTOM
-    // architecture the internal inputs are launched together by FFX, so the
-    // bit-to-bit skew is a (small) clock-to-output mismatch while every gate
-    // contributes a full delay. Intermediate input columns are still exposed
-    // to the logic through unequal path delays — exactly the M-hazard
-    // mechanism fsv protects against.
-    let delay = DelayModel::Random {
-        min: 4,
-        max: 9,
-        seed,
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-
-    // Loop-delay assumption (Sections 2.2 and 3 of the paper): the feedback
-    // path is slower than every combinational settling path, and under the
-    // speed-independent abstraction a revoked gate-output change never
-    // appears, so the feedback buffers absorb combinational pulses. Each loop
-    // buffer therefore gets a delay larger than the worst-case settling time
-    // of the combinational logic.
-    let loop_delay = (result.depth.total_depth as u64 + 4) * delay.max_delay() * 2;
-    let mut builder = Simulator::builder(&machine.netlist)
-        .delay_model(delay)
-        .style(DelayStyle::Inertial)
-        .event_budget(100_000);
-    for gates in &machine.loop_gates {
-        for &g in gates {
-            builder = builder.gate_delay(g, loop_delay);
-        }
-    }
-    let mut sim = builder.build();
-
-    // Establish the initial stable total state with a delay-free fixpoint so
-    // the experiment starts from a quiescent circuit.
-    let from_code = spec.code(transition.from_state).clone();
-    let mut fixed: Vec<(fantom_sim::NetId, bool)> = Vec::new();
-    for (i, &net) in machine.x.iter().enumerate() {
-        fixed.push((net, transition.from_input.bit(i)));
-    }
-    for (i, &net) in machine.y.iter().enumerate() {
-        fixed.push((net, from_code.bit(i)));
-    }
-    let settled_init = sim.initialize_consistent(&fixed).is_ok() && sim.run_until_quiet().is_ok();
-
-    // Monitor the nets of interest.
-    for &net in machine
-        .y
-        .iter()
-        .chain(&machine.z)
-        .chain([&machine.fsv, &machine.ssd])
-    {
-        sim.monitor(net);
-    }
-    let t0 = sim.time() + 1;
-
-    // Apply the multiple-input change. In the FANTOM architecture the internal
-    // inputs are launched together by FFX, so the bit-to-bit skew is a small
-    // clock-to-output mismatch compared with a gate delay; intermediate input
-    // columns are still exposed to the logic through unequal path delays —
-    // exactly the M-hazard mechanism fsv protects against.
-    for (i, &net) in machine.x.iter().enumerate() {
-        if transition.from_input.bit(i) != transition.to_input.bit(i) {
-            let skew: u64 = rng.gen_range(0..=1);
-            sim.schedule_input(net, transition.to_input.bit(i), 1 + skew);
-        }
-    }
-    let settled = settled_init && sim.run_until_quiet().is_ok();
-
-    // Final-state and output checks.
-    let to_code = spec.code(transition.to_state).clone();
-    let final_state_correct = machine
-        .y
-        .iter()
-        .enumerate()
-        .all(|(i, &net)| sim.value(net) == to_code.bit(i));
-
-    let expected_output = spec
-        .table()
-        .output(transition.to_state, transition.to_input.index())
-        .cloned();
-    let outputs_correct = match &expected_output {
-        Some(out) => machine
-            .z
-            .iter()
-            .enumerate()
-            .all(|(i, &net)| sim.value(net) == out.bit(i)),
-        None => true,
-    };
-    let latched_outputs_correct = match &expected_output {
-        Some(out) => machine
-            .z_latched
-            .iter()
-            .enumerate()
-            .all(|(i, &net)| sim.value(net) == out.bit(i)),
-        None => true,
-    };
-
-    // Glitch accounting on the state variables.
-    let mut invariant_glitches = 0;
-    let mut changing_max = 0;
-    for (i, &net) in machine.y.iter().enumerate() {
-        let wave = sim.waveform(net).expect("monitored");
-        let transitions = analysis::transitions_since(wave, t0);
-        if from_code.bit(i) == to_code.bit(i) {
-            invariant_glitches += transitions;
-        } else {
-            changing_max = changing_max.max(transitions);
-        }
-    }
-
-    TransitionCheck {
-        transition: transition.clone(),
-        settled,
-        final_state_correct,
-        outputs_correct,
-        invariant_glitches,
-        changing_variable_transitions: changing_max,
-        latched_outputs_correct,
-    }
-}
-
-/// Simulate every multiple-input-change stable transition of the machine with
-/// each of the given delay seeds.
-pub fn validate_machine(result: &SynthesisResult, seeds: &[u64]) -> ValidationSummary {
-    // A single feedback buffer per state variable; `simulate_transition`
-    // raises its delay to enforce the loop-delay assumption.
-    let machine = emit(result, DEFAULT_LOOP_STAGES.min(1));
-    let mut checks = Vec::new();
-    for transition in result.reduced_table.multiple_input_change_transitions() {
-        for &seed in seeds {
-            checks.push(simulate_transition(result, &machine, &transition, seed));
-        }
-    }
-    ValidationSummary { checks }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SynthesisOptions};
+    use crate::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
     use fantom_flow::benchmarks;
 
     #[test]
     fn static_properties_hold_for_every_benchmark() {
         for table in benchmarks::all() {
-            let result = synthesize(&table, &SynthesisOptions::default()).unwrap();
+            let result = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
             verify_hold_property(&result).unwrap_or_else(|e| panic!("{}: {e}", table.name()));
             verify_fsv_marks_hazards(&result).unwrap_or_else(|e| panic!("{}: {e}", table.name()));
             verify_equations_implement_table(&result)
@@ -342,28 +128,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lion_transitions_settle_to_the_correct_state() {
+    fn lion_campaign(seed: u64) -> crate::CampaignReport {
         let options = SynthesisOptions {
             minimize_states: false,
             ..SynthesisOptions::default()
         };
-        let result = synthesize(&benchmarks::lion(), &options).unwrap();
-        let summary = validate_machine(&result, &[1, 2]);
-        assert!(!summary.is_empty());
-        assert!(summary.all_settled());
-        assert!(summary.all_final_states_correct());
-        assert!(summary.all_outputs_correct());
+        let result = synthesize_sparse(&benchmarks::lion(), &options).unwrap();
+        run_campaign_sparse(
+            &result,
+            &CampaignOptions {
+                assignments: 8,
+                seed,
+                workers: 1,
+                ..CampaignOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    fn lion_transitions_settle_to_the_correct_state() {
+        let r = lion_campaign(1);
+        assert!(r.unprotected_steps > 0, "{}", r.render());
+        let failures = [
+            r.init_failures,
+            r.protected_settle_failures,
+            r.unprotected_settle_failures,
+            r.wrong_final_state,
+            r.unprotected_wrong_final_state,
+            r.wrong_final_output,
+            r.unprotected_wrong_final_output,
+        ];
+        assert_eq!(failures, [0; 7], "{}", r.render());
     }
 
     #[test]
     fn invariant_state_variables_do_not_glitch_on_lion() {
-        let options = SynthesisOptions {
-            minimize_states: false,
-            ..SynthesisOptions::default()
-        };
-        let result = synthesize(&benchmarks::lion(), &options).unwrap();
-        let summary = validate_machine(&result, &[7]);
-        assert_eq!(summary.total_invariant_glitches(), 0);
+        let r = lion_campaign(7);
+        let glitches = [
+            r.protected_invariant_glitches,
+            r.unprotected_invariant_glitches,
+        ];
+        assert_eq!(glitches, [0, 0], "{}", r.render());
     }
 }

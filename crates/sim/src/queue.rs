@@ -248,6 +248,8 @@ impl IndexedEventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -258,15 +260,6 @@ mod tests {
             net: NetId(net),
             value,
         }
-    }
-
-    /// SplitMix64 — deterministic stream for the differential test.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     #[test]
@@ -318,9 +311,9 @@ mod tests {
         // out-of-order external events) must pop in exactly the order a
         // global (time, seq) heap produces — interleaved with random cancels
         // mirrored on both sides.
-        let mut rng = 0xDEAD_BEEF_u64;
+        let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF);
         for round in 0..50 {
-            let sources = 1 + (mix(&mut rng) % 12) as usize;
+            let sources = 1 + (rng.next_u64() % 12) as usize;
             let mut q = IndexedEventQueue::new(sources);
             let mut reference: BinaryHeap<Reverse<(u64, u64, usize, bool)>> = BinaryHeap::new();
             let mut last_time = vec![0u64; sources];
@@ -328,23 +321,23 @@ mod tests {
             let mut popped = Vec::new();
             let mut expected = Vec::new();
             for _ in 0..200 {
-                match mix(&mut rng) % 10 {
+                match rng.next_u64() % 10 {
                     0..=6 => {
-                        let s = (mix(&mut rng) % sources as u64) as usize;
+                        let s = (rng.next_u64() % sources as u64) as usize;
                         // Mostly nondecreasing per source; sometimes earlier.
-                        let t = if mix(&mut rng) % 8 == 0 {
-                            mix(&mut rng) % 100
+                        let t = if rng.next_u64() % 8 == 0 {
+                            rng.next_u64() % 100
                         } else {
-                            last_time[s] + mix(&mut rng) % 10
+                            last_time[s] + rng.next_u64() % 10
                         };
                         last_time[s] = last_time[s].max(t);
-                        let v = mix(&mut rng) % 2 == 0;
+                        let v = rng.next_u64() % 2 == 0;
                         q.schedule(s, ev(t, seq, s, v));
                         reference.push(Reverse((t, seq, s, v)));
                         seq += 1;
                     }
                     7 => {
-                        let s = (mix(&mut rng) % sources as u64) as usize;
+                        let s = (rng.next_u64() % sources as u64) as usize;
                         q.cancel(s);
                         let keep: Vec<_> = reference
                             .drain()

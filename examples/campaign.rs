@@ -1,7 +1,7 @@
 //! Monte-Carlo hazard-validation campaigns over the benchmark corpus.
 //!
 //! Synthesizes every machine of the small corpus (and, in full mode, the
-//! large suite through the sparse pipeline), then drives each emitted FANTOM
+//! large suite with the large-machine options), then drives each emitted FANTOM
 //! machine through its stable-state transitions under many sampled delay
 //! assignments, cross-checking observed glitches against the analytical
 //! hazard verdicts and a zero-delay differential oracle.
@@ -11,10 +11,7 @@
 //! (CI-sized: 8 assignments, small corpus only).
 
 use fantom_flow::benchmarks;
-use seance::{
-    run_campaign, run_campaign_sparse, synthesize, synthesize_sparse, CampaignOptions,
-    SynthesisOptions,
-};
+use seance::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -27,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut all_clean = true;
 
     for table in benchmarks::all() {
-        let result = synthesize(&table, &synthesis)?;
-        let report = run_campaign(
+        let result = synthesize_sparse(&table, &synthesis)?;
+        let report = run_campaign_sparse(
             &result,
             &CampaignOptions {
                 assignments,

@@ -9,7 +9,7 @@
 //! Run with `cargo run --example custom_flow_table`.
 
 use fantom_flow::{kiss, validate, FlowTableBuilder};
-use seance::{synthesize, SynthesisOptions};
+use seance::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Inputs: r1 r2 (request lines). Output: g (grant to requester 1).
@@ -57,18 +57,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         minimize_states: false,
         ..SynthesisOptions::default()
     };
-    let result = synthesize(&table, &options)?;
+    let result = synthesize_sparse(&table, &options)?;
     println!("{}", result.render_equations());
     println!(
         "fsv depth {}, Y depth {}, total depth {}",
         result.depth.fsv_depth, result.depth.y_depth, result.depth.total_depth
     );
 
-    let summary = seance::validate::validate_machine(&result, &[5]);
-    println!(
-        "simulated {} multiple-input-change transitions; all correct = {}",
-        summary.len(),
-        summary.all_final_states_correct() && summary.all_outputs_correct()
+    let report = run_campaign_sparse(
+        &result,
+        &CampaignOptions {
+            assignments: 8,
+            ..CampaignOptions::default()
+        },
     );
+    let wrong = report.wrong_final_state
+        + report.wrong_final_output
+        + report.unprotected_wrong_final_state
+        + report.unprotected_wrong_final_output;
+    println!(
+        "simulated {} transition steps; all correct = {}",
+        report.steps,
+        wrong == 0
+    );
+    assert!(report.is_clean(), "{}", report.render());
     Ok(())
 }

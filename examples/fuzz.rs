@@ -1,5 +1,6 @@
-//! Differential fuzzing CLI: random valid flow tables through both synthesis
-//! pipelines, pointwise-compared and campaign-validated.
+//! Differential fuzzing CLI: random valid flow tables through the synthesis
+//! pipeline under the large-machine options, every cover checked against the
+//! dense oracle functions, and each result campaign-validated.
 //!
 //! ```text
 //! cargo run --release --example fuzz -- --budget-seconds 60 --seed from-lockfile

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --example hazard_demo`.
 
-use seance::{synthesize, SynthesisOptions};
+use seance::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = fantom_flow::benchmarks::test_example();
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         minimize_states: false,
         ..SynthesisOptions::default()
     };
-    let result = synthesize(&table, &options)?;
+    let result = synthesize_sparse(&table, &options)?;
 
     println!("{}", table);
     println!("state codes:");
@@ -93,11 +93,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Confirm the analytical verdicts dynamically: a short Monte-Carlo
     // campaign sweeps sampled delay assignments over every stable transition
     // and cross-checks the machine against the zero-delay oracle.
-    let report = seance::run_campaign(
+    let report = run_campaign_sparse(
         &result,
-        &seance::CampaignOptions {
+        &CampaignOptions {
             assignments: 16,
-            ..seance::CampaignOptions::default()
+            ..CampaignOptions::default()
         },
     );
     print!("\n{}", report.render());

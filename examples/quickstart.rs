@@ -3,7 +3,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use seance::{synthesize, table1_row, SynthesisOptions, Table1Row};
+use seance::{run_campaign_sparse, synthesize_sparse, table1_row, CampaignOptions};
+use seance::{SynthesisOptions, Table1Row};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a flow table. The corpus ships the machines used by the paper's
@@ -17,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         minimize_states: false,
         ..SynthesisOptions::default()
     };
-    let result = synthesize(&table, &options)?;
+    let result = synthesize_sparse(&table, &options)?;
 
     // 3. Inspect the result.
     println!("{}", result.render_equations());
@@ -37,14 +38,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     seance::validate::verify_fsv_marks_hazards(&result)?;
     println!("\nstatic hazard-freedom checks passed");
 
-    // 5. Simulate every multiple-input change on the emitted gate-level
-    //    netlist with randomized delays and skewed input edges.
-    let summary = seance::validate::validate_machine(&result, &[1, 2, 3]);
-    println!(
-        "simulated {} transitions: final states correct = {}, invariant-variable glitches = {}",
-        summary.len(),
-        summary.all_final_states_correct(),
-        summary.total_invariant_glitches()
+    // 5. Simulate every stable transition on the emitted gate-level netlist
+    //    under sampled gate delays and skewed input edges.
+    let report = run_campaign_sparse(
+        &result,
+        &CampaignOptions {
+            assignments: 16,
+            ..CampaignOptions::default()
+        },
     );
+    let wrong_states = report.wrong_final_state + report.unprotected_wrong_final_state;
+    let glitches = report.protected_invariant_glitches + report.unprotected_invariant_glitches;
+    println!(
+        "simulated {} steps: wrong final states = {wrong_states}, invariant-variable glitches = {glitches}",
+        report.steps
+    );
+    assert!(report.is_clean(), "{}", report.render());
     Ok(())
 }

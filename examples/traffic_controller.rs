@@ -9,7 +9,7 @@
 //! Run with `cargo run --example traffic_controller`.
 
 use seance::baseline::{huffman_baseline, stg_expansion_estimate};
-use seance::{synthesize, SynthesisOptions};
+use seance::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = fantom_flow::benchmarks::traffic();
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         minimize_states: false,
         ..SynthesisOptions::default()
     };
-    let fantom = synthesize(&table, &options)?;
+    let fantom = synthesize_sparse(&table, &options)?;
     let baseline = huffman_baseline(&table)?;
     let stg = stg_expansion_estimate(&table);
 
@@ -45,32 +45,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stg.original_transitions, stg.expanded_steps, stg.extra_states
     );
 
-    // Exercise the controller: a car arrives exactly when the timer expires —
-    // a two-bit input change — and the machine must still settle correctly.
-    let summary = seance::validate::validate_machine(&fantom, &[11, 42]);
-    println!(
-        "simulation: {} multiple-input-change transitions checked, all settled = {}, all correct = {}",
-        summary.len(),
-        summary.all_settled(),
-        summary.all_final_states_correct()
-    );
-
-    // Hammer the same controller with a Monte-Carlo campaign: 32 sampled
-    // delay assignments, every stable transition, zero-delay oracle on.
-    let report = seance::run_campaign(
+    // Exercise the controller with a Monte-Carlo campaign: 32 sampled delay
+    // assignments, every stable transition — including a car arriving exactly
+    // when the timer expires, a two-bit input change — with the zero-delay
+    // oracle on. Every step must settle in the right state.
+    let report = run_campaign_sparse(
         &fantom,
-        &seance::CampaignOptions {
+        &CampaignOptions {
             assignments: 32,
-            ..seance::CampaignOptions::default()
+            ..CampaignOptions::default()
         },
     );
+    let settled = report.protected_settle_failures + report.unprotected_settle_failures == 0;
+    let correct = report.wrong_final_state + report.unprotected_wrong_final_state == 0;
     println!(
-        "campaign: {} steps over {} assignments, {} events, clean = {}",
+        "campaign: {} steps over {} assignments, {} events, all settled = {settled}, all correct = {correct}, clean = {}",
         report.steps,
         report.assignments,
         report.events,
         report.is_clean()
     );
-    assert!(report.is_clean());
+    assert!(
+        report.is_clean() && settled && correct,
+        "{}",
+        report.render()
+    );
     Ok(())
 }

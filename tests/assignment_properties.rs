@@ -6,7 +6,7 @@
 use fantom_assign::{assign, required_dichotomies};
 use fantom_flow::{Bits, FlowTable, StateId};
 use proptest::prelude::*;
-use seance::{synthesize, SpecifiedTable, SynthesisOptions};
+use seance::{synthesize_sparse, SpecifiedTable, SynthesisOptions};
 
 /// Generate a random normal-mode, strongly connected flow table over two
 /// inputs by the same construction the benchmark corpus uses: pick a stable
@@ -117,7 +117,7 @@ proptest! {
     #[test]
     fn pipeline_succeeds_on_random_tables(table in arb_flow_table()) {
         let options = SynthesisOptions { minimize_states: false, ..SynthesisOptions::default() };
-        let result = synthesize(&table, &options).expect("synthesis succeeds");
+        let result = synthesize_sparse(&table, &options).expect("synthesis succeeds");
         prop_assert!(seance::validate::verify_hold_property(&result).is_ok());
         prop_assert!(seance::validate::verify_fsv_marks_hazards(&result).is_ok());
         prop_assert!(seance::validate::verify_equations_implement_table(&result).is_ok());

@@ -3,7 +3,7 @@
 
 use fantom_flow::benchmarks;
 use seance::baseline::{huffman_baseline, stg_expansion_estimate};
-use seance::{synthesize, SynthesisOptions};
+use seance::{synthesize_sparse, SynthesisOptions};
 
 fn table1_options() -> SynthesisOptions {
     SynthesisOptions {
@@ -15,7 +15,7 @@ fn table1_options() -> SynthesisOptions {
 #[test]
 fn fantom_protects_every_hazard_the_baseline_leaves_exposed() {
     for table in benchmarks::paper_suite() {
-        let fantom = synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        let fantom = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
         let baseline = huffman_baseline(&table).expect("baseline succeeds");
         assert_eq!(
             fantom.hazards.hazard_state_count(),
@@ -33,7 +33,7 @@ fn fantom_protects_every_hazard_the_baseline_leaves_exposed() {
 #[test]
 fn fantom_pays_for_protection_with_depth_not_with_state_count() {
     for table in benchmarks::paper_suite() {
-        let fantom = synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        let fantom = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
         let baseline = huffman_baseline(&table).expect("baseline succeeds");
         let stg = stg_expansion_estimate(&table);
 
@@ -97,7 +97,7 @@ fn depth_overhead_is_bounded_by_the_fsv_feedback() {
     // FANTOM's extra depth over the baseline is exactly the fsv pass plus the
     // factoring overhead; it never exceeds fsv_depth + a small constant.
     for table in benchmarks::paper_suite() {
-        let fantom = synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        let fantom = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
         let baseline = huffman_baseline(&table).expect("baseline succeeds");
         let overhead = fantom.depth.total_depth - baseline.total_depth;
         assert!(

@@ -2,10 +2,7 @@
 //! cleanliness of the Monte-Carlo hazard-validation driver.
 
 use fantom_flow::benchmarks;
-use seance::{
-    run_campaign, run_campaign_sparse, synthesize, synthesize_sparse, CampaignOptions,
-    SynthesisOptions,
-};
+use seance::{run_campaign_sparse, synthesize_sparse, CampaignOptions, SynthesisOptions};
 
 fn corpus_synthesis_options() -> SynthesisOptions {
     SynthesisOptions {
@@ -21,11 +18,11 @@ fn corpus_synthesis_options() -> SynthesisOptions {
 fn campaign_report_is_byte_identical_across_worker_counts() {
     let options = corpus_synthesis_options();
     for table in [benchmarks::lion(), benchmarks::traffic()] {
-        let result = synthesize(&table, &options).expect("corpus synthesizes");
+        let result = synthesize_sparse(&table, &options).expect("corpus synthesizes");
         let reports: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&workers| {
-                run_campaign(
+                run_campaign_sparse(
                     &result,
                     &CampaignOptions {
                         assignments: 16,
@@ -83,8 +80,8 @@ fn campaign_report_is_byte_identical_across_worker_counts() {
 fn small_corpus_campaigns_are_clean() {
     let options = corpus_synthesis_options();
     for table in benchmarks::all() {
-        let result = synthesize(&table, &options).expect("corpus synthesizes");
-        let report = run_campaign(
+        let result = synthesize_sparse(&table, &options).expect("corpus synthesizes");
+        let report = run_campaign_sparse(
             &result,
             &CampaignOptions {
                 assignments: 16,
@@ -107,8 +104,8 @@ fn small_corpus_campaigns_are_clean() {
     }
 }
 
-/// The large suite runs through the sparse pipeline with sampled sequences;
-/// protected-transition checks must still be clean.
+/// The large suite runs with the large-machine options and sampled
+/// sequences; protected-transition checks must still be clean.
 #[test]
 fn large_suite_campaigns_are_clean_with_sampled_sequences() {
     for table in benchmarks::large_suite() {

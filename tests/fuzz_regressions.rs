@@ -1,17 +1,17 @@
 //! Replay of the checked-in fuzz-regression corpus and the external-style
-//! benchmark set through both synthesis pipelines.
+//! benchmark set through the synthesis pipeline and its dense oracle.
 //!
 //! `tests/fuzz_regressions/` holds the pinned shrunk shapes from fuzz runs
 //! (all-clean so far: each file is a minimal table that still carries a
 //! multiple-input-change transition). Every checked-in KISS2 file — here and
-//! in `benchmarks/` — goes through `seance::fuzz::check_table`: sparse
-//! synthesis, the dense/sparse pointwise differential where the machine fits
-//! the dense engine, and a validation campaign. A bug fixed once stays fixed.
+//! in `benchmarks/` — goes through `seance::fuzz::check_table`: synthesis
+//! under the large-machine options, every cover checked against the dense
+//! oracle functions, and a validation campaign. A bug fixed once stays fixed.
 
 use std::path::Path;
 
 use fantom_flow::{benchmarks, kiss};
-use seance::fuzz::{check_table, check_table_campaign_only, regression_corpus};
+use seance::fuzz::{check_table, regression_corpus};
 
 fn repo_dir(relative: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(relative)
@@ -40,16 +40,8 @@ fn benchmark_grid_replays_clean_through_both_pipelines() {
         tables.len()
     );
     for table in &tables {
-        // The smallest grid row gets the full dense/sparse differential; the
-        // 18/26-state shapes run sparse + campaign only — their dense `2^n`
-        // tabulation is feasible but costs minutes in debug builds, and the
-        // fuzz CI job covers them in release.
-        if table.num_states() <= 10 {
-            check_table(table, 2).unwrap_or_else(|msg| panic!("{}: {msg}", table.name()));
-        } else {
-            check_table_campaign_only(table, 2)
-                .unwrap_or_else(|msg| panic!("{}: {msg}", table.name()));
-        }
+        let outcome = check_table(table, 2).unwrap_or_else(|msg| panic!("{}: {msg}", table.name()));
+        assert!(outcome.differential, "{}: oracle skipped", table.name());
     }
 }
 

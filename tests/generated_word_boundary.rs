@@ -19,8 +19,7 @@
 
 use fantom_boolean::{Cube, Literal};
 use fantom_flow::generate::{generate, GeneratorOptions};
-use seance::fuzz::fuzz_synthesis_options;
-use seance::synthesize_sparse;
+use seance::{synthesize_sparse, SynthesisOptions};
 
 /// Embed `cube` into a `width`-variable universe at `offset`: positions
 /// outside `offset..offset + cube.num_vars()` are don't-cares.
@@ -32,13 +31,14 @@ fn embed(cube: &Cube, width: usize, offset: usize) -> Cube {
     Cube::new(lits)
 }
 
-/// Every cover cube of the sparse synthesis result of `table`, grouped by
+/// Every cover cube of the synthesis result of `table` under the shipped
+/// large-machine options (the options the fuzzer runs), grouped by
 /// variable count (the fsv/Y covers live over the doubled `(fsv, x, y)`
 /// space, the Z covers over the narrower output space, and cube operations
 /// are only defined within one universe). Emission order inside each group
 /// is fsv, Y, Z — the real workload of the Step 5/7 kernels.
 fn pipeline_cube_groups(table: &fantom_flow::FlowTable) -> Vec<Vec<Cube>> {
-    let result = synthesize_sparse(table, &fuzz_synthesis_options())
+    let result = synthesize_sparse(table, &SynthesisOptions::for_large_machines())
         .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
     let mut cubes: Vec<Cube> = result.factored.fsv_cover.cubes().to_vec();
     for cover in &result.factored.y_covers {

@@ -1,12 +1,15 @@
 //! End-to-end hazard-freedom validation: the synthesized FANTOM machines are
-//! emitted as gate-level netlists and driven through every multiple-input
-//! change with randomized gate delays and skewed input edges.
+//! emitted as gate-level netlists and driven through every stable transition
+//! — multiple-input changes included — under sampled gate delays and skewed
+//! input edges by the Monte-Carlo campaign driver.
 
 use fantom_flow::benchmarks;
 use fantom_sim::{DelayModel, DelayStyle, Simulator};
-use seance::emit::{emit, DEFAULT_LOOP_STAGES};
-use seance::validate::{validate_machine, verify_hold_property};
-use seance::{synthesize, SynthesisOptions};
+use seance::emit::{emit_parts, MachineParts, DEFAULT_LOOP_STAGES};
+use seance::validate::verify_hold_property;
+use seance::{
+    run_campaign_sparse, synthesize_sparse, CampaignOptions, CampaignReport, SynthesisOptions,
+};
 
 fn table1_options() -> SynthesisOptions {
     SynthesisOptions {
@@ -27,44 +30,56 @@ fn completely_specified_suite() -> Vec<fantom_flow::FlowTable> {
     ]
 }
 
+/// A campaign over every stable transition of `table`, synthesized with the
+/// Table-1 options: `assignments` sampled delay assignments that cycle
+/// through unit, minimum, maximum and seeded-random delays.
+fn campaign(table: &fantom_flow::FlowTable, assignments: usize, seed: u64) -> CampaignReport {
+    let result = synthesize_sparse(table, &table1_options()).expect("synthesis succeeds");
+    run_campaign_sparse(
+        &result,
+        &CampaignOptions {
+            assignments,
+            seed,
+            ..CampaignOptions::default()
+        },
+    )
+}
+
 #[test]
 fn every_multiple_input_change_reaches_the_correct_stable_state() {
     for table in benchmarks::paper_suite() {
-        let result = synthesize(&table, &table1_options()).expect("synthesis succeeds");
-        let summary = validate_machine(&result, &[1, 2]);
         assert!(
-            !summary.is_empty(),
+            !table.multiple_input_change_transitions().is_empty(),
             "{} has no multiple-input changes",
             table.name()
         );
-        assert!(
-            summary.all_settled(),
-            "{}: a transition did not settle",
-            table.name()
-        );
-        assert!(
-            summary.all_final_states_correct(),
-            "{}: a transition reached the wrong state",
-            table.name()
-        );
-        assert!(
-            summary.all_outputs_correct(),
-            "{}: a transition produced wrong outputs",
-            table.name()
-        );
+        let r = campaign(&table, 32, 1);
+        let name = table.name();
+        assert!(r.is_clean(), "{name}:\n{}", r.render());
+        // The strict checks hold on protected steps; the machines of the
+        // paper suite also settle correctly, without glitches, on every
+        // unprotected one.
+        let informational = [
+            r.unprotected_settle_failures,
+            r.unprotected_wrong_final_state,
+            r.unprotected_wrong_final_output,
+            r.unprotected_excess_state_changes,
+            r.unprotected_invariant_glitches,
+        ];
+        assert_eq!(informational, [0; 5], "{name}:\n{}", r.render());
     }
 }
 
 #[test]
 fn invariant_state_variables_never_glitch_on_completely_specified_machines() {
     for table in completely_specified_suite() {
-        let result = synthesize(&table, &table1_options()).expect("synthesis succeeds");
-        let summary = validate_machine(&result, &[3, 17, 99]);
+        let r = campaign(&table, 32, 3);
         assert_eq!(
-            summary.total_invariant_glitches(),
+            r.protected_invariant_glitches + r.unprotected_invariant_glitches,
             0,
-            "{}: an invariant state variable glitched during a multiple-input change",
-            table.name()
+            "{}: an invariant state variable glitched during a multiple-input change\n{}",
+            table.name(),
+            r.render()
         );
     }
 }
@@ -72,18 +87,17 @@ fn invariant_state_variables_never_glitch_on_completely_specified_machines() {
 #[test]
 fn changing_state_variables_obey_the_two_change_bound() {
     // "A FANTOM machine moves through at most two state changes regardless of
-    // the number of bit changes in the input" (Section 7).
+    // the number of bit changes in the input" (Section 7): every changing
+    // state variable switches exactly once, so no excess change is seen.
     for table in completely_specified_suite() {
-        let result = synthesize(&table, &table1_options()).expect("synthesis succeeds");
-        let summary = validate_machine(&result, &[5]);
-        for check in &summary.checks {
-            assert!(
-                check.changing_variable_transitions <= 2,
-                "{}: a state variable changed {} times",
-                table.name(),
-                check.changing_variable_transitions
-            );
-        }
+        let r = campaign(&table, 16, 5);
+        assert_eq!(
+            r.excess_state_changes + r.unprotected_excess_state_changes,
+            0,
+            "{}: a state variable changed more than once\n{}",
+            table.name(),
+            r.render()
+        );
     }
 }
 
@@ -95,7 +109,7 @@ fn hold_property_holds_even_without_state_reduction_or_with_it() {
                 minimize_states,
                 ..SynthesisOptions::default()
             };
-            let result = synthesize(&table, &options).expect("synthesis succeeds");
+            let result = synthesize_sparse(&table, &options).expect("synthesis succeeds");
             verify_hold_property(&result)
                 .unwrap_or_else(|e| panic!("{} (minimize={minimize_states}): {e}", table.name()));
         }
@@ -107,8 +121,9 @@ fn hold_property_holds_even_without_state_reduction_or_with_it() {
 /// stable total state, fire a multiple-input change, settle cleanly.
 #[test]
 fn builder_configured_machine_settles_through_a_multiple_input_change() {
-    let result = synthesize(&benchmarks::lion(), &table1_options()).expect("synthesis succeeds");
-    let machine = emit(&result, DEFAULT_LOOP_STAGES);
+    let result =
+        synthesize_sparse(&benchmarks::lion(), &table1_options()).expect("synthesis succeeds");
+    let machine = emit_parts(&MachineParts::from(&result), DEFAULT_LOOP_STAGES);
     let t = result
         .reduced_table
         .multiple_input_change_transitions()
@@ -157,16 +172,8 @@ fn builder_configured_machine_settles_through_a_multiple_input_change() {
 
 #[test]
 fn validation_is_reproducible_for_a_fixed_seed() {
-    let result = synthesize(&benchmarks::lion(), &table1_options()).expect("synthesis succeeds");
-    let a = validate_machine(&result, &[42]);
-    let b = validate_machine(&result, &[42]);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.checks.iter().zip(&b.checks) {
-        assert_eq!(x.final_state_correct, y.final_state_correct);
-        assert_eq!(x.invariant_glitches, y.invariant_glitches);
-        assert_eq!(
-            x.changing_variable_transitions,
-            y.changing_variable_transitions
-        );
-    }
+    let a = campaign(&benchmarks::lion(), 8, 42);
+    let b = campaign(&benchmarks::lion(), 8, 42);
+    assert_eq!(a, b);
+    assert_eq!(a.render(), b.render());
 }

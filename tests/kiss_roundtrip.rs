@@ -2,7 +2,7 @@
 //! exported, re-imported and synthesized to an identical machine.
 
 use fantom_flow::{benchmarks, kiss, validate};
-use seance::{synthesize, SynthesisOptions};
+use seance::{synthesize_sparse, SynthesisOptions};
 
 fn table1_options() -> SynthesisOptions {
     SynthesisOptions {
@@ -52,8 +52,8 @@ fn reparsed_tables_stay_valid_and_synthesize_identically() {
             table.name()
         );
 
-        let a = synthesize(&table, &table1_options()).expect("original synthesizes");
-        let b = synthesize(&back, &table1_options()).expect("reparsed synthesizes");
+        let a = synthesize_sparse(&table, &table1_options()).expect("original synthesizes");
+        let b = synthesize_sparse(&back, &table1_options()).expect("reparsed synthesizes");
         assert_eq!(a.depth, b.depth, "{}", table.name());
         assert_eq!(
             a.hazards.hazard_state_count(),

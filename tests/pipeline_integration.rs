@@ -2,7 +2,7 @@
 //! → assignment → SEANCE synthesis → reporting.
 
 use fantom_flow::benchmarks;
-use seance::{synthesize, table1_row, SynthesisOptions};
+use seance::{synthesize_sparse, table1_row, SynthesisOptions};
 
 fn table1_options() -> SynthesisOptions {
     SynthesisOptions {
@@ -19,7 +19,7 @@ fn full_pipeline_reproduces_the_shape_of_table_1() {
     // so we assert the shape: a few levels of fsv logic, roughly five levels of
     // next-state logic, and total = fsv + Y + 1 in the 7..=11 band.
     for table in benchmarks::paper_suite() {
-        let result = synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        let result = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
         let row = table1_row(&result);
         assert!(
             (2..=5).contains(&row.fsv_depth),
@@ -43,19 +43,43 @@ fn full_pipeline_reproduces_the_shape_of_table_1() {
     }
 }
 
+/// The measured Table-1 rows of the reproduction, pinned exactly:
+/// `(machine, fsv depth, Y depth, total depth, state variables, hazard
+/// states)`. The paper's running example matches its published row.
 #[test]
 fn paper_running_example_matches_table_1_exactly() {
-    let result =
-        synthesize(&benchmarks::test_example(), &table1_options()).expect("synthesis succeeds");
-    let row = table1_row(&result);
-    assert_eq!((row.fsv_depth, row.y_depth, row.total_depth), (3, 5, 9));
+    let expected = [
+        ("test_example", 3, 5, 9, 2, 8),
+        ("traffic", 2, 4, 7, 2, 1),
+        ("lion", 3, 5, 9, 2, 5),
+        ("lion9", 3, 5, 9, 4, 7),
+        ("train11", 3, 5, 9, 4, 5),
+    ];
+    let suite = benchmarks::paper_suite();
+    assert_eq!(suite.len(), expected.len());
+    for (table, (name, fsv, y, total, vars, hazards)) in suite.iter().zip(expected) {
+        let result = synthesize_sparse(table, &table1_options()).expect("synthesis succeeds");
+        let row = table1_row(&result);
+        assert_eq!(row.benchmark, name);
+        assert_eq!(
+            (
+                row.fsv_depth,
+                row.y_depth,
+                row.total_depth,
+                row.state_vars,
+                row.hazard_states
+            ),
+            (fsv, y, total, vars, hazards),
+            "{name}"
+        );
+    }
 }
 
 #[test]
 fn synthesis_is_deterministic() {
     for table in benchmarks::paper_suite() {
-        let a = synthesize(&table, &table1_options()).expect("synthesis succeeds");
-        let b = synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        let a = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
+        let b = synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
         assert_eq!(a.depth, b.depth, "{}", table.name());
         assert_eq!(
             a.assignment.codes(),
@@ -75,7 +99,7 @@ fn synthesis_is_deterministic() {
 #[test]
 fn default_options_with_reduction_also_synthesize_everything() {
     for table in benchmarks::all() {
-        let result = synthesize(&table, &SynthesisOptions::default())
+        let result = synthesize_sparse(&table, &SynthesisOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
         // Every synthesized machine satisfies the structural invariants.
         seance::validate::verify_hold_property(&result)
@@ -91,7 +115,7 @@ fn default_options_with_reduction_also_synthesize_everything() {
 fn synthesis_scales_through_the_whole_corpus_quickly() {
     let start = std::time::Instant::now();
     for table in benchmarks::all() {
-        synthesize(&table, &table1_options()).expect("synthesis succeeds");
+        synthesize_sparse(&table, &table1_options()).expect("synthesis succeeds");
     }
     // The paper quotes ~4 s per example on a VAXStation 3100; the whole corpus
     // should synthesize well within a minute on any modern machine even in
@@ -108,7 +132,8 @@ fn reduction_then_synthesis_preserves_hazard_protection() {
     // When Step 2 merges states, every remaining multiple-input-change hazard
     // must still be found and held.
     let table = benchmarks::redundant_traffic();
-    let result = synthesize(&table, &SynthesisOptions::default()).expect("synthesis succeeds");
+    let result =
+        synthesize_sparse(&table, &SynthesisOptions::default()).expect("synthesis succeeds");
     assert!(result.reduced_table.num_states() < table.num_states());
     seance::validate::verify_hold_property(&result).expect("hold property");
     let expected_mic = result.reduced_table.multiple_input_change_transitions();

@@ -12,8 +12,8 @@
 use fantom_bench::heap_sim::{HeapDelayStyle, HeapSimulator};
 use fantom_flow::benchmarks;
 use fantom_sim::{DelayModel, DelayStyle, NetId, Netlist, Simulator};
-use seance::emit::{emit, FantomNetlist};
-use seance::{synthesize, SynthesisOptions};
+use seance::emit::{emit_parts, FantomNetlist, MachineParts};
+use seance::{synthesize_sparse, SynthesisOptions};
 
 fn machines() -> Vec<(String, FantomNetlist)> {
     benchmarks::all()
@@ -23,10 +23,13 @@ fn machines() -> Vec<(String, FantomNetlist)> {
                 minimize_states: false,
                 ..SynthesisOptions::default()
             };
-            let result = synthesize(table, &options).expect("corpus synthesizes");
+            let result = synthesize_sparse(table, &options).expect("corpus synthesizes");
             (
                 table.name().to_string(),
-                emit(&result, seance::emit::DEFAULT_LOOP_STAGES),
+                emit_parts(
+                    &MachineParts::from(&result),
+                    seance::emit::DEFAULT_LOOP_STAGES,
+                ),
             )
         })
         .collect()

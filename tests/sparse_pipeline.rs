@@ -1,16 +1,16 @@
-//! Integration tests for the sparse cover-based synthesis pipeline and the
-//! bounded Step-2 reduction of the large benchmark machines.
+//! Integration tests for the cover-based synthesis pipeline and the bounded
+//! Step-2 reduction of the large benchmark machines.
 //!
 //! Since the packed, budgeted Step-3 engine landed, the unreduced 40-state
 //! Tracey assignments cost milliseconds instead of ~25 s in debug builds, so
 //! the whole large suite — reduced *and* unreduced — runs in tier-1 with no
 //! `#[ignore]` gating. A side effect of the shorter codes it finds: the
-//! machines' `(x, y)` spaces shrank enough that even the dense pipeline can
-//! synthesize them unreduced, which the differential test below exploits.
+//! machines' `(x, y)` spaces shrank enough that the dense oracle builders
+//! can tabulate them unreduced, which the differential test below exploits.
 
 use fantom_assign::AssignmentOptions;
 use fantom_flow::benchmarks;
-use seance::{synthesize, synthesize_sparse, SynthesisError, SynthesisOptions};
+use seance::{fsv, synthesize_sparse, SynthesisError, SynthesisOptions};
 
 /// The PR 2 shape of the large-machine run: Step 2 disabled, so the machines
 /// keep their full 40-state-class flow tables.
@@ -118,59 +118,31 @@ fn oversized_assignments_are_rejected() {
 }
 
 /// The packed Step-3 engine finds codes short enough that chain40 fits the
-/// *dense* pipeline even unreduced — so the two engines can be pinned against
-/// each other on a 40-state machine, far beyond the small corpus the
-/// differential tests used to be limited to.
+/// dense oracle even unreduced — so every cover can be pinned against the
+/// minterm-wise functions on a 40-state machine, far beyond the small corpus
+/// the differential tests used to be limited to.
 #[test]
 fn dense_and_sparse_agree_on_unreduced_chain40() {
     let table = benchmarks::chain40();
-    // Skip the all-primes fsv expansion: the dense Quine–McCluskey pass over
-    // the doubled 2^15 space costs ~20 s in debug builds and the differential
-    // below compares functions against covers either way.
-    let options = SynthesisOptions {
-        fsv_all_primes: false,
-        ..unreduced_options()
-    };
-    let dense = synthesize(&table, &options).expect("dense chain40 fits since the packed engine");
-    let sparse = synthesize_sparse(&table, &options).expect("sparse chain40");
+    let r = synthesize_sparse(&table, &unreduced_options()).expect("chain40 synthesizes");
+    assert!(r.spec.num_vars_extended() <= fantom_boolean::MAX_DENSE_VARS);
+    let fsv_function = fsv::fsv_function(&r.spec, &r.hazards).expect("fsv oracle");
     assert!(
-        dense
-            .equations
-            .fsv_function
-            .implemented_by(&sparse.factored.fsv_cover),
-        "sparse fsv cover"
+        fsv_function.implemented_by(&r.factored.fsv_cover),
+        "fsv cover"
     );
-    assert_eq!(
-        dense.equations.y_functions.len(),
-        sparse.factored.y_covers.len(),
-        "Y function counts"
-    );
-    for (f, c) in dense
-        .equations
-        .y_functions
-        .iter()
-        .zip(&sparse.factored.y_covers)
-    {
-        assert!(f.implemented_by(c), "sparse Y cover");
+    let y = fsv::y_functions(&r.spec, &r.hazards).expect("Y oracle");
+    assert_eq!(y.len(), r.factored.y_covers.len(), "Y function counts");
+    for (f, c) in y.iter().zip(&r.factored.y_covers) {
+        assert!(f.implemented_by(c), "Y cover");
     }
-    assert_eq!(
-        dense.outputs.z_functions.len(),
-        sparse.outputs.z_covers.len(),
-        "Z function counts"
-    );
-    for (f, c) in dense
-        .outputs
-        .z_functions
-        .iter()
-        .zip(&sparse.outputs.z_covers)
-    {
-        assert!(f.implemented_by(c), "sparse Z cover");
+    let z = r.spec.output_functions().expect("Z oracle");
+    assert_eq!(z.len(), r.outputs.z_covers.len(), "Z function counts");
+    for (f, c) in z.iter().zip(&r.outputs.z_covers) {
+        assert!(f.implemented_by(c), "Z cover");
     }
-    assert_eq!(
-        dense.hazards.hazard_state_count(),
-        sparse.hazards.hazard_state_count(),
-        "hazard counts"
-    );
+    let ssd = r.spec.ssd_function().expect("SSD oracle");
+    assert!(ssd.implemented_by(&r.outputs.ssd_cover), "SSD cover");
 }
 
 #[test]
