@@ -203,9 +203,16 @@ pub fn check_table(table: &FlowTable, campaign_assignments: usize) -> Result<Cas
     Ok(CaseOutcome { differential })
 }
 
-/// Hold the factored `fsv`/`Y` covers and the `Z`/`SSD` covers against the
-/// functions the minterm-wise builders tabulate.
-fn check_against_oracle(r: &SparseSynthesisResult) -> Result<(), String> {
+/// Hold the factored `fsv`/`Y` covers and the `Z`/`SSD` covers of `r`
+/// against the functions the minterm-wise builders tabulate for the same
+/// specified table. The builders are dense, so `r` must have at most
+/// [`MAX_DENSE_VARS`] extended variables.
+///
+/// # Errors
+///
+/// Returns a description of the first cover that does not implement its
+/// oracle function, or of an oracle builder that failed.
+pub fn check_against_oracle(r: &SparseSynthesisResult) -> Result<(), String> {
     let oracle = |e: SynthesisError| format!("oracle builder failed: {e}");
     let fsv = fsv::fsv_function(&r.spec, &r.hazards).map_err(oracle)?;
     check_covers(

@@ -13,8 +13,9 @@
 //! Dense `2^n` truth tables survive only as the test oracle: the minterm-wise
 //! builders ([`SpecifiedTable::next_state_functions`],
 //! [`SpecifiedTable::output_functions`], [`SpecifiedTable::ssd_function`],
-//! [`fsv::fsv_function`] and [`fsv::y_functions`]) against which the tests and
-//! the fuzzer check every cover with `implemented_by`.
+//! [`fsv::fsv_function`] and [`fsv::y_functions`]) against which
+//! [`crate::fuzz::check_against_oracle`] checks every cover with
+//! `implemented_by`, for the tests and the fuzzer alike.
 
 use std::fmt::Write as _;
 
@@ -441,20 +442,8 @@ mod tests {
         // builders tabulate for the same specified table.
         for table in benchmarks::paper_suite() {
             let r = synthesize_sparse(&table, &SynthesisOptions::default()).unwrap();
-            let name = table.name();
-            let fsv = fsv::fsv_function(&r.spec, &r.hazards).unwrap();
-            assert!(fsv.implemented_by(&r.factored.fsv_cover), "{name}: fsv");
-            let y = fsv::y_functions(&r.spec, &r.hazards).unwrap();
-            assert_eq!(y.len(), r.factored.y_covers.len(), "{name}");
-            for (f, c) in y.iter().zip(&r.factored.y_covers) {
-                assert!(f.implemented_by(c), "{name}: Y cover");
-            }
-            let z = r.spec.output_functions().unwrap();
-            for (f, c) in z.iter().zip(&r.outputs.z_covers) {
-                assert!(f.implemented_by(c), "{name}: Z cover");
-            }
-            let ssd = r.spec.ssd_function().unwrap();
-            assert!(ssd.implemented_by(&r.outputs.ssd_cover), "{name}: SSD");
+            crate::fuzz::check_against_oracle(&r)
+                .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
         }
     }
 }

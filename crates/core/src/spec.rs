@@ -121,20 +121,6 @@ impl SpecifiedTable {
         (column, code)
     }
 
-    /// Variable names `x1..xj, y1..yn` for rendering equations over `(x, y)`.
-    pub fn var_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = (1..=self.num_inputs()).map(|i| format!("x{i}")).collect();
-        names.extend((1..=self.num_state_vars()).map(|i| format!("y{i}")));
-        names
-    }
-
-    /// Variable names including `fsv` for the extended space.
-    pub fn var_names_extended(&self) -> Vec<String> {
-        let mut names = self.var_names();
-        names.push("fsv".to_string());
-        names
-    }
-
     /// The stable-state transitions of the underlying table.
     pub fn stable_transitions(&self) -> Vec<StableTransition> {
         self.table.stable_transitions()

@@ -10,7 +10,8 @@
 
 use fantom_assign::AssignmentOptions;
 use fantom_flow::benchmarks;
-use seance::{fsv, synthesize_sparse, SynthesisError, SynthesisOptions};
+use seance::fuzz::check_against_oracle;
+use seance::{synthesize_sparse, SynthesisError, SynthesisOptions};
 
 /// The PR 2 shape of the large-machine run: Step 2 disabled, so the machines
 /// keep their full 40-state-class flow tables.
@@ -126,23 +127,7 @@ fn dense_and_sparse_agree_on_unreduced_chain40() {
     let table = benchmarks::chain40();
     let r = synthesize_sparse(&table, &unreduced_options()).expect("chain40 synthesizes");
     assert!(r.spec.num_vars_extended() <= fantom_boolean::MAX_DENSE_VARS);
-    let fsv_function = fsv::fsv_function(&r.spec, &r.hazards).expect("fsv oracle");
-    assert!(
-        fsv_function.implemented_by(&r.factored.fsv_cover),
-        "fsv cover"
-    );
-    let y = fsv::y_functions(&r.spec, &r.hazards).expect("Y oracle");
-    assert_eq!(y.len(), r.factored.y_covers.len(), "Y function counts");
-    for (f, c) in y.iter().zip(&r.factored.y_covers) {
-        assert!(f.implemented_by(c), "Y cover");
-    }
-    let z = r.spec.output_functions().expect("Z oracle");
-    assert_eq!(z.len(), r.outputs.z_covers.len(), "Z function counts");
-    for (f, c) in z.iter().zip(&r.outputs.z_covers) {
-        assert!(f.implemented_by(c), "Z cover");
-    }
-    let ssd = r.spec.ssd_function().expect("SSD oracle");
-    assert!(ssd.implemented_by(&r.outputs.ssd_cover), "SSD cover");
+    check_against_oracle(&r).unwrap_or_else(|e| panic!("chain40: {e}"));
 }
 
 #[test]
