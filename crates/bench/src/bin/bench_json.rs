@@ -58,12 +58,20 @@
 //!     identical candidate pools — equality is asserted on every run — plus
 //!     assignment-only time and code width over the item-10 generated grid
 //!     (`assign.s{states}.d{density}.{ms,vars}`).
+//! 13. Step 6 alone: `fsv::generate_covers` (the `fsv`/`Y` minimization and
+//!     its exact covering solve) on each checked-in `benchmarks/` grid file,
+//!     unreduced with the bounded assignment, as the least of 3 runs
+//!     (`step6.s{states}.d{density}.ms`).
 //!
 //! Usage:
 //!
 //! ```text
 //! bench_json [OUT.json] [--baseline BASELINE.json]
 //! ```
+//!
+//! `OUT.json` defaults to `BENCH.json`. An output named `BENCH_pr<N>.json`
+//! (the convention for checked-in trajectory points) is stamped with
+//! `"pr": N`.
 //!
 //! With `--baseline`, every `*_ns` / `*_ms` metric present in both files is
 //! compared; the process exits non-zero if any current value exceeds the
@@ -796,6 +804,40 @@ fn factoring_metrics(out: &mut BTreeMap<String, f64>) {
     }
 }
 
+/// Step 6 on the checked-in grid files (`benchmarks/gen_s*_d*.kiss`),
+/// unreduced and assigned with the bounded budgets: the least of 3 runs of
+/// `fsv::generate_covers`, with assignment, spec and hazard analysis outside
+/// the timed region. Keys carry the grid coordinates (`step6.s26.d25.ms`).
+fn step6_metrics(out: &mut BTreeMap<String, f64>) {
+    use fantom_assign::{assign_with_options, AssignmentOptions};
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+    let bounded = AssignmentOptions::bounded();
+    for &states in &[10usize, 18, 26] {
+        for &dc in &[25u32, 50, 75] {
+            let path = dir.join(format!(
+                "gen_s{states}_i2_o1_d{dc}_f2_c3_m1_r0_x5eedf10c.kiss"
+            ));
+            let table = benchmarks::import_kiss_file(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let assignment = assign_with_options(&table, &bounded);
+            let spec = seance::SpecifiedTable::new(table, assignment).expect("spec builds");
+            let hazards = seance::hazard::analyze(&spec);
+            let ms = (0..3)
+                .map(|_| {
+                    time_ms_once(|| {
+                        let equations =
+                            seance::fsv::generate_covers(&spec, &hazards).expect("Step 6 succeeds");
+                        equations.y_covers.len()
+                    })
+                    .0
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!("  step6 s{states:<3} d{dc:<3} {ms:>9.3} ms");
+            out.insert(format!("step6.s{states}.d{dc}.ms"), ms);
+        }
+    }
+}
+
 /// Step-2 reduction metrics: bounded reduction on the large suite (the
 /// pivoted, capped Bron–Kerbosch engine) and the exact reducer over the
 /// small corpus.
@@ -1143,7 +1185,7 @@ fn regressions(current: &BTreeMap<String, f64>, baseline: &BTreeMap<String, f64>
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_pr10.json".to_string();
+    let mut out_path = "BENCH.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -1157,7 +1199,12 @@ fn main() {
     }
 
     let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
-    metrics.insert("pr".to_string(), 10.0);
+    let revision = std::path::Path::new(&out_path)
+        .file_stem()
+        .and_then(|stem| stem.to_str()?.strip_prefix("BENCH_pr")?.parse::<f64>().ok());
+    if let Some(revision) = revision {
+        metrics.insert("pr".to_string(), revision);
+    }
 
     println!("cube-kernel micro benchmarks ({PAIRS} pairs, {NUM_VARS} vars):");
     micro_metrics(&mut metrics);
@@ -1171,6 +1218,8 @@ fn main() {
     assignment_metrics(&mut metrics);
     println!("\nindexed assignment engine vs scalar references:");
     assign_index_metrics(&mut metrics);
+    println!("\nfsv and Y minimization (Step 6):");
+    step6_metrics(&mut metrics);
     println!("\nhazard factoring (Step 7):");
     factoring_metrics(&mut metrics);
     println!("\nend-to-end synthesis:");

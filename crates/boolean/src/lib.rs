@@ -9,7 +9,8 @@
 //!   minimization ([`CoverFunction::minimize`]) that never enumerate the
 //!   `2^n` space,
 //! * [`petrick`] — the cover-based covering table behind that minimization
-//!   (exact Petrick expansion with a greedy fallback),
+//!   (exact selection by a bitset branch and bound that keeps Petrick's
+//!   tie order, with a greedy fallback past its node budget),
 //! * [`Function`] and [`quine`] — dense truth tables and Quine–McCluskey
 //!   tabulation, kept as the exhaustive test oracle for the cube algorithms
 //!   on spaces of at most [`MAX_DENSE_VARS`] variables,
