@@ -69,9 +69,7 @@
 //! bench_json [OUT.json] [--baseline BASELINE.json]
 //! ```
 //!
-//! `OUT.json` defaults to `BENCH.json`. An output named `BENCH_pr<N>.json`
-//! (the convention for checked-in trajectory points) is stamped with
-//! `"pr": N`.
+//! `OUT.json` defaults to `BENCH.json`.
 //!
 //! With `--baseline`, every `*_ns` / `*_ms` metric present in both files is
 //! compared; the process exits non-zero if any current value exceeds the
@@ -1199,12 +1197,6 @@ fn main() {
     }
 
     let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
-    let revision = std::path::Path::new(&out_path)
-        .file_stem()
-        .and_then(|stem| stem.to_str()?.strip_prefix("BENCH_pr")?.parse::<f64>().ok());
-    if let Some(revision) = revision {
-        metrics.insert("pr".to_string(), revision);
-    }
 
     println!("cube-kernel micro benchmarks ({PAIRS} pairs, {NUM_VARS} vars):");
     micro_metrics(&mut metrics);

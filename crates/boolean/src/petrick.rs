@@ -140,12 +140,15 @@ fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budget: u64) ->
     if residual.is_empty() {
         return build_cover(n, primes, &selected);
     }
-    let mut candidates: Vec<usize> = residual.iter().flat_map(|c| c.iter().copied()).collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-
+    let candidates = candidate_ids(&residual);
     let exact = if candidates.len() * residual.len() <= PETRICK_EXACT_LIMIT {
-        branch_and_bound(&residual, |i| primes[i].literal_count(), node_budget).0
+        branch_and_bound(
+            &residual,
+            &candidates,
+            |i| primes[i].literal_count(),
+            node_budget,
+        )
+        .0
     } else {
         None
     };
@@ -161,10 +164,19 @@ struct Step {
     pos: usize,
 }
 
+/// The prime ids occurring in a covering table, sorted and deduplicated.
+fn candidate_ids(rows: &[&Vec<usize>]) -> Vec<usize> {
+    let mut ids: Vec<usize> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// Exact minimum cover of a residual covering table (`rows[r]` lists the ids
-/// of the primes covering row `r`, in increasing order), under a node budget.
-/// Returns the selected prime ids — `None` if the budget ran out first — and
-/// the number of search nodes visited.
+/// of the primes covering row `r`, in increasing order; `ids` is
+/// [`candidate_ids`] of the table), under a node budget. Returns the selected
+/// prime ids — `None` if the budget ran out first — and the number of search
+/// nodes visited.
 ///
 /// The search branches on the first uncovered row over its covering primes in
 /// order — the order in which Petrick's expansion multiplies in the rows — so
@@ -175,12 +187,10 @@ struct Step {
 /// wherever the expansion finishes, the selection is exactly its selection.
 fn branch_and_bound(
     rows: &[&Vec<usize>],
+    ids: &[usize],
     cost: impl Fn(usize) -> usize,
     node_budget: u64,
 ) -> (Option<Vec<usize>>, u64) {
-    let mut ids: Vec<usize> = rows.iter().flat_map(|r| r.iter().copied()).collect();
-    ids.sort_unstable();
-    ids.dedup();
     // Dense candidate ids keep each covering list's order.
     let table: Vec<Vec<usize>> = rows
         .iter()
@@ -487,7 +497,8 @@ mod tests {
     /// [`branch_and_bound`] over an owned table, selection sorted.
     fn solve(table: &[Vec<usize>], lits: &[usize], node_budget: u64) -> (Option<Vec<usize>>, u64) {
         let rows: Vec<&Vec<usize>> = table.iter().collect();
-        let (mut selection, nodes) = branch_and_bound(&rows, |i| lits[i], node_budget);
+        let ids = candidate_ids(&rows);
+        let (mut selection, nodes) = branch_and_bound(&rows, &ids, |i| lits[i], node_budget);
         if let Some(selection) = &mut selection {
             selection.sort_unstable();
         }

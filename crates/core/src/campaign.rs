@@ -13,9 +13,11 @@
 //!   a variable whose cover is analytically hazard-free must never glitch on
 //!   a protected transition;
 //! * **a zero-delay differential oracle** — the dirty-flag propagation
-//!   engine of `fantom_sim::campaign` predicts the settled fixpoint, and the
-//!   event-driven simulator must agree wherever the machine's behaviour is
-//!   delay-independent.
+//!   engine of `fantom_sim::campaign` predicts the settled fixpoint, with the
+//!   feedback buffers updated only once the logic has settled (the
+//!   loop-delay assumption the simulator enforces with their long delays),
+//!   and the event-driven simulator must agree wherever the machine's
+//!   behaviour is delay-independent.
 //!
 //! ## Protected vs. unprotected transitions
 //!

@@ -111,6 +111,13 @@ impl DelaySweep {
 ///
 /// Flip-flop `q` nets have no combinational driver and are simply carried at
 /// their loaded values; campaign comparisons exclude them.
+///
+/// Inside a [`Harness`], gates the simulator gives a delay beyond the delay
+/// model's range (the feedback buffers of the loop-delay assumption) are
+/// *slow*: they are evaluated only once every other gate has settled, all
+/// dirty ones together, so a transient next-state value never reaches the
+/// feedback — as in the simulator, where the long inertial loop delay
+/// filters it.
 #[derive(Debug)]
 pub struct ZeroDelayOracle<'a> {
     netlist: &'a Netlist,
@@ -118,18 +125,35 @@ pub struct ZeroDelayOracle<'a> {
     values: Vec<bool>,
     dirty: Vec<bool>,
     queue: VecDeque<u32>,
+    /// Per gate: evaluated only after the other gates settle.
+    slow: Vec<bool>,
+    /// Dirty slow gates, evaluated in the next round.
+    slow_queue: Vec<u32>,
+    /// The round being evaluated, and its pending `(net, value)` updates.
+    slow_round: Vec<u32>,
+    slow_updates: Vec<(usize, bool)>,
     step_bound: usize,
 }
 
 impl<'a> ZeroDelayOracle<'a> {
     /// An oracle over `netlist`, all nets at logic 0.
     pub fn new(netlist: &'a Netlist) -> Self {
+        Self::with_slow_gates(netlist, vec![false; netlist.num_gates()])
+    }
+
+    /// An oracle that evaluates the gates marked in `slow` only once the
+    /// other gates have settled.
+    pub(crate) fn with_slow_gates(netlist: &'a Netlist, slow: Vec<bool>) -> Self {
         ZeroDelayOracle {
             netlist,
             fanout: Fanout::build(netlist),
             values: vec![false; netlist.num_nets()],
             dirty: vec![false; netlist.num_gates()],
             queue: VecDeque::new(),
+            slow,
+            slow_queue: Vec::new(),
+            slow_round: Vec::new(),
+            slow_updates: Vec::new(),
             // A settled circuit re-evaluates each gate O(depth) times; 64
             // rounds of the whole netlist is far beyond any converging run.
             step_bound: netlist.num_gates().max(1) * 64,
@@ -144,6 +168,7 @@ impl<'a> ZeroDelayOracle<'a> {
             *d = false;
         }
         self.queue.clear();
+        self.slow_queue.clear();
     }
 
     /// The oracle's current value of `net`.
@@ -160,11 +185,8 @@ impl<'a> ZeroDelayOracle<'a> {
     /// [`ZeroDelayOracle::settle`] — used to reach a consistent state from
     /// scratch instead of from a loaded simulator snapshot.
     pub fn invalidate_all(&mut self) {
-        for (gi, d) in self.dirty.iter_mut().enumerate() {
-            if !*d {
-                *d = true;
-                self.queue.push_back(gi as u32);
-            }
+        for gi in 0..self.dirty.len() {
+            self.enqueue(gi);
         }
     }
 
@@ -176,18 +198,33 @@ impl<'a> ZeroDelayOracle<'a> {
         }
     }
 
-    fn enqueue_readers(&mut self, net: usize) {
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            let gi = self.fanout.gate_at(k);
-            if !self.dirty[gi] {
-                self.dirty[gi] = true;
+    fn enqueue(&mut self, gi: usize) {
+        if !self.dirty[gi] {
+            self.dirty[gi] = true;
+            if self.slow[gi] {
+                self.slow_queue.push(gi as u32);
+            } else {
                 self.queue.push_back(gi as u32);
             }
         }
     }
 
-    /// Propagate until no gate is dirty.
+    fn enqueue_readers(&mut self, net: usize) {
+        let (start, end) = self.fanout.row_bounds(net);
+        for k in start..end {
+            self.enqueue(self.fanout.gate_at(k));
+        }
+    }
+
+    fn eval(&self, gi: usize) -> bool {
+        let gate = &self.netlist.gates()[gi];
+        gate.kind
+            .eval_iter(gate.inputs.iter().map(|n| self.values[n.0]))
+    }
+
+    /// Propagate until no gate is dirty: settle the fast gates, then let
+    /// every dirty slow gate sample the settled values and update together,
+    /// and repeat.
     ///
     /// # Errors
     ///
@@ -195,24 +232,46 @@ impl<'a> ZeroDelayOracle<'a> {
     /// hit (the logic is unstable at zero delay).
     pub fn settle(&mut self) -> Result<(), NetId> {
         let mut steps = 0usize;
-        while let Some(gi) = self.queue.pop_front() {
-            let gi = gi as usize;
-            self.dirty[gi] = false;
-            let gate = &self.netlist.gates()[gi];
-            let new_val = gate
-                .kind
-                .eval_iter(gate.inputs.iter().map(|n| self.values[n.0]));
-            let out = gate.output.0;
-            if self.values[out] != new_val {
+        loop {
+            while let Some(gi) = self.queue.pop_front() {
+                let gi = gi as usize;
+                self.dirty[gi] = false;
+                let new_val = self.eval(gi);
+                let out = self.netlist.gates()[gi].output.0;
+                if self.values[out] != new_val {
+                    steps += 1;
+                    if steps > self.step_bound {
+                        return Err(NetId(out));
+                    }
+                    self.values[out] = new_val;
+                    self.enqueue_readers(out);
+                }
+            }
+            if self.slow_queue.is_empty() {
+                return Ok(());
+            }
+            std::mem::swap(&mut self.slow_queue, &mut self.slow_round);
+            self.slow_updates.clear();
+            for k in 0..self.slow_round.len() {
+                let gi = self.slow_round[k] as usize;
+                self.dirty[gi] = false;
+                let new_val = self.eval(gi);
+                let out = self.netlist.gates()[gi].output.0;
+                if self.values[out] != new_val {
+                    self.slow_updates.push((out, new_val));
+                }
+            }
+            self.slow_round.clear();
+            for k in 0..self.slow_updates.len() {
+                let (out, new_val) = self.slow_updates[k];
                 steps += 1;
                 if steps > self.step_bound {
-                    return Err(gate.output);
+                    return Err(NetId(out));
                 }
                 self.values[out] = new_val;
                 self.enqueue_readers(out);
             }
         }
-        Ok(())
     }
 }
 
@@ -278,7 +337,8 @@ impl<'a> Harness<'a> {
         for dff in netlist.dffs() {
             dff_q[dff.q.0] = true;
         }
-        let oracle = use_oracle.then(|| ZeroDelayOracle::new(netlist));
+        let oracle =
+            use_oracle.then(|| ZeroDelayOracle::with_slow_gates(netlist, sim.slow_gates()));
         Harness { sim, oracle, dff_q }
     }
 
@@ -412,6 +472,58 @@ mod tests {
         oracle.invalidate_all();
         oracle.set(a, true); // kick the loop
         assert!(oracle.settle().is_err());
+    }
+
+    /// A set latch `Y = p | y` fed by the static-1 hazard `p = a & !a`,
+    /// closed through the feedback buffer `y = Y` (gate 3).
+    fn hazard_fed_latch() -> (Netlist, NetId, NetId) {
+        let mut nl = Netlist::new();
+        let a = nl.add_primary_input("a");
+        let na = nl.add_net("na");
+        let p = nl.add_net("p");
+        let big_y = nl.add_net("Y");
+        let y = nl.add_net("y");
+        // The AND precedes the NOT, so the oracle sees the new `a` with the
+        // old `na` first: a transient `p = 1`.
+        nl.add_gate(GateKind::And, vec![a, na], p);
+        nl.add_gate(GateKind::Not, vec![a], na);
+        nl.add_gate(GateKind::Or, vec![p, y], big_y);
+        nl.add_gate(GateKind::Buf, vec![big_y], y);
+        (nl, a, y)
+    }
+
+    #[test]
+    fn oracle_holds_slow_feedback_until_the_logic_settles() {
+        let (nl, a, y) = hazard_fed_latch();
+        let mut latched = ZeroDelayOracle::new(&nl);
+        let mut held = ZeroDelayOracle::with_slow_gates(&nl, vec![false, false, false, true]);
+        for oracle in [&mut latched, &mut held] {
+            oracle.invalidate_all();
+            oracle.settle().unwrap();
+            assert!(!oracle.value(y));
+            oracle.set(a, true);
+            oracle.settle().unwrap();
+        }
+        // Evaluated as fast as the logic, the feedback latches the transient.
+        assert!(latched.value(y));
+        // Held until the logic settles, it samples the settled `Y = 0`.
+        assert!(!held.value(y));
+    }
+
+    #[test]
+    fn harness_oracle_respects_the_loop_delay() {
+        let (nl, a, y) = hazard_fed_latch();
+        let sim = Simulator::builder(&nl)
+            .delay_model(DelayModel::Fixed(1))
+            .style(DelayStyle::Inertial)
+            .gate_delay(3, 20)
+            .event_budget(1_000)
+            .build();
+        let mut harness = Harness::new(sim, true);
+        harness.init(&[(a, false)]).unwrap();
+        let outcome = harness.step(&[(a, true, 1)]);
+        assert_eq!(outcome.oracle, OracleVerdict::Agreed);
+        assert!(!harness.sim().value(y));
     }
 
     #[test]

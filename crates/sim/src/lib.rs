@@ -26,7 +26,8 @@
 //! * [`campaign`] — Monte-Carlo campaign building blocks: deterministic
 //!   delay sweeps ([`campaign::DelaySweep`]), the zero-delay differential
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
-//!   propagation), and the per-trial [`campaign::Harness`],
+//!   propagation, with the slow feedback gates held until the rest of the
+//!   logic settles), and the per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform utilities (transition counting, glitch
 //!   detection, stability windows).
 //!

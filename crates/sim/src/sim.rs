@@ -324,6 +324,15 @@ impl<'a> Simulator<'a> {
         self.event_budget
     }
 
+    /// Per gate: `true` when its delay exceeds every delay the model draws,
+    /// i.e. a [`SimulatorBuilder::gate_delay`] override for a slow element
+    /// such as a feedback buffer (the loop-delay assumption).
+    pub(crate) fn slow_gates(&self) -> Vec<bool> {
+        // Flip-flops run at the model's largest delay.
+        let model_max = self.dff_delay;
+        self.gate_delays.iter().map(|&d| d > model_max).collect()
+    }
+
     /// Current value of a net.
     ///
     /// # Panics

@@ -1,12 +1,17 @@
 //! Replay of the checked-in fuzz-regression corpus and the external-style
 //! benchmark set through the synthesis pipeline and its dense oracle.
 //!
-//! `tests/fuzz_regressions/` holds the pinned shrunk shapes from fuzz runs
-//! (all-clean so far: each file is a minimal table that still carries a
-//! multiple-input-change transition). Every checked-in KISS2 file — here and
-//! in `benchmarks/` — goes through `seance::fuzz::check_table`: synthesis
-//! under the large-machine options, every cover checked against the dense
-//! oracle functions, and a validation campaign. A bug fixed once stays fixed.
+//! `tests/fuzz_regressions/` holds the pinned shrunk shapes from fuzz runs:
+//! `fuzz_pin_*` are all-clean minimal tables that still carry a
+//! multiple-input-change transition, and `fuzz_<seed>_<case>` are shrunk
+//! reproducers of fixed failures (the two campaigns whose zero-delay oracle
+//! let a transient `Y` through the feedback loop). The KISS2 import numbers
+//! states by first appearance, so a reproducer lists one stable entry per
+//! state first to keep the failing case's state order. Every checked-in
+//! KISS2 file — here and in `benchmarks/` — goes through
+//! `seance::fuzz::check_table`: synthesis under the large-machine options,
+//! every cover checked against the dense oracle functions, and a validation
+//! campaign. A bug fixed once stays fixed.
 
 use std::path::Path;
 
