@@ -240,8 +240,8 @@ pub fn adjacency_seeds(table: &FlowTable) -> Vec<Dichotomy> {
 
 /// [`assign_with_options`] with reusable `scratch` buffers — the batch entry
 /// point: a synthesis `Workspace` carries one [`AssignScratch`] so the
-/// dichotomy index, growth state and selection structures are allocated once
-/// per worker rather than once per machine.
+/// dichotomy index, growth state and candidate pool are allocated once per
+/// worker rather than once per machine.
 pub fn assign_in(
     table: &FlowTable,
     options: &AssignmentOptions,

@@ -14,22 +14,22 @@
 //!   set probes, so a sweep enumerates only the ids still absorbable
 //!   (word-granular), and each candidate's `covers` set falls out of the
 //!   growth itself instead of a full separation rescan per candidate;
-//! * **selection** is an exact minimum-cover search on small candidate sets
-//!   (under a node budget) or a lazy-max greedy cover followed by
-//!   local-search refinement (drop redundant partitions, replace partition
-//!   pairs by a single candidate);
+//! * **selection** runs on the shared [`fantom_boolean::covering`] solver:
+//!   its exact minimum cover on pools of at most 24 candidates, and
+//!   otherwise — or once the exact search spends its node budget — its
+//!   lazy-max greedy cover followed by local-search refinement (drop
+//!   redundant partitions, replace partition pairs by a single candidate);
 //! * any dichotomy the budgets left uncovered receives a dedicated partition
 //!   — so the result always covers every dichotomy, whatever the
 //!   [`AssignmentOptions`].
 //!
-//! All growth and selection buffers live in an [`AssignScratch`], so batch
-//! callers (the synthesis service's `Workspace`) reuse the allocations
-//! across calls.
+//! The growth buffers and the candidate pool live in an [`AssignScratch`],
+//! so batch callers (the synthesis service's `Workspace`) reuse the
+//! allocations across calls.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use fantom_boolean::MintermSet;
+use fantom_boolean::{covering, MintermSet};
 
 use crate::dichotomy::{Dichotomy, StateSet};
 use crate::index::{DichotomyIndex, GrowthScratch};
@@ -89,18 +89,15 @@ impl Partition {
 }
 
 /// Reusable buffers for the assignment engine: the shared dichotomy index,
-/// the per-candidate growth state, dedup set, candidate pool, and the
-/// selection structures (greedy heap, exact-search undo log). A `Workspace`
-/// in the synthesis service holds one of these so a batch of assignments
-/// allocates once.
+/// the per-candidate growth state, the dedup set and the candidate pool. A
+/// `Workspace` in the synthesis service holds one of these so a batch of
+/// assignments allocates once.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
     index: DichotomyIndex,
     growth: GrowthScratch,
     seen: fantom_boolean::collections::HashSet<Dichotomy>,
     candidates: Vec<Partition>,
-    heap: BinaryHeap<(usize, Reverse<usize>)>,
-    undo: Vec<(u32, u64)>,
 }
 
 /// The sequence in which a growing candidate visits the dichotomy list. Each
@@ -340,7 +337,6 @@ fn candidate_partitions_in(
         growth,
         seen,
         candidates,
-        ..
     } = scratch;
     index.rebuild(state_bound, dichotomies);
     seen.clear();
@@ -413,12 +409,12 @@ pub fn select_partitions(dichotomies: &[Dichotomy]) -> Vec<Partition> {
 
 /// Select a covering set of partitions under the budgets of `options`.
 ///
-/// Small candidate sets get an exact minimum-cover search (bounded by
-/// `exact_node_budget`); everything else — and exact searches that blow the
-/// budget — goes through the lazy-max greedy cover plus `refine_passes`
-/// rounds of local search. Dichotomies the budgets left uncovered each
-/// receive their own dedicated partition, so the result always covers the
-/// whole list.
+/// Candidate pools of at most 24 partitions get an exact minimum cover from
+/// [`covering::minimum_cover`]; larger pools — and exact searches that spend
+/// its node budget — go through [`covering::greedy_cover`] plus
+/// `refine_passes` rounds of local search. Dichotomies the budgets left
+/// uncovered each receive their own dedicated partition, so the result
+/// always covers the whole list.
 pub fn select_partitions_with(
     dichotomies: &[Dichotomy],
     options: &AssignmentOptions,
@@ -434,38 +430,42 @@ pub fn select_partitions_in(
     options: &AssignmentOptions,
     scratch: &mut AssignScratch,
 ) -> Vec<Partition> {
+    select_partitions_limited(dichotomies, seeds, options, scratch, EXACT_MAX_CANDIDATES)
+}
+
+/// Candidate pools up to this size get the exact minimum-cover search.
+const EXACT_MAX_CANDIDATES: usize = 24;
+
+/// [`select_partitions_in`] with the exact search's pool-size limit as a
+/// parameter.
+pub(crate) fn select_partitions_limited(
+    dichotomies: &[Dichotomy],
+    seeds: &[Dichotomy],
+    options: &AssignmentOptions,
+    scratch: &mut AssignScratch,
+    exact_limit: usize,
+) -> Vec<Partition> {
     if dichotomies.is_empty() {
         return Vec::new();
     }
     candidate_partitions_in(dichotomies, seeds, options, scratch);
     let num = dichotomies.len();
     let candidates = &scratch.candidates;
+    let covers: Vec<&MintermSet> = candidates.iter().map(Partition::covers).collect();
 
-    let mut best: Option<Vec<usize>> = None;
-    if candidates.len() <= options.exact_max_candidates {
-        scratch.undo.clear();
-        best = exact_cover(
-            candidates,
-            num,
-            options.exact_node_budget,
-            &mut scratch.undo,
-        );
-    }
-    if best.is_none() {
-        let greedy_pick = greedy_cover_by(
-            |i| &candidates[i].covers,
-            candidates.len(),
-            num,
-            &mut scratch.heap,
-        );
-        best = Some(refine_cover(
-            greedy_pick,
+    let exact = if candidates.len() <= exact_limit {
+        exact_cover(&covers, num)
+    } else {
+        None
+    };
+    let chosen = exact.unwrap_or_else(|| {
+        refine_cover(
+            covering::greedy_cover(&covers, num),
             candidates,
             num,
             options.refine_passes,
-        ));
-    }
-    let chosen = best.expect("some selection path ran");
+        )
+    });
 
     let mut selected: Vec<Partition> = chosen.iter().map(|&i| candidates[i].clone()).collect();
 
@@ -485,152 +485,25 @@ pub fn select_partitions_in(
     selected
 }
 
-/// Exact minimum cover over the candidate set: try sizes `1..` and return the
-/// first size that admits a cover. Returns `None` when the node budget is
-/// exhausted before an answer is certain.
-fn exact_cover(
-    candidates: &[Partition],
-    num: usize,
-    node_budget: u64,
-    undo: &mut Vec<(u32, u64)>,
-) -> Option<Vec<usize>> {
-    // Big candidates first: covers are found earlier and the size bound
-    // prunes harder.
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(candidates[i].covers.len()));
-    let mut nodes = 0u64;
-    for k in 1..=candidates.len() {
-        let mut uncovered = MintermSet::from_minterms(num as u64, 0..num as u64);
-        let mut chosen = Vec::new();
-        match exact_rec(
-            candidates,
-            &order,
-            k,
-            0,
-            &mut uncovered,
-            &mut chosen,
-            undo,
-            &mut nodes,
-            node_budget,
-        ) {
-            ExactOutcome::Found(sol) => return Some(sol),
-            ExactOutcome::Exhausted => continue,
-            ExactOutcome::OutOfBudget => return None,
-        }
-    }
-    None
-}
-
-enum ExactOutcome {
-    Found(Vec<usize>),
-    Exhausted,
-    OutOfBudget,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exact_rec(
-    candidates: &[Partition],
-    order: &[usize],
-    k: usize,
-    start: usize,
-    uncovered: &mut MintermSet,
-    chosen: &mut Vec<usize>,
-    undo: &mut Vec<(u32, u64)>,
-    nodes: &mut u64,
-    node_budget: u64,
-) -> ExactOutcome {
-    *nodes += 1;
-    if *nodes > node_budget {
-        return ExactOutcome::OutOfBudget;
-    }
-    if uncovered.is_empty() {
-        return ExactOutcome::Found(chosen.clone());
-    }
-    if chosen.len() == k {
-        return ExactOutcome::Exhausted;
-    }
-    let picks_left = k - chosen.len();
-    for pos in start..candidates.len() {
-        // Not enough candidates left to reach size k.
-        if candidates.len() - pos < picks_left {
-            break;
-        }
-        let cand = order[pos];
-        if candidates[cand].covers.intersection_count(uncovered) == 0 {
-            continue;
-        }
-        // Mutate in place with a word-level undo record: the search explores
-        // up to `node_budget` nodes, so per-node set clones would be pure
-        // allocator traffic.
-        let undo_mark = undo.len();
-        uncovered.subtract_with_undo(&candidates[cand].covers, undo);
-        chosen.push(cand);
-        let outcome = exact_rec(
-            candidates,
-            order,
-            k,
-            pos + 1,
-            uncovered,
-            chosen,
-            undo,
-            nodes,
-            node_budget,
-        );
-        match outcome {
-            ExactOutcome::Exhausted => {}
-            other => return other,
-        }
-        chosen.pop();
-        uncovered.undo_subtract(&undo[undo_mark..]);
-        undo.truncate(undo_mark);
-    }
-    ExactOutcome::Exhausted
-}
-
-/// Greedy set cover over explicit coverage sets: repeatedly take the set
-/// covering the most still-uncovered dichotomies, ties to the earlier index.
-/// Public for the differential harness; selection calls the same
-/// implementation with its scratch heap.
-pub fn greedy_cover_sets(covers: &[MintermSet], num: usize) -> Vec<usize> {
-    greedy_cover_by(|i| &covers[i], covers.len(), num, &mut BinaryHeap::new())
-}
-
-/// Lazy-max greedy cover. The heap holds `(gain upper bound, Reverse(index))`
-/// keys; coverage gains only shrink as dichotomies get covered, so a popped
-/// entry wins outright if its *recomputed* gain still beats every remaining
-/// upper bound, and re-enters with the fresh key otherwise. Picks — including
-/// the smaller-index tie-break — are exactly those of the rescan-per-pick
-/// loop this replaces, without the full candidate scan per selection.
-fn greedy_cover_by<'a>(
-    cover: impl Fn(usize) -> &'a MintermSet,
-    n_candidates: usize,
-    num: usize,
-    heap: &mut BinaryHeap<(usize, Reverse<usize>)>,
-) -> Vec<usize> {
-    let mut uncovered = MintermSet::from_minterms(num as u64, 0..num as u64);
-    let mut chosen: Vec<usize> = Vec::new();
-    heap.clear();
-    heap.extend((0..n_candidates).filter_map(|i| {
-        let len = cover(i).len();
-        (len > 0).then_some((len, Reverse(i)))
-    }));
-    while let Some((gain, Reverse(i))) = heap.pop() {
-        if uncovered.is_empty() {
-            break;
-        }
-        let fresh = cover(i).intersection_count(&uncovered);
-        if fresh == 0 {
-            continue;
-        }
-        if fresh == gain || heap.peek().map_or(true, |&top| (fresh, Reverse(i)) >= top) {
-            uncovered.subtract(cover(i));
-            chosen.push(i);
-        } else {
-            heap.push((fresh, Reverse(i)));
-        }
-    }
-    heap.clear();
-    chosen
+/// Exact minimum cover of the `num` dichotomies by the candidates' coverage
+/// sets, or `None` if there is none or the search spends its node budget.
+///
+/// The pool goes to the solver largest coverage first (a stable sort), and
+/// position `p` of `n ≤ 24` costs `2^n − 2^(n−1−p)`. The solver takes the
+/// fewest candidates first; among covers of that size the cost falls as the
+/// sum of `2^(n−1−p)` rises, so the cheapest is the one whose sorted
+/// positions come first lexicographically — the cover a size-by-size search
+/// over the sorted pool finds first. No two covers cost the same, so the
+/// solver's tie order never applies. The selection comes back as candidate
+/// indices in ascending position order.
+fn exact_cover(covers: &[&MintermSet], num: usize) -> Option<Vec<usize>> {
+    let mut order: Vec<usize> = (0..covers.len()).collect();
+    order.sort_by_key(|&i| Reverse(covers[i].len()));
+    let sorted: Vec<&MintermSet> = order.iter().map(|&i| covers[i]).collect();
+    let n = sorted.len();
+    let mut picked = covering::minimum_cover(&sorted, num, |p| (1 << n) - (1 << (n - 1 - p)))?;
+    picked.sort_unstable();
+    Some(picked.into_iter().map(|p| order[p]).collect())
 }
 
 /// Local-search refinement of a cover: drop partitions that no longer cover
@@ -723,6 +596,7 @@ mod tests {
     use super::*;
     use crate::dichotomy::required_dichotomies;
     use fantom_flow::{benchmarks, StateId};
+    use proptest::prelude::*;
 
     fn check_all_covered(dichotomies: &[Dichotomy], partitions: &[Partition]) {
         for (i, d) in dichotomies.iter().enumerate() {
@@ -740,19 +614,22 @@ mod tests {
         }
     }
 
+    /// Selection with the exact search switched off.
+    fn select_greedily(dichotomies: &[Dichotomy], options: &AssignmentOptions) -> Vec<Partition> {
+        select_partitions_limited(dichotomies, &[], options, &mut AssignScratch::default(), 0)
+    }
+
     #[test]
     fn every_budget_still_covers_everything() {
         let brutal = AssignmentOptions {
             max_candidate_partitions: 1,
             seed_orderings: 1,
             refine_passes: 0,
-            exact_max_candidates: 0,
-            exact_node_budget: 0,
             adjacency_seeding: false,
         };
         for table in benchmarks::all() {
             let dichotomies = required_dichotomies(&table);
-            let partitions = select_partitions_with(&dichotomies, &brutal);
+            let partitions = select_greedily(&dichotomies, &brutal);
             check_all_covered(&dichotomies, &partitions);
         }
     }
@@ -779,17 +656,12 @@ mod tests {
     fn refinement_never_grows_the_greedy_cover() {
         for table in benchmarks::all() {
             let dichotomies = required_dichotomies(&table);
-            let no_exact = AssignmentOptions {
-                exact_max_candidates: 0,
+            let no_refinement = AssignmentOptions {
                 refine_passes: 0,
                 ..AssignmentOptions::default()
             };
-            let refined_opts = AssignmentOptions {
-                exact_max_candidates: 0,
-                ..AssignmentOptions::default()
-            };
-            let unrefined = select_partitions_with(&dichotomies, &no_exact);
-            let refined = select_partitions_with(&dichotomies, &refined_opts);
+            let unrefined = select_greedily(&dichotomies, &no_refinement);
+            let refined = select_greedily(&dichotomies, &AssignmentOptions::default());
             assert!(
                 refined.len() <= unrefined.len(),
                 "{}: refinement grew the cover {} -> {}",
@@ -874,39 +746,191 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lazy_greedy_matches_rescan_reference() {
-        for table in benchmarks::all() {
-            let dichotomies = required_dichotomies(&table);
-            let mut scratch = AssignScratch::default();
-            let options = AssignmentOptions::default();
-            let covers: Vec<MintermSet> =
-                grow_candidates(&dichotomies, &[], &options, &mut scratch)
-                    .iter()
-                    .map(|p| p.covers().clone())
-                    .collect();
-            let num = dichotomies.len();
-            // Rescan-per-pick oracle, verbatim from the replaced loop.
+    /// Step 3's exact search before the shared solver, verbatim but for
+    /// taking the pool's coverage sets: try sizes `1..` over the pool sorted
+    /// largest coverage first and return the first cover found. `None` when
+    /// the node budget is exhausted before an answer is certain.
+    fn reference_exact_cover(
+        covers: &[&MintermSet],
+        num: usize,
+        node_budget: u64,
+        undo: &mut Vec<(u32, u64)>,
+    ) -> Option<Vec<usize>> {
+        // Big candidates first: covers are found earlier and the size bound
+        // prunes harder.
+        let mut order: Vec<usize> = (0..covers.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(covers[i].len()));
+        let mut nodes = 0u64;
+        for k in 1..=covers.len() {
             let mut uncovered = MintermSet::from_minterms(num as u64, 0..num as u64);
-            let mut expected: Vec<usize> = Vec::new();
-            while !uncovered.is_empty() {
-                let mut best: Option<(usize, usize)> = None;
-                for (i, c) in covers.iter().enumerate() {
-                    let gain = c.intersection_count(&uncovered);
-                    if gain > 0 && best.map_or(true, |(_, g)| gain > g) {
-                        best = Some((i, gain));
+            let mut chosen = Vec::new();
+            match exact_rec(
+                covers,
+                &order,
+                k,
+                0,
+                &mut uncovered,
+                &mut chosen,
+                undo,
+                &mut nodes,
+                node_budget,
+            ) {
+                ExactOutcome::Found(sol) => return Some(sol),
+                ExactOutcome::Exhausted => continue,
+                ExactOutcome::OutOfBudget => return None,
+            }
+        }
+        None
+    }
+
+    enum ExactOutcome {
+        Found(Vec<usize>),
+        Exhausted,
+        OutOfBudget,
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn exact_rec(
+        covers: &[&MintermSet],
+        order: &[usize],
+        k: usize,
+        start: usize,
+        uncovered: &mut MintermSet,
+        chosen: &mut Vec<usize>,
+        undo: &mut Vec<(u32, u64)>,
+        nodes: &mut u64,
+        node_budget: u64,
+    ) -> ExactOutcome {
+        *nodes += 1;
+        if *nodes > node_budget {
+            return ExactOutcome::OutOfBudget;
+        }
+        if uncovered.is_empty() {
+            return ExactOutcome::Found(chosen.clone());
+        }
+        if chosen.len() == k {
+            return ExactOutcome::Exhausted;
+        }
+        let picks_left = k - chosen.len();
+        for pos in start..covers.len() {
+            // Not enough candidates left to reach size k.
+            if covers.len() - pos < picks_left {
+                break;
+            }
+            let cand = order[pos];
+            if covers[cand].intersection_count(uncovered) == 0 {
+                continue;
+            }
+            // Mutate in place with a word-level undo record: the search explores
+            // up to `node_budget` nodes, so per-node set clones would be pure
+            // allocator traffic.
+            let undo_mark = undo.len();
+            uncovered.subtract_with_undo(covers[cand], undo);
+            chosen.push(cand);
+            let outcome = exact_rec(
+                covers,
+                order,
+                k,
+                pos + 1,
+                uncovered,
+                chosen,
+                undo,
+                nodes,
+                node_budget,
+            );
+            match outcome {
+                ExactOutcome::Exhausted => {}
+                other => return other,
+            }
+            chosen.pop();
+            uncovered.undo_subtract(&undo[undo_mark..]);
+            undo.truncate(undo_mark);
+        }
+        ExactOutcome::Exhausted
+    }
+
+    /// The budget each preset gave the reference search.
+    const DEFAULT_BUDGET: u64 = 5_000_000;
+    const BOUNDED_BUDGET: u64 = 1_000_000;
+
+    #[test]
+    fn exact_cover_matches_the_size_by_size_reference_on_corpus_pools() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+        let mut tables = benchmarks::all();
+        tables.extend(benchmarks::large_suite());
+        tables.extend(benchmarks::import_kiss_dir(&dir).expect("grid files import"));
+        let mut scratch = AssignScratch::default();
+        let mut undo = Vec::new();
+        let mut compared = 0;
+        for (options, budget) in [
+            (AssignmentOptions::default(), DEFAULT_BUDGET),
+            (AssignmentOptions::bounded(), BOUNDED_BUDGET),
+        ] {
+            // Growth stops at the cap, so a pool that stays under it is the
+            // preset's whole pool; only those reach the exact search.
+            let capped = AssignmentOptions {
+                max_candidate_partitions: EXACT_MAX_CANDIDATES + 1,
+                ..options
+            };
+            for table in &tables {
+                let dichotomies = required_dichotomies(table);
+                let seeds = crate::adjacency_seeds(table);
+                let pool = grow_candidates(&dichotomies, &seeds, &capped, &mut scratch);
+                if pool.len() > EXACT_MAX_CANDIDATES {
+                    continue;
+                }
+                let covers: Vec<&MintermSet> = pool.iter().map(Partition::covers).collect();
+                let num = dichotomies.len();
+                let expected = reference_exact_cover(&covers, num, budget, &mut undo);
+                assert!(expected.is_some(), "{}: reference gave up", table.name());
+                assert_eq!(exact_cover(&covers, num), expected, "{}", table.name());
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 10,
+            "only {compared} corpus pools reach the exact search"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// Random pools of up to 16 candidates over up to 30 dichotomies, at
+        /// three coverage densities (1/2, 1/4, 1/8). A `complete` pool hands
+        /// every row no candidate covers to candidate `row mod len`; in the
+        /// others such rows make both searches return `None`.
+        #[test]
+        fn exact_cover_matches_the_size_by_size_reference_on_random_pools(
+            num in 1usize..=30,
+            density in 0usize..3,
+            complete in any::<bool>(),
+            words in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), any::<u32>()),
+                0..=16,
+            ),
+        ) {
+            let mut sets: Vec<MintermSet> = words
+                .iter()
+                .map(|&(a, b, c)| {
+                    let bits = [a, a & b, a & b & c][density];
+                    MintermSet::from_minterms(
+                        num as u64,
+                        (0..num as u64).filter(|&r| bits >> r & 1 == 1),
+                    )
+                })
+                .collect();
+            if complete && !sets.is_empty() {
+                for r in 0..num {
+                    if !sets.iter().any(|s| s.contains(r as u64)) {
+                        let len = sets.len();
+                        sets[r % len].insert(r as u64);
                     }
                 }
-                let Some((pick, _)) = best else { break };
-                uncovered.subtract(&covers[pick]);
-                expected.push(pick);
             }
-            assert_eq!(
-                greedy_cover_sets(&covers, num),
-                expected,
-                "{}: lazy greedy diverges",
-                table.name()
-            );
+            let covers: Vec<&MintermSet> = sets.iter().collect();
+            let expected = reference_exact_cover(&covers, num, DEFAULT_BUDGET, &mut Vec::new());
+            prop_assert_eq!(exact_cover(&covers, num), expected);
         }
     }
 }

@@ -21,15 +21,15 @@
 //!    from Tracey's column grouping — driven by an inverted state→dichotomy
 //!    **index** ([`index`]) that enumerates only the ids still compatible
 //!    with the growing candidate and maintains each candidate's coverage set
-//!    incrementally; then select a small covering set — exact minimum cover
-//!    when the candidate set is small, lazy-max greedy cover plus
-//!    local-search refinement (drop / pair-consolidate) otherwise
-//!    ([`covering`]);
+//!    incrementally; then select a small covering set on the shared
+//!    [`fantom_boolean::covering`] solver — exact minimum cover when the
+//!    candidate set is small, lazy-max greedy cover plus local-search
+//!    refinement (drop / pair-consolidate) otherwise ([`covering`]);
 //! 3. emit the code matrix and verify uniqueness and race-freedom
 //!    ([`assignment`]).
 //!
 //! Batch callers thread an [`AssignScratch`] through [`assign_in`] so the
-//! index, growth state and selection buffers are allocated once per worker
+//! index, growth state and candidate pool are allocated once per worker
 //! (the synthesis service's `Workspace` carry-over).
 //!
 //! [`AssignmentOptions`] budgets every phase; whatever the caps, the engine
@@ -66,8 +66,8 @@ pub use assignment::{
     adjacency_seeds, assign, assign_in, assign_with_options, AssignmentError, StateAssignment,
 };
 pub use covering::{
-    greedy_cover_sets, grow_candidates, select_partitions, select_partitions_in,
-    select_partitions_with, AssignScratch, Partition,
+    grow_candidates, select_partitions, select_partitions_in, select_partitions_with,
+    AssignScratch, Partition,
 };
 pub use dichotomy::{required_dichotomies, state_set, Dichotomy, StateSet};
 pub use index::DichotomyIndex;

@@ -1,4 +1,6 @@
-//! Resource budgets for the state-assignment engine.
+//! Resource budgets for the state-assignment engine: candidate growth and
+//! local-search refinement. The exact cover's limits — at most 24
+//! candidates, the shared solver's node budget — are fixed, not options.
 
 /// Budgets and knobs controlling Step 3 (USTT state assignment).
 ///
@@ -6,9 +8,10 @@
 /// partitions are grown by merging dichotomies, and a small set of partitions
 /// covering every required dichotomy becomes the state variables. Both
 /// phases are bounded so assignment stays fast on *every* machine: candidate
-/// generation is capped, the exact cover search runs only on small candidate
-/// sets (and under a node budget), and selection otherwise degrades to a
-/// greedy cover followed by local-search refinement. Whatever the budgets,
+/// generation is capped here, and selection solves the cover exactly only on
+/// pools of at most 24 candidates (under the shared solver's node budget,
+/// see [`fantom_boolean::covering`]), degrading otherwise to a greedy cover
+/// followed by local-search refinement. Whatever the budgets,
 /// the produced assignment is always valid — any dichotomy the selection
 /// failed to cover is given its own dedicated partition, and the final code
 /// matrix is verifiable with
@@ -26,13 +29,6 @@ pub struct AssignmentOptions {
     /// Rounds of local-search refinement (drop redundant partitions, replace
     /// partition pairs by a single candidate) applied to the greedy cover.
     pub refine_passes: usize,
-    /// Run the exact minimum-cover search only when there are at most this
-    /// many candidate partitions; larger instances go straight to
-    /// greedy-plus-refinement.
-    pub exact_max_candidates: usize,
-    /// Abort the exact cover search after this many search nodes and fall
-    /// back to the greedy cover.
-    pub exact_node_budget: u64,
     /// Also seed candidate growth from adjacency clusters (Tracey's column
     /// grouping over the flow table's next-state partitions) before the seed
     /// orderings. The clusters reach merged partitions the dichotomy-seeded
@@ -50,8 +46,6 @@ impl Default for AssignmentOptions {
             max_candidate_partitions: 4096,
             seed_orderings: 3,
             refine_passes: 4,
-            exact_max_candidates: 24,
-            exact_node_budget: 5_000_000,
             adjacency_seeding: true,
         }
     }
@@ -67,22 +61,6 @@ impl AssignmentOptions {
             max_candidate_partitions: 1536,
             seed_orderings: 2,
             refine_passes: 3,
-            exact_max_candidates: 24,
-            exact_node_budget: 1_000_000,
-            adjacency_seeding: true,
-        }
-    }
-
-    /// Spend more effort searching for short codes: more orderings, more
-    /// refinement, a larger exact-search window. Still budgeted (the exact
-    /// search keeps its node cap), just slower and usually narrower.
-    pub fn thorough() -> Self {
-        AssignmentOptions {
-            max_candidate_partitions: 16384,
-            seed_orderings: 6,
-            refine_passes: 8,
-            exact_max_candidates: 28,
-            exact_node_budget: 20_000_000,
             adjacency_seeding: true,
         }
     }
@@ -96,12 +74,9 @@ mod tests {
     fn presets_are_ordered_by_effort() {
         let bounded = AssignmentOptions::bounded();
         let default = AssignmentOptions::default();
-        let thorough = AssignmentOptions::thorough();
         assert!(bounded.seed_orderings <= default.seed_orderings);
-        assert!(default.seed_orderings <= thorough.seed_orderings);
         assert!(bounded.max_candidate_partitions <= default.max_candidate_partitions);
-        assert!(default.max_candidate_partitions <= thorough.max_candidate_partitions);
-        assert!(bounded.refine_passes <= thorough.refine_passes);
+        assert!(bounded.refine_passes <= default.refine_passes);
         assert!(bounded.seed_orderings >= 1);
     }
 }

@@ -177,8 +177,6 @@ fn starved_options() -> AssignmentOptions {
         max_candidate_partitions: 1,
         seed_orderings: 1,
         refine_passes: 0,
-        exact_max_candidates: 0,
-        exact_node_budget: 0,
         adjacency_seeding: false,
     }
 }
@@ -235,7 +233,6 @@ proptest! {
         for options in [
             AssignmentOptions::default(),
             AssignmentOptions::bounded(),
-            AssignmentOptions::thorough(),
         ] {
             let partitions = select_partitions_with(&dichotomies, &options);
             for d in &dichotomies {

@@ -966,17 +966,16 @@ fn assignment_metrics(out: &mut BTreeMap<String, f64>) {
 /// monotone absorption pass) is compared against
 /// [`fantom_bench::reference::scalar_candidate_growth`] (two wrap-around
 /// `try_absorb` passes plus a full separation rescan per candidate), and the
-/// lazy-max [`fantom_assign::greedy_cover_sets`] against the rescan-per-pick
+/// lazy-max [`fantom_boolean::covering::greedy_cover`] against the rescan-per-pick
 /// [`fantom_bench::reference::scalar_greedy_cover`], on the unreduced large
 /// suite. Both comparisons run at the like-for-like configuration (two seed
 /// orderings, adjacency seeding off) where the engines provably enumerate
 /// identical pools and picks — asserted here so the reference can never
 /// silently drift from the production engine.
 fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
-    use fantom_assign::{
-        greedy_cover_sets, grow_candidates, required_dichotomies, AssignScratch, AssignmentOptions,
-    };
+    use fantom_assign::{grow_candidates, required_dichotomies, AssignScratch, AssignmentOptions};
     use fantom_bench::reference::{scalar_candidate_growth, scalar_greedy_cover};
+    use fantom_boolean::covering::greedy_cover;
 
     let mut scratch = AssignScratch::default();
     for table in benchmarks::large_suite() {
@@ -1012,12 +1011,12 @@ fn assign_index_metrics(out: &mut BTreeMap<String, f64>) {
         let covers: Vec<_> = reference.into_iter().map(|(_, c)| c).collect();
         let num = dichotomies.len();
         assert_eq!(
-            greedy_cover_sets(&covers, num),
+            greedy_cover(&covers, num),
             scalar_greedy_cover(&covers, num),
             "{}: greedy picks",
             table.name()
         );
-        let greedy_ns = time_ns(|| greedy_cover_sets(&covers, num).len());
+        let greedy_ns = time_ns(|| greedy_cover(&covers, num).len());
         let greedy_ref_ns = time_ns(|| scalar_greedy_cover(&covers, num).len());
 
         let name = table.name();

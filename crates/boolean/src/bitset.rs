@@ -198,6 +198,14 @@ impl MintermSet {
     }
 }
 
+/// Lets the [`crate::covering`] solvers take a table of sets or of
+/// references to sets.
+impl AsRef<MintermSet> for MintermSet {
+    fn as_ref(&self) -> &MintermSet {
+        self
+    }
+}
+
 impl<'a> IntoIterator for &'a MintermSet {
     type Item = u64;
     type IntoIter = Box<dyn Iterator<Item = u64> + 'a>;

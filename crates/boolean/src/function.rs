@@ -260,12 +260,6 @@ impl Function {
         true
     }
 
-    /// Alias of [`Function::implemented_by`] with cover-centric naming, used by
-    /// minimization code and examples.
-    pub fn equivalent_cover(&self, cover: &Cover) -> bool {
-        self.implemented_by(cover)
-    }
-
     /// Whether a single cube lies entirely within `on ∪ dc`.
     pub fn admits_cube(&self, cube: &Cube) -> bool {
         cube.minterms_iter().all(|m| !self.is_off(m))

@@ -8,9 +8,10 @@
 //!   covers, with prime generation ([`recursive`]) and essential-SOP
 //!   minimization ([`CoverFunction::minimize`]) that never enumerate the
 //!   `2^n` space,
-//! * [`petrick`] — the cover-based covering table behind that minimization
-//!   (exact selection by a bitset branch and bound that keeps Petrick's
-//!   tie order, with a greedy fallback past its node budget),
+//! * [`petrick`] — the cover-based covering table behind that minimization,
+//! * [`covering`] — the one set-cover solver of SEANCE Steps 3, 4 and 6:
+//!   exact selection by a bitset branch and bound that keeps Petrick's tie
+//!   order, and a lazy greedy cover as the fallback past its node budget,
 //! * [`Function`] and [`quine`] — dense truth tables and Quine–McCluskey
 //!   tabulation, kept as the exhaustive test oracle for the cube algorithms
 //!   on spaces of at most [`MAX_DENSE_VARS`] variables,
@@ -80,6 +81,7 @@ mod bitset;
 pub mod collections;
 mod cover;
 mod cover_function;
+pub mod covering;
 mod cube;
 mod error;
 pub mod expr;

@@ -38,11 +38,8 @@
 //!
 //! All randomness derives from `(campaign seed, assignment, step)` via
 //! split-mix streams, so a report is byte-identical for any worker count —
-//! the worker pool reuses the claim-counter pattern of
+//! the assignments run on the claim-counter worker pool of
 //! [`crate::synthesize_many`].
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use fantom_boolean::hazard::is_static_hazard_free;
 use fantom_flow::{Bits, FlowTable, StableTransition};
@@ -53,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::emit::{emit_parts, FantomNetlist, MachineParts};
-use crate::service::effective_parallelism;
+use crate::service::claim_pool;
 use crate::SparseSynthesisResult;
 
 /// Configuration of a validation campaign.
@@ -322,41 +319,15 @@ pub fn run_campaign_sparse(
         assignments: n,
         ..CampaignReport::empty(parts.name.to_string(), analytic, num_vars, num_outputs)
     };
-    if n > 0 && !transitions.is_empty() {
-        let workers = effective_parallelism(options.workers).min(n);
-        if workers <= 1 {
-            for a in 0..n {
-                let c = run_assignment(parts, &machine, &transitions, &protected, options, a);
-                merged.merge(&c);
-            }
-        } else {
-            // Claim-counter pool (the `synthesize_many` pattern): workers
-            // pull assignment indices from a shared atomic; per-assignment
-            // counters land in submission-order slots, so the merge below is
-            // independent of scheduling.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<CampaignReport>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let a = next.fetch_add(1, Ordering::Relaxed);
-                        if a >= n {
-                            break;
-                        }
-                        let c =
-                            run_assignment(parts, &machine, &transitions, &protected, options, a);
-                        *slots[a].lock().expect("slot lock") = Some(c);
-                    });
-                }
-            });
-            for slot in slots {
-                let c = slot
-                    .into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled");
-                merged.merge(&c);
-            }
+    if !transitions.is_empty() {
+        let reports = claim_pool(
+            options.workers,
+            n,
+            || (),
+            |_, a| run_assignment(parts, &machine, &transitions, &protected, options, a),
+        );
+        for c in &reports {
+            merged.merge(c);
         }
     }
 

@@ -281,42 +281,12 @@ impl SynthesisService {
     /// does not depend on the worker count or on which worker populated a
     /// cache entry first.
     pub fn synthesize_many(&self, tables: &[FlowTable]) -> Vec<SynthesisOutcome> {
-        let n = tables.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = effective_parallelism(self.options.parallelism).min(n);
-        if workers <= 1 {
-            let mut ws = Workspace::new();
-            return tables.iter().map(|t| self.process(t, &mut ws)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SynthesisOutcome>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut ws = Workspace::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome = self.process(&tables[i], &mut ws);
-                        *slots[i].lock().expect("slot lock") = Some(outcome);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
-            .collect()
+        claim_pool(
+            self.options.parallelism,
+            tables.len(),
+            Workspace::new,
+            |ws, i| self.process(&tables[i], ws),
+        )
     }
 
     /// Process one machine on the calling worker.
@@ -418,7 +388,7 @@ pub fn synthesize_many(tables: &[FlowTable], options: &ServiceOptions) -> Vec<Sy
 }
 
 /// `requested` workers, or the host's available parallelism for `0`.
-pub(crate) fn effective_parallelism(requested: usize) -> usize {
+fn effective_parallelism(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {
@@ -426,6 +396,53 @@ pub(crate) fn effective_parallelism(requested: usize) -> usize {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     }
+}
+
+/// `job(state, i)` for every `i` in `0..n`, on up to `requested` scoped
+/// worker threads (see [`effective_parallelism`]), each with its own
+/// `init()` state; the results come back in index order.
+///
+/// Workers claim indices from a shared atomic counter — a self-balancing
+/// queue, so a worker that drew a slow job does not stall the rest — and
+/// each result lands in its own slot, so the output does not depend on the
+/// worker count or the scheduling. With one worker the jobs run on the
+/// calling thread.
+pub(crate) fn claim_pool<S, T: Send>(
+    requested: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = effective_parallelism(requested).min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| job(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = job(&mut state, i);
+                    *slots[i].lock().expect("slot lock") = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("slot lock")
+                .expect("every slot filled")
+        })
+        .collect()
 }
 
 /// Package a direct (uncached) sparse run as a service result.

@@ -175,15 +175,6 @@ impl FlowTable {
         &self.entries[state.0][column]
     }
 
-    /// Mutable access to an entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state or column index is out of range.
-    pub fn entry_mut(&mut self, state: StateId, column: usize) -> &mut Entry {
-        &mut self.entries[state.0][column]
-    }
-
     /// Set the entry for `state` under `column`.
     ///
     /// # Errors

@@ -347,11 +347,6 @@ impl<'a> Harness<'a> {
         &self.sim
     }
 
-    /// Mutable access to the wrapped simulator (monitor setup, presets).
-    pub fn sim_mut(&mut self) -> &mut Simulator<'a> {
-        &mut self.sim
-    }
-
     /// Establish a consistent initial condition and run to quiescence.
     ///
     /// # Errors

@@ -633,12 +633,6 @@ impl<'a> Simulator<'a> {
             wave.push((self.time, value));
         }
     }
-
-    /// `GateKind` helper re-export so harness code can evaluate gates without
-    /// importing the netlist module separately.
-    pub fn eval_gate(kind: GateKind, inputs: &[bool]) -> bool {
-        kind.eval(inputs)
-    }
 }
 
 #[cfg(test)]

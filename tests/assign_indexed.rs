@@ -90,7 +90,7 @@ fn lazy_greedy_matches_scalar_reference_on_suite_pools() {
         let covers: Vec<_> = pool.into_iter().map(|(_, c)| c).collect();
         let num = dichotomies.len();
         assert_eq!(
-            fantom_assign::greedy_cover_sets(&covers, num),
+            fantom_boolean::covering::greedy_cover(&covers, num),
             scalar_greedy_cover(&covers, num),
             "{}: greedy picks diverge",
             table.name()
@@ -161,7 +161,6 @@ fn adjacency_seeded_assignment_is_valid_within_pins() {
 fn budget_starvation_fires_dedicated_partition_fallback() {
     let starved = AssignmentOptions {
         max_candidate_partitions: 0,
-        exact_node_budget: 0,
         adjacency_seeding: true,
         ..AssignmentOptions::bounded()
     };

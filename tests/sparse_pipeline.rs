@@ -67,9 +67,9 @@ fn bounded_reduction_synthesizes_the_large_suite() {
 }
 
 /// Assignment budgets bound the code search, never its validity: even with
-/// candidate generation, refinement and the exact search all but disabled,
-/// the degraded assignment verifies — it just spends more state variables
-/// than the default budgets would.
+/// candidate generation and refinement all but disabled, the degraded
+/// assignment verifies — it just spends more state variables than the
+/// default budgets would.
 #[test]
 fn starved_assignment_budgets_degrade_width_not_validity() {
     let starved = SynthesisOptions {
@@ -77,8 +77,6 @@ fn starved_assignment_budgets_degrade_width_not_validity() {
             max_candidate_partitions: 1,
             seed_orderings: 1,
             refine_passes: 0,
-            exact_max_candidates: 0,
-            exact_node_budget: 0,
             adjacency_seeding: false,
         },
         ..unreduced_options()
