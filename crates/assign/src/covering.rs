@@ -12,8 +12,10 @@
 //!   dichotomies in the ordering's sequence. Compatibility is read from
 //!   incrementally maintained blocked-id bitsets instead of per-dichotomy
 //!   set probes, so a sweep enumerates only the ids still absorbable
-//!   (word-granular), and each candidate's `covers` set falls out of the
-//!   growth itself instead of a full separation rescan per candidate;
+//!   (word-granular). Many growths rediscover a candidate already in the
+//!   pool, so a candidate's `covers` set is computed only once the pool's
+//!   dedup admits it, as one word-parallel query on the index
+//!   ([`DichotomyIndex::covered_by`]) instead of a separation rescan;
 //! * **selection** runs on the shared [`fantom_boolean::covering`] solver:
 //!   its exact minimum cover on pools of at most 24 candidates, and
 //!   otherwise — or once the exact search spends its node budget — its
@@ -48,10 +50,10 @@ pub struct Partition {
 
 impl Partition {
     /// Build a partition from a merged dichotomy, recording which of
-    /// `dichotomies` it separates by a full rescan. The growth engine
-    /// maintains `covers` incrementally and uses [`Partition::from_parts`];
-    /// this constructor remains for the dedicated-partition fallback (and as
-    /// the debug-mode oracle for the incremental sets).
+    /// `dichotomies` it separates by a full rescan. The growth engine asks
+    /// the dichotomy index instead ([`DichotomyIndex::covered_by`]); this
+    /// constructor remains for the dedicated-partition fallback (and as the
+    /// debug-mode oracle for the index's coverage query).
     fn new(dichotomy: Dichotomy, dichotomies: &[Dichotomy]) -> Self {
         let ones = dichotomy.right();
         let covers = MintermSet::from_minterms(
@@ -62,12 +64,6 @@ impl Partition {
                 .filter(|(_, d)| d.separated_by(ones))
                 .map(|(i, _)| i as u64),
         );
-        Partition { dichotomy, covers }
-    }
-
-    /// Build a partition from a merged dichotomy and its already-known
-    /// coverage set.
-    fn from_parts(dichotomy: Dichotomy, covers: MintermSet) -> Self {
         Partition { dichotomy, covers }
     }
 
@@ -152,6 +148,21 @@ fn seed_orders(num: usize, requested: usize) -> Vec<SeedOrder> {
     orders
 }
 
+/// Add the states of `group` missing from `side` to it, ascending, reporting
+/// each to `joined`. Word by word: most absorptions bring no new state, so
+/// the common case is a few AND-NOTs with nothing to report.
+fn join(side: &mut StateSet, group: &StateSet, mut joined: impl FnMut(u64)) {
+    for (w, &g) in group.words().iter().enumerate() {
+        let mut fresh = g & !side.words()[w];
+        while fresh != 0 {
+            let s = (w * 64) as u64 + u64::from(fresh.trailing_zeros());
+            fresh &= fresh - 1;
+            side.insert(s);
+            joined(s);
+        }
+    }
+}
+
 /// One growing candidate: its two sides plus the incremental index state.
 struct Grower<'a> {
     dichotomies: &'a [Dichotomy],
@@ -172,16 +183,9 @@ impl Grower<'_> {
             debug_assert!(self.growth.flip_ok(id));
             (d.right(), d.left())
         };
-        for s in dl.iter() {
-            if self.left.insert(s) {
-                self.growth.add_left_state(self.index, s);
-            }
-        }
-        for s in dr.iter() {
-            if self.right.insert(s) {
-                self.growth.add_right_state(self.index, s);
-            }
-        }
+        let (growth, index) = (&mut *self.growth, self.index);
+        join(&mut self.left, dl, |s| growth.add_left_state(index, s));
+        join(&mut self.right, dr, |s| growth.add_right_state(index, s));
         self.growth.mark_absorbed(id);
     }
 
@@ -281,14 +285,10 @@ fn grow_and_emit(
     growth.reset(dichotomies.len());
     let mut left = StateSet::new(state_bound as u64);
     let mut right = StateSet::new(state_bound as u64);
-    left.union_with(seed.left());
-    right.union_with(seed.right());
-    for s in left.iter() {
-        growth.add_left_state(index, s);
-    }
-    for s in right.iter() {
-        growth.add_right_state(index, s);
-    }
+    join(&mut left, seed.left(), |s| growth.add_left_state(index, s));
+    join(&mut right, seed.right(), |s| {
+        growth.add_right_state(index, s)
+    });
     if let Some(id) = seed_id {
         growth.mark_absorbed(id);
     }
@@ -302,16 +302,15 @@ fn grow_and_emit(
     grower.grow(seed_id.unwrap_or(0), order);
     let Grower { left, right, .. } = grower;
     // The grown orientation is the seed's orientation: `right` stays the
-    // 1-coded side, so the incrementally maintained coverage set matches it.
+    // 1-coded side the coverage query is asked about.
     let dichotomy = Dichotomy::from_oriented_sets(left, right);
     if seen.insert(dichotomy.clone()) {
+        let covers = index.covered_by(dichotomy.right());
         debug_assert!(
-            growth
-                .covers()
-                .same_contents(&Partition::new(dichotomy.clone(), dichotomies).covers),
-            "incremental covers diverge from the separation rescan"
+            covers.same_contents(&Partition::new(dichotomy.clone(), dichotomies).covers),
+            "indexed covers diverge from the separation rescan"
         );
-        candidates.push(Partition::from_parts(dichotomy, growth.covers().clone()));
+        candidates.push(Partition { dichotomy, covers });
     }
 }
 
@@ -704,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_covers_match_separation_rescan() {
+    fn indexed_covers_match_separation_rescan() {
         // Release-mode version of the growth engine's debug assertion.
         let options = AssignmentOptions::default();
         let mut scratch = AssignScratch::default();

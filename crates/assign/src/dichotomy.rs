@@ -178,6 +178,11 @@ impl fmt::Display for Dichotomy {
     }
 }
 
+/// A dichotomy as two groups of at most two states, each written `[lo, hi]`
+/// (a one-state group is its state written twice), oriented like
+/// [`Dichotomy::from_sets`]: the group holding the smallest state first.
+type DichotomyKey = [[u32; 2]; 2];
+
 /// Generate every dichotomy a USTT assignment of `table` must satisfy:
 ///
 /// * for each input column, every pair of disjoint transition groups
@@ -186,83 +191,85 @@ impl fmt::Display for Dichotomy {
 /// * every pair of distinct states forms a dichotomy — this forces unique
 ///   codes (the "unicode" part of USTT).
 ///
-/// Duplicates are removed up front (hash-set dedup on the packed groups) and
+/// Every group holds one or two states, so duplicates are removed and
 /// dichotomies implied by (contained in) another generated dichotomy are
-/// filtered out, so the covering engine only ever sees the irredundant
-/// requirement list.
+/// filtered out on fixed-size `[lo, hi]` keys; only the irredundant
+/// requirement list — in first-occurrence order — becomes packed bitsets.
 pub fn required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
     let n = table.num_states();
-    let mut seen: fantom_boolean::collections::HashSet<Dichotomy> = Default::default();
-    let mut all: Vec<Dichotomy> = Vec::new();
-    let mut push = |d: Dichotomy, all: &mut Vec<Dichotomy>| {
-        if seen.insert(d.clone()) {
-            all.push(d);
+    let mut seen: fantom_boolean::collections::HashSet<DichotomyKey> = Default::default();
+    let mut all: Vec<DichotomyKey> = Vec::new();
+    let mut push = |a: [u32; 2], b: [u32; 2]| {
+        let key = if a[0] < b[0] { [a, b] } else { [b, a] };
+        if seen.insert(key) {
+            all.push(key);
         }
     };
 
+    let mut groups: Vec<[u32; 2]> = Vec::new();
     for c in 0..table.num_columns() {
-        // Transition groups {source, destination} of the column, deduplicated
-        // by their (sorted) endpoint pair.
-        let mut group_keys: fantom_boolean::collections::HashSet<(usize, usize)> =
-            Default::default();
-        let mut groups: Vec<StateSet> = Vec::new();
+        // Transition groups {source, destination} of the column, in order of
+        // first appearance.
+        groups.clear();
         for s in table.states() {
             if let Some(t) = table.next_state(s, c) {
-                let key = (s.0.min(t.0), s.0.max(t.0));
-                if group_keys.insert(key) {
-                    groups.push(state_set(n, [s, t]));
+                let group = [s.0.min(t.0) as u32, s.0.max(t.0) as u32];
+                if !groups.contains(&group) {
+                    groups.push(group);
                 }
             }
         }
-        for (i, g1) in groups.iter().enumerate() {
-            for g2 in &groups[i + 1..] {
-                if g1.is_disjoint(g2) {
-                    push(Dichotomy::from_sets(g1.clone(), g2.clone()), &mut all);
+        for (i, &g1) in groups.iter().enumerate() {
+            for &g2 in &groups[i + 1..] {
+                if !g1.iter().any(|s| g2.contains(s)) {
+                    push(g1, g2);
                 }
             }
         }
     }
 
-    for a in table.states() {
-        for b in table.states() {
-            if a < b {
-                push(
-                    Dichotomy::from_sets(state_set(n, [a]), state_set(n, [b])),
-                    &mut all,
-                );
-            }
+    for a in 0..n as u32 {
+        for b in a + 1..n as u32 {
+            push([a, a], [b, b]);
         }
     }
 
     // Drop dichotomies strictly subsumed by a larger one: separating the
-    // larger dichotomy separates them for free. A subsumer must contain
-    // every support state of the subsumee, so the candidates for each
-    // dichotomy are exactly the entries of its shortest support-state
-    // posting list — an inverted index that replaces the all-pairs
-    // subsumption scan (quadratic in the raw dichotomy count, the dominant
-    // cost of generation on 40-state tables) with a near-linear pass.
+    // larger dichotomy separates them for free. Keys are unique, and two
+    // distinct dichotomies never subsume each other both ways, so every
+    // subsumer found is strict. A subsumer must contain every support state of the
+    // subsumee, so the candidates for each dichotomy are exactly the
+    // entries of its shortest support-state posting list — an inverted
+    // index that replaces the all-pairs subsumption scan with a near-linear
+    // pass.
+    let subset = |a: [u32; 2], b: [u32; 2]| a.iter().all(|s| b.contains(s));
+    let subsumed = |[l, r]: DichotomyKey, [big_l, big_r]: DichotomyKey| {
+        (subset(l, big_l) && subset(r, big_r)) || (subset(l, big_r) && subset(r, big_l))
+    };
     let mut by_state: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, d) in all.iter().enumerate() {
-        for s in d.left().iter().chain(d.right().iter()) {
-            by_state[s as usize].push(i as u32);
+    for (i, k) in all.iter().enumerate() {
+        for &s in k.iter().flatten() {
+            // A one-state group lists its state twice; index it once.
+            if by_state[s as usize].last() != Some(&(i as u32)) {
+                by_state[s as usize].push(i as u32);
+            }
         }
     }
+    let group_set = |[lo, hi]: [u32; 2]| state_set(n, [StateId(lo as usize), StateId(hi as usize)]);
     all.iter()
         .enumerate()
-        .filter(|(i, d)| {
-            let shortest = d
-                .left()
+        .filter(|(i, k)| {
+            let shortest = k
                 .iter()
-                .chain(d.right().iter())
-                .map(|s| &by_state[s as usize])
+                .flatten()
+                .map(|&s| &by_state[s as usize])
                 .min_by_key(|list| list.len())
                 .expect("dichotomy groups are non-empty");
-            !shortest.iter().any(|&j| {
-                let other = &all[j as usize];
-                j as usize != *i && d.subsumed_by(other) && !other.subsumed_by(d)
-            })
+            !shortest
+                .iter()
+                .any(|&j| j as usize != *i && subsumed(**k, all[j as usize]))
         })
-        .map(|(_, d)| d.clone())
+        .map(|(_, &[a, b])| Dichotomy::from_oriented_sets(group_set(a), group_set(b)))
         .collect()
 }
 
@@ -270,6 +277,152 @@ pub fn required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
 mod tests {
     use super::*;
     use fantom_flow::benchmarks;
+    use fantom_flow::generate::{generate, GeneratorOptions};
+    use proptest::prelude::*;
+
+    /// `required_dichotomies` before fixed-size keys, verbatim: every raw
+    /// dichotomy is built and deduplicated as packed bitsets. Growth visits
+    /// the dichotomies by id, so this pins their *order*, not just the set.
+    fn reference_required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
+        let n = table.num_states();
+        let mut seen: fantom_boolean::collections::HashSet<Dichotomy> = Default::default();
+        let mut all: Vec<Dichotomy> = Vec::new();
+        let mut push = |d: Dichotomy, all: &mut Vec<Dichotomy>| {
+            if seen.insert(d.clone()) {
+                all.push(d);
+            }
+        };
+
+        for c in 0..table.num_columns() {
+            // Transition groups {source, destination} of the column, deduplicated
+            // by their (sorted) endpoint pair.
+            let mut group_keys: fantom_boolean::collections::HashSet<(usize, usize)> =
+                Default::default();
+            let mut groups: Vec<StateSet> = Vec::new();
+            for s in table.states() {
+                if let Some(t) = table.next_state(s, c) {
+                    let key = (s.0.min(t.0), s.0.max(t.0));
+                    if group_keys.insert(key) {
+                        groups.push(state_set(n, [s, t]));
+                    }
+                }
+            }
+            for (i, g1) in groups.iter().enumerate() {
+                for g2 in &groups[i + 1..] {
+                    if g1.is_disjoint(g2) {
+                        push(Dichotomy::from_sets(g1.clone(), g2.clone()), &mut all);
+                    }
+                }
+            }
+        }
+
+        for a in table.states() {
+            for b in table.states() {
+                if a < b {
+                    push(
+                        Dichotomy::from_sets(state_set(n, [a]), state_set(n, [b])),
+                        &mut all,
+                    );
+                }
+            }
+        }
+
+        // Drop dichotomies strictly subsumed by a larger one: separating the
+        // larger dichotomy separates them for free. A subsumer must contain
+        // every support state of the subsumee, so the candidates for each
+        // dichotomy are exactly the entries of its shortest support-state
+        // posting list — an inverted index that replaces the all-pairs
+        // subsumption scan (quadratic in the raw dichotomy count, the dominant
+        // cost of generation on 40-state tables) with a near-linear pass.
+        let mut by_state: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, d) in all.iter().enumerate() {
+            for s in d.left().iter().chain(d.right().iter()) {
+                by_state[s as usize].push(i as u32);
+            }
+        }
+        all.iter()
+            .enumerate()
+            .filter(|(i, d)| {
+                let shortest = d
+                    .left()
+                    .iter()
+                    .chain(d.right().iter())
+                    .map(|s| &by_state[s as usize])
+                    .min_by_key(|list| list.len())
+                    .expect("dichotomy groups are non-empty");
+                !shortest.iter().any(|&j| {
+                    let other = &all[j as usize];
+                    j as usize != *i && d.subsumed_by(other) && !other.subsumed_by(d)
+                })
+            })
+            .map(|(_, d)| d.clone())
+            .collect()
+    }
+
+    fn assert_matches_reference(table: &FlowTable) {
+        let generated = required_dichotomies(table);
+        let reference = reference_required_dichotomies(table);
+        assert_eq!(generated.len(), reference.len(), "{}: count", table.name());
+        for (i, (g, r)) in generated.iter().zip(&reference).enumerate() {
+            assert_eq!(g, r, "{}: dichotomy {i}", table.name());
+            assert_eq!(g.left().capacity(), r.left().capacity());
+            assert_eq!(g.right().capacity(), r.right().capacity());
+        }
+    }
+
+    #[test]
+    fn generation_matches_the_bitset_reference_in_order_on_the_corpus() {
+        let dir = |relative: &str| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
+        let mut tables = benchmarks::all();
+        tables.extend(benchmarks::large_suite());
+        for relative in ["../../benchmarks", "../../tests/fuzz_regressions"] {
+            tables.extend(benchmarks::import_kiss_dir(&dir(relative)).expect("corpus imports"));
+        }
+        assert_eq!(tables.len(), 32);
+        for table in &tables {
+            assert_matches_reference(table);
+        }
+    }
+
+    #[test]
+    fn generation_matches_the_bitset_reference_in_order_on_generated_machines() {
+        for (states, inputs, dc_density) in [(40, 2, 0.25), (60, 2, 0.25), (40, 4, 0.5)] {
+            assert_matches_reference(&generate(&GeneratorOptions {
+                states,
+                inputs,
+                dc_density,
+                ..GeneratorOptions::default()
+            }));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn generation_matches_the_bitset_reference_in_order_on_random_shapes(
+            seed in any::<u64>(),
+            states in 2usize..32,
+            inputs in 2usize..5,
+            dc_pct in 0u32..95,
+            fan_in in 1usize..4,
+            chain_depth in 1usize..4,
+            mic_stable_columns in 0usize..3,
+            redundant_clusters in 0usize..3,
+        ) {
+            assert_matches_reference(&generate(&GeneratorOptions {
+                seed,
+                states,
+                inputs,
+                dc_density: f64::from(dc_pct) / 100.0,
+                fan_in,
+                chain_depth,
+                mic_stable_columns,
+                redundant_clusters,
+                ..GeneratorOptions::default()
+            }));
+        }
+    }
 
     #[test]
     fn new_normalises_orientation_and_checks_disjointness() {

@@ -9,22 +9,19 @@
 //! `fantom_boolean::index`, with states playing the role of variables and
 //! left/right the role of phases).
 //!
-//! On top of the index, a [`GrowthScratch`] maintains the per-candidate state
-//! *incrementally* while states join the growing partition:
-//!
-//! * **blocked sets** — a dichotomy is absorbable in the direct orientation
+//! * **Blocked sets.** A dichotomy is absorbable in the direct orientation
 //!   iff its left group avoids the candidate's right side and vice versa, so
 //!   when state `s` joins a side the ids newly blocked are exactly the
-//!   posting bitsets of `s`: two lane-parallel ORs replace the per-dichotomy
-//!   disjointness probes, and the growth pass enumerates only ids still
-//!   outside `blocked_direct ∩ blocked_flip` instead of re-testing the full
-//!   list;
-//! * **coverage counts** — a dichotomy is separated by the candidate's
-//!   1-coded set `R` iff one group lies inside `R` and the other outside it,
-//!   so per-id counters of `|left ∩ R|` / `|right ∩ R|` (bumped from the
-//!   posting bitsets as states join `R`) maintain the partition's `covers`
-//!   set during absorption — the full `O(|dichotomies|)` separation rescan
-//!   the old `Partition` constructor paid per candidate is gone.
+//!   posting bitsets of `s`. A [`GrowthScratch`] keeps the two blocked masks
+//!   and the absorbed set: two lane-parallel ORs per joining state replace
+//!   the per-dichotomy disjointness probes, and the growth pass enumerates
+//!   only ids still outside `blocked_direct ∩ blocked_flip`.
+//! * **Coverage.** A dichotomy is separated by the candidate's 1-coded set
+//!   `R` iff one group lies inside `R` and the other outside it. ORing the
+//!   posting bitsets of the states inside and outside `R` answers that for
+//!   every id at once ([`DichotomyIndex::covered_by`]). About half the
+//!   growths rediscover a candidate already in the pool, so the query runs
+//!   only once the pool's dedup has admitted a candidate.
 //!
 //! Both structures live in [`AssignScratch`](crate::AssignScratch) so batch
 //! callers reuse the allocations across synthesis calls (the `Workspace`
@@ -32,12 +29,12 @@
 
 use fantom_boolean::{lane, MintermSet};
 
-use crate::dichotomy::Dichotomy;
+use crate::dichotomy::{Dichotomy, StateSet};
 
 /// Inverted state → dichotomy-id index: for every state, the packed set of
-/// dichotomy ids whose left (right) group contains the state, plus the group
-/// sizes the coverage counters compare against. Built once per assignment
-/// call and shared by every seed ordering (see the [module docs](self)).
+/// dichotomy ids whose left (right) group contains the state. Built once per
+/// assignment call and shared by every seed ordering (see the
+/// [module docs](self)).
 #[derive(Debug, Default)]
 pub struct DichotomyIndex {
     /// Number of dichotomies indexed.
@@ -46,10 +43,6 @@ pub struct DichotomyIndex {
     left_ids: Vec<MintermSet>,
     /// Per state: ids of dichotomies whose right group contains the state.
     right_ids: Vec<MintermSet>,
-    /// Per dichotomy: size of its left group.
-    left_size: Vec<u32>,
-    /// Per dichotomy: size of its right group.
-    right_size: Vec<u32>,
 }
 
 impl DichotomyIndex {
@@ -80,8 +73,6 @@ impl DichotomyIndex {
         };
         reset(&mut self.left_ids);
         reset(&mut self.right_ids);
-        self.left_size.clear();
-        self.right_size.clear();
         for (i, d) in dichotomies.iter().enumerate() {
             for s in d.left().iter() {
                 self.left_ids[s as usize].insert(i as u64);
@@ -89,8 +80,6 @@ impl DichotomyIndex {
             for s in d.right().iter() {
                 self.right_ids[s as usize].insert(i as u64);
             }
-            self.left_size.push(d.left().len() as u32);
-            self.right_size.push(d.right().len() as u32);
         }
     }
 
@@ -108,6 +97,36 @@ impl DichotomyIndex {
     pub fn right_ids(&self, state: u64) -> &MintermSet {
         &self.right_ids[state as usize]
     }
+
+    /// The ids separated by the partition whose 1-coded side is `ones` —
+    /// [`Dichotomy::separated_by`] applied to every id at once. With `in_L` /
+    /// `out_L` the union of [`left_ids`](Self::left_ids) over the states
+    /// inside / outside `ones`, and `in_R` / `out_R` the same over
+    /// [`right_ids`](Self::right_ids), the separated ids are
+    /// `(¬out_L ∧ ¬in_R) ∨ (¬in_L ∧ ¬out_R) = ¬((out_L ∨ in_R) ∧ (in_L ∨ out_R))`,
+    /// masked to the id count: two lane-parallel ORs per state.
+    pub fn covered_by(&self, ones: &StateSet) -> MintermSet {
+        let words = id_words(self.num);
+        // `a` = out_L ∨ in_R, `b` = in_L ∨ out_R.
+        let (mut a, mut b) = (vec![0u64; words], vec![0u64; words]);
+        for (s, (l, r)) in self.left_ids.iter().zip(&self.right_ids).enumerate() {
+            let (l, r) = (&l.words()[..words], &r.words()[..words]);
+            let (to_a, to_b) = if ones.contains(s as u64) {
+                (r, l)
+            } else {
+                (l, r)
+            };
+            lane::or_into(&mut a, to_a);
+            lane::or_into(&mut b, to_b);
+        }
+        for (x, y) in a.iter_mut().zip(&b) {
+            *x = !(*x & y);
+        }
+        if let Some(last) = a.last_mut().filter(|_| self.num % 64 != 0) {
+            *last &= !0u64 >> (64 - self.num % 64);
+        }
+        MintermSet::from_words(a)
+    }
 }
 
 /// Word count of the id space (the stride of every per-candidate bitset).
@@ -116,10 +135,11 @@ fn id_words(num: usize) -> usize {
 }
 
 /// Per-candidate growth state, maintained incrementally as states join the
-/// candidate's sides (see the [module docs](self)). Reused across seeds: a
-/// [`reset`](GrowthScratch::reset) is two or three word-array memsets, not an
+/// candidate's sides: the two blocked masks and the absorbed set (see the
+/// [module docs](self)). Reused across seeds: a
+/// [`reset`](GrowthScratch::reset) is three word-array memsets, not an
 /// allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GrowthScratch {
     /// Ids that conflict with the candidate in the direct orientation
     /// (left joins left): some left state sits in the candidate's right side
@@ -130,26 +150,6 @@ pub struct GrowthScratch {
     /// Ids already absorbed into the candidate (skipped by the growth pass —
     /// re-absorbing is a no-op union).
     absorbed: Vec<u64>,
-    /// `|d.left ∩ R|` per id, where `R` is the candidate's right side.
-    left_count: Vec<u32>,
-    /// `|d.right ∩ R|` per id.
-    right_count: Vec<u32>,
-    /// Ids currently separated by the candidate's right side — exactly the
-    /// set the old `Partition::new` rescan recomputed per candidate.
-    covers: MintermSet,
-}
-
-impl Default for GrowthScratch {
-    fn default() -> Self {
-        GrowthScratch {
-            blocked_direct: Vec::new(),
-            blocked_flip: Vec::new(),
-            absorbed: Vec::new(),
-            left_count: Vec::new(),
-            right_count: Vec::new(),
-            covers: MintermSet::new(0),
-        }
-    }
 }
 
 impl GrowthScratch {
@@ -162,22 +162,12 @@ impl GrowthScratch {
         self.blocked_flip.resize(words, 0);
         self.absorbed.clear();
         self.absorbed.resize(words, 0);
-        self.left_count.clear();
-        self.left_count.resize(num, 0);
-        self.right_count.clear();
-        self.right_count.resize(num, 0);
-        if self.covers.capacity() >= num as u64 {
-            self.covers.clear();
-        } else {
-            self.covers = MintermSet::new(num as u64);
-        }
     }
 
     /// Record that `state` joined the candidate's **left** (0-coded) side:
     /// dichotomies with `state` in their right group can no longer merge
     /// directly, dichotomies with `state` in their left group can no longer
-    /// merge flipped. Coverage is unaffected — separation depends only on
-    /// the right side.
+    /// merge flipped.
     #[inline]
     pub fn add_left_state(&mut self, index: &DichotomyIndex, state: u64) {
         lane::or_into(&mut self.blocked_direct, index.right_ids(state).words());
@@ -185,36 +175,11 @@ impl GrowthScratch {
     }
 
     /// Record that `state` joined the candidate's **right** (1-coded) side:
-    /// blocks the mirrored orientations and bumps the coverage counters of
-    /// every dichotomy mentioning `state`, updating its covered bit.
+    /// the mirror image of [`add_left_state`](GrowthScratch::add_left_state).
     #[inline]
     pub fn add_right_state(&mut self, index: &DichotomyIndex, state: u64) {
         lane::or_into(&mut self.blocked_direct, index.left_ids(state).words());
         lane::or_into(&mut self.blocked_flip, index.right_ids(state).words());
-        for id in index.left_ids(state).iter() {
-            self.left_count[id as usize] += 1;
-            self.update_covered(index, id);
-        }
-        for id in index.right_ids(state).iter() {
-            self.right_count[id as usize] += 1;
-            self.update_covered(index, id);
-        }
-    }
-
-    /// Recompute the covered bit of `id` from its counters: covered iff one
-    /// group lies entirely inside the right side and the other entirely
-    /// outside it.
-    #[inline]
-    fn update_covered(&mut self, index: &DichotomyIndex, id: u64) {
-        let lc = self.left_count[id as usize];
-        let rc = self.right_count[id as usize];
-        let covered = (lc == index.left_size[id as usize] && rc == 0)
-            || (lc == 0 && rc == index.right_size[id as usize]);
-        if covered {
-            self.covers.insert(id);
-        } else {
-            self.covers.remove(id);
-        }
     }
 
     /// Mark `id` as absorbed (skipped by later growth sweeps).
@@ -251,11 +216,6 @@ impl GrowthScratch {
     pub fn allowed(&self, id: usize) -> bool {
         self.allowed_word(id / 64) & (1 << (id % 64)) != 0
     }
-
-    /// The coverage set of the finished candidate.
-    pub fn covers(&self) -> &MintermSet {
-        &self.covers
-    }
 }
 
 #[cfg(test)]
@@ -263,6 +223,7 @@ mod tests {
     use super::*;
     use crate::dichotomy::required_dichotomies;
     use fantom_flow::benchmarks;
+    use proptest::prelude::*;
 
     #[test]
     fn index_posting_sets_match_group_membership() {
@@ -288,8 +249,6 @@ mod tests {
             index.rebuild(table.num_states(), &dichotomies);
             let fresh = DichotomyIndex::build(table.num_states(), &dichotomies);
             assert_eq!(index.num, fresh.num);
-            assert_eq!(index.left_size, fresh.left_size);
-            assert_eq!(index.right_size, fresh.right_size);
             for s in 0..table.num_states() as u64 {
                 assert!(index.left_ids(s).same_contents(fresh.left_ids(s)));
                 assert!(index.right_ids(s).same_contents(fresh.right_ids(s)));
@@ -299,14 +258,26 @@ mod tests {
 
     #[test]
     fn blocked_and_cover_state_matches_definitions() {
-        // Grow a candidate by hand and cross-check the incremental state
-        // against the word-parallel definitions on every step.
+        // Grow a candidate by hand and cross-check the blocked masks against
+        // `try_absorb` on every step, and the coverage query against
+        // `separated_by` on every intermediate 1-side.
         let table = benchmarks::train11();
         let dichotomies = required_dichotomies(&table);
         let n = dichotomies.len();
         let index = DichotomyIndex::build(table.num_states(), &dichotomies);
         let mut scratch = GrowthScratch::default();
         scratch.reset(n);
+        let assert_covers = |ones: &StateSet| {
+            let covered = index.covered_by(ones);
+            assert_eq!(covered.capacity(), MintermSet::new(n as u64).capacity());
+            for (i, d) in dichotomies.iter().enumerate() {
+                assert_eq!(
+                    covered.contains(i as u64),
+                    d.separated_by(ones),
+                    "covered bit of dichotomy {i} diverges from separated_by"
+                );
+            }
+        };
 
         let mut merged = dichotomies[0].clone();
         for s in merged.left().iter() {
@@ -339,12 +310,41 @@ mod tests {
             }
             scratch.mark_absorbed(j);
             assert!(merged.try_absorb(d));
+            assert_covers(merged.right());
         }
-        for (i, d) in dichotomies.iter().enumerate() {
-            assert_eq!(
-                scratch.covers().contains(i as u64),
-                d.separated_by(merged.right()),
-                "covered bit of dichotomy {i} diverges from separated_by"
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The coverage query is `separated_by` on every id, for any 1-side
+        /// — not only the grown ones — over id counts that do and do not
+        /// fill their last word.
+        #[test]
+        fn coverage_query_matches_separated_by_on_random_sides(
+            machine in 0usize..11,
+            bits in any::<u64>(),
+        ) {
+            let mut tables = benchmarks::all();
+            tables.extend(benchmarks::large_suite());
+            let table = &tables[machine];
+            let dichotomies = required_dichotomies(table);
+            let index = DichotomyIndex::build(table.num_states(), &dichotomies);
+            let mut rng = bits;
+            let ones = StateSet::from_minterms(
+                table.num_states() as u64,
+                (0..table.num_states() as u64).filter(|_| {
+                    rng = rng.rotate_left(7) ^ rng.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    rng & 1 == 1
+                }),
+            );
+            let covered = index.covered_by(&ones);
+            for (i, d) in dichotomies.iter().enumerate() {
+                prop_assert_eq!(covered.contains(i as u64), d.separated_by(&ones), "id {}", i);
+            }
+            prop_assert_eq!(
+                covered.len(),
+                dichotomies.iter().filter(|d| d.separated_by(&ones)).count()
             );
         }
     }

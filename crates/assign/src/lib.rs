@@ -15,16 +15,18 @@
 //!    pairs, plus the pairwise dichotomies that force distinct codes. Each
 //!    dichotomy is a pair of packed state bitsets, so merging, separation and
 //!    subsumption are word-parallel bit tests; duplicates and subsumed
-//!    dichotomies are removed up front ([`dichotomy`]);
+//!    dichotomies are removed up front on fixed-size keys, before any bitset
+//!    is built ([`dichotomy`]);
 //! 2. grow candidate partitions by greedily absorbing compatible dichotomies
 //!    over several distinct seed orderings — plus adjacency-cluster seeds
 //!    from Tracey's column grouping — driven by an inverted state→dichotomy
 //!    **index** ([`index`]) that enumerates only the ids still compatible
-//!    with the growing candidate and maintains each candidate's coverage set
-//!    incrementally; then select a small covering set on the shared
-//!    [`fantom_boolean::covering`] solver — exact minimum cover when the
-//!    candidate set is small, lazy-max greedy cover plus local-search
-//!    refinement (drop / pair-consolidate) otherwise ([`covering`]);
+//!    with the growing candidate and answers each distinct candidate's
+//!    coverage set in one word-parallel query; then select a small covering
+//!    set on the shared [`fantom_boolean::covering`] solver — exact minimum
+//!    cover when the candidate set is small, lazy-max greedy cover plus
+//!    local-search refinement (drop / pair-consolidate) otherwise
+//!    ([`covering`]);
 //! 3. emit the code matrix and verify uniqueness and race-freedom
 //!    ([`assignment`]).
 //!

@@ -51,8 +51,9 @@
 //!     bucket-AND sweeps at 2048/16384-cube bucket widths
 //!     (`kernel.lane.bucket_{and,free}.c*`).
 //! 12. the Step-3 indexed assignment engine: the shared-dichotomy-index
-//!     candidate grower and the lazy-max greedy pick vs the retained scalar
-//!     references (`fantom_bench::reference`) on the unreduced large suite
+//!     candidate grower (blocked masks during growth, one coverage query
+//!     per distinct candidate) and the lazy-max greedy pick vs the retained
+//!     scalar references (`fantom_bench::reference`) on the unreduced large suite
 //!     (`assign.index.*.{grow_ms,grow_ref_ms,greedy_ns,greedy_ref_ns}`) at
 //!     the like-for-like configuration where both engines provably enumerate
 //!     identical candidate pools — equality is asserted on every run — plus
@@ -75,7 +76,8 @@
 //! compared; the process exits non-zero if any current value exceeds the
 //! baseline by more than the 2.5× regression threshold (6× for all-core
 //! `campaign.*` wall times, with a small absolute floor so sub-microsecond
-//! noise cannot trip the gate).
+//! noise cannot trip the gate), or if any `*.vars`, `*.cubes`, `*.depth`,
+//! `*.states` or `*.events` count differs from its baseline at all.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -112,6 +114,21 @@ const CAMPAIGN_REGRESSION_RATIO: f64 = 6.0;
 /// sub-millisecond metrics jitter far more than 2.5x on shared CI runners.
 const FLOOR_NS: f64 = 500.0;
 const FLOOR_MS: f64 = 1.0;
+
+/// Quality counts — code widths, gate cubes, depths, reduced state counts
+/// and simulated events — are deterministic, so the gate compares them for
+/// equality: one more state variable, cube or event fails, and one fewer
+/// needs the baseline updated in the same change.
+fn is_count(key: &str) -> bool {
+    [".vars", ".cubes", ".depth", ".states", ".events"]
+        .iter()
+        .any(|suffix| key.ends_with(suffix))
+}
+
+/// Wall times, gated by ratio past an absolute floor.
+fn is_time(key: &str) -> bool {
+    key.ends_with("_ns") || key.ends_with(".ms") || key.ends_with("_ms")
+}
 
 /// Time `op` until at least ~50 ms have elapsed; returns mean ns per call.
 fn time_ns(mut op: impl FnMut() -> usize) -> f64 {
@@ -962,8 +979,8 @@ fn assignment_metrics(out: &mut BTreeMap<String, f64>) {
 
 /// Item 12: the indexed Step-3 engine vs the retained scalar references.
 ///
-/// `grow_candidates` (shared dichotomy index, incremental covers, one
-/// monotone absorption pass) is compared against
+/// `grow_candidates` (shared dichotomy index, one monotone absorption pass,
+/// covers from one index query per distinct candidate) is compared against
 /// [`fantom_bench::reference::scalar_candidate_growth`] (two wrap-around
 /// `try_absorb` passes plus a full separation rescan per candidate), and the
 /// lazy-max [`fantom_boolean::covering::greedy_cover`] against the rescan-per-pick
@@ -1155,15 +1172,20 @@ fn parse_flat_json(text: &str) -> BTreeMap<String, f64> {
 fn regressions(current: &BTreeMap<String, f64>, baseline: &BTreeMap<String, f64>) -> Vec<String> {
     let mut violations = Vec::new();
     for (key, &base) in baseline {
-        let floor = if key.ends_with("_ns") {
-            FLOOR_NS
-        } else if key.ends_with(".ms") || key.ends_with("_ms") {
-            FLOOR_MS
-        } else {
-            continue; // speedups, counts and flags are not gated
-        };
         let Some(&now) = current.get(key) else {
             continue;
+        };
+        let floor = if key.ends_with("_ns") {
+            FLOOR_NS
+        } else if is_time(key) {
+            FLOOR_MS
+        } else {
+            if is_count(key) && now != base {
+                violations.push(format!(
+                    "{key}: {now} vs baseline {base} (counts are exact)"
+                ));
+            }
+            continue; // speedups, ratios and flags are not gated
         };
         let ratio = if key.starts_with("campaign.") {
             CAMPAIGN_REGRESSION_RATIO
@@ -1244,11 +1266,9 @@ fn main() {
         let violations = regressions(&metrics, &baseline);
         if violations.is_empty() {
             println!(
-                "perf gate: OK ({} gated metrics within tolerance of {path})",
-                baseline
-                    .keys()
-                    .filter(|k| k.ends_with("_ns") || k.ends_with(".ms") || k.ends_with("_ms"))
-                    .count()
+                "perf gate: OK ({} times within tolerance and {} counts equal to {path})",
+                baseline.keys().filter(|k| is_time(k)).count(),
+                baseline.keys().filter(|k| is_count(k)).count()
             );
         } else {
             eprintln!(
@@ -1260,5 +1280,49 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate(key: &str, base: f64, now: f64) -> Vec<String> {
+        let metrics = |v: f64| BTreeMap::from([(key.to_string(), v)]);
+        regressions(&metrics(now), &metrics(base))
+    }
+
+    #[test]
+    fn counts_gate_exactly_in_both_directions() {
+        for key in [
+            "assign.s26.d25.vars",
+            "grid.s26.d25.cubes",
+            "grid.s26.d25.depth",
+            "e2e_reduced.chain40.states",
+            "campaign.lion.events",
+        ] {
+            assert!(gate(key, 385.0, 385.0).is_empty(), "{key}: equal");
+            assert_eq!(gate(key, 385.0, 386.0).len(), 1, "{key}: one more");
+            assert_eq!(gate(key, 385.0, 384.0).len(), 1, "{key}: one fewer");
+        }
+    }
+
+    #[test]
+    fn times_keep_their_ratios_and_floors() {
+        // 2.5x for time keys, past an absolute floor.
+        assert!(gate("assign.ring44.ms", 10.0, 24.9).is_empty());
+        assert_eq!(gate("assign.ring44.ms", 10.0, 25.1).len(), 1);
+        assert!(gate("assign.ring44.ms", 10.0, 1.0).is_empty());
+        assert!(gate("assign.index.chain40.grow_ms", 0.2, 1.1).is_empty());
+        assert_eq!(gate("assign.index.chain40.grow_ms", 0.2, 1.3).len(), 1);
+        assert!(gate("micro.containment.packed_ns", 100.0, 590.0).is_empty());
+        assert_eq!(gate("micro.containment.packed_ns", 100.0, 610.0).len(), 1);
+        // 6x for campaign wall times.
+        assert!(gate("campaign.lion.ms", 10.0, 59.0).is_empty());
+        assert_eq!(gate("campaign.lion.ms", 10.0, 61.0).len(), 1);
+        // Ratios, speedups and keys missing from the run are not gated.
+        assert!(gate("sim.speedup", 3.0, 0.1).is_empty());
+        let base = BTreeMap::from([("grid.s10.d25.cubes".to_string(), 76.0)]);
+        assert!(regressions(&BTreeMap::new(), &base).is_empty());
     }
 }

@@ -36,6 +36,13 @@ impl MintermSet {
         set
     }
 
+    /// The set whose backing words are `words` (64 minterms per word, low
+    /// bit first), over a `64 · words.len()`-point space.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        let len = lane::popcount(&words);
+        MintermSet { words, len }
+    }
+
     /// Number of minterms the space can hold.
     pub fn capacity(&self) -> u64 {
         (self.words.len() * 64) as u64
@@ -322,6 +329,15 @@ mod tests {
         assert!(s.remove(3) && !s.remove(3));
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn from_words_matches_from_minterms() {
+        let minterms = [0u64, 5, 63, 64, 130];
+        let set = MintermSet::from_words(vec![1 | 1 << 5 | 1 << 63, 1, 1 << 2]);
+        assert_eq!(set, MintermSet::from_minterms(192, minterms));
+        assert_eq!(set.len(), minterms.len());
+        assert_eq!(set.iter().collect::<Vec<_>>(), minterms);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Differential tests for the indexed Step-3 covering engine.
 //!
-//! PR 10 rebuilt candidate generation on a shared inverted dichotomy index
-//! with incrementally maintained coverage sets, replaced the rescan-per-pick
-//! greedy loop with a lazy-max heap, and added adjacency seeding. The
+//! Candidate generation runs on a shared inverted dichotomy index: blocked
+//! masks steer growth, and each distinct candidate's coverage set is one
+//! word-parallel query on the index. Selection uses a lazy-max greedy heap
+//! instead of a rescan per pick, and growth adds adjacency seeds. The
 //! pre-index implementation is retained verbatim in
 //! [`fantom_bench::reference`] as the oracle; these tests pin the new engine
 //! against it at the like-for-like configuration (two seed orderings, no
