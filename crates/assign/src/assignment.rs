@@ -100,11 +100,6 @@ impl StateAssignment {
         &self.codes
     }
 
-    /// Find the state whose code equals `bits`, if any.
-    pub fn state_with_code(&self, bits: &Bits) -> Option<StateId> {
-        self.codes.iter().position(|c| c == bits).map(StateId)
-    }
-
     /// The column of state variable `v` as a packed state set: bit `s` is
     /// set iff state `s` is coded 1 in variable `v`.
     fn variable_column(&self, v: usize) -> StateSet {
@@ -440,16 +435,6 @@ mod tests {
                 table.name(),
                 assignment.num_vars()
             );
-        }
-    }
-
-    #[test]
-    fn state_code_lookup_round_trips() {
-        let table = benchmarks::traffic();
-        let assignment = assign(&table);
-        for s in table.states() {
-            let code = assignment.code(s).clone();
-            assert_eq!(assignment.state_with_code(&code), Some(s));
         }
     }
 }

@@ -3,12 +3,9 @@
 //!
 //! `fantom_sim`'s scheduler now runs on a position-indexed heap of per-source
 //! FIFOs (`fantom_sim::queue`); this module preserves its predecessor so that
-//!
-//! * `tests/sim_parity.rs` can pin the new scheduler's waveforms (and, in
-//!   transport mode, its exact event ordering) against the old one on the
-//!   benchmark corpus, and
-//! * `bench_json` can measure `sim.events_per_s` for both schedulers from
-//!   the same binary.
+//! `tests/sim_parity.rs` can pin the new scheduler's waveforms (and, in
+//! transport mode, its exact event ordering) against the old one on the
+//! benchmark corpus.
 //!
 //! The code is the pre-rewrite `crates/sim/src/sim.rs` with imports pointed
 //! at `fantom_sim` and the types prefixed `Heap*`; behaviour is untouched.

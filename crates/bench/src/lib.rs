@@ -8,13 +8,13 @@
 //!
 //! Key pieces: [`PAPER_TABLE1`] (the paper's reported depths),
 //! [`table1_options`] (the Table-1 synthesis configuration),
-//! [`mod@reference`] (naive literal-vector cube implementations used as
-//! perf/correctness references), and the `bench_json` binary — the perf
-//! emitter and CI regression gate (`cargo run -p fantom-bench --release
-//! --bin bench_json -- OUT.json --baseline BENCH_baseline.json`), covering
-//! the micro cube kernel, the cube engine against the dense oracle, Step-2
-//! reduction metrics (`reduce.*`) and end-to-end synthesis (`e2e.*`,
-//! `e2e_reduced.*`).
+//! [`mod@reference`] (the seeded corpus builders and the two Step 3 test
+//! references), [`heap_sim`] (the retired simulator `tests/sim_parity.rs`
+//! compares against), and the `bench_json` binary — the perf emitter and CI
+//! regression gate (`cargo run -p fantom-bench --release --bin bench_json --
+//! OUT.json --baseline BENCH_baseline.json`), which times the shipping code
+//! of every layer, from the cube kernels to batch synthesis, simulation and
+//! campaigns, on the corpus, the large suite and the `benchmarks/` grid.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,88 +1,15 @@
-//! Naive literal-vector cube reference used by the `cube_kernel` benchmarks.
+//! Seeded corpus builders and the two Step 3 test references.
 //!
-//! This module re-implements the cube operations exactly as the pre-packed
-//! `Vec<Literal>` representation did — one enum comparison per variable —
-//! so the benches and the `bench_json` emitter can measure the word-parallel
-//! kernel against its honest predecessor without keeping the old type alive
-//! in the library.
+//! The builders generate the cube strings, packed words, covers and
+//! functions that `bench_json`'s kernel and engine families time; the same
+//! seed always yields the same corpus. [`scalar_candidate_growth`] and
+//! [`scalar_greedy_cover`] are the pre-index Step 3 loops, kept verbatim
+//! because `tests/assign_indexed.rs` compares the indexed engine against
+//! them.
 
 use fantom_boolean::{Cover, CoverFunction, Cube, Literal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A product term stored as one literal per variable (the representation the
-/// packed kernel replaced).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NaiveCube(pub Vec<Literal>);
-
-impl NaiveCube {
-    /// Parse from the positional text format.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed text — bench corpora are generated, never hostile.
-    pub fn parse(s: &str) -> Self {
-        NaiveCube(
-            s.chars()
-                .map(|c| Literal::from_char(c).expect("valid cube char"))
-                .collect(),
-        )
-    }
-
-    /// Containment: every non-don't-care position must match.
-    pub fn covers(&self, other: &NaiveCube) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| match a {
-            Literal::DontCare => true,
-            _ => a == b,
-        })
-    }
-
-    /// Intersection, `None` on a 0/1 conflict.
-    pub fn intersect(&self, other: &NaiveCube) -> Option<NaiveCube> {
-        let mut lits = Vec::with_capacity(self.0.len());
-        for (a, b) in self.0.iter().zip(&other.0) {
-            let lit = match (a, b) {
-                (Literal::DontCare, x) => *x,
-                (x, Literal::DontCare) => *x,
-                (x, y) if x == y => *x,
-                _ => return None,
-            };
-            lits.push(lit);
-        }
-        Some(NaiveCube(lits))
-    }
-
-    /// Quine–McCluskey adjacency merge.
-    pub fn combine_adjacent(&self, other: &NaiveCube) -> Option<NaiveCube> {
-        let mut diff_at = None;
-        for (i, (a, b)) in self.0.iter().zip(&other.0).enumerate() {
-            if a == b {
-                continue;
-            }
-            if *a == Literal::DontCare || *b == Literal::DontCare {
-                return None;
-            }
-            if diff_at.is_some() {
-                return None;
-            }
-            diff_at = Some(i);
-        }
-        diff_at.map(|i| {
-            let mut lits = self.0.clone();
-            lits[i] = Literal::DontCare;
-            NaiveCube(lits)
-        })
-    }
-
-    /// Minterm membership by per-literal matching.
-    pub fn contains_minterm(&self, m: u64) -> bool {
-        let n = self.0.len();
-        self.0
-            .iter()
-            .enumerate()
-            .all(|(i, lit)| lit.matches((m >> (n - 1 - i)) & 1 == 1))
-    }
-}
 
 /// Deterministic seeded stream for generating bench corpora (thin wrapper
 /// over the workspace `rand` generator so the algorithm lives in one place).
@@ -166,8 +93,8 @@ pub fn containment_pair_strings(seed: u64, num_vars: usize, pairs: usize) -> Vec
 }
 
 /// Per-cube minterm membership queries mirroring Petrick gain counting: half
-/// the queried minterms lie inside the cube (full-scan cost for a naive
-/// representation), half miss at a uniformly random bound position.
+/// the queried minterms lie inside the cube, half miss at a uniformly random
+/// bound position.
 pub fn membership_queries(seed: u64, cubes: &[String]) -> Vec<u64> {
     let mut rng = CorpusRng::new(seed ^ 0x4D45_4D42);
     cubes
@@ -284,15 +211,11 @@ pub fn synthetic_cover_function(
     CoverFunction::from_on_off(on, off).expect("on points avoid the off cover")
 }
 
-/// Mask of every low ("can-be-0") field bit of a packed cube word (the
-/// layout constant of `fantom_boolean`, re-derived here for the reference).
-const LO_BITS: u64 = 0x5555_5555_5555_5555;
-
 /// Rebuild the espresso-style packed words of a positional-cube string —
 /// two bits per variable, fields allocated from the MSB of each word down,
 /// padding fields canonically `11` — exactly the `fantom_boolean` layout, so
-/// the scalar word loops below and the `fantom_boolean::lane` kernels run
-/// over byte-identical inputs.
+/// the `fantom_boolean::lane` kernels run over words laid out as `Cube`
+/// stores them.
 ///
 /// # Panics
 ///
@@ -313,78 +236,8 @@ pub fn packed_words(s: &str) -> Vec<u64> {
     out
 }
 
-/// Pre-lane scalar containment loop (`b & !a == 0` word by word with early
-/// exit) — the exact traversal `Cube::covers` used before the lane kernels.
-#[inline]
-pub fn scalar_cube_covers(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(&x, &y)| y & !x == 0)
-}
-
-/// Pre-lane scalar conflict scan — the word loop `Cube::intersect` used to
-/// detect an empty (`00`) field before the lane kernels.
-#[inline]
-pub fn scalar_cube_has_conflict(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(&x, &y)| {
-        let t = x & y;
-        !(t | (t >> 1)) & LO_BITS != 0
-    })
-}
-
-/// Pre-lane scalar bucket-AND (`cand &= dc`, any-accumulated) — the
-/// free-variable constraint loop of `CoverIndex::constrain` before the lane
-/// kernels.
-#[inline]
-pub fn scalar_and_into_any(dst: &mut [u64], src: &[u64]) -> u64 {
-    let mut any = 0u64;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= s;
-        any |= *d;
-    }
-    any
-}
-
-/// Pre-lane scalar bound-variable bucket-AND (`cand &= same | dc`,
-/// any-accumulated) — the other arm of `CoverIndex::constrain`.
-#[inline]
-pub fn scalar_and_or2_into_any(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-    let mut any = 0u64;
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d &= x | y;
-        any |= *d;
-    }
-    any
-}
-
-/// The dense `2^n · n` static-hazard adjacency walk the cube-pair-wise
-/// region algorithm replaced, kept here as the benchmark oracle. Returns the
-/// hazardous pair count.
-pub fn naive_static_hazard_count(cover: &Cover) -> usize {
-    let n = cover.num_vars();
-    let space = 1u64 << n;
-    let full_mask: u64 = space - 1;
-    let mut count = 0usize;
-    for m in 0..space {
-        for var in 0..n {
-            let bit = 1u64 << (n - 1 - var);
-            if m & bit != 0 {
-                continue;
-            }
-            let other = m | bit;
-            if !cover.covers_minterm(m) || !cover.covers_minterm(other) {
-                continue;
-            }
-            let pair = Cube::from_mask_value(n, full_mask & !bit, m);
-            if !cover.single_cube_covers(&pair) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 /// The pre-index candidate-growth loop of the Step-3 assignment engine,
-/// retained verbatim as the differential oracle and micro-benchmark
-/// reference: per seed, two full wrap-around `try_absorb` passes over the
+/// retained verbatim as the differential oracle: per seed, two full wrap-around `try_absorb` passes over the
 /// dichotomy list, a full separation rescan to compute the candidate's
 /// coverage set, and the old rotation seed orderings (variants ≥ 2 rotate by
 /// a prime offset — provably duplicates of variant 0, which is exactly the

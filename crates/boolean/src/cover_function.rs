@@ -82,18 +82,6 @@ impl CoverFunction {
         Ok(CoverFunction { num_vars, on, off })
     }
 
-    /// Build a function from on- and don't-care covers, deriving the off-set
-    /// cover by recursive complement (`off = ¬(on ∪ dc)`). Where the covers
-    /// overlap the don't-care wins, matching [`Function::from_on_dc`].
-    pub fn from_on_dc_covers(on: Cover, dc: &Cover) -> Self {
-        let num_vars = on.num_vars();
-        let mut care = on.clone();
-        care.extend(dc.iter().cloned());
-        let off = recursive::complement(&care);
-        let on = if dc.is_empty() { on } else { on.sharp(dc) };
-        CoverFunction { num_vars, on, off }
-    }
-
     /// Convert a dense [`Function`] into cover form, one minterm cube per
     /// on/off point. This is the dense↔sparse bridge used by differential
     /// tests against the dense oracle; it scans the dense bitsets (word-
@@ -297,29 +285,6 @@ mod tests {
             CoverFunction::from_on_off(on, off),
             Err(BooleanError::OverlappingCovers { .. })
         ));
-    }
-
-    #[test]
-    fn from_on_dc_covers_matches_dense_from_on_dc() {
-        let on = Cover::parse(3, "11- 0-0").unwrap();
-        let dc = Cover::parse(3, "111 001").unwrap();
-        let cf = CoverFunction::from_on_dc_covers(on.clone(), &dc);
-        let dense = Function::from_on_dc(
-            3,
-            &on.cubes()
-                .iter()
-                .flat_map(|c| c.minterms())
-                .collect::<Vec<_>>(),
-            &dc.cubes()
-                .iter()
-                .flat_map(|c| c.minterms())
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        for m in 0..8u64 {
-            assert_eq!(cf.is_on(m), dense.is_on(m), "on {m}");
-            assert_eq!(cf.is_off(m), dense.is_off(m), "off {m}");
-        }
     }
 
     #[test]

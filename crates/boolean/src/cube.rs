@@ -468,10 +468,9 @@ impl Cube {
     /// distance is not exactly 1.
     ///
     /// Part of the kernel's word-parallel op set; note that the hazard
-    /// removers ([`crate::hazard::add_consensus_terms_cover`],
-    /// [`crate::hazard::add_consensus_terms_on_pairs`]) intentionally build
-    /// their consensus gates by prime expansion instead, so the added terms
-    /// are maximal.
+    /// remover ([`crate::hazard::add_consensus_terms_on_pairs`])
+    /// intentionally builds its consensus gates by prime expansion instead,
+    /// so the added terms are maximal.
     pub fn consensus(&self, other: &Cube) -> Option<Cube> {
         debug_assert_eq!(self.num_vars, other.num_vars);
         if self.conflict_count(other) != 1 {

@@ -32,10 +32,10 @@
 //! regions are sharped only against the free cubes the index proves can hit
 //! them — ordered largest-first so likely hits come early — in
 //! double-buffered accumulators that reuse their allocations across pairs.
-//! The consensus engines ([`add_consensus_terms_cover`],
-//! [`add_consensus_terms_on_pairs`]) keep the index **incrementally
-//! up to date** as they push primes, so every coverage test reflects the
-//! cover as it grows, at push cost linear in the variable count.
+//! The on-pair consensus engine ([`add_consensus_terms_on_pairs`]) keeps
+//! the index **incrementally up to date** as it pushes primes, so every
+//! coverage test reflects the cover as it grows, at push cost linear in the
+//! variable count.
 
 use crate::collections::HashSet;
 use crate::cube::sharp_pieces;
@@ -85,23 +85,18 @@ struct RegionScratch {
     seen: HashSet<Cube>,
 }
 
-/// Reusable buffers for the consensus-augmentation engines
-/// ([`add_consensus_terms_cover`], [`add_consensus_terms_on_pairs`]): the
-/// static-hazard region engine's internal scratch plus the candidate
-/// bitsets, id lists,
+/// Reusable buffers for the on-pair consensus augmentation
+/// ([`add_consensus_terms_on_pairs`]): the candidate bitsets, id lists,
 /// double-buffered sharp accumulators, phase-cube buffers and the region
-/// dedup set of the augmentation loops themselves.
+/// dedup set of its loops.
 ///
 /// One instance can serve any number of consecutive calls (each call clears
 /// what it uses but keeps the capacity), which is what lets a long-lived
 /// synthesis worker stop allocating in the consensus hot loops — pass it to
-/// the `_with` variants ([`add_consensus_terms_on_pairs_with`],
-/// [`add_consensus_terms_cover_with`]). The plain entry points allocate a
+/// [`add_consensus_terms_on_pairs_with`]. The plain entry point allocates a
 /// fresh scratch per call.
 #[derive(Default)]
 pub struct ConsensusScratch {
-    region: RegionScratch,
-    regions: Vec<Cube>,
     cand: Vec<u64>,
     ids: Vec<usize>,
     pieces: Vec<Cube>,
@@ -279,89 +274,6 @@ pub fn is_static_hazard_free(cover: &Cover) -> bool {
     })
 }
 
-/// Augment an existing cover with the missing prime implicants needed to make
-/// it hazard-free, keeping the original (typically minimal) cubes first.
-///
-/// For every 1→1 adjacency not covered by a single product term, the pair's
-/// region is expanded against the off-set into a prime implicant and added to
-/// the cover (the classical "consensus gate"). The off-set is given as a cube
-/// cover, so the augmentation runs entirely on cube operations and scales to
-/// spaces far beyond a dense representation.
-///
-/// Hazard regions whose pairs touch the off-set are left alone — such a pair
-/// has an end the cover (legally) implements as 1 only because the point is a
-/// don't-care of the original function, so it is unconstrained. Every region
-/// of pairs that lie inside `on ∪ dc` is widened against `off` into a prime
-/// implicant and appended.
-pub fn add_consensus_terms_cover(off: &Cover, base: &Cover) -> Cover {
-    add_consensus_terms_cover_with(off, base, &mut ConsensusScratch::default())
-}
-
-/// [`add_consensus_terms_cover`] with caller-provided scratch buffers, for
-/// workers that run many augmentations and want to amortize the allocations.
-pub fn add_consensus_terms_cover_with(
-    off: &Cover,
-    base: &Cover,
-    scratch: &mut ConsensusScratch,
-) -> Cover {
-    let n = base.num_vars();
-    let mut cover = IndexedCover::build(base);
-    let off_index = CoverIndex::build(off);
-    let off_sizes: Vec<usize> = off.cubes().iter().map(Cube::literal_count).collect();
-    let ConsensusScratch {
-        region: region_scratch,
-        regions,
-        cand,
-        ids,
-        pieces: safe,
-        next,
-        ..
-    } = scratch;
-    loop {
-        let mut progress = false;
-        for var in 0..n {
-            // Raw overlapping regions of the *current* cover: a pair
-            // appearing in two regions is fixed by the first added prime and
-            // skipped by the indexed coverage check on the second.
-            regions.clear();
-            overlapping_regions_indexed(cover.cover(), cover.index(), var, region_scratch, regions);
-            for region in regions.drain(..) {
-                // Remove every pair that intersects the off-set: a pair binds
-                // all variables except `var`, so it meets an off cube `d` iff
-                // it lies inside `d` freed in `var`. Those subtrahends are
-                // var-free, so the safe pieces keep `var` free — and since
-                // the region is already var-free, the off cubes whose freed
-                // forms can hit it are exactly the ones the index reports as
-                // intersecting the region itself.
-                safe.clear();
-                safe.push(region);
-                if off_index.intersecting_ids(&safe[0], cand, ids) {
-                    ids.sort_by_key(|&i| off_sizes[i]); // largest first: likely hits early
-                    for &i in ids.iter() {
-                        let freed = off.cubes()[i].with_literal(var, Literal::DontCare);
-                        if !sharp_pieces(safe, next, &freed) {
-                            break;
-                        }
-                    }
-                }
-                for piece in safe.drain(..) {
-                    debug_assert_eq!(piece.literal(var), Literal::DontCare);
-                    if cover.index().covering_candidates(&piece, cand) {
-                        continue; // already fixed by a previously added prime
-                    }
-                    // Expand the region into a prime implicant of on ∪ dc.
-                    let grown = expand_against_off(piece, n, &off_index, cand);
-                    cover.push(grown);
-                    progress = true;
-                }
-            }
-        }
-        if !progress {
-            return cover.into_cover();
-        }
-    }
-}
-
 /// Expand `piece` into a prime implicant of `on ∪ dc` by freeing every bound
 /// variable whose widened cube still avoids the off-set — each test a
 /// word-parallel indexed intersection query through the `cand` scratch.
@@ -384,14 +296,14 @@ fn expand_against_off(piece: Cube, n: usize, off_index: &CoverIndex, cand: &mut 
 /// points differing in one variable, some single cube of the result covers
 /// the pair.
 ///
-/// This is the targeted variant the sparse synthesis pipeline uses: an
+/// The augmentation is targeted, which is what Step 7 needs: an
 /// asynchronous machine only ever occupies *specified* total states, so the
 /// 1→1 transitions it can actually exercise are exactly the on/on
 /// adjacencies — don't-care points the implementation happens to cover are
 /// unreachable. Cost is quadratic in the **on-cover** size (regions are built
 /// from on-cube pairs), independent of how large the implementation cover or
-/// the space grows, where [`add_consensus_terms_cover`] closes over every
-/// covered adjacency and can enumerate a prime set exponentially larger.
+/// the space grows, where closing over every covered adjacency (don't-cares
+/// included) can enumerate a prime set exponentially larger.
 ///
 /// A single pass suffices: the result only ever grows, so an on/on pair
 /// fixed once stays fixed.
@@ -429,7 +341,6 @@ pub fn add_consensus_terms_on_pairs_with(
         seen,
         lower,
         upper,
-        ..
     } = scratch;
     for var in 0..n {
         // Regions of pairs with both ends in the on-set: free `var` in every
@@ -500,15 +411,6 @@ mod tests {
     /// changes (Unger 1969).
     fn all_primes(f: &Function) -> Cover {
         Cover::from_cubes(f.num_vars(), quine::prime_implicants(f))
-    }
-
-    fn minterm_cover(n: usize, minterms: impl Iterator<Item = u64>) -> Cover {
-        Cover::from_cubes(
-            n,
-            minterms
-                .map(|m| Cube::from_minterm(n, m).unwrap())
-                .collect(),
-        )
     }
 
     #[test]
@@ -604,41 +506,6 @@ mod tests {
             let cover = all_primes(&f);
             assert!(is_static_hazard_free(&cover), "on={on:?} dc={dc:?}");
             assert!(cover.equivalent_to(&f));
-        }
-    }
-
-    #[test]
-    fn minimal_cover_may_have_hazard_but_consensus_fixes_it() {
-        let f = Function::from_on_set(3, &[3, 7, 4, 5]).unwrap();
-        let cf = CoverFunction::from_function(&f);
-        let min = cf.minimize();
-        let fixed = add_consensus_terms_cover(cf.off_cover(), &min);
-        assert!(is_static_hazard_free(&fixed));
-        assert!(fixed.equivalent_to(&f));
-        // The original minimal cubes are still present.
-        for c in min.cubes() {
-            assert!(fixed.cubes().contains(c));
-        }
-    }
-
-    #[test]
-    fn consensus_terms_from_off_cover_match_dense_path() {
-        // The off-set as one cube per tabulated off minterm (the dense view)
-        // and as the recursive complement of on ∪ dc (the cube view) must
-        // close the same function: both results implement `f` and leave no
-        // on/on adjacency hazardous.
-        let f = Function::from_on_dc(4, &[3, 7, 11, 12, 13], &[5, 15]).unwrap();
-        let min = CoverFunction::from_function(&f).minimize();
-        let dense_off = minterm_cover(4, f.off_minterms());
-        let mut care = minterm_cover(4, f.on_minterms());
-        care.extend(minterm_cover(4, f.dc_minterms()).iter().cloned());
-        let cube_off = crate::recursive::complement(&care);
-        for off in [dense_off, cube_off] {
-            let fixed = add_consensus_terms_cover(&off, &min);
-            assert!(f.implemented_by(&fixed));
-            for h in static_hazards(&fixed) {
-                assert!(!(f.is_on(h.from) && f.is_on(h.to)));
-            }
         }
     }
 

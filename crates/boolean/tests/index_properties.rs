@@ -1,7 +1,6 @@
 //! Differential property tests pinning the **indexed** Step 5/7 engines —
-//! [`hazard::static_hazard_regions`], [`hazard::add_consensus_terms_cover`],
-//! [`hazard::add_consensus_terms_on_pairs`] and
-//! [`petrick::minimum_cover_sparse`] — against verbatim copies of the
+//! [`hazard::static_hazard_regions`], [`hazard::add_consensus_terms_on_pairs`]
+//! and [`petrick::minimum_cover_sparse`] — against verbatim copies of the
 //! pre-index (PR 2–4) implementations used as oracles.
 //!
 //! Two kinds of pin:
@@ -87,48 +86,6 @@ fn oracle_static_hazard_regions(cover: &Cover) -> Vec<(usize, Cube)> {
         out.extend(disjoint.into_iter().map(|region| (var, region)));
     }
     out
-}
-
-/// Pre-index `add_consensus_terms_cover`: fixpoint loop, all-off-cube
-/// subtraction in cover order, full-cover coverage rescans.
-fn oracle_add_consensus_terms_cover(off: &Cover, base: &Cover) -> Cover {
-    let n = base.num_vars();
-    let mut cover = base.clone();
-    loop {
-        let mut progress = false;
-        for var in 0..n {
-            for region in oracle_overlapping_regions_for(&cover, var) {
-                let mut safe = vec![region];
-                for d in off.cubes() {
-                    let freed = d.with_literal(var, Literal::DontCare);
-                    safe = safe.iter().flat_map(|p| p.sharp(&freed)).collect();
-                    if safe.is_empty() {
-                        break;
-                    }
-                }
-                for piece in safe {
-                    if cover.single_cube_covers(&piece) {
-                        continue;
-                    }
-                    let mut grown = piece;
-                    for v in 0..n {
-                        if grown.literal(v) == Literal::DontCare {
-                            continue;
-                        }
-                        let widened = grown.with_literal(v, Literal::DontCare);
-                        if !off.intersects_cube(&widened) {
-                            grown = widened;
-                        }
-                    }
-                    cover.push(grown);
-                    progress = true;
-                }
-            }
-        }
-        if !progress {
-            return cover;
-        }
-    }
 }
 
 /// Pre-index `add_consensus_terms_on_pairs`: var-free snapshot before the
@@ -401,35 +358,6 @@ fn assert_disjoint_regions(regions: &[(usize, Cube)]) {
     }
 }
 
-/// The consensus result is *equally valid*: keeps the base cubes as a
-/// prefix, adds only cubes inside `on ∪ dc` (never touching `off`), and —
-/// verified with the **oracle's** region machinery — leaves no covered
-/// single-input-change pair outside the off-set uncovered by a single cube.
-fn assert_consensus_cover_valid(result: &Cover, base: &Cover, off: &Cover) {
-    let n = base.num_vars();
-    assert_eq!(&result.cubes()[..base.cube_count()], base.cubes());
-    for added in &result.cubes()[base.cube_count()..] {
-        assert!(!off.intersects_cube(added), "added cube {added} hits off");
-    }
-    for var in 0..n {
-        for region in oracle_overlapping_regions_for(result, var) {
-            // Remaining hazardous pairs must all touch the off-set.
-            let mut safe = vec![region];
-            for d in off.cubes() {
-                let freed = d.with_literal(var, Literal::DontCare);
-                safe = safe.iter().flat_map(|p| p.sharp(&freed)).collect();
-                if safe.is_empty() {
-                    break;
-                }
-            }
-            assert!(
-                safe.is_empty(),
-                "var {var}: unfixed hazardous region outside the off-set"
-            );
-        }
-    }
-}
-
 /// The on-pair consensus result is equally valid: base prefix kept, added
 /// cubes avoid `off`, and every on/on pair region is covered by a single
 /// var-free cube of the result (cube-wise, via sharp).
@@ -572,28 +500,6 @@ proptest! {
         );
     }
 
-    /// Indexed `add_consensus_terms_cover` is equally valid vs the oracle
-    /// (and the oracle itself passes the same validity checks).
-    #[test]
-    fn indexed_consensus_cover_equally_valid(cf in arb_dc_heavy(NUM_VARS)) {
-        let base = cf.minimize();
-        let off = cf.off_cover();
-        let ours = hazard::add_consensus_terms_cover(off, &base);
-        let oracle = oracle_add_consensus_terms_cover(off, &base);
-        assert_consensus_cover_valid(&ours, &base, off);
-        assert_consensus_cover_valid(&oracle, &base, off);
-        // Pointwise: both cover the same specified behaviour (base points
-        // plus primes within on ∪ dc; n is small enough to enumerate here).
-        for m in 0..(1u64 << NUM_VARS) {
-            if base.covers_minterm(m) {
-                prop_assert!(ours.covers_minterm(m));
-            }
-            if cf.is_off(m) {
-                prop_assert!(!ours.covers_minterm(m), "off point {} covered", m);
-            }
-        }
-    }
-
     /// Indexed `add_consensus_terms_on_pairs` fixes every on/on adjacency,
     /// matching the oracle's guarantee, on dc-heavy functions.
     #[test]
@@ -709,9 +615,6 @@ fn wide_word_boundary_consensus_equally_valid() {
         let base = on.clone();
         let ours = hazard::add_consensus_terms_on_pairs(&on, &off, &base);
         assert_on_pair_consensus_valid(&ours, &on, &off, &base);
-
-        let fixed = hazard::add_consensus_terms_cover(&off, &base);
-        assert_consensus_cover_valid(&fixed, &base, &off);
     }
 }
 

@@ -119,22 +119,6 @@ proptest! {
         prop_assert_eq!(on_set_hazards, 0);
     }
 
-    /// Adding consensus terms to a minimal cover yields a cover that still
-    /// implements the function, contains the original cubes, and has no
-    /// static hazards between specified on-set minterms.
-    #[test]
-    fn consensus_terms_fix_hazards(f in arb_function()) {
-        let cf = CoverFunction::from_function(&f);
-        let base = cf.minimize();
-        let fixed = hazard::add_consensus_terms_cover(cf.off_cover(), &base);
-        prop_assert!(fixed.equivalent_to(&f));
-        let on_set_hazards = hazard::static_hazards(&fixed)
-            .into_iter()
-            .filter(|h| f.is_on(h.from) && f.is_on(h.to))
-            .count();
-        prop_assert_eq!(on_set_hazards, 0);
-    }
-
     /// Parsing a displayed cube round-trips.
     #[test]
     fn cube_display_parse_round_trip(a in arb_cube()) {

@@ -209,17 +209,11 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// A canonical result stored in the cache (everything in canonical-space
-/// labeling).
+/// A canonical result stored in the cache: the canonical table it was
+/// synthesized from, and the result in canonical-space labeling.
 struct CanonicalResult {
     canonical_table: FlowTable,
-    states_before: usize,
-    reduced_table: FlowTable,
-    assignment: StateAssignment,
-    outputs: CoverOutputEquations,
-    factored: FactoredEquations,
-    depth: DepthReport,
-    hazard_state_count: usize,
+    result: ServiceResult,
 }
 
 /// One cache slot: racing isomorphic submissions serialize on the slot lock
@@ -360,7 +354,10 @@ impl SynthesisService {
                 // Errors are returned, not cached: the slot stays empty and
                 // a later isomorphic submission re-derives the same error.
                 let r = synthesize_sparse_with(&ctable, &self.options.synthesis, ws)?;
-                let core = Arc::new(canonical_core(ctable, states_before, r));
+                let core = Arc::new(CanonicalResult {
+                    canonical_table: ctable,
+                    result: from_sparse(r, states_before, CacheStatus::Miss),
+                });
                 *entry = Some(Arc::clone(&core));
                 (core, CacheStatus::Miss)
             }
@@ -376,7 +373,7 @@ impl SynthesisService {
             }
             CacheStatus::Uncached => {}
         }
-        Ok(relabel_result(&core, &canon, table.name(), status))
+        Ok(relabel_result(&core.result, &canon, table.name(), status))
     }
 }
 
@@ -445,7 +442,7 @@ pub(crate) fn claim_pool<S, T: Send>(
         .collect()
 }
 
-/// Package a direct (uncached) sparse run as a service result.
+/// Package a sparse run as a service result.
 fn from_sparse(
     r: SparseSynthesisResult,
     states_before: usize,
@@ -464,30 +461,12 @@ fn from_sparse(
     }
 }
 
-/// Package the sparse run of a canonical table as a cache entry.
-fn canonical_core(
-    canonical_table: FlowTable,
-    states_before: usize,
-    r: SparseSynthesisResult,
-) -> CanonicalResult {
-    CanonicalResult {
-        canonical_table,
-        states_before,
-        reduced_table: r.reduced_table,
-        assignment: r.assignment,
-        outputs: r.outputs,
-        factored: r.factored,
-        depth: r.depth,
-        hazard_state_count: r.hazards.hazard_state_count(),
-    }
-}
-
 /// Map a canonical result back onto a submission's labeling: input variable
 /// positions and output bit order are carried through every cover and
 /// expression by the inverse canonical maps; state variables (and `fsv`)
 /// keep their positions, so the assignment and the y-ordering are unchanged.
 fn relabel_result(
-    core: &CanonicalResult,
+    core: &ServiceResult,
     canon: &Canonicalization,
     name: &str,
     status: CacheStatus,

@@ -392,15 +392,6 @@ pub fn all() -> Vec<FlowTable> {
     ]
 }
 
-/// Look up a benchmark by name (searching the small corpus first, then the
-/// large sparse-engine suite).
-pub fn by_name(name: &str) -> Option<FlowTable> {
-    all()
-        .into_iter()
-        .find(|t| t.name() == name)
-        .or_else(|| large_suite().into_iter().find(|t| t.name() == name))
-}
-
 /// Import a single external KISS2 benchmark file.
 ///
 /// The machine is named after the file stem (`benchmarks/dk15.kiss` becomes
@@ -498,12 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
-        assert!(by_name("lion").is_some());
-        assert!(by_name("does_not_exist").is_none());
-    }
-
-    #[test]
     fn large_suite_tables_are_valid_and_mic_rich() {
         for table in large_suite() {
             let report = validate::validate(&table);
@@ -522,7 +507,6 @@ mod tests {
         assert_eq!(ring44().num_states(), 44);
         assert_eq!(wide36().num_states(), 36);
         assert_eq!(wide36().num_inputs(), 4);
-        assert!(by_name("chain40").is_some());
     }
 
     #[test]

@@ -176,13 +176,6 @@ impl Bits {
         }
         out
     }
-
-    /// Concatenate two bit vectors (`self` first).
-    pub fn concat(&self, other: &Bits) -> Bits {
-        let mut bits = self.bits.clone();
-        bits.extend_from_slice(&other.bits);
-        Bits { bits }
-    }
 }
 
 impl fmt::Display for Bits {
@@ -256,12 +249,5 @@ mod tests {
         let mut c = b.clone();
         c.set_bit(0, true);
         assert_eq!(c.to_string(), "110");
-    }
-
-    #[test]
-    fn concat_widths_add() {
-        let a = Bits::parse("10").unwrap();
-        let b = Bits::parse("011").unwrap();
-        assert_eq!(a.concat(&b).to_string(), "10011");
     }
 }

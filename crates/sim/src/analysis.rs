@@ -1,5 +1,5 @@
-//! Waveform analysis helpers: transition counting, glitch detection and
-//! stability windows.
+//! Waveform analysis: transition counting, from which campaigns detect
+//! glitches.
 //!
 //! A *glitch* on a net, for the purposes of hazard validation, is any pair of
 //! opposite transitions within an observation window on a net that was
@@ -16,67 +16,6 @@ pub fn transitions_since(waveform: &Waveform, since: u64) -> usize {
         .count()
 }
 
-/// The value a waveform holds at time `t` (the last recorded value at or
-/// before `t`), or the initial value if `t` precedes every sample.
-pub fn value_at(waveform: &Waveform, t: u64) -> bool {
-    waveform
-        .iter()
-        .take_while(|(time, _)| *time <= t)
-        .last()
-        .or_else(|| waveform.first())
-        .map(|(_, v)| *v)
-        .unwrap_or(false)
-}
-
-/// `true` if the net changed value more than `allowed` times at or after
-/// `since` — i.e. it glitched with respect to the expected change count.
-pub fn has_glitch(waveform: &Waveform, since: u64, allowed: usize) -> bool {
-    transitions_since(waveform, since) > allowed
-}
-
-/// `true` if the waveform is constant (no changes) at or after `since`.
-pub fn is_constant_since(waveform: &Waveform, since: u64) -> bool {
-    transitions_since(waveform, since) == 0
-}
-
-/// The last time at which the waveform changed value, if it ever changed.
-pub fn last_change(waveform: &Waveform) -> Option<u64> {
-    waveform
-        .windows(2)
-        .filter(|w| w[0].1 != w[1].1)
-        .map(|w| w[1].0)
-        .next_back()
-}
-
-/// Intervals `(start, end)` during which `condition_wave` holds value `true`,
-/// clipped to `[since, until]`. Useful for checking that an output is stable
-/// whenever a "capture window" (e.g. `SSD ∧ ¬fsv`) is open.
-pub fn true_intervals(condition_wave: &Waveform, since: u64, until: u64) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut current: Option<u64> = if value_at(condition_wave, since) {
-        Some(since)
-    } else {
-        None
-    };
-    for &(t, v) in condition_wave
-        .iter()
-        .filter(|(t, _)| *t > since && *t <= until)
-    {
-        match (current, v) {
-            (None, true) => current = Some(t),
-            (Some(start), false) => {
-                out.push((start, t));
-                current = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(start) = current {
-        out.push((start, until));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,47 +30,5 @@ mod tests {
         assert_eq!(transitions_since(&w, 0), 2);
         assert_eq!(transitions_since(&w, 6), 1);
         assert_eq!(transitions_since(&w, 8), 0);
-    }
-
-    #[test]
-    fn value_lookup() {
-        let w = wave(&[(0, false), (5, true), (9, false)]);
-        assert!(!value_at(&w, 0));
-        assert!(!value_at(&w, 4));
-        assert!(value_at(&w, 5));
-        assert!(value_at(&w, 8));
-        assert!(!value_at(&w, 100));
-    }
-
-    #[test]
-    fn glitch_detection_against_allowance() {
-        let single_change = wave(&[(0, false), (5, true)]);
-        assert!(!has_glitch(&single_change, 0, 1));
-        let pulse = wave(&[(0, false), (5, true), (6, false)]);
-        assert!(has_glitch(&pulse, 0, 1));
-        assert!(!has_glitch(&pulse, 0, 2));
-        assert!(is_constant_since(&pulse, 7));
-    }
-
-    #[test]
-    fn last_change_reported() {
-        assert_eq!(last_change(&wave(&[(0, false)])), None);
-        assert_eq!(
-            last_change(&wave(&[(0, false), (3, true), (8, false)])),
-            Some(8)
-        );
-    }
-
-    #[test]
-    fn true_interval_extraction() {
-        let w = wave(&[(0, false), (5, true), (9, false), (12, true)]);
-        let intervals = true_intervals(&w, 0, 20);
-        assert_eq!(intervals, vec![(5, 9), (12, 20)]);
-        // Window starting inside a true region.
-        let intervals2 = true_intervals(&w, 6, 8);
-        assert_eq!(intervals2, vec![(6, 8)]);
-        // Empty when always false in window.
-        let intervals3 = true_intervals(&wave(&[(0, false)]), 0, 10);
-        assert!(intervals3.is_empty());
     }
 }

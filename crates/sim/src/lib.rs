@@ -28,8 +28,8 @@
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
 //!   propagation, with the slow feedback gates held until the rest of the
 //!   logic settles), and the per-trial [`campaign::Harness`],
-//! * [`analysis`] — waveform utilities (transition counting, glitch
-//!   detection, stability windows).
+//! * [`analysis`] — waveform transition counting, from which campaigns
+//!   detect glitches.
 //!
 //! Errors are unified in [`SimError`]: budget exhaustion, oscillation and
 //! inconsistent initialization, each naming the offending net.

@@ -235,47 +235,6 @@ impl Netlist {
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
         self.net_names.iter().position(|n| n == name).map(NetId)
     }
-
-    /// Longest combinational path length (in gates) from any net to any net,
-    /// ignoring flip-flops; an upper bound useful for sizing loop delays.
-    pub fn combinational_depth(&self) -> usize {
-        // Longest path in the gate DAG; feedback loops are cut by taking each
-        // gate at most once along a path (simple bounded DFS with memoisation
-        // that treats revisited gates as depth 0).
-        let mut memo: Vec<Option<usize>> = vec![None; self.gates.len()];
-        let mut visiting = vec![false; self.gates.len()];
-        let mut best = 0;
-        for g in 0..self.gates.len() {
-            best = best.max(self.depth_of(g, &mut memo, &mut visiting));
-        }
-        best
-    }
-
-    fn depth_of(
-        &self,
-        gate: usize,
-        memo: &mut Vec<Option<usize>>,
-        visiting: &mut Vec<bool>,
-    ) -> usize {
-        if let Some(d) = memo[gate] {
-            return d;
-        }
-        if visiting[gate] {
-            return 0; // feedback loop: cut here
-        }
-        visiting[gate] = true;
-        let mut depth = 1;
-        for input in &self.gates[gate].inputs {
-            for (gi, other) in self.gates.iter().enumerate() {
-                if other.output == *input {
-                    depth = depth.max(1 + self.depth_of(gi, memo, visiting));
-                }
-            }
-        }
-        visiting[gate] = false;
-        memo[gate] = Some(depth);
-        depth
-    }
 }
 
 /// Net→gate fanout of a [`Netlist`] in compressed sparse row form.
@@ -422,19 +381,6 @@ mod tests {
         let out = nl.add_expr(&expr, &vars, "f");
         assert!(nl.num_gates() > 0);
         assert!(nl.net_name(out).starts_with("f_"));
-    }
-
-    #[test]
-    fn combinational_depth_of_chain() {
-        let mut nl = Netlist::new();
-        let a = nl.add_primary_input("a");
-        let b = nl.add_net("b");
-        let c = nl.add_net("c");
-        let d = nl.add_net("d");
-        nl.add_gate(GateKind::Not, vec![a], b);
-        nl.add_gate(GateKind::Not, vec![b], c);
-        nl.add_gate(GateKind::Not, vec![c], d);
-        assert_eq!(nl.combinational_depth(), 3);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   corpus (`seance::fuzz::regression_corpus`) as KISS2 files into DIR and
 //!   exit. Regenerates `tests/fuzz_regressions/` byte-identically.
 //! * `--emit-benchmarks DIR` — instead of fuzzing, write the 3×3 grid
-//!   benchmark machines (the same lattice `bench_json --grid` sweeps) as
-//!   KISS2 files into DIR and exit. Regenerates `benchmarks/`.
+//!   benchmark machines as KISS2 files into DIR and exit. Regenerates
+//!   `benchmarks/`, the files `bench_json` and perfbench read.
 //!
 //! Exits nonzero on any differential or campaign mismatch; the report
 //! (including shrunk reproducers) is printed either way.
@@ -58,9 +58,8 @@ fn parse_seed(value: &str) -> Result<u64, String> {
     parsed.map_err(|e| format!("--seed {value}: {e}"))
 }
 
-/// The grid swept by `bench_json --grid`, mirrored here so the checked-in
-/// `benchmarks/` directory and the perf gate always describe the same
-/// machines.
+/// The 3×3 (states × dc-density) grid written to `benchmarks/`, whose files
+/// `bench_json` and perfbench read.
 fn grid_machines() -> Vec<fantom_flow::FlowTable> {
     generate_grid(
         &GeneratorOptions::default(),
