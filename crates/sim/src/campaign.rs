@@ -109,6 +109,12 @@ impl DelaySweep {
 /// disagreement means either a simulator bug or a genuine race resolved
 /// differently under the sampled delays.
 ///
+/// Each gate is evaluated in O(1) from a per-gate count of its true input
+/// connections, which every value change keeps current along the fanout, so
+/// a settle costs the gates the change reaches. The oracle is an engine of
+/// its own: it shares with the [`Simulator`] only the netlist, the fanout
+/// and, through [`ZeroDelayOracle::load`], a snapshot of its state.
+///
 /// Flip-flop `q` nets have no combinational driver and are simply carried at
 /// their loaded values; campaign comparisons exclude them.
 ///
@@ -123,6 +129,9 @@ pub struct ZeroDelayOracle<'a> {
     netlist: &'a Netlist,
     fanout: Fanout,
     values: Vec<bool>,
+    /// Per gate: true input connections, with multiplicity.
+    true_counts: Vec<u32>,
+    /// Per gate: queued in `queue` or `slow_queue`.
     dirty: Vec<bool>,
     queue: VecDeque<u32>,
     /// Per gate: evaluated only after the other gates settle.
@@ -138,16 +147,18 @@ pub struct ZeroDelayOracle<'a> {
 impl<'a> ZeroDelayOracle<'a> {
     /// An oracle over `netlist`, all nets at logic 0.
     pub fn new(netlist: &'a Netlist) -> Self {
-        Self::with_slow_gates(netlist, vec![false; netlist.num_gates()])
+        let slow = vec![false; netlist.num_gates()];
+        Self::with_slow_gates(netlist, Fanout::build(netlist), slow)
     }
 
-    /// An oracle that evaluates the gates marked in `slow` only once the
-    /// other gates have settled.
-    pub(crate) fn with_slow_gates(netlist: &'a Netlist, slow: Vec<bool>) -> Self {
+    /// An oracle over `netlist` (whose fanout is `fanout`) that evaluates the
+    /// gates marked in `slow` only once the other gates have settled.
+    pub(crate) fn with_slow_gates(netlist: &'a Netlist, fanout: Fanout, slow: Vec<bool>) -> Self {
         ZeroDelayOracle {
             netlist,
-            fanout: Fanout::build(netlist),
+            fanout,
             values: vec![false; netlist.num_nets()],
+            true_counts: vec![0; netlist.num_gates()],
             dirty: vec![false; netlist.num_gates()],
             queue: VecDeque::new(),
             slow,
@@ -160,15 +171,34 @@ impl<'a> ZeroDelayOracle<'a> {
         }
     }
 
-    /// Overwrite every net value from a committed simulator snapshot and
-    /// clear all dirty state.
-    pub fn load(&mut self, values: &[bool]) {
-        self.values.copy_from_slice(values);
-        for d in self.dirty.iter_mut() {
-            *d = false;
+    /// Overwrite every net value and every gate's true-input counter from
+    /// the committed state of `sim`, a simulator over the same netlist, and
+    /// clear all dirty state. Costs one copy of each, not a fan-in scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim` runs another netlist.
+    pub fn load(&mut self, sim: &Simulator<'_>) {
+        assert!(
+            std::ptr::eq(self.netlist, sim.netlist()),
+            "oracle and simulator run one netlist"
+        );
+        self.values.copy_from_slice(sim.net_values());
+        self.true_counts.copy_from_slice(sim.true_counts());
+        debug_assert!(
+            self.netlist
+                .gates()
+                .iter()
+                .zip(&self.true_counts)
+                .all(|(g, &t)| {
+                    g.inputs.iter().filter(|n| self.values[n.0]).count() as u32 == t
+                }),
+            "the simulator's true-input counters disagree with its values"
+        );
+        // Every dirty gate is queued; a settle that gave up leaves some.
+        for gi in self.queue.drain(..).chain(self.slow_queue.drain(..)) {
+            self.dirty[gi as usize] = false;
         }
-        self.queue.clear();
-        self.slow_queue.clear();
     }
 
     /// The oracle's current value of `net`.
@@ -193,8 +223,24 @@ impl<'a> ZeroDelayOracle<'a> {
     /// Drive `net` to `value`, marking its readers dirty.
     pub fn set(&mut self, net: NetId, value: bool) {
         if self.values[net.0] != value {
-            self.values[net.0] = value;
-            self.enqueue_readers(net.0);
+            self.assign(net.0, value);
+        }
+    }
+
+    /// Commit a changed `value` to `net`: update its readers' counters and
+    /// mark them dirty.
+    fn assign(&mut self, net: usize, value: bool) {
+        self.values[net] = value;
+        let (start, end) = self.fanout.row_bounds(net);
+        for k in start..end {
+            let gi = self.fanout.gate_at(k);
+            let mult = self.fanout.mult_at(k);
+            if value {
+                self.true_counts[gi] += mult;
+            } else {
+                self.true_counts[gi] -= mult;
+            }
+            self.enqueue(gi);
         }
     }
 
@@ -209,17 +255,8 @@ impl<'a> ZeroDelayOracle<'a> {
         }
     }
 
-    fn enqueue_readers(&mut self, net: usize) {
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            self.enqueue(self.fanout.gate_at(k));
-        }
-    }
-
     fn eval(&self, gi: usize) -> bool {
-        let gate = &self.netlist.gates()[gi];
-        gate.kind
-            .eval_iter(gate.inputs.iter().map(|n| self.values[n.0]))
+        self.netlist.gates()[gi].eval_counted(self.true_counts[gi], |n| self.values[n.0])
     }
 
     /// Propagate until no gate is dirty: settle the fast gates, then let
@@ -243,8 +280,7 @@ impl<'a> ZeroDelayOracle<'a> {
                     if steps > self.step_bound {
                         return Err(NetId(out));
                     }
-                    self.values[out] = new_val;
-                    self.enqueue_readers(out);
+                    self.assign(out, new_val);
                 }
             }
             if self.slow_queue.is_empty() {
@@ -268,8 +304,7 @@ impl<'a> ZeroDelayOracle<'a> {
                 if steps > self.step_bound {
                     return Err(NetId(out));
                 }
-                self.values[out] = new_val;
-                self.enqueue_readers(out);
+                self.assign(out, new_val);
             }
         }
     }
@@ -330,15 +365,17 @@ pub struct Harness<'a> {
 }
 
 impl<'a> Harness<'a> {
-    /// Wrap a built simulator; `use_oracle` enables the differential check.
+    /// Wrap a built simulator; `use_oracle` enables the differential check,
+    /// with an oracle over a copy of the simulator's fanout.
     pub fn new(sim: Simulator<'a>, use_oracle: bool) -> Self {
         let netlist = sim.netlist();
         let mut dff_q = vec![false; netlist.num_nets()];
         for dff in netlist.dffs() {
             dff_q[dff.q.0] = true;
         }
-        let oracle =
-            use_oracle.then(|| ZeroDelayOracle::with_slow_gates(netlist, sim.slow_gates()));
+        let oracle = use_oracle.then(|| {
+            ZeroDelayOracle::with_slow_gates(netlist, sim.fanout().clone(), sim.slow_gates())
+        });
         Harness { sim, oracle, dff_q }
     }
 
@@ -361,12 +398,17 @@ impl<'a> Harness<'a> {
     /// `delta` time units from now (skewed multiple-input changes use
     /// distinct deltas), the simulator runs to quiescence, and the settled
     /// state is compared against the zero-delay fixpoint.
+    ///
+    /// The oracle starts from the simulator's committed values and
+    /// true-input counters ([`ZeroDelayOracle::load`]), so besides that copy
+    /// and the settled-state comparison a step costs only the gates the
+    /// change reaches, in both engines.
     pub fn step(&mut self, changes: &[(NetId, bool, u64)]) -> StepOutcome {
         let start_time = self.sim.time() + 1;
         // Predict the fixpoint from the pre-step committed state.
         let mut oracle_verdict = OracleVerdict::Skipped;
         if let Some(oracle) = self.oracle.as_mut() {
-            oracle.load(self.sim.net_values());
+            oracle.load(&self.sim);
             for &(net, value, _) in changes {
                 oracle.set(net, value);
             }
@@ -491,7 +533,8 @@ mod tests {
     fn oracle_holds_slow_feedback_until_the_logic_settles() {
         let (nl, a, y) = hazard_fed_latch();
         let mut latched = ZeroDelayOracle::new(&nl);
-        let mut held = ZeroDelayOracle::with_slow_gates(&nl, vec![false, false, false, true]);
+        let slow = vec![false, false, false, true];
+        let mut held = ZeroDelayOracle::with_slow_gates(&nl, Fanout::build(&nl), slow);
         for oracle in [&mut latched, &mut held] {
             oracle.invalidate_all();
             oracle.settle().unwrap();

@@ -26,8 +26,9 @@
 //! * [`campaign`] — Monte-Carlo campaign building blocks: deterministic
 //!   delay sweeps ([`campaign::DelaySweep`]), the zero-delay differential
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
-//!   propagation, with the slow feedback gates held until the rest of the
-//!   logic settles), and the per-trial [`campaign::Harness`],
+//!   propagation over true-input counters, with the slow feedback gates held
+//!   until the rest of the logic settles), and the per-trial
+//!   [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!

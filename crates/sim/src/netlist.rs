@@ -74,6 +74,31 @@ pub struct Gate {
     pub output: NetId,
 }
 
+impl Gate {
+    /// Evaluate the gate from `true_count`, the number of its input
+    /// connections (with multiplicity) that are true — O(1) for the engines
+    /// that keep such counters current. `Buf`/`Not` are defined on their
+    /// first input, whose value `value_of` reads.
+    #[inline]
+    pub(crate) fn eval_counted(
+        &self,
+        true_count: u32,
+        value_of: impl FnOnce(NetId) -> bool,
+    ) -> bool {
+        let fanin = self.inputs.len() as u32;
+        match self.kind {
+            GateKind::Buf => value_of(self.inputs[0]),
+            GateKind::Not => !value_of(self.inputs[0]),
+            GateKind::And => true_count == fanin,
+            GateKind::Or => true_count > 0,
+            GateKind::Nand => true_count != fanin,
+            GateKind::Nor => true_count == 0,
+            GateKind::Xor => true_count & 1 == 1,
+            GateKind::Xnor => true_count & 1 == 0,
+        }
+    }
+}
+
 /// A rising-edge-triggered D flip-flop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dff {

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use crate::queue::{IndexedEventQueue, ScheduledEvent};
-use crate::{DelayModel, Fanout, GateKind, NetId, Netlist};
+use crate::{DelayModel, Fanout, NetId, Netlist};
 
 /// Recorded value changes on a monitored net: `(time, new_value)` pairs in
 /// chronological order, starting with the value at monitoring start.
@@ -217,11 +217,20 @@ impl<'a> SimulatorBuilder<'a> {
         for (di, dff) in netlist.dffs().iter().enumerate() {
             fanout_dff_clocks[dff.clock.0].push(di);
         }
-        let fanin_counts: Vec<u32> = netlist
-            .gates()
-            .iter()
-            .map(|g| g.inputs.len() as u32)
-            .collect();
+        let mut driver_offsets = vec![0u32; num_nets + 1];
+        for gate in netlist.gates() {
+            driver_offsets[gate.output.0 + 1] += 1;
+        }
+        for n in 0..num_nets {
+            driver_offsets[n + 1] += driver_offsets[n];
+        }
+        let mut drivers = vec![0u32; num_gates];
+        let mut cursor = driver_offsets.clone();
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            drivers[cursor[gate.output.0] as usize] = gi as u32;
+            cursor[gate.output.0] += 1;
+        }
+        let gate_words = num_gates.div_ceil(64);
         let mut sim = Simulator {
             netlist,
             gate_delays,
@@ -231,18 +240,26 @@ impl<'a> SimulatorBuilder<'a> {
             values: vec![false; num_nets],
             pending: vec![false; num_gates],
             true_counts: vec![0; num_gates],
-            fanin_counts,
             // Sources: one per gate (gate-originated transitions) plus one
             // per net (externally driven: inputs and flip-flop outputs).
             queue: IndexedEventQueue::new(num_gates + num_nets),
             fanout,
+            driver_offsets,
+            drivers,
             fanout_dff_clocks,
             time: 0,
             seq: 0,
             events_processed: 0,
             toggles: vec![0; num_nets],
+            toggled: Vec::new(),
             monitored: vec![None; num_nets],
+            monitored_nets: Vec::new(),
+            stale: vec![0; gate_words],
+            next_round: vec![0; gate_words],
+            touched: vec![0; gate_words],
+            held: vec![false; num_nets],
         };
+        sim.mark_all_stale();
         if self.monitor_all {
             for n in 0..num_nets {
                 sim.monitor(NetId(n));
@@ -274,13 +291,15 @@ pub struct Simulator<'a> {
     values: Vec<bool>,
     /// Last value scheduled (or rescinded to) per gate.
     pending: Vec<bool>,
-    /// Per-gate count of currently-true input connections, with multiplicity.
-    /// Together with `fanin_counts` this evaluates any gate in O(1).
+    /// Per-gate count of currently-true input connections, with multiplicity,
+    /// which evaluates any gate in O(1). Every value change keeps it current.
     true_counts: Vec<u32>,
-    /// Per-gate total number of input connections, with multiplicity.
-    fanin_counts: Vec<u32>,
     queue: IndexedEventQueue,
     fanout: Fanout,
+    /// The gates driving each net, in CSR form: net `n`'s drivers are
+    /// `drivers[driver_offsets[n]..driver_offsets[n + 1]]`.
+    driver_offsets: Vec<u32>,
+    drivers: Vec<u32>,
     fanout_dff_clocks: Vec<Vec<usize>>,
     time: u64,
     seq: u64,
@@ -288,7 +307,21 @@ pub struct Simulator<'a> {
     /// Per-net value changes within the current budgeted run (oscillation
     /// diagnosis).
     toggles: Vec<u32>,
+    /// The nets whose `toggles` entry is nonzero.
+    toggled: Vec<u32>,
     monitored: Vec<Option<Waveform>>,
+    /// The nets `monitored` records, in the order monitoring began.
+    monitored_nets: Vec<usize>,
+    /// Bitset over gate ids: the gates whose output may disagree with their
+    /// inputs, which the next [`Simulator::initialize_consistent`] evaluates
+    /// first (see its docs for the rule).
+    stale: Vec<u64>,
+    /// Scratch of `initialize_consistent`, empty between calls: the gates to
+    /// evaluate in the next round, the gates visited or held (whose pending
+    /// state it resets), and per net whether it is held.
+    next_round: Vec<u64>,
+    touched: Vec<u64>,
+    held: Vec<bool>,
 }
 
 impl<'a> Simulator<'a> {
@@ -324,6 +357,17 @@ impl<'a> Simulator<'a> {
         self.event_budget
     }
 
+    /// The net→gate fanout the event loop walks.
+    pub(crate) fn fanout(&self) -> &Fanout {
+        &self.fanout
+    }
+
+    /// Per gate: the number of true input connections, with multiplicity,
+    /// current with [`Simulator::net_values`].
+    pub(crate) fn true_counts(&self) -> &[u32] {
+        &self.true_counts
+    }
+
     /// Per gate: `true` when its delay exceeds every delay the model draws,
     /// i.e. a [`SimulatorBuilder::gate_delay`] override for a slow element
     /// such as a feedback buffer (the loop-delay assumption).
@@ -351,6 +395,7 @@ impl<'a> Simulator<'a> {
     pub fn monitor(&mut self, net: NetId) {
         if self.monitored[net.0].is_none() {
             self.monitored[net.0] = Some(vec![(self.time, self.values[net.0])]);
+            self.monitored_nets.push(net.0);
         }
     }
 
@@ -389,54 +434,158 @@ impl<'a> Simulator<'a> {
     /// spurious start-up transients that per-net presetting would cause.
     /// Flip-flop outputs are left at their current values.
     ///
+    /// The fixpoint is the one Gauss–Seidel rounds over every gate in index
+    /// order reach, a gate whose output is held being skipped. Only gates
+    /// that may disagree with their inputs are evaluated, each in O(1) from
+    /// its true-input counter (selective trace), so the cost follows the
+    /// logic the change reaches, not the size of the netlist:
+    ///
+    /// * the first round evaluates the *stale* gates and the readers of every
+    ///   held net whose value changes. Every gate is stale in a fresh
+    ///   simulator and after [`Simulator::preset`], a run that ran out of its
+    ///   budget (its queued and dropped events leave gates behind) or a
+    ///   failed initialization. Otherwise the stale gates are those whose
+    ///   output the previous initialization held, and the drivers of a net
+    ///   that an external event or another driver overrode;
+    /// * a gate whose output changes marks its readers (and the net's other
+    ///   drivers): those after it in index order are evaluated in the same
+    ///   round, the others in the next.
+    ///
+    /// A gate left out would evaluate to its current output, so values,
+    /// pending states, waveform points and errors equal those of a sweep over
+    /// every gate, cyclic logic included.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::InconsistentInitialization`] when the logic has no
     /// zero-delay fixpoint under the given fixed nets (e.g. an unbroken
-    /// inverting loop), naming a net that was still changing.
+    /// inverting loop), naming the last net that changed in the last round,
+    /// after more rounds than the netlist has gates. The nets keep the values
+    /// of that round; pending states, queued events and waveforms are left
+    /// as they were. The true-input counters follow every value change, so a
+    /// later run still evaluates every gate correctly.
     pub fn initialize_consistent(&mut self, fixed: &[(NetId, bool)]) -> Result<(), SimError> {
-        let fixed_idx: Vec<usize> = fixed.iter().map(|(n, _)| n.0).collect();
-        for &(net, value) in fixed {
-            self.values[net.0] = value;
+        let gates = self.netlist.gates();
+        let mut round = std::mem::take(&mut self.stale);
+        let mut next = std::mem::take(&mut self.next_round);
+        for &(net, _) in fixed {
+            self.held[net.0] = true;
         }
-        // Iterate to a fixpoint; the iteration count is bounded by the number
-        // of gates (each pass settles at least one more logic level).
+        for &(net, value) in fixed {
+            if self.values[net.0] != value {
+                self.init_assign(net.0, value, None, &mut round, &mut next);
+            }
+        }
+        // Rounds to a fixpoint, bounded by the number of gates (each round
+        // settles at least one more logic level).
         let mut iterations = 0;
         loop {
             let mut changed = None;
-            for gate in self.netlist.gates() {
-                if fixed_idx.contains(&gate.output.0) {
-                    continue;
-                }
-                let new_val = gate
-                    .kind
-                    .eval_iter(gate.inputs.iter().map(|n| self.values[n.0]));
-                if self.values[gate.output.0] != new_val {
-                    self.values[gate.output.0] = new_val;
-                    changed = Some(gate.output);
+            for w in 0..round.len() {
+                // Re-read the word: a change marks later gates of it.
+                while round[w] != 0 {
+                    let bit = round[w].trailing_zeros();
+                    round[w] &= round[w] - 1;
+                    self.touched[w] |= 1 << bit;
+                    let gi = w * 64 + bit as usize;
+                    let out = gates[gi].output;
+                    if self.held[out.0] {
+                        continue;
+                    }
+                    let value = self.gate_output(gi);
+                    if self.values[out.0] != value {
+                        self.init_assign(out.0, value, Some(gi), &mut round, &mut next);
+                        changed = Some(out);
+                    }
                 }
             }
             iterations += 1;
             match changed {
                 None => break,
-                Some(net) if iterations > self.netlist.num_gates() => {
+                Some(net) if iterations > gates.len() => {
+                    for &(net, _) in fixed {
+                        self.held[net.0] = false;
+                    }
+                    next.fill(0);
+                    self.touched.fill(0);
+                    (self.stale, self.next_round) = (round, next);
+                    self.mark_all_stale();
                     return Err(SimError::InconsistentInitialization { net, iterations });
                 }
-                Some(_) => {}
+                Some(_) => std::mem::swap(&mut round, &mut next),
             }
         }
-        self.recompute_counts();
-        for (gi, gate) in self.netlist.gates().iter().enumerate() {
-            self.pending[gi] = self.values[gate.output.0];
-            self.queue.cancel(gi);
-        }
-        let time = self.time;
-        for (net, slot) in self.monitored.iter_mut().enumerate() {
-            if let Some(wave) = slot {
-                wave.push((time, self.values[net]));
+        // Both rounds are empty now; the held drivers start the stale set.
+        for &(net, _) in fixed {
+            self.held[net.0] = false;
+            for k in self.driver_offsets[net.0]..self.driver_offsets[net.0 + 1] {
+                let gi = self.drivers[k as usize] as usize;
+                insert(&mut round, gi);
             }
+        }
+        (self.stale, self.next_round) = (round, next);
+        for w in 0..self.touched.len() {
+            while self.touched[w] != 0 {
+                let gi = w * 64 + self.touched[w].trailing_zeros() as usize;
+                self.touched[w] &= self.touched[w] - 1;
+                self.pending[gi] = self.values[gates[gi].output.0];
+                self.queue.cancel(gi);
+            }
+        }
+        for &net in &self.monitored_nets {
+            let wave = self.monitored[net].as_mut().expect("monitored net");
+            wave.push((self.time, self.values[net]));
         }
         Ok(())
+    }
+
+    /// Commit `value` to `net` during an initialization round at gate
+    /// `cursor` (`None` before the first round), keeping the readers'
+    /// counters current and marking the readers and the net's other drivers:
+    /// after the cursor for this round, at or before it for the next.
+    fn init_assign(
+        &mut self,
+        net: usize,
+        value: bool,
+        cursor: Option<usize>,
+        round: &mut [u64],
+        next: &mut [u64],
+    ) {
+        self.values[net] = value;
+        let mut mark = |gi: usize| {
+            let set = if cursor.map_or(true, |c| gi > c) {
+                &mut *round
+            } else {
+                &mut *next
+            };
+            insert(set, gi);
+        };
+        let (start, end) = self.fanout.row_bounds(net);
+        for k in start..end {
+            let gi = self.fanout.gate_at(k);
+            let mult = self.fanout.mult_at(k);
+            if value {
+                self.true_counts[gi] += mult;
+            } else {
+                self.true_counts[gi] -= mult;
+            }
+            mark(gi);
+        }
+        for k in self.driver_offsets[net]..self.driver_offsets[net + 1] {
+            let gi = self.drivers[k as usize] as usize;
+            if Some(gi) != cursor {
+                mark(gi);
+            }
+        }
+    }
+
+    /// Mark every gate stale: the next initialization evaluates them all.
+    fn mark_all_stale(&mut self) {
+        let gates = self.netlist.num_gates();
+        for (w, word) in self.stale.iter_mut().enumerate() {
+            let rest = gates - w * 64;
+            *word = if rest >= 64 { !0 } else { (1 << rest) - 1 };
+        }
     }
 
     /// Process events until the queue drains or the event budget is
@@ -448,14 +597,18 @@ impl<'a> Simulator<'a> {
     /// busiest net when some net kept toggling, and
     /// [`SimError::BudgetExhausted`] otherwise.
     pub fn run_until_quiet(&mut self) -> Result<u64, SimError> {
-        for t in self.toggles.iter_mut() {
-            *t = 0;
+        for &net in &self.toggled {
+            self.toggles[net as usize] = 0;
         }
+        self.toggled.clear();
         let mut processed = 0usize;
         while let Some((source, event)) = self.queue.pop() {
             processed += 1;
             self.events_processed += 1;
             if processed > self.event_budget {
+                // The dropped event and the queued ones leave gates that
+                // disagree with their outputs.
+                self.mark_all_stale();
                 return Err(self.budget_error(processed, event.net));
             }
             self.time = self.time.max(event.time);
@@ -487,16 +640,27 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn apply(&mut self, _source: usize, event: ScheduledEvent) {
+    fn apply(&mut self, source: usize, event: ScheduledEvent) {
         let net = event.net.0;
         let old = self.values[net];
         if old == event.value {
             return;
         }
         self.values[net] = event.value;
+        if self.toggles[net] == 0 {
+            self.toggled.push(net as u32);
+        }
         self.toggles[net] += 1;
         if let Some(wave) = self.monitored[net].as_mut() {
             wave.push((event.time, event.value));
+        }
+        // A driver of this net other than the event's source may now
+        // disagree with its own output.
+        for k in self.driver_offsets[net]..self.driver_offsets[net + 1] {
+            let gi = self.drivers[k as usize] as usize;
+            if gi != source {
+                insert(&mut self.stale, gi);
+            }
         }
 
         // Rising-edge flip-flops clocked by this net sample *before* the
@@ -554,22 +718,10 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// O(1) gate evaluation from the incremental counters. `Buf`/`Not` read
-    /// their first input directly (they are defined on it, not on the count).
+    /// O(1) gate evaluation from the incremental counters.
     #[inline]
     fn gate_output(&self, gi: usize) -> bool {
-        let gate = &self.netlist.gates()[gi];
-        let t = self.true_counts[gi];
-        match gate.kind {
-            GateKind::Buf => self.values[gate.inputs[0].0],
-            GateKind::Not => !self.values[gate.inputs[0].0],
-            GateKind::And => t == self.fanin_counts[gi],
-            GateKind::Or => t > 0,
-            GateKind::Nand => t != self.fanin_counts[gi],
-            GateKind::Nor => t == 0,
-            GateKind::Xor => t & 1 == 1,
-            GateKind::Xnor => t & 1 == 0,
-        }
+        self.netlist.gates()[gi].eval_counted(self.true_counts[gi], |n| self.values[n.0])
     }
 
     fn schedule_gate_event(&mut self, gate_index: usize, now: u64, value: bool) {
@@ -583,13 +735,6 @@ impl<'a> Simulator<'a> {
         self.queue.schedule(gate_index, ev);
     }
 
-    /// Rebuild every gate's true-input counter from the committed net values.
-    fn recompute_counts(&mut self) {
-        for (gi, gate) in self.netlist.gates().iter().enumerate() {
-            self.true_counts[gi] = gate.inputs.iter().filter(|n| self.values[n.0]).count() as u32;
-        }
-    }
-
     /// Evaluate every gate once and schedule updates — used to bring a circuit
     /// with non-zero initial conditions into a consistent state before an
     /// experiment. Returns the settling time.
@@ -598,7 +743,6 @@ impl<'a> Simulator<'a> {
     ///
     /// Propagates the budget errors of [`Simulator::run_until_quiet`].
     pub fn settle(&mut self) -> Result<u64, SimError> {
-        self.recompute_counts();
         for gi in 0..self.netlist.num_gates() {
             let new_val = self.gate_output(gi);
             self.queue.cancel(gi);
@@ -613,8 +757,10 @@ impl<'a> Simulator<'a> {
 
     /// Set a net's value directly without scheduling (initial conditions only;
     /// no fanout evaluation happens until [`Simulator::settle`] or a later
-    /// event touches the fanout).
+    /// event touches the fanout). Every gate becomes stale, so the next
+    /// [`Simulator::initialize_consistent`] evaluates them all.
     pub fn preset(&mut self, net: NetId, value: bool) {
+        self.mark_all_stale();
         let old = self.values[net.0];
         if old != value {
             self.values[net.0] = value;
@@ -635,10 +781,80 @@ impl<'a> Simulator<'a> {
     }
 }
 
+/// Add gate `gi` to a bitset over gate ids.
+#[inline]
+fn insert(set: &mut [u64], gi: usize) {
+    set[gi / 64] |= 1 << (gi % 64);
+}
+
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
-    use crate::Netlist;
+    use crate::{GateKind, Netlist};
+
+    impl Simulator<'_> {
+        /// `initialize_consistent` as it was before selective trace — full
+        /// Gauss–Seidel sweeps over every gate, with a linear scan of the
+        /// held nets — kept verbatim as the differential reference.
+        fn reference_initialize_consistent(
+            &mut self,
+            fixed: &[(NetId, bool)],
+        ) -> Result<(), SimError> {
+            let fixed_idx: Vec<usize> = fixed.iter().map(|(n, _)| n.0).collect();
+            for &(net, value) in fixed {
+                self.values[net.0] = value;
+            }
+            // Iterate to a fixpoint; the iteration count is bounded by the number
+            // of gates (each pass settles at least one more logic level).
+            let mut iterations = 0;
+            loop {
+                let mut changed = None;
+                for gate in self.netlist.gates() {
+                    if fixed_idx.contains(&gate.output.0) {
+                        continue;
+                    }
+                    let new_val = gate
+                        .kind
+                        .eval_iter(gate.inputs.iter().map(|n| self.values[n.0]));
+                    if self.values[gate.output.0] != new_val {
+                        self.values[gate.output.0] = new_val;
+                        changed = Some(gate.output);
+                    }
+                }
+                iterations += 1;
+                match changed {
+                    None => break,
+                    Some(net) if iterations > self.netlist.num_gates() => {
+                        return Err(SimError::InconsistentInitialization { net, iterations });
+                    }
+                    Some(_) => {}
+                }
+            }
+            self.recompute_counts();
+            for (gi, gate) in self.netlist.gates().iter().enumerate() {
+                self.pending[gi] = self.values[gate.output.0];
+                self.queue.cancel(gi);
+            }
+            let time = self.time;
+            for (net, slot) in self.monitored.iter_mut().enumerate() {
+                if let Some(wave) = slot {
+                    wave.push((time, self.values[net]));
+                }
+            }
+            Ok(())
+        }
+
+        /// Rebuild every gate's true-input counter from the committed net values.
+        fn recompute_counts(&mut self) {
+            for (gi, gate) in self.netlist.gates().iter().enumerate() {
+                self.true_counts[gi] =
+                    gate.inputs.iter().filter(|n| self.values[n.0]).count() as u32;
+            }
+        }
+    }
 
     fn inverter_chain(n: usize) -> (Netlist, NetId, NetId) {
         let mut nl = Netlist::new();
@@ -863,6 +1079,177 @@ mod tests {
         assert!(
             matches!(result, Err(SimError::InconsistentInitialization { .. })),
             "got {result:?}"
+        );
+    }
+
+    #[test]
+    fn counters_stay_consistent_after_a_failed_initialization() {
+        // `a = !b`, `b = a` has no fixpoint; `c = a & x` reads the loop. With
+        // four gates the init gives up after five rounds, at `a = 1`.
+        let mut nl = Netlist::new();
+        let x = nl.add_primary_input("x");
+        let a = nl.add_net("a");
+        let b = nl.add_net("b");
+        let c = nl.add_net("c");
+        let bx = nl.add_net("bx");
+        nl.add_gate(GateKind::Not, vec![b], a);
+        nl.add_gate(GateKind::Buf, vec![a], b);
+        nl.add_gate(GateKind::And, vec![a, x], c);
+        nl.add_gate(GateKind::Buf, vec![x], bx);
+        let mut sim = Simulator::builder(&nl).event_budget(100).build();
+        let result = sim.initialize_consistent(&[]);
+        assert_eq!(
+            result,
+            Err(SimError::InconsistentInitialization {
+                net: b,
+                iterations: 5
+            })
+        );
+        assert!(sim.value(a));
+        sim.schedule_input(x, true, 1);
+        sim.run_until_quiet().unwrap();
+        assert!(sim.value(c), "c = a & x with a = x = 1");
+    }
+
+    /// A random netlist over a few inputs: cyclic logic, duplicated inputs,
+    /// nets with several drivers, gate-driven primary inputs and
+    /// flip-flops all occur.
+    fn random_netlist(rng: &mut StdRng) -> Netlist {
+        const KINDS: [GateKind; 8] = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let mut nl = Netlist::new();
+        let inputs = rng.gen_range(1..4usize);
+        for i in 0..inputs {
+            nl.add_primary_input(format!("x{i}"));
+        }
+        let internal = rng.gen_range(2..10usize);
+        for i in 0..internal {
+            nl.add_net(format!("n{i}"));
+        }
+        let nets = nl.num_nets();
+        for g in 0..rng.gen_range(1..internal + 3) {
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let fanin: Vec<NetId> = (0..rng.gen_range(1..5usize))
+                .map(|_| NetId(rng.gen_range(0..nets)))
+                .collect();
+            // Past `internal` gates, nets get a second driver.
+            let output = if rng.gen_bool(0.05) {
+                NetId(rng.gen_range(0..inputs))
+            } else {
+                NetId(inputs + g % internal)
+            };
+            nl.add_gate(kind, fanin, output);
+        }
+        if rng.gen_bool(0.3) {
+            let net = |rng: &mut StdRng| NetId(rng.gen_range(0..nets));
+            let (clock, data, q) = (net(rng), net(rng), net(rng));
+            nl.add_dff(clock, data, q);
+        }
+        nl
+    }
+
+    fn assert_same_state(new: &Simulator<'_>, old: &Simulator<'_>, at: &str) {
+        assert_eq!(new.values, old.values, "{at}: values");
+        assert_eq!(new.monitored, old.monitored, "{at}: waveforms");
+        assert_eq!(new.pending, old.pending, "{at}: pending");
+        assert_eq!(new.true_counts, old.true_counts, "{at}: true counts");
+        assert_eq!(new.time, old.time, "{at}: time");
+        assert_eq!(new.queue.len(), old.queue.len(), "{at}: queued events");
+    }
+
+    /// Selective-trace initialization against the full sweep it replaced,
+    /// over random netlists and random histories of presets, external
+    /// events (on gate-driven nets too), settles, runs that exhaust their
+    /// budget and initializations that fail. After a failed initialization
+    /// the reference's counters are rebuilt, the fix the full sweep lacked.
+    #[test]
+    fn selective_initialization_matches_the_full_sweep() {
+        let mut rng = StdRng::seed_from_u64(0x5E1E_C71E);
+        let (mut inits, mut failed, mut aborted) = (0, 0, 0);
+        for case in 0..400 {
+            let nl = random_netlist(&mut rng);
+            let nets = nl.num_nets();
+            let model = match rng.gen_range(0..3u32) {
+                0 => DelayModel::Unit,
+                1 => DelayModel::Fixed(rng.gen_range(1..4u64)),
+                _ => DelayModel::Random {
+                    min: 1,
+                    max: 4,
+                    seed: rng.next_u64(),
+                },
+            };
+            let style = if rng.gen_bool(0.5) {
+                DelayStyle::Transport
+            } else {
+                DelayStyle::Inertial
+            };
+            let mut builder = Simulator::builder(&nl)
+                .delay_model(model)
+                .style(style)
+                .event_budget(rng.gen_range(4..200usize));
+            for net in 0..nets {
+                if rng.gen_bool(0.4) {
+                    builder = builder.monitor(NetId(net));
+                }
+            }
+            let mut new = builder.clone().build();
+            let mut old = builder.build();
+            for op in 0..rng.gen_range(1..24usize) {
+                let at = format!("case {case} op {op}");
+                let net = NetId(rng.gen_range(0..nets));
+                let value = rng.gen_bool(0.5);
+                match rng.gen_range(0..7u32) {
+                    0 | 1 => {
+                        let fixed: Vec<(NetId, bool)> = (0..rng.gen_range(0..4usize))
+                            .map(|_| (NetId(rng.gen_range(0..nets)), rng.gen_bool(0.5)))
+                            .collect();
+                        let result = new.initialize_consistent(&fixed);
+                        assert_eq!(
+                            result,
+                            old.reference_initialize_consistent(&fixed),
+                            "{at}: init {fixed:?}"
+                        );
+                        inits += 1;
+                        if result.is_err() {
+                            failed += 1;
+                            old.recompute_counts();
+                        }
+                    }
+                    2 => {
+                        new.preset(net, value);
+                        old.preset(net, value);
+                    }
+                    3 => {
+                        let delta = rng.gen_range(0..4u64);
+                        new.schedule_input(net, value, delta);
+                        old.schedule_input(net, value, delta);
+                    }
+                    4 => {
+                        let result = new.run_until_quiet();
+                        assert_eq!(result, old.run_until_quiet(), "{at}: run");
+                        aborted += usize::from(result.is_err());
+                    }
+                    5 => assert_eq!(new.settle(), old.settle(), "{at}: settle"),
+                    _ => {
+                        new.monitor(net);
+                        old.monitor(net);
+                    }
+                }
+                assert_same_state(&new, &old, &at);
+            }
+        }
+        // The histories reach every kind of initialization they test.
+        assert!(
+            inits > 1_000 && failed > 20 && aborted > 20,
+            "{inits} {failed} {aborted}"
         );
     }
 
