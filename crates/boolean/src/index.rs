@@ -506,26 +506,34 @@ mod tests {
 
     #[test]
     fn growth_across_the_64_cube_boundary() {
-        // 70 distinct minterm cubes over 7 variables: ids spill into a second
-        // bucket word at id 64.
-        let n = 7;
-        let mut cover = Cover::empty(n);
-        let mut index = CoverIndex::new(n);
-        for m in 0..70u64 {
-            let cube = Cube::from_minterm(n, m).unwrap();
-            index.push(&cube);
-            cover.push(cube);
+        // Cube `m` is minterm `m`. 70 cubes over 7 variables spill into a
+        // second bucket word at id 64; 300 over 9 variables fill 5 words, so
+        // the bucket ANDs run over 4 or more words against a known answer.
+        for (n, count) in [(7, 70u64), (9, 300)] {
+            let mut index = CoverIndex::new(n);
+            for m in 0..count {
+                index.push(&Cube::from_minterm(n, m).unwrap());
+            }
+            assert_eq!(index.len(), count as usize);
+            for m in 0..count + 10 {
+                let q = Cube::from_minterm(n, m).unwrap();
+                assert_eq!(index.single_cube_covers(&q), m < count, "minterm {m}");
+                assert_eq!(index.intersects_cube(&q), m < count, "minterm {m}");
+            }
+            // The lower half of the space: every cube below 2^(n-1)
+            // intersects it, and none covers it or leaves a variable free.
+            let half = 1u64 << (n - 1);
+            let top = Cube::parse(&format!("0{}", "-".repeat(n - 1))).unwrap();
+            let (mut cand, mut out) = (Vec::new(), Vec::new());
+            assert!(index.intersecting_ids(&top, &mut cand, &mut out));
+            assert_eq!(out, (0..count.min(half) as usize).collect::<Vec<_>>());
+            assert!(!index.covering_ids(&top, &mut cand, &mut out));
+            assert!(!index.free_intersecting_ids(n - 1, &top, &mut cand, &mut out));
+            assert_eq!(
+                index.phase_count(0, Literal::One),
+                count.saturating_sub(half) as usize
+            );
         }
-        assert_eq!(index.len(), 70);
-        for m in 0..80u64 {
-            let q = Cube::from_minterm(n, m).unwrap();
-            assert_eq!(index.single_cube_covers(&q), m < 70, "minterm {m}");
-            assert_eq!(index.intersects_cube(&q), m < 70, "minterm {m}");
-        }
-        // A wide query covering all of them.
-        let top = Cube::parse("0------").unwrap();
-        assert!(index.intersects_cube(&top));
-        assert!(!index.single_cube_covers(&top));
     }
 
     #[test]

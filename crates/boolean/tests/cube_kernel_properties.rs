@@ -5,8 +5,8 @@
 //! intersection, conflict counting, adjacency merge, supercube, minterm
 //! membership and enumeration, literal metrics and ordering — is compared on
 //! random cubes up to 24 variables (the dense-function regime) and across the
-//! 1-word/multi-word boundary at 31/32/33 variables, plus deep spillover
-//! widths. Each test is driven by its own deterministic SplitMix64 stream so
+//! 1-word/multi-word boundary at 31/32/33 variables, plus spillover widths of
+//! up to 8 words. Each test is driven by its own deterministic SplitMix64 stream so
 //! failures reproduce exactly.
 
 use fantom_boolean::{Cube, Literal};
@@ -147,8 +147,11 @@ impl RefCube {
 }
 
 /// Variable widths exercising the inline word, the exact word boundary and
-/// the heap spillover.
-const WIDTHS: &[usize] = &[1, 2, 3, 5, 8, 13, 16, 20, 24, 31, 32, 33, 40, 64];
+/// the heap spillover, up to 8 words (96–256 variables: 3, 4, 4, 5 and 8
+/// words, the last word full or partly padding).
+const WIDTHS: &[usize] = &[
+    1, 2, 3, 5, 8, 13, 16, 20, 24, 31, 32, 33, 40, 64, 96, 127, 128, 129, 256,
+];
 
 /// Widths small enough to enumerate minterms exhaustively.
 const DENSE_WIDTHS: &[usize] = &[1, 3, 5, 8, 13, 16];

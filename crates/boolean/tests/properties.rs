@@ -1,6 +1,9 @@
-//! Property-based tests for the cube algebra and two-level minimization.
+//! Property-based tests for the cube algebra, two-level minimization and
+//! the minterm-set algebra.
 
-use fantom_boolean::{hazard, quine, Cover, CoverFunction, Cube, Function, Literal};
+use std::collections::BTreeSet;
+
+use fantom_boolean::{hazard, quine, Cover, CoverFunction, Cube, Function, Literal, MintermSet};
 use proptest::prelude::*;
 
 const NUM_VARS: usize = 5;
@@ -35,7 +38,88 @@ fn arb_function() -> impl Strategy<Value = Function> {
         })
 }
 
+/// A minterm set's backing words over a space of 0–640 points (0–10 words),
+/// the last word masked to the space. The set is empty, sparse (a quarter of
+/// the points), half full or full, so the word-level answers (disjoint,
+/// subset, equal) occur as well as mixed ones.
+fn arb_set_words() -> impl Strategy<Value = Vec<u64>> {
+    (
+        0u64..=640,
+        0u8..4,
+        proptest::collection::vec(any::<u64>(), 20),
+    )
+        .prop_map(|(capacity, density, raw)| {
+            let words = (capacity as usize).div_ceil(64);
+            let mut out: Vec<u64> = (0..words)
+                .map(|i| match density {
+                    0 => 0,
+                    1 => raw[2 * i] & raw[2 * i + 1],
+                    2 => raw[2 * i],
+                    _ => !0,
+                })
+                .collect();
+            if let Some(last) = out.last_mut().filter(|_| capacity % 64 != 0) {
+                *last &= !0u64 >> (64 - capacity % 64);
+            }
+            out
+        })
+}
+
+/// The members of a backing-word array, read bit by bit.
+fn model(words: &[u64]) -> BTreeSet<u64> {
+    (0..words.len() as u64 * 64)
+        .filter(|&m| words[m as usize / 64] >> (m % 64) & 1 == 1)
+        .collect()
+}
+
 proptest! {
+    /// Every `MintermSet` operation over word arrays agrees with the same
+    /// operation on a `BTreeSet<u64>`, for operands of independent
+    /// capacities (sets of different widths meet on their common words).
+    #[test]
+    fn minterm_set_algebra_matches_btree_set(a in arb_set_words(), b in arb_set_words()) {
+        let (ma, mb) = (model(&a), model(&b));
+        let (sa, sb) = (MintermSet::from_words(a.clone()), MintermSet::from_words(b.clone()));
+        prop_assert_eq!(sa.len(), ma.len());
+        prop_assert_eq!(sa.is_empty(), ma.is_empty());
+        prop_assert_eq!(sa.capacity(), a.len() as u64 * 64);
+        prop_assert_eq!(&sa, &MintermSet::from_minterms(sa.capacity(), ma.iter().copied()));
+        prop_assert_eq!(sa.iter().collect::<BTreeSet<u64>>(), ma.clone());
+
+        prop_assert_eq!(sa.is_disjoint(&sb), ma.is_disjoint(&mb));
+        prop_assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb));
+        prop_assert_eq!(sa.same_contents(&sb), ma == mb);
+        prop_assert_eq!(sa.intersection_count(&sb), ma.intersection(&mb).count());
+
+        let mut union = sa.clone();
+        union.union_with(&sb);
+        prop_assert_eq!(union.capacity(), sa.capacity().max(sb.capacity()));
+        prop_assert_eq!(union.len(), ma.union(&mb).count());
+        prop_assert_eq!(union.iter().collect::<BTreeSet<u64>>(), &ma | &mb);
+
+        let mut difference = sa.clone();
+        difference.subtract(&sb);
+        prop_assert_eq!(difference.capacity(), sa.capacity());
+        prop_assert_eq!(difference.len(), ma.difference(&mb).count());
+        prop_assert_eq!(difference.iter().collect::<BTreeSet<u64>>(), &ma - &mb);
+
+        // a − (a − b) = a ∩ b, a subset of both operands.
+        let mut common = sa.clone();
+        common.subtract(&difference);
+        prop_assert!(common.is_subset(&sa) && common.is_subset(&sb));
+        prop_assert_eq!(common.len(), sa.intersection_count(&sb));
+        prop_assert!(common.same_contents(&MintermSet::from_minterms(
+            sb.capacity(),
+            ma.intersection(&mb).copied(),
+        )));
+
+        let (mut undone, mut undo) = (sa.clone(), Vec::new());
+        undone.subtract_with_undo(&sb, &mut undo);
+        prop_assert_eq!(&undone, &difference);
+        undone.undo_subtract(&undo);
+        prop_assert_eq!(&undone, &sa);
+    }
+
     /// The intersection of two cubes covers exactly the minterms covered by both.
     #[test]
     fn cube_intersection_is_set_intersection(a in arb_cube(), b in arb_cube()) {
