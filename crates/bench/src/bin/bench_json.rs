@@ -16,9 +16,11 @@
 //!
 //! 1. `micro.*.packed_ns` — cube containment, adjacency merge, intersection
 //!    and minterm membership on 24-variable cube pairs;
-//! 2. `kernel.lane.*.lane_ns` — the `fantom_boolean::lane` slice kernels at
-//!    32/64/128/256 variables and the `CoverIndex` bucket-AND sweeps at
-//!    2048/16384 cubes;
+//! 2. `kernel.cube.*.packed_ns` and `kernel.index.*.packed_ns` — the
+//!    multi-word loops behind the public calls: `Cube::covers` and
+//!    `Cube::intersect` at 32/64/128/256 variables, and `CoverIndex`
+//!    `intersecting_ids`/`covering_ids` queries on covers of 2048 and 16384
+//!    cubes;
 //! 3. `engine.{primes,minimize,hazard}.n*.sparse_ms` and
 //!    `consensus.n*.on_pairs_ms` — prime generation, minimization, static
 //!    hazard regions and Step 7's on-pair consensus at n = 16/20/24 (the
@@ -70,10 +72,10 @@ use std::time::Instant;
 
 use fantom_assign::{assign_with_options, AssignmentOptions};
 use fantom_bench::reference::{
-    adjacent_pair_strings, containment_pair_strings, membership_queries, packed_words,
-    random_cover, random_cube_strings, synthetic_cover_function,
+    adjacent_pair_strings, containment_pair_strings, membership_queries, random_cover,
+    random_cube_strings, synthetic_cover_function,
 };
-use fantom_boolean::{lane, quine, recursive, Cube, Function};
+use fantom_boolean::{quine, recursive, CoverIndex, Cube, Function};
 use fantom_flow::{benchmarks, FlowTable};
 use fantom_minimize::{
     compatibility, maximal_compatibles_bounded, reduce, reduce_with_options, ReductionOptions,
@@ -236,83 +238,71 @@ fn micro(m: &mut Metrics, _: &Grid) {
     );
 }
 
-/// Deterministic xorshift64 word stream for bucket-bitset corpora.
-fn xorshift_words(seed: u64, len: usize) -> Vec<u64> {
-    let mut s = seed | 1;
-    (0..len)
-        .map(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        })
-        .collect()
-}
-
-/// The `fantom_boolean::lane` slice kernels over packed word arrays. Widths
-/// cover the shape space of the kernels: 32 vars = 1 word (pure scalar tail,
-/// the overhead floor), 64 = 2 words (still all tail), 128 = 4 words
-/// (exactly one full lane), 256 = 8 words (two lanes). The bucket-AND sweeps
-/// reproduce the `CoverIndex::constrain` hot loop — `cand &= same | dc` for
-/// bound variables, `cand &= dc` for free ones — over 16-variable constraint
-/// chains on 2048- and 16384-cube bucket bitsets.
-fn lane_kernels(m: &mut Metrics, _: &Grid) {
+/// The multi-word loops through their public calls. Cube widths span 1, 2,
+/// 4 and 8 words (32/64/128/256 variables) on the micro family's correlated
+/// containment pairs. The index queries run on covers of 2048 and 16384
+/// cubes over 16 variables (bucket ANDs over 32 and 256 words):
+/// `intersecting_ids` for random cubes with half their positions free, and
+/// `covering_ids` for minterms, half of them inside a cover cube.
+fn word_kernels(m: &mut Metrics, _: &Grid) {
     // 32x the micro pair count: small enough to stay cache-hot, large enough
     // that the branch predictor cannot memorize the per-word exit pattern
     // across timing iterations.
-    const LANE_PAIRS: usize = 32 * PAIRS;
+    const WIDE_PAIRS: usize = 32 * PAIRS;
     for vars in [32usize, 64, 128, 256] {
-        let pairs: Vec<(Vec<u64>, Vec<u64>)> =
-            containment_pair_strings(0xD1CE ^ vars as u64, vars, LANE_PAIRS)
+        let pairs: Vec<(Cube, Cube)> =
+            containment_pair_strings(0xD1CE ^ vars as u64, vars, WIDE_PAIRS)
                 .iter()
-                .map(|(a, b)| (packed_words(a), packed_words(b)))
+                .map(|(a, b)| (Cube::parse(a).unwrap(), Cube::parse(b).unwrap()))
                 .collect();
         m.put(
-            format!("kernel.lane.containment.v{vars}.lane_ns"),
-            pairs_ns(&pairs, |a, b| lane::cube_covers(a, b)),
+            format!("kernel.cube.covers.v{vars}.packed_ns"),
+            pairs_ns(&pairs, Cube::covers),
         );
         m.put(
-            format!("kernel.lane.intersect.v{vars}.lane_ns"),
-            pairs_ns(&pairs, |a, b| lane::cube_has_conflict(a, b)),
+            format!("kernel.cube.intersect.v{vars}.packed_ns"),
+            pairs_ns(&pairs, |a, b| a.intersect(b).is_some()),
         );
     }
 
-    const CHAIN_VARS: usize = 16;
+    const INDEX_VARS: usize = 16;
+    const QUERIES: usize = 64;
     for cubes in [2048usize, 16384] {
-        let words = cubes / 64;
-        let buckets: Vec<(Vec<u64>, Vec<u64>)> = (0..CHAIN_VARS)
-            .map(|v| {
-                let seed = 0xB1C5 ^ (cubes as u64) << 8 ^ v as u64;
-                (
-                    xorshift_words(seed, words),
-                    xorshift_words(seed.rotate_left(17), words),
-                )
-            })
+        let cover = random_cover(0xB1C5 ^ cubes as u64, INDEX_VARS, cubes, INDEX_VARS / 2);
+        let index = CoverIndex::build(&cover);
+        let parse = |s: &String| Cube::parse(s).unwrap();
+        let free = random_cube_strings(0xF7EE ^ cubes as u64, INDEX_VARS, QUERIES);
+        let free: Vec<Cube> = free.iter().map(parse).collect();
+        let inside: Vec<String> = cover.cubes()[..QUERIES]
+            .iter()
+            .map(Cube::to_string)
             .collect();
-        // Repeated application converges `cand` after the first sweep, but
-        // every sweep still performs the identical loads, stores and masks —
-        // and the kernels do not short-circuit — so reusing one candidate
-        // buffer keeps the measurement honest without a per-call reset.
-        let mut cand = vec![!0u64; words];
+        let minterms: Vec<Cube> = membership_queries(0x3C0F ^ cubes as u64, &inside)
+            .into_iter()
+            .map(|q| Cube::from_minterm(INDEX_VARS, q).unwrap())
+            .collect();
+        let (mut cand, mut out) = (Vec::new(), Vec::new());
         m.put(
-            format!("kernel.lane.bucket_and.c{cubes}.lane_ns"),
+            format!("kernel.index.intersecting_ids.c{cubes}.packed_ns"),
             time_ns(|| {
-                let mut any = 0u64;
-                for (same, dc) in &buckets {
-                    any |= lane::and_or2_into_any(&mut cand, same, dc);
-                }
-                any as usize
+                free.iter()
+                    .map(|q| {
+                        index.intersecting_ids(q, &mut cand, &mut out);
+                        out.len()
+                    })
+                    .sum()
             }),
         );
-        let mut free = vec![!0u64; words];
         m.put(
-            format!("kernel.lane.bucket_free.c{cubes}.lane_ns"),
+            format!("kernel.index.covering_ids.c{cubes}.packed_ns"),
             time_ns(|| {
-                let mut any = 0u64;
-                for (_, dc) in &buckets {
-                    any |= lane::and_into_any(&mut free, dc);
-                }
-                any as usize
+                minterms
+                    .iter()
+                    .map(|q| {
+                        index.covering_ids(q, &mut cand, &mut out);
+                        out.len()
+                    })
+                    .sum()
             }),
         );
     }
@@ -840,7 +830,7 @@ fn main() {
     let grid = load_grid();
     let families: [(&str, Family); 13] = [
         ("cube-kernel micro operations", micro),
-        ("lane kernels", lane_kernels),
+        ("multi-word cube and index kernels", word_kernels),
         ("cube engine at n = 16/20/24", engine),
         ("state reduction (Step 2)", reduction),
         ("state assignment (Step 3)", assignment),

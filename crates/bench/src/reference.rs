@@ -1,8 +1,8 @@
 //! Seeded corpus builders and the two Step 3 test references.
 //!
-//! The builders generate the cube strings, packed words, covers and
-//! functions that `bench_json`'s kernel and engine families time; the same
-//! seed always yields the same corpus. [`scalar_candidate_growth`] and
+//! The builders generate the cube strings, covers and functions that
+//! `bench_json`'s kernel and engine families time; the same seed always
+//! yields the same corpus. [`scalar_candidate_growth`] and
 //! [`scalar_greedy_cover`] are the pre-index Step 3 loops, kept verbatim
 //! because `tests/assign_indexed.rs` compares the indexed engine against
 //! them.
@@ -209,31 +209,6 @@ pub fn synthetic_cover_function(
     }
     let on = Cover::from_cubes(num_vars, on_points);
     CoverFunction::from_on_off(on, off).expect("on points avoid the off cover")
-}
-
-/// Rebuild the espresso-style packed words of a positional-cube string —
-/// two bits per variable, fields allocated from the MSB of each word down,
-/// padding fields canonically `11` — exactly the `fantom_boolean` layout, so
-/// the `fantom_boolean::lane` kernels run over words laid out as `Cube`
-/// stores them.
-///
-/// # Panics
-///
-/// Panics on malformed text — bench corpora are generated, never hostile.
-pub fn packed_words(s: &str) -> Vec<u64> {
-    let n = s.chars().count();
-    let mut out = vec![!0u64; n.div_ceil(32).max(1)];
-    for (v, c) in s.chars().enumerate() {
-        let field: u64 = match c {
-            '0' => 0b01,
-            '1' => 0b10,
-            '-' => 0b11,
-            other => panic!("invalid cube char {other:?}"),
-        };
-        let shift = 62 - 2 * (v % 32);
-        out[v / 32] = (out[v / 32] & !(0b11u64 << shift)) | (field << shift);
-    }
-    out
 }
 
 /// The pre-index candidate-growth loop of the Step-3 assignment engine,

@@ -4,12 +4,13 @@
 //! minterm indices" with fast membership; a dense `u64` bitset beats the
 //! `BTreeSet<u64>` it replaces by a wide margin on the ≤ 2²⁴-point spaces the
 //! synthesis pipeline works in (one cache line per 512 minterms, O(1)
-//! insert/contains, popcount-based size). The set-algebra operations traverse
-//! their word arrays through the [`crate::lane`] 256-bit kernels — on the
-//! large spaces (up to ~262k words at 2²⁴ points) that is where the pipeline
-//! spends its bitset time.
+//! insert/contains, popcount-based size). Each set-algebra operation is one
+//! loop over the word arrays, AND/OR plus popcount per word.
 
-use crate::lane;
+/// Number of minterms in a word array.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
 
 /// A set of minterm indices over a fixed-size Boolean space.
 #[derive(Clone, PartialEq, Eq)]
@@ -39,7 +40,7 @@ impl MintermSet {
     /// The set whose backing words are `words` (64 minterms per word, low
     /// bit first), over a `64 · words.len()`-point space.
     pub fn from_words(words: Vec<u64>) -> Self {
-        let len = lane::popcount(&words);
+        let len = popcount(&words);
         MintermSet { words, len }
     }
 
@@ -114,19 +115,21 @@ impl MintermSet {
             .map(|i| (i * 64 + self.words[i].trailing_zeros() as usize) as u64)
     }
 
-    /// Whether the two sets share no minterm. Lane-parallel; sets of
-    /// different capacities are compared on their common prefix (the missing
-    /// words of the shorter set are empty).
+    /// Whether the two sets share no minterm. Sets of different capacities
+    /// are compared on their common prefix (the missing words of the shorter
+    /// set are empty).
     pub fn is_disjoint(&self, other: &MintermSet) -> bool {
-        let common = self.words.len().min(other.words.len());
-        lane::and_is_zero(&self.words[..common], &other.words[..common])
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
-    /// Whether every minterm of `self` is in `other`. Lane-parallel; words of
-    /// `self` past `other`'s capacity must be empty.
+    /// Whether every minterm of `self` is in `other`. Words of `self` past
+    /// `other`'s capacity must be empty.
     pub fn is_subset(&self, other: &MintermSet) -> bool {
         let common = self.words.len().min(other.words.len());
-        lane::andnot_is_zero(&self.words[..common], &other.words[..common])
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
             && self.words[common..].iter().all(|&w| w == 0)
     }
 
@@ -139,10 +142,13 @@ impl MintermSet {
             && other.words[common..].iter().all(|&w| w == 0)
     }
 
-    /// Number of minterms shared by the two sets. Lane-parallel popcount.
+    /// Number of minterms shared by the two sets.
     pub fn intersection_count(&self, other: &MintermSet) -> usize {
-        let common = self.words.len().min(other.words.len());
-        lane::and_popcount(&self.words[..common], &other.words[..common])
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
     }
 
     /// Add every minterm of `other` to `self`, growing the capacity if
@@ -151,14 +157,18 @@ impl MintermSet {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
-        lane::or_into(&mut self.words, &other.words);
-        self.len = lane::popcount(&self.words);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+        self.len = popcount(&self.words);
     }
 
     /// Remove every minterm of `other` from `self`.
     pub fn subtract(&mut self, other: &MintermSet) {
-        lane::andnot_into(&mut self.words, &other.words);
-        self.len = lane::popcount(&self.words);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+        self.len = popcount(&self.words);
     }
 
     /// [`MintermSet::subtract`] that appends `(word index, previous word)`
@@ -172,7 +182,7 @@ impl MintermSet {
                 *a &= !b;
             }
         }
-        self.len = lane::popcount(&self.words);
+        self.len = popcount(&self.words);
     }
 
     /// Restore the words recorded by [`MintermSet::subtract_with_undo`]
@@ -181,13 +191,13 @@ impl MintermSet {
         for &(i, w) in undo {
             self.words[i as usize] = w;
         }
-        self.len = lane::popcount(&self.words);
+        self.len = popcount(&self.words);
     }
 
     /// The backing words of the set (64 minterms per word, low bit first).
     /// Exposed so external engines can run their own word-granular sweeps —
-    /// the Step-3 dichotomy index enumerates candidate ids from these words
-    /// with [`crate::lane`] kernels without re-walking the set bit by bit.
+    /// the Step-3 dichotomy index ORs these words into its candidate masks
+    /// without re-walking the set bit by bit.
     pub fn words(&self) -> &[u64] {
         &self.words
     }

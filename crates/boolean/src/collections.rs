@@ -26,11 +26,11 @@
 //! containers (`BTreeMap`/`BTreeSet`, used where iteration order is part of
 //! the output contract) stay with `std`.
 //!
-//! The dense structures re-exported here all share the packed-word layout
-//! serviced by the [`crate::lane`] kernels: [`MintermSet`] carries one bit
-//! per minterm, [`CoverIndex`] buckets carry one bit per cube id, and cube
-//! words carry two bits per variable with fields never straddling a word (or
-//! lane) boundary.
+//! The dense structures re-exported here all store packed `u64` words, and
+//! each of their operations is one loop over those words: [`MintermSet`]
+//! carries one bit per minterm, [`CoverIndex`] buckets carry one bit per
+//! cube id, and cube words carry two bits per variable with fields never
+//! straddling a word boundary.
 
 pub use crate::bitset::{MintermSet, SparseMintermSet};
 pub use crate::fxhash::FxHashMap as HashMap;

@@ -1,6 +1,5 @@
 use std::fmt;
 
-use crate::lane;
 use crate::BooleanError;
 
 /// Value of a single variable position inside a [`Cube`].
@@ -79,6 +78,14 @@ const SLOTS_PER_WORD: usize = 32;
 /// Mask of every low ("can-be-0") field bit.
 const LO_BITS: u64 = 0x5555_5555_5555_5555;
 
+/// The low bit of every empty (`00`) field of a packed word. On the AND of
+/// two cubes' words a nonzero result witnesses a 0/1 conflict: well-formed
+/// cubes have no empty field, and fields never straddle a word.
+#[inline]
+fn empty_fields(w: u64) -> u64 {
+    !(w | (w >> 1)) & LO_BITS
+}
+
 /// Storage for the packed fields: cubes of at most [`SLOTS_PER_WORD`]
 /// variables (every MCNC-scale benchmark) live in a single inline word and
 /// never touch the heap; wider cubes spill into a boxed word slice.
@@ -94,9 +101,8 @@ enum Repr {
 /// row/column ordering conventions used by the flow-table crates.
 ///
 /// Internally the cube is bit-packed, two bits per variable (see the crate
-/// docs for the exact layout), so containment, intersection, conflict
-/// counting and adjacency merging are word-parallel bit operations rather
-/// than per-literal loops.
+/// docs for the exact layout), so containment, intersection and adjacency
+/// merging are word-parallel bit operations rather than per-literal loops.
 ///
 /// # Example
 ///
@@ -175,18 +181,13 @@ fn minterm_word(num_vars: usize, minterm: u64, word_idx: usize) -> u64 {
 
 impl Cube {
     /// Word-wise AND of two same-width cubes (the constructive step of
-    /// intersection). Inline cubes stay allocation-free; heap cubes run the
-    /// [`lane`] kernel.
+    /// intersection). Inline cubes stay allocation-free.
     #[inline]
     fn and_cube(&self, other: &Cube) -> Cube {
         debug_assert_eq!(self.num_vars, other.num_vars);
         let repr = match (&self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => Repr::Inline(a & b),
-            _ => {
-                let mut out: Box<[u64]> = self.words().into();
-                lane::and_into(&mut out, other.words());
-                Repr::Heap(out)
-            }
+            _ => Repr::Heap(self.zip_words(other).map(|(a, b)| a & b).collect()),
         };
         Cube {
             num_vars: self.num_vars,
@@ -200,11 +201,7 @@ impl Cube {
         debug_assert_eq!(self.num_vars, other.num_vars);
         let repr = match (&self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => Repr::Inline(a | b),
-            _ => {
-                let mut out: Box<[u64]> = self.words().into();
-                lane::or_into(&mut out, other.words());
-                Repr::Heap(out)
-            }
+            _ => Repr::Heap(self.zip_words(other).map(|(a, b)| a | b).collect()),
         };
         Cube {
             num_vars: self.num_vars,
@@ -218,6 +215,16 @@ impl Cube {
             Repr::Inline(w) => std::slice::from_ref(w),
             Repr::Heap(ws) => ws,
         }
+    }
+
+    /// The word pairs of two same-width cubes, in order: the one loop every
+    /// multi-word arm runs.
+    #[inline]
+    fn zip_words<'c>(&'c self, other: &'c Cube) -> impl Iterator<Item = (u64, u64)> + 'c {
+        self.words()
+            .iter()
+            .copied()
+            .zip(other.words().iter().copied())
     }
 
     fn words_mut(&mut self) -> &mut [u64] {
@@ -385,7 +392,7 @@ impl Cube {
     /// `true` if every position is a don't-care.
     pub fn is_universe(&self) -> bool {
         // Padding fields are canonically `11`, so the universe is all-ones.
-        lane::all_ones(self.words())
+        self.words().iter().all(|&w| w == !0)
     }
 
     /// `true` if the cube binds every variable (covers exactly one minterm).
@@ -422,7 +429,7 @@ impl Cube {
         debug_assert_eq!(self.num_vars, other.num_vars);
         match (&self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => b & !a == 0,
-            _ => lane::cube_covers(self.words(), other.words()),
+            _ => self.zip_words(other).all(|(a, b)| b & !a == 0),
         }
     }
 
@@ -432,67 +439,13 @@ impl Cube {
         // A variable whose field becomes empty (00) witnesses a 0/1 conflict.
         // Padding fields stay 11, so no mask is needed.
         let conflict = match (&self.repr, &other.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => {
-                let t = a & b;
-                !(t | (t >> 1)) & LO_BITS != 0
-            }
-            _ => lane::cube_has_conflict(self.words(), other.words()),
+            (Repr::Inline(a), Repr::Inline(b)) => empty_fields(a & b) != 0,
+            _ => self.zip_words(other).any(|(a, b)| empty_fields(a & b) != 0),
         };
         if conflict {
             return None;
         }
         Some(self.and_cube(other))
-    }
-
-    /// Number of positions where the cubes conflict (one bound to 0, the other
-    /// to 1). Also known as the *distance* between the cubes.
-    pub fn conflict_count(&self, other: &Cube) -> usize {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        match (&self.repr, &other.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => {
-                let t = a & b;
-                (!(t | (t >> 1)) & LO_BITS).count_ones() as usize
-            }
-            _ => lane::cube_conflict_count(self.words(), other.words()),
-        }
-    }
-
-    /// Alias of [`Cube::conflict_count`] under its classical name.
-    pub fn distance(&self, other: &Cube) -> usize {
-        self.conflict_count(other)
-    }
-
-    /// The consensus of two cubes: if they conflict in exactly one variable,
-    /// the cube obtained by freeing that variable and intersecting the rest
-    /// (the classical consensus term `ab' ∨ a'c ⊢ bc`). `None` when the
-    /// distance is not exactly 1.
-    ///
-    /// Part of the kernel's word-parallel op set; note that the hazard
-    /// remover ([`crate::hazard::add_consensus_terms_on_pairs`])
-    /// intentionally builds its consensus gates by prime expansion instead,
-    /// so the added terms are maximal.
-    pub fn consensus(&self, other: &Cube) -> Option<Cube> {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        if self.conflict_count(other) != 1 {
-            return None;
-        }
-        // Intersect and re-open the single conflicting field to don't-care.
-        let repr = match (&self.repr, &other.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => {
-                let t = a & b;
-                let empty_lo = !(t | (t >> 1)) & LO_BITS;
-                Repr::Inline(t | empty_lo | (empty_lo << 1))
-            }
-            _ => {
-                let mut out: Box<[u64]> = self.words().into();
-                lane::cube_consensus_into(&mut out, other.words());
-                Repr::Heap(out)
-            }
-        };
-        Some(Cube {
-            num_vars: self.num_vars,
-            repr,
-        })
     }
 
     /// Attempt the Quine–McCluskey adjacency merge: if the cubes have identical
@@ -515,7 +468,7 @@ impl Cube {
         }
         let mut diff_word = 0u64;
         let mut diff_bits = 0u32;
-        for (&a, &b) in self.words().iter().zip(other.words()) {
+        for (a, b) in self.zip_words(other) {
             let d = a ^ b;
             if d != 0 {
                 if diff_bits != 0 {
@@ -856,22 +809,6 @@ mod tests {
         // Value bits outside the mask are ignored.
         let d = Cube::from_mask_value(4, 0b1010, 0b1101);
         assert_eq!(d.to_string(), "1-0-");
-    }
-
-    #[test]
-    fn consensus_of_distance_one_cubes() {
-        // ab' + a'c -> consensus b'c? classic: "11-" and "0-1" conflict in var
-        // 0 only; consensus is "1" fields elsewhere intersected: "-11"? no:
-        // a=11-, b=0-1: free var0 -> intersect(1-,-1) over vars 1,2 = "11".
-        let a = Cube::parse("11-").unwrap();
-        let b = Cube::parse("0-1").unwrap();
-        let c = a.consensus(&b).unwrap();
-        assert_eq!(c.to_string(), "-11");
-        // Distance 0 or 2: no consensus.
-        assert_eq!(a.consensus(&a), None);
-        let d = Cube::parse("00-").unwrap();
-        let e = Cube::parse("11-").unwrap();
-        assert_eq!(d.consensus(&e), None);
     }
 
     #[test]

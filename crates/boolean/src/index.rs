@@ -33,7 +33,7 @@
 //! The index stores cube *indices*, not cubes; callers keep it in sync with
 //! the cover they query against (see [`IndexedCover`] for a bundled pair).
 
-use crate::{lane, Cover, Cube, Literal};
+use crate::{Cover, Cube, Literal};
 
 /// Number of phase buckets per variable (`Zero`, `One`, `DontCare`).
 const PHASES: usize = 3;
@@ -189,21 +189,37 @@ impl CoverIndex {
 
     /// Number of cubes whose literal at `var` is `phase`.
     pub fn phase_count(&self, var: usize, phase: Literal) -> usize {
-        lane::popcount(self.bucket(var, phase_of(phase)))
+        self.bucket(var, phase_of(phase))
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// AND the constraint bitset of `(var, allow_dc ∪ phase-of-q)` into
     /// `cand`; returns `false` when `cand` became all-zero (early exit).
-    /// This is the bucket-enumeration inner loop — it runs once per variable
-    /// per query, over `ceil(len / 64)` words, so it rides the [`lane`]
-    /// kernels (256 bits per step, any-accumulation folded per lane).
+    /// This is the bucket-enumeration inner loop: it runs once per variable
+    /// per query, one pass over `ceil(len / 64)` words that ORs the results
+    /// together as it stores them, so the emptiness test needs no second
+    /// pass.
     #[inline]
     fn constrain(&self, cand: &mut [u64], var: usize, lit: Literal) -> bool {
         let dc = self.bucket(var, phase_of(Literal::DontCare));
-        let any = match lit {
-            Literal::DontCare => lane::and_into_any(cand, dc),
-            bound => lane::and_or2_into_any(cand, self.bucket(var, phase_of(bound)), dc),
-        };
+        let mut any = 0;
+        match lit {
+            Literal::DontCare => {
+                for (c, d) in cand.iter_mut().zip(dc) {
+                    *c &= d;
+                    any |= *c;
+                }
+            }
+            bound => {
+                let same = self.bucket(var, phase_of(bound));
+                for ((c, s), d) in cand.iter_mut().zip(same).zip(dc) {
+                    *c &= s | d;
+                    any |= *c;
+                }
+            }
+        }
         any != 0
     }
 
@@ -327,11 +343,7 @@ impl CoverIndex {
         out: &mut Vec<usize>,
     ) -> bool {
         out.clear();
-        if !self.intersecting_candidates(q, cand) {
-            return false;
-        }
-        let dc = self.bucket(var, phase_of(Literal::DontCare));
-        if lane::and_into_any(cand, dc) == 0 {
+        if !self.intersecting_candidates(q, cand) || !self.constrain(cand, var, Literal::DontCare) {
             return false;
         }
         out.extend(BitIds::new(cand));

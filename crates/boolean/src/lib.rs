@@ -21,7 +21,6 @@
 //! * [`hazard`] — static (single-input-change) hazard detection for
 //!   sum-of-products covers,
 //! * [`MintermSet`] — dense minterm bitsets for covering algorithms,
-//! * [`lane`] — the 256-bit lane kernels the word-array hot paths run on,
 //! * [`fxhash`] — a fast in-workspace hasher for hot-path maps, and
 //! * [`collections`] — the one-stop façade for every hot-path collection
 //!   (fx-hashed maps/sets plus the special-purpose structures).
@@ -30,9 +29,10 @@
 //!
 //! [`Cube`] is stored espresso-style, **two bits per variable** packed into
 //! 64-bit words, so the core cube operations (containment, intersection,
-//! conflict/distance counting, adjacency merge, supercube, minterm
-//! membership) are word-parallel AND/OR/XOR/popcount expressions instead of
-//! per-literal loops. The layout invariants are:
+//! adjacency merge, supercube, minterm membership) are word-parallel
+//! AND/OR/XOR/popcount expressions instead of per-literal loops. Cubes of
+//! more than 32 variables run each operation as one loop over their word
+//! pairs. The layout invariants are:
 //!
 //! * Each variable owns a 2-bit field: the **high** bit means *can be 1*, the
 //!   **low** bit means *can be 0*. The encodings are `01` = [`Literal::Zero`],
@@ -89,7 +89,6 @@ mod function;
 pub mod fxhash;
 pub mod hazard;
 pub mod index;
-pub mod lane;
 pub mod petrick;
 pub mod quine;
 pub mod recursive;

@@ -2,12 +2,12 @@
 //! literal-vector reference implementation of the original semantics.
 //!
 //! Every operation of the packed kernel — parse/display, containment,
-//! intersection, conflict counting, adjacency merge, supercube, minterm
-//! membership and enumeration, literal metrics and ordering — is compared on
-//! random cubes up to 24 variables (the dense-function regime) and across the
+//! intersection, adjacency merge, supercube, minterm membership and
+//! enumeration, literal metrics and ordering — is compared on random cubes up
+//! to 24 variables (the dense-function regime) and across the
 //! 1-word/multi-word boundary at 31/32/33 variables, plus spillover widths of
-//! up to 8 words. Each test is driven by its own deterministic SplitMix64 stream so
-//! failures reproduce exactly.
+//! up to 8 words. Each test is driven by its own deterministic SplitMix64
+//! stream so failures reproduce exactly.
 
 use fantom_boolean::{Cube, Literal};
 use rand::rngs::StdRng;
@@ -72,19 +72,6 @@ impl RefCube {
             lits.push(lit);
         }
         Some(RefCube(lits))
-    }
-
-    fn conflict_count(&self, other: &RefCube) -> usize {
-        self.0
-            .iter()
-            .zip(&other.0)
-            .filter(|(a, b)| {
-                matches!(
-                    (a, b),
-                    (Literal::Zero, Literal::One) | (Literal::One, Literal::Zero)
-                )
-            })
-            .count()
     }
 
     fn combine_adjacent(&self, other: &RefCube) -> Option<RefCube> {
@@ -220,11 +207,6 @@ fn intersection_matches_reference() {
             let (pa, pb) = (a.to_packed(), b.to_packed());
             let expected = a.intersect(&b).map(|r| r.to_packed());
             assert_eq!(pa.intersect(&pb), expected, "a={a:?} b={b:?}");
-            assert_eq!(
-                pa.conflict_count(&pb),
-                a.conflict_count(&b),
-                "a={a:?} b={b:?}"
-            );
         }
     }
 }

@@ -6,16 +6,16 @@
 //! the cubes the pipeline actually produces: covers synthesized from seeded
 //! generated flow tables are embedded into 31/32/33-variable universes at
 //! offsets that straddle bit 32, and every kernel operation the Step 5/7
-//! engines rely on (containment, intersection, supercube, adjacency merge,
-//! consensus, distance) must commute with the embedding — the embedded
-//! padding is all don't-cares, so each operation's result is the embedded
-//! original result, word splits notwithstanding.
+//! engines rely on (containment, intersection, supercube, adjacency merge)
+//! must commute with the embedding — the embedded padding is all
+//! don't-cares, so each operation's result is the embedded original result,
+//! word splits notwithstanding.
 //!
-//! A second suite runs the same commutation at 127/128/129 and 255/256/257
-//! variables, straddling every 32-variable word boundary on the way — in
-//! particular the 128-variable boundary where the `fantom_boolean::lane`
-//! kernels switch from full 256-bit lanes to their scalar tails, pinning the
-//! lane tail path exactly as the original suite pins the `u64` tail.
+//! A second, multi-word suite runs the same commutation at 127/128/129 and
+//! 255/256/257 variables (4–9 words, the last one full or partly padding),
+//! straddling every 32-variable word boundary on the way, so each
+//! operation's loop over the word pairs meets a mismatch in every word
+//! position.
 
 use fantom_boolean::{Cube, Literal};
 use fantom_flow::generate::{generate, GeneratorOptions};
@@ -78,9 +78,7 @@ fn straddle_offset(width: usize, n: usize, boundary: usize) -> Option<usize> {
 }
 
 /// Offsets placing an `n`-variable cube against the start, the end, and
-/// straddling every 32-variable word boundary of a `width`-variable universe
-/// — which includes the 128-variable (4-word) *lane* boundary once `width`
-/// crosses it.
+/// straddling every 32-variable word boundary of a `width`-variable universe.
 fn boundary_offsets(width: usize, n: usize) -> Vec<usize> {
     let mut offsets = vec![0, width - n];
     for boundary in (32..width).step_by(32) {
@@ -169,18 +167,6 @@ fn assert_ops_commute_at(widths: &[usize], window_cap: usize) {
                             "{}: combine_adjacent at width {width} offset {offset}",
                             table.name()
                         );
-                        assert_eq!(
-                            ea.consensus(&eb),
-                            a.consensus(b).map(|c| embed(&c, width, offset)),
-                            "{}: consensus at width {width} offset {offset}",
-                            table.name()
-                        );
-                        assert_eq!(
-                            ea.distance(&eb),
-                            a.distance(b),
-                            "{}: distance at width {width} offset {offset}",
-                            table.name()
-                        );
                     }
                 }
             }
@@ -190,17 +176,15 @@ fn assert_ops_commute_at(widths: &[usize], window_cap: usize) {
 
 #[test]
 fn pipeline_cover_ops_commute_with_boundary_embedding() {
-    // The 1-word/2-word inline/heap boundary (the `u64` tail of the kernels).
+    // The 1-word/2-word boundary, where a cube leaves its inline word.
     assert_ops_commute_at(&[31, 32, 33], 24);
 }
 
 #[test]
 fn pipeline_cover_ops_commute_with_lane_boundary_embedding() {
-    // The 4-word lane boundary of the `fantom_boolean::lane` kernels: 127/129
-    // exercise the scalar-tail path on either side of one full lane, 128 the
-    // exact-lane path; 255/256/257 the two-lane equivalents. The pairwise
-    // window is smaller than the word-boundary suite's because each op here
-    // walks 4–9 words per cube.
+    // The multi-word suite: 4–5 and 8–9 words, with the last word full
+    // (128, 256) or partly padding. The pairwise window is smaller than the
+    // word-boundary suite's because each op here walks 4–9 words per cube.
     assert_ops_commute_at(&[127, 128, 129, 255, 256, 257], 12);
 }
 
