@@ -127,7 +127,7 @@ impl DelaySweep {
 #[derive(Debug)]
 pub struct ZeroDelayOracle<'a> {
     netlist: &'a Netlist,
-    fanout: Fanout,
+    fanout: &'a Fanout,
     values: Vec<bool>,
     /// Per gate: true input connections, with multiplicity.
     true_counts: Vec<u32>,
@@ -148,15 +148,15 @@ impl<'a> ZeroDelayOracle<'a> {
     /// An oracle over `netlist`, all nets at logic 0.
     pub fn new(netlist: &'a Netlist) -> Self {
         let slow = vec![false; netlist.num_gates()];
-        Self::with_slow_gates(netlist, Fanout::build(netlist), slow)
+        Self::with_slow_gates(netlist, slow)
     }
 
-    /// An oracle over `netlist` (whose fanout is `fanout`) that evaluates the
-    /// gates marked in `slow` only once the other gates have settled.
-    pub(crate) fn with_slow_gates(netlist: &'a Netlist, fanout: Fanout, slow: Vec<bool>) -> Self {
+    /// An oracle over `netlist` that evaluates the gates marked in `slow`
+    /// only once the other gates have settled.
+    pub(crate) fn with_slow_gates(netlist: &'a Netlist, slow: Vec<bool>) -> Self {
         ZeroDelayOracle {
             netlist,
-            fanout,
+            fanout: netlist.fanout(),
             values: vec![false; netlist.num_nets()],
             true_counts: vec![0; netlist.num_gates()],
             dirty: vec![false; netlist.num_gates()],
@@ -366,16 +366,15 @@ pub struct Harness<'a> {
 
 impl<'a> Harness<'a> {
     /// Wrap a built simulator; `use_oracle` enables the differential check,
-    /// with an oracle over a copy of the simulator's fanout.
+    /// with an oracle that shares the netlist's fanout with the simulator.
     pub fn new(sim: Simulator<'a>, use_oracle: bool) -> Self {
         let netlist = sim.netlist();
         let mut dff_q = vec![false; netlist.num_nets()];
         for dff in netlist.dffs() {
             dff_q[dff.q.0] = true;
         }
-        let oracle = use_oracle.then(|| {
-            ZeroDelayOracle::with_slow_gates(netlist, sim.fanout().clone(), sim.slow_gates())
-        });
+        let oracle =
+            use_oracle.then(|| ZeroDelayOracle::with_slow_gates(netlist, sim.slow_gates()));
         Harness { sim, oracle, dff_q }
     }
 
@@ -534,7 +533,7 @@ mod tests {
         let (nl, a, y) = hazard_fed_latch();
         let mut latched = ZeroDelayOracle::new(&nl);
         let slow = vec![false, false, false, true];
-        let mut held = ZeroDelayOracle::with_slow_gates(&nl, Fanout::build(&nl), slow);
+        let mut held = ZeroDelayOracle::with_slow_gates(&nl, slow);
         for oracle in [&mut latched, &mut held] {
             oracle.invalidate_all();
             oracle.settle().unwrap();

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::OnceLock;
 
 use fantom_boolean::Expr;
 
@@ -117,6 +118,9 @@ pub struct Netlist {
     gates: Vec<Gate>,
     dffs: Vec<Dff>,
     primary_inputs: Vec<NetId>,
+    /// The fanout CSR, built on first use and shared by every simulator and
+    /// oracle over this netlist; each edit drops it.
+    fanout: OnceLock<Fanout>,
 }
 
 impl Netlist {
@@ -127,6 +131,7 @@ impl Netlist {
 
     /// Add a named internal net and return its id.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        self.fanout.take();
         self.net_names.push(name.into());
         NetId(self.net_names.len() - 1)
     }
@@ -148,6 +153,7 @@ impl Netlist {
         for n in inputs.iter().chain(std::iter::once(&output)) {
             assert!(n.0 < self.net_names.len(), "net {n} does not exist");
         }
+        self.fanout.take();
         self.gates.push(Gate {
             kind,
             inputs,
@@ -165,6 +171,7 @@ impl Netlist {
         for n in [clock, data, q] {
             assert!(n.0 < self.net_names.len(), "net {n} does not exist");
         }
+        self.fanout.take();
         self.dffs.push(Dff { clock, data, q });
         self.dffs.len() - 1
     }
@@ -259,6 +266,12 @@ impl Netlist {
     /// Find a net by name.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
         self.net_names.iter().position(|n| n == name).map(NetId)
+    }
+
+    /// The net→gate fanout, built once per netlist: campaigns build a
+    /// simulator (and an oracle) per delay assignment over one netlist.
+    pub(crate) fn fanout(&self) -> &Fanout {
+        self.fanout.get_or_init(|| Fanout::build(self))
     }
 }
 
@@ -423,6 +436,27 @@ mod tests {
         let b_readers: Vec<(usize, u32)> = fanout.readers(b.0).collect();
         assert_eq!(b_readers, vec![(0, 1), (1, 1)]);
         assert_eq!(fanout.readers(y0.0).count(), 0);
+    }
+
+    #[test]
+    fn cached_fanout_follows_every_edit() {
+        let mut nl = Netlist::new();
+        let a = nl.add_primary_input("a");
+        let y = nl.add_net("y");
+        nl.add_gate(GateKind::Not, vec![a], y);
+        assert!(std::ptr::eq(nl.fanout(), nl.fanout()), "built once");
+        assert_eq!(nl.fanout().readers(a.0).collect::<Vec<_>>(), [(0, 1)]);
+        let z = nl.add_net("z");
+        assert_eq!(nl.fanout().readers(z.0).count(), 0, "a new net has a row");
+        nl.add_gate(GateKind::And, vec![a, y], z);
+        let readers: Vec<(usize, u32)> = nl.fanout().readers(a.0).collect();
+        assert_eq!(readers, [(0, 1), (1, 1)]);
+        let clone = nl.clone();
+        let rebuilt = Fanout::build(&nl);
+        for net in 0..nl.num_nets() {
+            let row: Vec<(usize, u32)> = rebuilt.readers(net).collect();
+            assert_eq!(clone.fanout().readers(net).collect::<Vec<_>>(), row);
+        }
     }
 
     #[test]

@@ -212,7 +212,7 @@ impl<'a> SimulatorBuilder<'a> {
             assert!(delay > 0, "gate delay must be positive");
             gate_delays[gi] = delay;
         }
-        let fanout = Fanout::build(netlist);
+        let fanout = netlist.fanout();
         let mut fanout_dff_clocks = vec![Vec::new(); num_nets];
         for (di, dff) in netlist.dffs().iter().enumerate() {
             fanout_dff_clocks[dff.clock.0].push(di);
@@ -295,7 +295,7 @@ pub struct Simulator<'a> {
     /// which evaluates any gate in O(1). Every value change keeps it current.
     true_counts: Vec<u32>,
     queue: IndexedEventQueue,
-    fanout: Fanout,
+    fanout: &'a Fanout,
     /// The gates driving each net, in CSR form: net `n`'s drivers are
     /// `drivers[driver_offsets[n]..driver_offsets[n + 1]]`.
     driver_offsets: Vec<u32>,
@@ -355,11 +355,6 @@ impl<'a> Simulator<'a> {
     /// The per-run event budget this simulator was built with.
     pub fn event_budget(&self) -> usize {
         self.event_budget
-    }
-
-    /// The net→gate fanout the event loop walks.
-    pub(crate) fn fanout(&self) -> &Fanout {
-        &self.fanout
     }
 
     /// Per gate: the number of true input connections, with multiplicity,
