@@ -45,6 +45,31 @@ impl RefCube {
         )
     }
 
+    /// A cube inside `self` (each free position bound with probability
+    /// 1/2), with one random position flipped half the time: whether the
+    /// pair covers or intersects then rests on one position, in any word.
+    fn near(&self, rng: &mut Rng) -> Self {
+        let mut lits = self.0.clone();
+        for lit in &mut lits {
+            if *lit == Literal::DontCare && rng.below(2) == 0 {
+                *lit = if rng.below(2) == 0 {
+                    Literal::Zero
+                } else {
+                    Literal::One
+                };
+            }
+        }
+        if rng.below(2) == 0 {
+            let v = rng.below(lits.len() as u64) as usize;
+            lits[v] = match lits[v] {
+                Literal::Zero => Literal::One,
+                Literal::One => Literal::Zero,
+                Literal::DontCare => Literal::DontCare,
+            };
+        }
+        RefCube(lits)
+    }
+
     fn to_packed(&self) -> Cube {
         Cube::new(self.0.clone())
     }
@@ -179,6 +204,11 @@ fn literal_metrics_match_reference() {
                 assert_eq!(p.minterm_count(), 1u64 << (n - r.literal_count()), "{r:?}");
             }
         }
+        // The universe, and the universe with any one position bound.
+        assert!(Cube::universe(n).is_universe(), "n={n}");
+        let v = rng.below(n as u64) as usize;
+        let bound = Cube::universe(n).with_literal(v, Literal::One);
+        assert!(!bound.is_universe(), "n={n} v={v}");
     }
 }
 
@@ -193,6 +223,8 @@ fn containment_matches_reference() {
             assert_eq!(pa.covers(&pb), a.covers(&b), "a={a:?} b={b:?}");
             assert_eq!(pb.covers(&pa), b.covers(&a), "a={a:?} b={b:?}");
             assert!(pa.covers(&pa), "covers must be reflexive: {a:?}");
+            let c = a.near(&mut rng);
+            assert_eq!(pa.covers(&c.to_packed()), a.covers(&c), "a={a:?} c={c:?}");
         }
     }
 }
@@ -207,6 +239,9 @@ fn intersection_matches_reference() {
             let (pa, pb) = (a.to_packed(), b.to_packed());
             let expected = a.intersect(&b).map(|r| r.to_packed());
             assert_eq!(pa.intersect(&pb), expected, "a={a:?} b={b:?}");
+            let c = a.near(&mut rng);
+            let expected = a.intersect(&c).map(|r| r.to_packed());
+            assert_eq!(pa.intersect(&c.to_packed()), expected, "a={a:?} c={c:?}");
         }
     }
 }
