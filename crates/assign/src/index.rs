@@ -138,10 +138,12 @@ fn id_words(num: usize) -> usize {
 /// the id space).
 ///
 /// The id sets are 5–7 words on the large suite, and the loop shape is
-/// measured there: a plain `zip` made `assign_in` 13–21% slower (chain40
-/// 6.9 → 7.8 ms, ring44 10.7 → 12.3 ms, wide36 9.5 → 11.5 ms; medians of 40
-/// runs, release, 2 vCPUs), while four words per step with a scalar
-/// remainder kept the speed of the unrolled kernel it replaced.
+/// measured there (release, 2 vCPUs): a plain `zip` made candidate growth
+/// 12–20% slower (least of 100 runs: chain40 2.7 → 3.2 ms, ring44 4.5 →
+/// 5.1 ms, wide36 4.4 → 5.1 ms) and `assign_in` 13–21% slower, while four
+/// words per step with a scalar remainder kept the speed of the unrolled
+/// kernel it replaced. Cutting both slices to their common length, rather
+/// than indexing one by the other's length, keeps the callers inlined.
 #[inline]
 fn or_into(dst: &mut [u64], src: &[u64]) {
     let n = dst.len().min(src.len());

@@ -443,7 +443,11 @@ impl Cube {
         // Padding fields stay 11, so no mask is needed.
         let conflict = match (&self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => empty_fields(a & b) != 0,
-            _ => self.zip_words(other).fold(0, |acc, (a, b)| acc | empty_fields(a & b)) != 0,
+            _ => {
+                self.zip_words(other)
+                    .fold(0, |acc, (a, b)| acc | empty_fields(a & b))
+                    != 0
+            }
         };
         if conflict {
             return None;
