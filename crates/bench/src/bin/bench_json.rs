@@ -246,8 +246,8 @@ fn micro(m: &mut Metrics, _: &Grid) {
 /// `covering_ids` for minterms, half of them inside a cover cube.
 fn word_kernels(m: &mut Metrics, _: &Grid) {
     // 32x the micro pair count: small enough to stay cache-hot, large enough
-    // that the branch predictor cannot memorize the per-word exit pattern
-    // across timing iterations.
+    // that the branch predictor cannot memorize the pairs' outcomes across
+    // timing iterations.
     const WIDE_PAIRS: usize = 32 * PAIRS;
     for vars in [32usize, 64, 128, 256] {
         let pairs: Vec<(Cube, Cube)> =
@@ -270,9 +270,10 @@ fn word_kernels(m: &mut Metrics, _: &Grid) {
     for cubes in [2048usize, 16384] {
         let cover = random_cover(0xB1C5 ^ cubes as u64, INDEX_VARS, cubes, INDEX_VARS / 2);
         let index = CoverIndex::build(&cover);
-        let parse = |s: &String| Cube::parse(s).unwrap();
-        let free = random_cube_strings(0xF7EE ^ cubes as u64, INDEX_VARS, QUERIES);
-        let free: Vec<Cube> = free.iter().map(parse).collect();
+        let free: Vec<Cube> = random_cube_strings(0xF7EE ^ cubes as u64, INDEX_VARS, QUERIES)
+            .iter()
+            .map(|s| Cube::parse(s).unwrap())
+            .collect();
         let inside: Vec<String> = cover.cubes()[..QUERIES]
             .iter()
             .map(Cube::to_string)
