@@ -7,8 +7,8 @@
 //! insert/contains, popcount-based size). Each set-algebra operation is one
 //! loop over the word arrays, AND/OR plus popcount per word.
 
-/// Number of minterms in a word array.
-fn popcount(words: &[u64]) -> usize {
+/// Number of set bits in a word array.
+pub(crate) fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 

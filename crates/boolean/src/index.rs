@@ -33,6 +33,7 @@
 //! The index stores cube *indices*, not cubes; callers keep it in sync with
 //! the cover they query against (see [`IndexedCover`] for a bundled pair).
 
+use crate::bitset::popcount;
 use crate::{Cover, Cube, Literal};
 
 /// Number of phase buckets per variable (`Zero`, `One`, `DontCare`).
@@ -189,10 +190,7 @@ impl CoverIndex {
 
     /// Number of cubes whose literal at `var` is `phase`.
     pub fn phase_count(&self, var: usize, phase: Literal) -> usize {
-        self.bucket(var, phase_of(phase))
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        popcount(self.bucket(var, phase_of(phase)))
     }
 
     /// AND the constraint bitset of `(var, allow_dc ∪ phase-of-q)` into
