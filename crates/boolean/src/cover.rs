@@ -170,6 +170,27 @@ impl Cover {
         self.cubes.truncate(kept);
     }
 
+    /// The cover with variable `v` moved to position `perm[v]` for every
+    /// `v < perm.len()`; later variables keep their positions, and the cubes
+    /// keep their order. Each cube's packed fields move word by word.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `perm` is a permutation of `0..perm.len()` with
+    /// `perm.len() <= self.num_vars()`.
+    pub fn permute_vars(&self, perm: &[usize]) -> Cover {
+        crate::cube::assert_var_permutation(perm, self.num_vars);
+        self.permute_checked(perm)
+    }
+
+    /// [`Cover::permute_vars`] for a `perm` already checked.
+    pub(crate) fn permute_checked(&self, perm: &[usize]) -> Cover {
+        Cover {
+            num_vars: self.num_vars,
+            cubes: self.cubes.iter().map(|c| c.permute_vars(perm)).collect(),
+        }
+    }
+
     /// Iterate over the cubes (alias of `cubes().iter()` for ergonomic loops).
     pub fn iter(&self) -> std::slice::Iter<'_, Cube> {
         self.cubes.iter()

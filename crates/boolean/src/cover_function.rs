@@ -139,6 +139,25 @@ impl CoverFunction {
         &self.off
     }
 
+    /// The function with variable `v` moved to position `perm[v]` for every
+    /// `v < perm.len()`; later variables keep their positions (see
+    /// [`Cover::permute_vars`]). A permutation maps disjoint cubes to
+    /// disjoint cubes, so the on/off covers stay disjoint and nothing is
+    /// re-checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `perm` is a permutation of `0..perm.len()` with
+    /// `perm.len() <= self.num_vars()`.
+    pub fn permute_vars(&self, perm: &[usize]) -> CoverFunction {
+        crate::cube::assert_var_permutation(perm, self.num_vars);
+        CoverFunction {
+            num_vars: self.num_vars,
+            on: self.on.permute_checked(perm),
+            off: self.off.permute_checked(perm),
+        }
+    }
+
     /// The don't-care cover, derived on demand by recursive sharp/complement:
     /// `dc = ¬(on ∪ off)`.
     pub fn dc_cover(&self) -> Cover {

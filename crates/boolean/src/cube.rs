@@ -95,6 +95,25 @@ enum Repr {
     Heap(Box<[u64]>),
 }
 
+/// Panic unless `perm` is a permutation of `0..perm.len()` that fits a
+/// `num_vars`-variable cube: the precondition of the `permute_vars` methods.
+pub(crate) fn assert_var_permutation(perm: &[usize], num_vars: usize) {
+    assert!(
+        perm.len() <= num_vars,
+        "a permutation of {} variables does not fit {num_vars} variables",
+        perm.len()
+    );
+    let mut seen = vec![0u64; perm.len().div_ceil(64)];
+    for &p in perm {
+        assert!(
+            p < perm.len() && seen[p / 64] & (1 << (p % 64)) == 0,
+            "not a permutation of 0..{}",
+            perm.len()
+        );
+        seen[p / 64] |= 1 << (p % 64);
+    }
+}
+
 /// A product term (cube) over a fixed, ordered set of Boolean variables.
 ///
 /// Variable 0 is the **most significant** bit of a minterm index, matching the
@@ -363,6 +382,24 @@ impl Cube {
         let mut cube = self.clone();
         cube.set_literal(var, lit);
         cube
+    }
+
+    /// The cube with variable `v` moved to position `perm[v]` for every
+    /// `v < perm.len()`; later variables keep their positions. Each packed
+    /// 2-bit field moves as it is, so the copy needs no literal decoding.
+    /// `perm` must be a permutation of `0..perm.len()` (see
+    /// `assert_var_permutation`).
+    pub(crate) fn permute_vars(&self, perm: &[usize]) -> Cube {
+        debug_assert!(perm.len() <= self.num_vars);
+        let mut out = self.clone();
+        let (from, to) = (self.words(), out.words_mut());
+        for (v, &target) in perm.iter().enumerate() {
+            let field = (from[v / SLOTS_PER_WORD] >> Self::shift(v)) & 0b11;
+            let shift = Self::shift(target);
+            let word = &mut to[target / SLOTS_PER_WORD];
+            *word = (*word & !(0b11 << shift)) | (field << shift);
+        }
+        out
     }
 
     /// Iterate over the literals in variable order.

@@ -3,13 +3,14 @@
 //!
 //! Every operation of the packed kernel — parse/display, containment,
 //! intersection, adjacency merge, supercube, minterm membership and
-//! enumeration, literal metrics and ordering — is compared on random cubes up
+//! enumeration, literal metrics, ordering and the variable permutation of
+//! covers and cover functions — is compared on random cubes up
 //! to 24 variables (the dense-function regime) and across the
 //! 1-word/multi-word boundary at 31/32/33 variables, plus spillover widths of
 //! up to 8 words. Each test is driven by its own deterministic SplitMix64
 //! stream so failures reproduce exactly.
 
-use fantom_boolean::{Cube, Literal};
+use fantom_boolean::{Cover, CoverFunction, Cube, Literal};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
@@ -392,4 +393,81 @@ fn eval_matches_minterm_membership() {
             assert_eq!(p.eval(&bits), r.contains_minterm(m), "{r:?} m={m}");
         }
     }
+}
+
+/// A uniformly shuffled permutation of `0..len`.
+fn random_permutation(rng: &mut Rng, len: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        perm.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    perm
+}
+
+/// The reference permutation: literal `v` moves to position `perm[v]` for
+/// `v < perm.len()`, every later literal stays.
+fn permute_reference(r: &RefCube, perm: &[usize]) -> Cube {
+    let mut lits = r.0.clone();
+    for (v, &target) in perm.iter().enumerate() {
+        lits[target] = r.0[v];
+    }
+    Cube::new(lits)
+}
+
+#[test]
+fn permute_vars_matches_reference() {
+    let mut rng = Rng::new(0x100D);
+    for &n in WIDTHS {
+        for _ in 0..CASES_PER_WIDTH / 10 {
+            let len = rng.below(n as u64 + 1) as usize;
+            let perm = random_permutation(&mut rng, len);
+            // On-cubes bind the last variable to 1 and off-cubes to 0, so the
+            // covers are disjoint before (and after) any permutation.
+            let side = |lit: Literal, rng: &mut Rng| -> Vec<RefCube> {
+                (0..rng.below(6))
+                    .map(|_| {
+                        let mut r = RefCube::random(rng, n, true);
+                        r.0[n - 1] = lit;
+                        r
+                    })
+                    .collect()
+            };
+            let on = side(Literal::One, &mut rng);
+            let off = side(Literal::Zero, &mut rng);
+            let cover = |refs: &[RefCube]| {
+                Cover::from_cubes(n, refs.iter().map(RefCube::to_packed).collect())
+            };
+            let expected = |refs: &[RefCube]| {
+                Cover::from_cubes(
+                    n,
+                    refs.iter().map(|r| permute_reference(r, &perm)).collect(),
+                )
+            };
+
+            assert_eq!(
+                cover(&on).permute_vars(&perm),
+                expected(&on),
+                "n={n} perm={perm:?}"
+            );
+            let f = CoverFunction::from_on_off(cover(&on), cover(&off)).expect("disjoint covers");
+            let g = f.permute_vars(&perm);
+            assert_eq!(g.num_vars(), n);
+            assert_eq!(g.on_cover(), &expected(&on), "n={n} perm={perm:?}");
+            assert_eq!(g.off_cover(), &expected(&off), "n={n} perm={perm:?}");
+            assert!(CoverFunction::from_on_off(expected(&on), expected(&off)).is_ok());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "not a permutation")]
+fn permute_vars_rejects_a_repeated_target() {
+    Cover::from_cubes(3, vec![Cube::universe(3)]).permute_vars(&[1, 1]);
+}
+
+#[test]
+#[should_panic(expected = "does not fit")]
+fn permute_vars_rejects_a_permutation_wider_than_the_function() {
+    let f = CoverFunction::from_on_off(Cover::empty(2), Cover::empty(2)).expect("empty covers");
+    f.permute_vars(&[2, 0, 1]);
 }

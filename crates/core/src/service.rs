@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 
 use fantom_assign::StateAssignment;
 use fantom_boolean::collections::HashMap;
-use fantom_boolean::{Cover, CoverFunction, Cube, Expr, Literal};
+use fantom_boolean::Expr;
 use fantom_flow::canonical::{self, CanonicalOptions, Canonicalization};
 use fantom_flow::FlowTable;
 
@@ -302,14 +302,25 @@ impl SynthesisService {
             return Ok(from_sparse(r, states_before, CacheStatus::Uncached));
         }
 
-        // Validate up front so failures carry the submitted table's name;
-        // validity is isomorphism-invariant, so the canonical run below
-        // passes the same check.
+        let canon = canonical::canonicalize(table, &self.options.canonical);
+        if let Some(core) = self.cached(table, &canon) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(relabel_result(
+                &core.result,
+                &canon,
+                table.name(),
+                CacheStatus::Hit,
+            ));
+        }
+
+        // Not a hit: validate before the cache is touched, so an invalid
+        // submission neither creates nor evicts an entry and its error names
+        // the submitted table. A hit needs no validation: validity is
+        // isomorphism-invariant, and an entry exists only for a table that
+        // passed it.
         if self.options.synthesis.validate_input {
             check_acceptable(table)?;
         }
-
-        let canon = canonical::canonicalize(table, &self.options.canonical);
         let ctable = canonical::canonical_table(table, &canon);
         let slot = {
             let mut map = self.cache.lock().expect("cache lock");
@@ -340,6 +351,7 @@ impl SynthesisService {
 
         let mut entry = slot.entry.lock().expect("slot lock");
         let (core, status) = match entry.as_ref() {
+            // Another worker filled the slot since the lookup above.
             Some(cached) if cached.canonical_table == ctable => {
                 (Arc::clone(cached), CacheStatus::Hit)
             }
@@ -374,6 +386,31 @@ impl SynthesisService {
             CacheStatus::Uncached => {}
         }
         Ok(relabel_result(&core.result, &canon, table.name(), status))
+    }
+
+    /// The cached result for `canon`'s signature when its canonical table
+    /// equals `table`'s under `canon`: the hit path. It compares in place
+    /// (no canonical table is built), inserts nothing, and touches the
+    /// entry's recency stamp only on a match.
+    fn cached(&self, table: &FlowTable, canon: &Canonicalization) -> Option<Arc<CanonicalResult>> {
+        let slot = self
+            .cache
+            .lock()
+            .expect("cache lock")
+            .get(&canon.signature)
+            .cloned()?;
+        let core = slot
+            .entry
+            .lock()
+            .expect("slot lock")
+            .as_ref()
+            .filter(|cached| canonical::canonical_table_eq(table, canon, &cached.canonical_table))
+            .map(Arc::clone)?;
+        slot.last_used.store(
+            self.stamp.fetch_add(1, Ordering::Relaxed) + 1,
+            Ordering::Relaxed,
+        );
+        Some(core)
     }
 }
 
@@ -465,6 +502,9 @@ fn from_sparse(
 /// positions and output bit order are carried through every cover and
 /// expression by the inverse canonical maps; state variables (and `fsv`)
 /// keep their positions, so the assignment and the y-ordering are unchanged.
+/// Covers move their packed fields word by word
+/// ([`fantom_boolean::CoverFunction::permute_vars`]): a permutation keeps on/off covers
+/// disjoint, so nothing is rebuilt or re-checked.
 fn relabel_result(
     core: &ServiceResult,
     canon: &Canonicalization,
@@ -477,32 +517,33 @@ fn relabel_result(
     let identity: Vec<usize> = (0..core.reduced_table.num_states()).collect();
     let reduced_table = canonical::relabel(&core.reduced_table, &identity, &inv_in, &inv_out, name);
 
-    let no = canon.output_map.len();
-    let z: Vec<CoverFunction> = (0..no)
-        .map(|rb| permute_cover_function(&core.outputs.z[canon.output_map[rb]], &inv_in, ni))
-        .collect();
-    let z_covers: Vec<Cover> = (0..no)
-        .map(|rb| permute_cover(&core.outputs.z_covers[canon.output_map[rb]], &inv_in, ni))
-        .collect();
-    let z_exprs: Vec<Expr> = (0..no)
-        .map(|rb| permute_expr(&core.outputs.z_exprs[canon.output_map[rb]], &inv_in, ni))
-        .collect();
+    // Request output bit `b` is canonical output bit `output_map[b]`.
+    let z_order = &canon.output_map;
     let outputs = CoverOutputEquations {
-        z,
-        z_covers,
-        z_exprs,
-        ssd: permute_cover_function(&core.outputs.ssd, &inv_in, ni),
-        ssd_cover: permute_cover(&core.outputs.ssd_cover, &inv_in, ni),
+        z: z_order
+            .iter()
+            .map(|&cb| core.outputs.z[cb].permute_vars(&inv_in))
+            .collect(),
+        z_covers: z_order
+            .iter()
+            .map(|&cb| core.outputs.z_covers[cb].permute_vars(&inv_in))
+            .collect(),
+        z_exprs: z_order
+            .iter()
+            .map(|&cb| permute_expr(&core.outputs.z_exprs[cb], &inv_in, ni))
+            .collect(),
+        ssd: core.outputs.ssd.permute_vars(&inv_in),
+        ssd_cover: core.outputs.ssd_cover.permute_vars(&inv_in),
         ssd_expr: permute_expr(&core.outputs.ssd_expr, &inv_in, ni),
     };
     let factored = FactoredEquations {
-        fsv_cover: permute_cover(&core.factored.fsv_cover, &inv_in, ni),
+        fsv_cover: core.factored.fsv_cover.permute_vars(&inv_in),
         fsv_expr: permute_expr(&core.factored.fsv_expr, &inv_in, ni),
         y_covers: core
             .factored
             .y_covers
             .iter()
-            .map(|c| permute_cover(c, &inv_in, ni))
+            .map(|c| c.permute_vars(&inv_in))
             .collect(),
         y_exprs: core
             .factored
@@ -523,31 +564,6 @@ fn relabel_result(
         hazard_state_count: core.hazard_state_count,
         cache: status,
     }
-}
-
-/// Move canonical input-variable position `v` to request position
-/// `inv_in[v]`; positions at and beyond `ni` (state variables, `fsv`) stay.
-fn permute_cube(cube: &Cube, inv_in: &[usize], ni: usize) -> Cube {
-    let mut lits: Vec<Literal> = cube.literals().collect();
-    for (v, &target) in inv_in.iter().enumerate().take(ni) {
-        lits[target] = cube.literal(v);
-    }
-    Cube::new(lits)
-}
-
-fn permute_cover(cover: &Cover, inv_in: &[usize], ni: usize) -> Cover {
-    Cover::from_cubes(
-        cover.num_vars(),
-        cover.iter().map(|c| permute_cube(c, inv_in, ni)).collect(),
-    )
-}
-
-fn permute_cover_function(cf: &CoverFunction, inv_in: &[usize], ni: usize) -> CoverFunction {
-    CoverFunction::from_on_off(
-        permute_cover(cf.on_cover(), inv_in, ni),
-        permute_cover(cf.off_cover(), inv_in, ni),
-    )
-    .expect("permuting variables preserves on/off disjointness")
 }
 
 fn permute_expr(expr: &Expr, inv_in: &[usize], ni: usize) -> Expr {

@@ -30,7 +30,7 @@
 //! identical submissions then match, which is always sound — the cache merely
 //! loses hit opportunities, never correctness.
 
-use crate::{Bits, FlowTable};
+use crate::{Bits, FlowTable, StateId};
 
 /// Budgets for [`canonicalize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +155,64 @@ pub fn canonical_table(table: &FlowTable, c: &Canonicalization) -> FlowTable {
         "canonical",
         names,
     )
+}
+
+/// Whether `canonical` equals [`canonical_table`]`(table, c)`, decided in
+/// place: each entry of `table` is carried through the three maps of `c` and
+/// compared with its image, so nothing is allocated. This is the cache-hit
+/// test of `seance::service`.
+///
+/// # Panics
+///
+/// Panics where [`canonical_table`] does: if a map's length does not match
+/// its dimension of `table`.
+pub fn canonical_table_eq(table: &FlowTable, c: &Canonicalization, canonical: &FlowTable) -> bool {
+    let (ni, no, ns) = (table.num_inputs(), table.num_outputs(), table.num_states());
+    assert_eq!(c.state_map.len(), ns);
+    assert_eq!(c.input_map.len(), ni);
+    assert_eq!(c.output_map.len(), no);
+    if canonical.name() != "canonical"
+        || canonical.num_inputs() != ni
+        || canonical.num_outputs() != no
+        || canonical.num_states() != ns
+        || !canonical
+            .states()
+            .all(|s| is_row_label(canonical.state_name(s), s.index()))
+    {
+        return false;
+    }
+    table.states().all(|s| {
+        let row = StateId(c.state_map[s.index()]);
+        (0..table.num_columns()).all(|col| {
+            let entry = table.entry(s, col);
+            let image = canonical.entry(row, permuted_column(col, &c.input_map));
+            image.next == entry.next.map(|t| StateId(c.state_map[t.index()]))
+                && match (&entry.output, &image.output) {
+                    (None, None) => true,
+                    (Some(o), Some(p)) => (c.output_map.iter().enumerate())
+                        .all(|(b, &target)| p.bit(target) == o.bit(b)),
+                    _ => false,
+                }
+        })
+    })
+}
+
+/// Whether `name` is exactly the canonical label `s{row}` of row `row`.
+fn is_row_label(name: &str, row: usize) -> bool {
+    name.strip_prefix('s').is_some_and(|digits| {
+        digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'))
+            && digits.parse() == Ok(row)
+    })
+}
+
+/// The column whose input bit `input_map[i]` is bit `i` of `column` (bit 0
+/// the most significant, as in [`Bits::index`]).
+fn permuted_column(column: usize, input_map: &[usize]) -> usize {
+    let ni = input_map.len();
+    (input_map.iter().enumerate()).fold(0, |acc, (i, &target)| {
+        acc | ((column >> (ni - 1 - i)) & 1) << (ni - 1 - target)
+    })
 }
 
 /// The inverse of a permutation given as an `original → new` map.
@@ -492,6 +550,28 @@ mod tests {
         let c2 = canonicalize(&relabeled, &opts);
         assert_eq!(c.signature, c2.signature);
         assert_eq!(canonical_table(&t, &c), canonical_table(&relabeled, &c2));
+    }
+
+    #[test]
+    fn in_place_comparison_reads_row_labels_exactly() {
+        let t = benchmarks::lion();
+        let c = canonicalize(&t, &CanonicalOptions::default());
+        let built = canonical_table(&t, &c);
+        assert!(canonical_table_eq(&t, &c, &built));
+        let identity = |n: usize| (0..n).collect::<Vec<_>>();
+        for label in ["s01", "s+1", "s", "1", "t1"] {
+            let mut names: Vec<String> = (0..t.num_states()).map(|i| format!("s{i}")).collect();
+            names[1] = label.to_string();
+            let misnamed = relabel_with_names(
+                &built,
+                &identity(t.num_states()),
+                &identity(t.num_inputs()),
+                &identity(t.num_outputs()),
+                "canonical",
+                names,
+            );
+            assert!(!canonical_table_eq(&t, &c, &misnamed), "{label}");
+        }
     }
 
     #[test]

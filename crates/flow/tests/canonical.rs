@@ -4,7 +4,8 @@
 //! get distinct signatures.
 
 use fantom_flow::canonical::{
-    canonical_table, canonicalize, inverse_permutation, relabel, CanonicalOptions,
+    canonical_table, canonical_table_eq, canonicalize, inverse_permutation, relabel,
+    CanonicalOptions,
 };
 use fantom_flow::{benchmarks, Bits, FlowTable, StateId};
 use proptest::prelude::*;
@@ -110,6 +111,48 @@ proptest! {
         prop_assert_eq!(back, table);
     }
 
+    /// The in-place comparison answers exactly what building the canonical
+    /// table and comparing it would: on the table's own canonical table, an
+    /// isomorphic or unrelated table's, the same with one entry changed, and
+    /// the same renamed or with two rows swapped.
+    #[test]
+    fn in_place_comparison_equals_building_the_canonical_table(
+        table in arb_table(),
+        other in arb_table(),
+        keys in arb_keys(),
+    ) {
+        let opts = CanonicalOptions::default();
+        let c = canonicalize(&table, &opts);
+        let built = canonical_table(&table, &c);
+        let sm = permutation_from_keys(&keys, table.num_states());
+        let im = permutation_from_keys(&keys[1..], table.num_inputs());
+        let om = permutation_from_keys(&keys[2..], table.num_outputs());
+        let relabeled = relabel(&table, &sm, &im, &om, "relabeled");
+        let of = |t: &FlowTable| canonical_table(t, &canonicalize(t, &opts));
+
+        let mut changed = built.clone();
+        let (row, col) = (keys[3] as usize % table.num_states(), keys[4] as usize % table.num_columns());
+        let entry = changed.entry(StateId(row), col).clone();
+        let next = Some(StateId(keys[5] as usize % table.num_states()));
+        let output = Some(Bits::from_index(table.num_outputs(), keys[6] as usize % (1 << table.num_outputs())));
+        match keys[7] % 3 {
+            0 => changed.set_entry(StateId(row), col, next, entry.output),
+            1 => changed.set_entry(StateId(row), col, entry.next, output),
+            _ => changed.set_entry(StateId(row), col, None, None),
+        }
+        .expect("valid coordinates");
+        let mut renamed = built.clone();
+        renamed.set_name("renamed");
+        let mut swap: Vec<usize> = (0..table.num_states()).collect();
+        swap.swap(0, 1);
+        let swapped = relabel(&built, &swap, &identity(table.num_inputs()), &identity(table.num_outputs()), "canonical");
+
+        for candidate in [built.clone(), of(&relabeled), of(&other), changed, renamed, swapped, table.clone()] {
+            prop_assert_eq!(canonical_table_eq(&table, &c, &candidate), built == candidate);
+        }
+        prop_assert!(canonical_table_eq(&table, &c, &built));
+    }
+
     /// Canonicalization is a pure function of the table.
     #[test]
     fn canonicalization_is_deterministic(table in arb_table()) {
@@ -122,6 +165,10 @@ proptest! {
         prop_assert_eq!(a.input_map, b.input_map);
         prop_assert_eq!(a.output_map, b.output_map);
     }
+}
+
+fn identity(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 /// Every pair of distinct corpus machines — small suite and the large
