@@ -192,12 +192,16 @@ pub(crate) fn render_equations(
 }
 
 /// Step 1's acceptance test: normal mode, strong connectivity and a stable
-/// column for every state.
+/// column for every state. Only a failure builds the full report, for its
+/// message.
 pub(crate) fn check_acceptable(table: &FlowTable) -> Result<(), SynthesisError> {
-    let report = validate::validate(table);
-    if report.is_acceptable() {
+    if validate::is_normal_mode(table)
+        && validate::is_strongly_connected(table)
+        && validate::states_without_stable_column(table).is_empty()
+    {
         return Ok(());
     }
+    let report = validate::validate(table);
     Err(SynthesisError::InvalidFlowTable(format!(
         "{}: normal-mode violations: {}, strongly connected: {}, states without stable column: {}",
         table.name(),

@@ -6,8 +6,6 @@
 //! other). These checks are exposed individually and as a combined
 //! [`ValidationReport`].
 
-use std::collections::VecDeque;
-
 use crate::{FlowTable, StateId};
 
 /// A violation of the normal-mode requirement: the entry at `(state, column)`
@@ -76,45 +74,67 @@ pub fn is_normal_mode(table: &FlowTable) -> bool {
 }
 
 /// `true` if the directed state graph (an edge `s → t` for every specified
-/// entry leading from `s` to `t ≠ s`) is strongly connected.
+/// entry leading from `s` to `t ≠ s`) is strongly connected: state 0 reaches
+/// every state, and every state reaches state 0.
+///
+/// The edges are listed once and grouped by source for the forward search
+/// and by target for the backward one, so the test costs
+/// O(states × columns).
 pub fn is_strongly_connected(table: &FlowTable) -> bool {
     let n = table.num_states();
     if n <= 1 {
         return true;
     }
-    let forward = |s: StateId| -> Vec<StateId> {
-        (0..table.num_columns())
-            .filter_map(|c| table.next_state(s, c))
-            .filter(|&t| t != s)
-            .collect()
-    };
-    let reachable_from = |start: usize, reverse: bool| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        seen[start] = true;
-        let mut queue = VecDeque::from([StateId(start)]);
-        while let Some(u) = queue.pop_front() {
-            for v in table.states() {
-                let edge = if reverse {
-                    forward(v).contains(&u)
-                } else {
-                    forward(u).contains(&v)
-                };
-                if edge && !seen[v.0] {
-                    seen[v.0] = true;
-                    queue.push_back(v);
-                }
+    let edges: Vec<(usize, usize)> = table
+        .states()
+        .flat_map(|s| {
+            (0..table.num_columns())
+                .filter_map(move |c| table.next_state(s, c))
+                .filter(move |&t| t != s)
+                .map(move |t| (s.0, t.0))
+        })
+        .collect();
+    reaches_every_state(n, edges.iter().copied())
+        && reaches_every_state(n, edges.iter().map(|&(s, t)| (t, s)))
+}
+
+/// Whether a depth-first search from state 0 along `edges` (`from → to`)
+/// reaches all `n` states. The edges are grouped by `from` first.
+fn reaches_every_state(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> bool {
+    let mut start = vec![0usize; n + 1];
+    for (from, _) in edges.clone() {
+        start[from + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut targets = vec![0usize; start[n]];
+    for (from, to) in edges {
+        targets[next[from]] = to;
+        next[from] += 1;
+    }
+    let mut seen = vec![false; n];
+    seen[0] = true;
+    let mut stack = vec![0usize];
+    let mut reached = 1;
+    while let Some(u) = stack.pop() {
+        for &v in &targets[start[u]..start[u + 1]] {
+            if !seen[v] {
+                seen[v] = true;
+                reached += 1;
+                stack.push(v);
             }
         }
-        seen
-    };
-    reachable_from(0, false).iter().all(|&b| b) && reachable_from(0, true).iter().all(|&b| b)
+    }
+    reached == n
 }
 
 /// States of `table` that are stable under no input column.
 pub fn states_without_stable_column(table: &FlowTable) -> Vec<StateId> {
     table
         .states()
-        .filter(|&s| table.stable_columns(s).is_empty())
+        .filter(|&s| !(0..table.num_columns()).any(|c| table.is_stable(s, c)))
         .collect()
 }
 

@@ -1,6 +1,9 @@
 //! Property-based tests for the flow-table substrate: bit-vector laws, the
 //! KISS2 round trip, and structural invariants of builder-generated tables.
 
+use std::collections::VecDeque;
+
+use fantom_flow::generate::{generate, GeneratorOptions};
 use fantom_flow::{kiss, validate, Bits, FlowTable, StateId};
 use proptest::prelude::*;
 
@@ -47,7 +50,70 @@ fn arb_table() -> impl Strategy<Value = FlowTable> {
         })
 }
 
+/// The strong-connectivity test as it was before the adjacency search, kept
+/// as its oracle: each search step rescans every state's row for edges,
+/// O(states² × columns).
+fn rescanning_is_strongly_connected(table: &FlowTable) -> bool {
+    let n = table.num_states();
+    if n <= 1 {
+        return true;
+    }
+    let forward = |s: StateId| -> Vec<StateId> {
+        (0..table.num_columns())
+            .filter_map(|c| table.next_state(s, c))
+            .filter(|&t| t != s)
+            .collect()
+    };
+    let reachable_from = |start: usize, reverse: bool| -> Vec<bool> {
+        let mut seen = vec![false; n];
+        seen[start] = true;
+        let mut queue = VecDeque::from([StateId(start)]);
+        while let Some(u) = queue.pop_front() {
+            for v in table.states() {
+                let edge = if reverse {
+                    forward(v).contains(&u)
+                } else {
+                    forward(u).contains(&v)
+                };
+                if edge && !seen[v.0] {
+                    seen[v.0] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        seen
+    };
+    reachable_from(0, false).iter().all(|&b| b) && reachable_from(0, true).iter().all(|&b| b)
+}
+
 proptest! {
+    /// The adjacency search decides strong connectivity exactly as the
+    /// rescanning oracle does, on generated (strongly connected) tables with
+    /// random entries cleared and on arbitrary random tables.
+    #[test]
+    fn strong_connectivity_matches_the_rescanning_search(
+        seed in any::<u64>(),
+        states in 2usize..14,
+        inputs in 2usize..4,
+        clear_percent in 0u64..40,
+        clear_keys in any::<u64>(),
+        random in arb_table(),
+    ) {
+        let mut table = generate(&GeneratorOptions { seed, states, inputs, ..GeneratorOptions::default() });
+        let mut key = clear_keys;
+        for s in 0..table.num_states() {
+            for c in 0..table.num_columns() {
+                key = key.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(0x1405_7B7E_F767_814F);
+                if (key >> 33) % 100 < clear_percent {
+                    table.set_entry(StateId(s), c, None, None).expect("valid coordinates");
+                }
+            }
+        }
+        for t in [&table, &random] {
+            prop_assert_eq!(validate::is_strongly_connected(t), rescanning_is_strongly_connected(t));
+        }
+    }
+
     /// Index → bits → index round-trips for any width up to 12.
     #[test]
     fn bits_index_round_trip(width in 1usize..12, index in 0usize..4096) {
