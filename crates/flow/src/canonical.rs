@@ -384,7 +384,11 @@ fn initial_colors(table: &FlowTable, col_map: &[usize], output_perm: &[usize]) -
                 h = mix(h, u64::from(entry.next == Some(s)));
                 match &entry.output {
                     None => h = mix(h, u64::MAX),
-                    Some(o) => h = mix(h, permuted_output_value(o, output_perm)),
+                    Some(o) => {
+                        for chunk in permuted_output_chunks(o, output_perm) {
+                            h = mix(h, chunk);
+                        }
+                    }
                 }
             }
             h
@@ -455,7 +459,9 @@ fn serialize_into(
                 None => out.push(0),
                 Some(o) => {
                     out.push(1);
-                    push_u64(out, permuted_output_value(o, output_perm));
+                    for chunk in permuted_output_chunks(o, output_perm) {
+                        push_u64(out, chunk);
+                    }
                 }
             }
         }
@@ -463,16 +469,26 @@ fn serialize_into(
 }
 
 /// The unsigned value of an output vector after moving bit `b` to position
-/// `output_perm[b]`.
-fn permuted_output_value(bits: &Bits, output_perm: &[usize]) -> u64 {
+/// `output_perm[b]` (position 0 the most significant), in 64-bit chunks from
+/// the most significant one. A vector of at most 64 bits is one chunk, its
+/// plain value; a wider one keeps every bit instead of folding bit 64 onto
+/// bit 0.
+fn permuted_output_chunks<'a>(
+    bits: &'a Bits,
+    output_perm: &'a [usize],
+) -> impl Iterator<Item = u64> + 'a {
     let w = bits.width();
-    let mut v = 0u64;
-    for (b, &target) in output_perm.iter().enumerate() {
-        if bits.bit(b) {
-            v |= 1u64 << (w - 1 - target);
+    (0..w.div_ceil(64).max(1)).rev().map(move |chunk| {
+        let mut v = 0u64;
+        for (b, &target) in output_perm.iter().enumerate() {
+            // The value bit of position `target`.
+            let i = w - 1 - target;
+            if bits.bit(b) && i / 64 == chunk {
+                v |= 1u64 << (i % 64);
+            }
         }
-    }
-    v
+        v
+    })
 }
 
 /// Canonical column → original column for an input-bit permutation: the
@@ -572,6 +588,23 @@ mod tests {
             );
             assert!(!canonical_table_eq(&t, &c, &misnamed), "{label}");
         }
+    }
+
+    #[test]
+    fn output_chunks_keep_narrow_values_and_every_wide_bit() {
+        let narrow = Bits::parse("110").unwrap();
+        let chunks: Vec<u64> = permuted_output_chunks(&narrow, &[2, 0, 1]).collect();
+        assert_eq!(chunks, vec![0b101]);
+        assert_eq!(permuted_output_chunks(&Bits::zeros(0), &[]).count(), 1);
+
+        let identity: Vec<usize> = (0..65).collect();
+        let mut first = Bits::zeros(65);
+        first.set_bit(0, true);
+        let mut last = Bits::zeros(65);
+        last.set_bit(64, true);
+        let chunks = |b: &Bits| permuted_output_chunks(b, &identity).collect::<Vec<_>>();
+        assert_eq!(chunks(&first), vec![1, 0]);
+        assert_eq!(chunks(&last), vec![0, 1]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use std::collections::HashSet;
 
-use fantom_flow::canonical::relabel;
+use fantom_flow::canonical::{canonicalize, relabel, CanonicalOptions};
 use fantom_flow::generate::{generate, GeneratorOptions};
-use fantom_flow::{benchmarks, FlowTable, FlowTableBuilder, StateId};
+use fantom_flow::{benchmarks, Bits, FlowTable, FlowTableBuilder, StateId};
 use seance::service::{CacheStats, CacheStatus};
 use seance::{
     synthesize_many, synthesize_sparse, ServiceOptions, SpecifiedTable, SynthesisOutcome,
@@ -431,5 +431,54 @@ fn invalid_submissions_keep_their_errors_and_leave_the_cache_alone() {
                 assert_eq!((stats.hits, stats.misses), (2, 2), "{context}");
             }
         }
+    }
+}
+
+/// A two-state, one-input table with 65 outputs: A is stable under column 0
+/// with output bit `a_bit` set, B under column 1 with bit 0 set.
+fn wide_output_table(name: &str, a_bit: usize) -> FlowTable {
+    let mut table = FlowTable::new(name, 1, 65, vec!["A".into(), "B".into()]).unwrap();
+    let output = |bit: usize| {
+        let mut o = Bits::zeros(65);
+        o.set_bit(bit, true);
+        Some(o)
+    };
+    let (a, b) = (StateId(0), StateId(1));
+    table.set_entry(a, 0, Some(a), output(a_bit)).unwrap();
+    table.set_entry(a, 1, Some(b), None).unwrap();
+    table.set_entry(b, 1, Some(b), output(0)).unwrap();
+    table.set_entry(b, 0, Some(a), None).unwrap();
+    table
+}
+
+/// Outputs wider than 64 bits keep every bit in the canonical signature.
+/// The two tables differ only in whether A sets output bit 0 (the bit B
+/// sets too) or bit 64, so no relabeling maps one onto the other; when the
+/// signature folded bit 64 onto bit 0 they collided, and the second was
+/// served uncached.
+#[test]
+fn wide_outputs_keep_every_bit_in_the_signature() {
+    let batch = [
+        wide_output_table("wide_shared_bit", 0),
+        wide_output_table("wide_own_bit", 64),
+    ];
+    let options = CanonicalOptions::default();
+    assert_ne!(
+        canonicalize(&batch[0], &options).signature,
+        canonicalize(&batch[1], &options).signature
+    );
+    let service = SynthesisService::new(ServiceOptions {
+        parallelism: 1,
+        ..ServiceOptions::default()
+    });
+    let outcomes = service.synthesize_many(&batch);
+    assert_batch_serves(&batch, &outcomes);
+    for o in &outcomes {
+        assert_eq!(
+            o.result.as_ref().unwrap().cache,
+            CacheStatus::Miss,
+            "{}",
+            o.name
+        );
     }
 }
