@@ -305,7 +305,7 @@ fn grow_and_emit(
     // 1-coded side the coverage query is asked about.
     let dichotomy = Dichotomy::from_oriented_sets(left, right);
     if seen.insert(dichotomy.clone()) {
-        let covers = index.covered_by(dichotomy.right());
+        let covers = index.covered_by(dichotomy.right(), growth);
         debug_assert!(
             covers.same_contents(&Partition::new(dichotomy.clone(), dichotomies).covers),
             "indexed covers diverge from the separation rescan"

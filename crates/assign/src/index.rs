@@ -104,11 +104,16 @@ impl DichotomyIndex {
     /// inside / outside `ones`, and `in_R` / `out_R` the same over
     /// [`right_ids`](Self::right_ids), the separated ids are
     /// `(¬out_L ∧ ¬in_R) ∨ (¬in_L ∧ ¬out_R) = ¬((out_L ∨ in_R) ∧ (in_L ∨ out_R))`,
-    /// masked to the id count: two word-array ORs per state.
-    pub fn covered_by(&self, ones: &StateSet) -> MintermSet {
+    /// masked to the id count: two word-array ORs per state. The second
+    /// union is a temporary, so it lives in `scratch`; only the returned set
+    /// is allocated.
+    pub fn covered_by(&self, ones: &StateSet, scratch: &mut GrowthScratch) -> MintermSet {
         let words = id_words(self.num);
         // `a` = out_L ∨ in_R, `b` = in_L ∨ out_R.
-        let (mut a, mut b) = (vec![0u64; words], vec![0u64; words]);
+        let mut a = vec![0u64; words];
+        let b = &mut scratch.coverage;
+        b.clear();
+        b.resize(words, 0);
         for (s, (l, r)) in self.left_ids.iter().zip(&self.right_ids).enumerate() {
             let (l, r) = (l.words(), r.words());
             let (to_a, to_b) = if ones.contains(s as u64) {
@@ -117,9 +122,9 @@ impl DichotomyIndex {
                 (l, r)
             };
             or_into(&mut a, to_a);
-            or_into(&mut b, to_b);
+            or_into(b, to_b);
         }
-        for (x, y) in a.iter_mut().zip(&b) {
+        for (x, y) in a.iter_mut().zip(b.iter()) {
             *x = !(*x & y);
         }
         if let Some(last) = a.last_mut().filter(|_| self.num % 64 != 0) {
@@ -176,6 +181,8 @@ pub struct GrowthScratch {
     /// Ids already absorbed into the candidate (skipped by the growth pass —
     /// re-absorbing is a no-op union).
     absorbed: Vec<u64>,
+    /// The temporary union of [`DichotomyIndex::covered_by`].
+    coverage: Vec<u64>,
 }
 
 impl GrowthScratch {
@@ -294,7 +301,7 @@ mod tests {
         let mut scratch = GrowthScratch::default();
         scratch.reset(n);
         let assert_covers = |ones: &StateSet| {
-            let covered = index.covered_by(ones);
+            let covered = index.covered_by(ones, &mut GrowthScratch::default());
             assert_eq!(covered.capacity(), MintermSet::new(n as u64).capacity());
             for (i, d) in dichotomies.iter().enumerate() {
                 assert_eq!(
@@ -364,7 +371,7 @@ mod tests {
                     rng & 1 == 1
                 }),
             );
-            let covered = index.covered_by(&ones);
+            let covered = index.covered_by(&ones, &mut GrowthScratch::default());
             for (i, d) in dichotomies.iter().enumerate() {
                 prop_assert_eq!(covered.contains(i as u64), d.separated_by(&ones), "id {}", i);
             }
