@@ -36,9 +36,19 @@
 //! but only structurally identical resubmissions hit. Synthesis *errors* are
 //! never cached; a cached entry is only served after its stored canonical
 //! table is compared against the submission's (hash collisions degrade to a
-//! direct synthesis, never to a wrong answer). With the cache disabled every
-//! table goes straight to [`synthesize_sparse_with`] under its original
-//! labeling.
+//! direct synthesis, never to a wrong answer).
+//!
+//! A hit is a lookup: the submission is canonicalized, its signature is
+//! looked up without inserting, the stored canonical table is compared with
+//! the submission carried through its canonical maps, entry by entry and in
+//! place ([`canonical::canonical_table_eq`]), and the cached covers are
+//! relabeled word by word. A hit is not validated: validity is invariant
+//! under relabeling, and an entry exists only for a table that passed
+//! validation. Every submission that misses is validated (with
+//! [`SynthesisOptions::validate_input`]) before the cache is touched, so an
+//! invalid table never creates or evicts an entry, and its error names the
+//! submitted table. With the cache disabled every table goes straight to
+//! [`synthesize_sparse_with`] under its original labeling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -315,9 +325,7 @@ impl SynthesisService {
 
         // Not a hit: validate before the cache is touched, so an invalid
         // submission neither creates nor evicts an entry and its error names
-        // the submitted table. A hit needs no validation: validity is
-        // isomorphism-invariant, and an entry exists only for a table that
-        // passed it.
+        // the submitted table.
         if self.options.synthesis.validate_input {
             check_acceptable(table)?;
         }
@@ -328,10 +336,7 @@ impl SynthesisService {
                 .entry(canon.signature.clone())
                 .or_insert_with(|| Arc::new(CacheSlot::default()))
                 .clone();
-            slot.last_used.store(
-                self.stamp.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
+            self.touch(&slot);
             let max = self.options.max_cache_entries;
             if max > 0 && map.len() > max {
                 // Evict the least-recently-touched other signature. Workers
@@ -406,11 +411,16 @@ impl SynthesisService {
             .as_ref()
             .filter(|cached| canonical::canonical_table_eq(table, canon, &cached.canonical_table))
             .map(Arc::clone)?;
+        self.touch(&slot);
+        Some(core)
+    }
+
+    /// Stamp `slot` as the most recently used entry (LRU eviction order).
+    fn touch(&self, slot: &CacheSlot) {
         slot.last_used.store(
             self.stamp.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        Some(core)
     }
 }
 
