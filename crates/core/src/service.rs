@@ -513,8 +513,8 @@ fn from_sparse(
 /// expression by the inverse canonical maps; state variables (and `fsv`)
 /// keep their positions, so the assignment and the y-ordering are unchanged.
 /// Covers move their packed fields word by word
-/// ([`fantom_boolean::CoverFunction::permute_vars`]): a permutation keeps on/off covers
-/// disjoint, so nothing is rebuilt or re-checked.
+/// ([`fantom_boolean::CoverFunction::permute_vars`]): a permutation keeps
+/// on/off covers disjoint, so nothing is rebuilt or re-checked.
 fn relabel_result(
     core: &ServiceResult,
     canon: &Canonicalization,
@@ -528,18 +528,14 @@ fn relabel_result(
     let reduced_table = canonical::relabel(&core.reduced_table, &identity, &inv_in, &inv_out, name);
 
     // Request output bit `b` is canonical output bit `output_map[b]`.
-    let z_order = &canon.output_map;
     let outputs = CoverOutputEquations {
-        z: z_order
-            .iter()
+        z: (canon.output_map.iter())
             .map(|&cb| core.outputs.z[cb].permute_vars(&inv_in))
             .collect(),
-        z_covers: z_order
-            .iter()
+        z_covers: (canon.output_map.iter())
             .map(|&cb| core.outputs.z_covers[cb].permute_vars(&inv_in))
             .collect(),
-        z_exprs: z_order
-            .iter()
+        z_exprs: (canon.output_map.iter())
             .map(|&cb| permute_expr(&core.outputs.z_exprs[cb], &inv_in, ni))
             .collect(),
         ssd: core.outputs.ssd.permute_vars(&inv_in),
