@@ -625,6 +625,44 @@ mod tests {
         }
     }
 
+    /// A report of two state variables and one output whose every counter
+    /// is nonzero, each distinct from the others and from those of any other
+    /// `base`, so a sum, a rendering or a check that reads the wrong counter
+    /// shows.
+    fn filled(base: u64) -> CampaignReport {
+        CampaignReport {
+            machine: "m".into(),
+            assignments: 3,
+            steps: base + 1000,
+            protected_steps: base + 600,
+            unprotected_steps: base + 400,
+            events: base + 123_456,
+            init_failures: base + 1,
+            protected_settle_failures: base + 2,
+            unprotected_settle_failures: base + 3,
+            wrong_final_state: base + 4,
+            wrong_final_output: base + 5,
+            protected_invariant_glitches: base + 6,
+            protected_glitches_per_var: vec![base + 7, base + 8],
+            unprotected_invariant_glitches: base + 9,
+            unprotected_glitches_per_var: vec![base + 10, base + 11],
+            output_glitches_per_var: vec![base + 12],
+            excess_state_changes: base + 13,
+            unprotected_wrong_final_state: base + 14,
+            unprotected_wrong_final_output: base + 15,
+            unprotected_excess_state_changes: base + 16,
+            protected_oracle_disagreements: base + 17,
+            unprotected_oracle_disagreements: base + 18,
+            oracle_unstable: base + 19,
+            analytic: AnalyticVerdicts {
+                fsv_hazard_free: true,
+                y_hazard_free: vec![true, false],
+                ssd_hazard_free: false,
+                z_hazard_free: vec![true],
+            },
+        }
+    }
+
     #[test]
     fn report_rendering_is_stable() {
         let result = lion();
@@ -633,6 +671,50 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("campaign lion\n"));
         assert!(a.contains("unprotected_wrong_state=0 unprotected_wrong_output=0"));
+
+        // Every counter in its place, after a merge adds each one.
+        let mut merged = filled(0);
+        merged.merge(&filled(100));
+        assert_eq!(
+            merged.render(),
+            "campaign m\n\
+             assignments=3 steps=2100 protected=1300 unprotected=900 events=247012\n\
+             init_failures=102 settle_failures=104/106 wrong_state=108 wrong_output=110\n\
+             invariant_glitches=112/118 per_var=[114,116] excess_changes=126\n\
+             unprotected_per_var=[120,122] output_per_var=[124]\n\
+             unprotected_wrong_state=128 unprotected_wrong_output=130 unprotected_excess_changes=132\n\
+             oracle_disagreements=134/136 oracle_unstable=138\n\
+             analytic fsv=1 y=10 ssd=0 z=1\n\
+             clean=false\n"
+        );
+    }
+
+    #[test]
+    fn only_strict_checks_make_a_report_unclean() {
+        // Each clears one strict check of `filled(0)`.
+        let strict: [fn(&mut CampaignReport); 7] = [
+            |r| r.init_failures = 0,
+            |r| r.protected_settle_failures = 0,
+            |r| r.wrong_final_state = 0,
+            |r| r.wrong_final_output = 0,
+            |r| r.excess_state_changes = 0,
+            |r| r.protected_oracle_disagreements = 0,
+            // Only variable 0 is analytically hazard-free.
+            |r| r.protected_glitches_per_var[0] = 0,
+        ];
+        let mut clean = filled(0);
+        strict.iter().for_each(|clear| clear(&mut clean));
+        // The informational checks and variable 1's glitches stay nonzero.
+        assert!(clean.is_clean(), "{}", clean.render());
+        for k in 0..strict.len() {
+            let mut report = filled(0);
+            for (j, clear) in strict.iter().enumerate() {
+                if j != k {
+                    clear(&mut report);
+                }
+            }
+            assert!(!report.is_clean(), "strict check {k}: {}", report.render());
+        }
     }
 
     #[test]
