@@ -236,18 +236,15 @@ pub fn adjacency_seeds(table: &FlowTable) -> Vec<Dichotomy> {
 /// [`assign_with_options`] with reusable `scratch` buffers — the batch entry
 /// point: a synthesis `Workspace` carries one [`AssignScratch`] so the
 /// dichotomy index, growth state and candidate pool are allocated once per
-/// worker rather than once per machine.
+/// worker rather than once per machine. Candidate growth starts from the
+/// table's [`adjacency_seeds`], then runs the seed orderings.
 pub fn assign_in(
     table: &FlowTable,
     options: &AssignmentOptions,
     scratch: &mut AssignScratch,
 ) -> StateAssignment {
     let dichotomies = required_dichotomies(table);
-    let seeds = if options.adjacency_seeding {
-        adjacency_seeds(table)
-    } else {
-        Vec::new()
-    };
+    let seeds = adjacency_seeds(table);
     let partitions = select_partitions_in(&dichotomies, &seeds, options, scratch);
     let n = table.num_states();
 

@@ -624,7 +624,6 @@ mod tests {
             max_candidate_partitions: 1,
             seed_orderings: 1,
             refine_passes: 0,
-            adjacency_seeding: false,
         };
         for table in benchmarks::all() {
             let dichotomies = required_dichotomies(&table);

@@ -29,12 +29,6 @@ pub struct AssignmentOptions {
     /// Rounds of local-search refinement (drop redundant partitions, replace
     /// partition pairs by a single candidate) applied to the greedy cover.
     pub refine_passes: usize,
-    /// Also seed candidate growth from adjacency clusters (Tracey's column
-    /// grouping over the flow table's next-state partitions) before the seed
-    /// orderings. The clusters reach merged partitions the dichotomy-seeded
-    /// orderings tend to miss on wide-column machines, at negligible extra
-    /// generation cost (a handful of seeds per input column).
-    pub adjacency_seeding: bool,
 }
 
 impl Default for AssignmentOptions {
@@ -46,7 +40,6 @@ impl Default for AssignmentOptions {
             max_candidate_partitions: 4096,
             seed_orderings: 3,
             refine_passes: 4,
-            adjacency_seeding: true,
         }
     }
 }
@@ -61,7 +54,6 @@ impl AssignmentOptions {
             max_candidate_partitions: 1536,
             seed_orderings: 2,
             refine_passes: 3,
-            adjacency_seeding: true,
         }
     }
 }

@@ -177,7 +177,6 @@ fn starved_options() -> AssignmentOptions {
         max_candidate_partitions: 1,
         seed_orderings: 1,
         refine_passes: 0,
-        adjacency_seeding: false,
     }
 }
 

@@ -408,7 +408,6 @@ fn assign_index(m: &mut Metrics, _: &Grid) {
 
     let options = AssignmentOptions {
         seed_orderings: 2,
-        adjacency_seeding: false,
         ..AssignmentOptions::bounded()
     };
     let mut scratch = AssignScratch::default();

@@ -346,11 +346,12 @@ pub fn run_simulation(assignments: usize) -> Vec<SimulationRow> {
                 benchmark: table.name().to_string(),
                 steps: r.steps,
                 unprotected_steps: r.unprotected_steps,
-                settle_failures: r.protected_settle_failures + r.unprotected_settle_failures,
-                wrong_final_states: r.wrong_final_state + r.unprotected_wrong_final_state,
-                wrong_final_outputs: r.wrong_final_output + r.unprotected_wrong_final_output,
-                invariant_glitches: r.protected_invariant_glitches
-                    + r.unprotected_invariant_glitches,
+                settle_failures: r.protected.settle_failures + r.unprotected.settle_failures,
+                wrong_final_states: r.protected.wrong_final_state + r.unprotected.wrong_final_state,
+                wrong_final_outputs: r.protected.wrong_final_output
+                    + r.unprotected.wrong_final_output,
+                invariant_glitches: r.protected.invariant_glitches
+                    + r.unprotected.invariant_glitches,
                 clean: r.is_clean(),
             }
         })

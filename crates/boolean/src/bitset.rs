@@ -1,7 +1,7 @@
 //! Dense minterm bitsets for covering algorithms.
 //!
-//! Petrick selection, hazard lists and the fsv generation all need "set of
-//! minterm indices" with fast membership; a dense `u64` bitset beats the
+//! Petrick selection and the fsv generation all need "set of minterm
+//! indices" with fast membership; a dense `u64` bitset beats the
 //! `BTreeSet<u64>` it replaces by a wide margin on the ≤ 2²⁴-point spaces the
 //! synthesis pipeline works in (one cache line per 512 minterms, O(1)
 //! insert/contains, popcount-based size). Each set-algebra operation is one
@@ -238,108 +238,9 @@ impl std::fmt::Debug for MintermSet {
     }
 }
 
-/// A hash-backed set of minterm indices for spaces too large to back with a
-/// dense bitset (beyond ~2²⁴ points the dense words dominate memory while the
-/// sets the synthesis pipeline stores — hazard lists — stay tiny). Capacity-
-/// free: any `u64` index may be inserted.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct SparseMintermSet {
-    set: crate::fxhash::FxHashSet<u64>,
-}
-
-impl SparseMintermSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build a set from an iterator of minterms.
-    pub fn from_minterms(minterms: impl IntoIterator<Item = u64>) -> Self {
-        SparseMintermSet {
-            set: minterms.into_iter().collect(),
-        }
-    }
-
-    /// Insert a minterm; returns `true` if it was not already present.
-    pub fn insert(&mut self, minterm: u64) -> bool {
-        self.set.insert(minterm)
-    }
-
-    /// Remove a minterm; returns `true` if it was present.
-    pub fn remove(&mut self, minterm: u64) -> bool {
-        self.set.remove(&minterm)
-    }
-
-    /// Membership test.
-    pub fn contains(&self, minterm: u64) -> bool {
-        self.set.contains(&minterm)
-    }
-
-    /// Number of minterms in the set.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// `true` if the set holds no minterms.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Remove every minterm.
-    pub fn clear(&mut self) {
-        self.set.clear();
-    }
-
-    /// Iterate over the minterms in increasing order (the set is sorted on
-    /// each call; hazard lists are small, determinism matters more).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut sorted: Vec<u64> = self.set.iter().copied().collect();
-        sorted.sort_unstable();
-        sorted.into_iter()
-    }
-}
-
-impl IntoIterator for &SparseMintermSet {
-    type Item = u64;
-    type IntoIter = std::vec::IntoIter<u64>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let mut sorted: Vec<u64> = self.set.iter().copied().collect();
-        sorted.sort_unstable();
-        sorted.into_iter()
-    }
-}
-
-impl std::fmt::Debug for SparseMintermSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<u64> for SparseMintermSet {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        Self::from_minterms(iter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparse_set_round_trip() {
-        let mut s = SparseMintermSet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(1 << 40));
-        assert!(s.insert(3));
-        assert!(!s.insert(3));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(3) && s.contains(1 << 40) && !s.contains(4));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 1 << 40]);
-        assert!(s.remove(3) && !s.remove(3));
-        s.clear();
-        assert!(s.is_empty());
-    }
 
     #[test]
     fn from_words_matches_from_minterms() {

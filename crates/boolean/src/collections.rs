@@ -1,7 +1,7 @@
 //! The one-stop façade for every hot-path collection in the workspace.
 //!
-//! Synthesis hot paths (consensus recursion, hazard lists, dichotomy seeds,
-//! batch-service caches, simulator scoreboards) all want the same things: a
+//! Synthesis hot paths (consensus recursion, dichotomy seeds, batch-service
+//! caches, simulator scoreboards) all want the same things: a
 //! fast non-cryptographic hash map/set and the special-purpose structures of
 //! the boolean substrate. Before this module they imported them from three
 //! different places — `crate::fxhash`, `crate::bitset`, `crate::index` — and
@@ -24,7 +24,7 @@
 //! `::new()`, since the hasher is a non-default type parameter. CI greps that
 //! no crate imports the std hash containers directly on a hot path; ordered
 //! containers (`BTreeMap`/`BTreeSet`, used where iteration order is part of
-//! the output contract) stay with `std`.
+//! the output contract, as in the Step 5 hazard lists) stay with `std`.
 //!
 //! The dense structures re-exported here all store packed `u64` words, and
 //! each of their operations is one loop over those words: [`MintermSet`]
@@ -32,7 +32,7 @@
 //! cube id, and cube words carry two bits per variable with fields never
 //! straddling a word boundary.
 
-pub use crate::bitset::{MintermSet, SparseMintermSet};
+pub use crate::bitset::MintermSet;
 pub use crate::fxhash::FxHashMap as HashMap;
 pub use crate::fxhash::FxHashSet as HashSet;
 pub use crate::fxhash::{FxBuildHasher, FxHasher};

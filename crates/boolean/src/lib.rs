@@ -93,7 +93,7 @@ pub mod petrick;
 pub mod quine;
 pub mod recursive;
 
-pub use bitset::{MintermSet, SparseMintermSet};
+pub use bitset::MintermSet;
 pub use cover::Cover;
 pub use cover_function::CoverFunction;
 pub use cube::{Cube, Literal, MintermIter};

@@ -3,8 +3,9 @@
 //! A campaign takes a synthesis result, emits the gate-level machine and
 //! drives it through its stable-state transitions (single- *and*
 //! multiple-input-change) under many sampled delay assignments — unit,
-//! all-minimum, all-maximum and seeded-random styles, round-robin per
-//! assignment — checking three things against each other:
+//! all-minimum, all-maximum and seeded-random styles over gate delays of 4
+//! to 9, round-robin per assignment, with a budget of 200,000 events per
+//! simulator run — checking three things against each other:
 //!
 //! * **observed behaviour** — settling, final state/output correctness, and
 //!   glitch counts on the invariant state variables, windowed per step;
@@ -32,9 +33,11 @@
 //! destination) carry the strict zero-glitch / correct-final-state
 //! assertions, while **unprotected** ones (common in the don't-care-heavy
 //! large suite) are still simulated and checked the same way, but their
-//! divergences (`unprotected_*` counters) are informational and never make a
-//! report unclean. Single-input changes have no intermediate columns and are
-//! always protected.
+//! divergences are informational and never make a report unclean. A report
+//! keeps one [`StepChecks`] per class, `protected` and `unprotected`: each
+//! step picks its class once and every check of the step lands there.
+//! Single-input changes have no intermediate columns and are always
+//! protected.
 //!
 //! All randomness derives from `(campaign seed, assignment, step)` via
 //! split-mix streams, so a report is byte-identical for any worker count —
@@ -60,15 +63,9 @@ pub struct CampaignOptions {
     pub assignments: usize,
     /// Campaign seed; every delay draw and input skew derives from it.
     pub seed: u64,
-    /// Smallest sampled gate delay.
-    pub delay_min: u64,
-    /// Largest sampled gate delay.
-    pub delay_max: u64,
     /// Input-change steps per assignment; `0` exercises every stable
     /// transition of the table once per assignment.
     pub sequences_per_assignment: usize,
-    /// Event budget per simulator run.
-    pub event_budget: usize,
     /// Worker threads; `0` uses the host's available parallelism.
     pub workers: usize,
     /// Cross-check settled states against the zero-delay oracle.
@@ -83,16 +80,19 @@ impl Default for CampaignOptions {
         CampaignOptions {
             assignments: 64,
             seed: 0x5EAC_CE01,
-            delay_min: 4,
-            delay_max: 9,
             sequences_per_assignment: 0,
-            event_budget: 200_000,
             workers: 0,
             oracle: true,
             loop_stages: 1,
         }
     }
 }
+
+/// The range sampled gate delays are drawn from.
+const DELAYS: DelaySweep = DelaySweep { min: 4, max: 9 };
+
+/// Event budget per simulator run.
+const EVENT_BUDGET: usize = 200_000;
 
 /// Analytical hazard verdicts for every synthesized cover.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,6 +107,53 @@ pub struct AnalyticVerdicts {
     /// Per output: the `Z` cover is static-hazard-free (informational; `Z`
     /// is latched by the capture stage).
     pub z_hazard_free: Vec<bool>,
+}
+
+/// The checks a campaign keeps for each class of transition (see the
+/// module docs): strict on protected transitions, informational on
+/// unprotected ones.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StepChecks {
+    /// Steps that did not settle within the event budget (an unprotected
+    /// race may legitimately cycle through unspecified entries).
+    pub settle_failures: u64,
+    /// Steps ending in the wrong state code.
+    pub wrong_final_state: u64,
+    /// Steps ending with wrong (specified) output bits.
+    pub wrong_final_output: u64,
+    /// Glitches on invariant state variables.
+    pub invariant_glitches: u64,
+    /// Same, broken down per state variable (on protected steps,
+    /// cross-checked against [`AnalyticVerdicts::y_hazard_free`]).
+    pub glitches_per_var: Vec<u64>,
+    /// Extra transitions (beyond the single USTT change) on changing state
+    /// variables.
+    pub excess_state_changes: u64,
+    /// Steps where the zero-delay oracle disagreed with the settled
+    /// simulator state (an unprotected race may resolve differently than the
+    /// zero-delay interleaving).
+    pub oracle_disagreements: u64,
+}
+
+impl StepChecks {
+    /// All-zero checks over `num_vars` state variables.
+    fn new(num_vars: usize) -> Self {
+        StepChecks {
+            glitches_per_var: vec![0; num_vars],
+            ..StepChecks::default()
+        }
+    }
+
+    /// Add every check of `other` to `self`.
+    fn add(&mut self, other: &StepChecks) {
+        self.settle_failures += other.settle_failures;
+        self.wrong_final_state += other.wrong_final_state;
+        self.wrong_final_output += other.wrong_final_output;
+        self.invariant_glitches += other.invariant_glitches;
+        add_counts(&mut self.glitches_per_var, &other.glitches_per_var);
+        self.excess_state_changes += other.excess_state_changes;
+        self.oracle_disagreements += other.oracle_disagreements;
+    }
 }
 
 /// Aggregated result of a campaign. All counters are exact and
@@ -127,47 +174,15 @@ pub struct CampaignReport {
     pub events: u64,
     /// Steps whose initial fixpoint could not be established.
     pub init_failures: u64,
-    /// Protected steps that did not settle within the event budget.
-    pub protected_settle_failures: u64,
-    /// Unprotected steps that did not settle (informational: a race may
-    /// legitimately cycle through unspecified entries).
-    pub unprotected_settle_failures: u64,
-    /// Protected steps ending in the wrong state code.
-    pub wrong_final_state: u64,
-    /// Protected steps ending with wrong (specified) output bits.
-    pub wrong_final_output: u64,
-    /// Glitches on invariant state variables during protected steps.
-    pub protected_invariant_glitches: u64,
-    /// Same, broken down per state variable (cross-checked against
-    /// [`AnalyticVerdicts::y_hazard_free`]).
-    pub protected_glitches_per_var: Vec<u64>,
-    /// Glitches on invariant state variables during unprotected steps
-    /// (informational).
-    pub unprotected_invariant_glitches: u64,
-    /// Same, broken down per state variable (informational — unprotected
-    /// trajectories may pass through unspecified entries).
-    pub unprotected_glitches_per_var: Vec<u64>,
+    /// The checks of protected steps, which must all pass.
+    pub protected: StepChecks,
+    /// The checks of unprotected steps (informational: they never make a
+    /// report unclean).
+    pub unprotected: StepChecks,
     /// Glitches per output variable on steps whose specified output bit is
     /// invariant (informational — `Z` is latched by the capture stage, so
     /// pulses here are tolerated but worth surfacing).
     pub output_glitches_per_var: Vec<u64>,
-    /// Extra transitions (beyond the single USTT change) on changing state
-    /// variables during protected steps.
-    pub excess_state_changes: u64,
-    /// Unprotected steps ending in the wrong state code (informational).
-    pub unprotected_wrong_final_state: u64,
-    /// Unprotected steps ending with wrong (specified) output bits
-    /// (informational).
-    pub unprotected_wrong_final_output: u64,
-    /// Extra transitions on changing state variables during unprotected
-    /// steps (informational).
-    pub unprotected_excess_state_changes: u64,
-    /// Protected steps where the zero-delay oracle disagreed with the
-    /// settled simulator state.
-    pub protected_oracle_disagreements: u64,
-    /// Unprotected steps where the oracle disagreed (informational: races
-    /// may resolve differently than the zero-delay interleaving).
-    pub unprotected_oracle_disagreements: u64,
     /// Steps where the oracle found no zero-delay fixpoint.
     pub oracle_unstable: u64,
     /// Analytical hazard verdicts the observations are checked against.
@@ -178,17 +193,18 @@ impl CampaignReport {
     /// `true` when every strict (protected-transition) check passed and no
     /// analytically hazard-free state variable ever glitched.
     pub fn is_clean(&self) -> bool {
+        let strict = &self.protected;
         self.init_failures == 0
-            && self.protected_settle_failures == 0
-            && self.wrong_final_state == 0
-            && self.wrong_final_output == 0
-            && self.excess_state_changes == 0
-            && self.protected_oracle_disagreements == 0
+            && strict.settle_failures == 0
+            && strict.wrong_final_state == 0
+            && strict.wrong_final_output == 0
+            && strict.excess_state_changes == 0
+            && strict.oracle_disagreements == 0
             && self
                 .analytic
                 .y_hazard_free
                 .iter()
-                .zip(&self.protected_glitches_per_var)
+                .zip(&strict.glitches_per_var)
                 .all(|(&hazard_free, &glitches)| !hazard_free || glitches == 0)
     }
 
@@ -201,6 +217,7 @@ impl CampaignReport {
                 .collect::<String>()
         };
         let fmt_counts = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+        let (p, u) = (&self.protected, &self.unprotected);
         format!(
             "campaign {}\n\
              assignments={} steps={} protected={} unprotected={} events={}\n\
@@ -218,21 +235,21 @@ impl CampaignReport {
             self.unprotected_steps,
             self.events,
             self.init_failures,
-            self.protected_settle_failures,
-            self.unprotected_settle_failures,
-            self.wrong_final_state,
-            self.wrong_final_output,
-            self.protected_invariant_glitches,
-            self.unprotected_invariant_glitches,
-            fmt_counts(&self.protected_glitches_per_var),
-            self.excess_state_changes,
-            fmt_counts(&self.unprotected_glitches_per_var),
+            p.settle_failures,
+            u.settle_failures,
+            p.wrong_final_state,
+            p.wrong_final_output,
+            p.invariant_glitches,
+            u.invariant_glitches,
+            fmt_counts(&p.glitches_per_var),
+            p.excess_state_changes,
+            fmt_counts(&u.glitches_per_var),
             fmt_counts(&self.output_glitches_per_var),
-            self.unprotected_wrong_final_state,
-            self.unprotected_wrong_final_output,
-            self.unprotected_excess_state_changes,
-            self.protected_oracle_disagreements,
-            self.unprotected_oracle_disagreements,
+            u.wrong_final_state,
+            u.wrong_final_output,
+            u.excess_state_changes,
+            p.oracle_disagreements,
+            u.oracle_disagreements,
             self.oracle_unstable,
             u8::from(self.analytic.fsv_hazard_free),
             fmt_bools(&self.analytic.y_hazard_free),
@@ -244,58 +261,37 @@ impl CampaignReport {
 }
 
 impl CampaignReport {
-    /// An all-zero report sized to the machine: one per delay assignment,
+    /// An all-zero report sized to `machine`: one per delay assignment,
     /// merged in assignment order into the campaign's report.
-    fn empty(
-        machine: String,
-        analytic: AnalyticVerdicts,
-        num_vars: usize,
-        num_outputs: usize,
-    ) -> Self {
+    fn empty(machine: &FantomNetlist) -> Self {
         CampaignReport {
-            machine,
-            protected_glitches_per_var: vec![0; num_vars],
-            unprotected_glitches_per_var: vec![0; num_vars],
-            output_glitches_per_var: vec![0; num_outputs],
-            analytic,
+            protected: StepChecks::new(machine.y.len()),
+            unprotected: StepChecks::new(machine.y.len()),
+            output_glitches_per_var: vec![0; machine.z.len()],
             ..CampaignReport::default()
         }
     }
 
     /// Add every step counter of `other` (one assignment's report) to `self`.
     fn merge(&mut self, other: &CampaignReport) {
-        let add = |a: &mut Vec<u64>, b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
         self.steps += other.steps;
         self.protected_steps += other.protected_steps;
         self.unprotected_steps += other.unprotected_steps;
         self.events += other.events;
         self.init_failures += other.init_failures;
-        self.protected_settle_failures += other.protected_settle_failures;
-        self.unprotected_settle_failures += other.unprotected_settle_failures;
-        self.wrong_final_state += other.wrong_final_state;
-        self.wrong_final_output += other.wrong_final_output;
-        self.protected_invariant_glitches += other.protected_invariant_glitches;
-        add(
-            &mut self.protected_glitches_per_var,
-            &other.protected_glitches_per_var,
-        );
-        self.unprotected_invariant_glitches += other.unprotected_invariant_glitches;
-        add(
-            &mut self.unprotected_glitches_per_var,
-            &other.unprotected_glitches_per_var,
-        );
-        add(
+        self.protected.add(&other.protected);
+        self.unprotected.add(&other.unprotected);
+        add_counts(
             &mut self.output_glitches_per_var,
             &other.output_glitches_per_var,
         );
-        self.excess_state_changes += other.excess_state_changes;
-        self.unprotected_wrong_final_state += other.unprotected_wrong_final_state;
-        self.unprotected_wrong_final_output += other.unprotected_wrong_final_output;
-        self.unprotected_excess_state_changes += other.unprotected_excess_state_changes;
-        self.protected_oracle_disagreements += other.protected_oracle_disagreements;
-        self.unprotected_oracle_disagreements += other.unprotected_oracle_disagreements;
         self.oracle_unstable += other.oracle_unstable;
     }
+}
+
+/// Add `other` to `counts`, element by element.
+fn add_counts(counts: &mut [u64], other: &[u64]) {
+    counts.iter_mut().zip(other).for_each(|(a, b)| *a += b);
 }
 
 /// Run a campaign over a synthesis result.
@@ -304,25 +300,22 @@ pub fn run_campaign_sparse(
     options: &CampaignOptions,
 ) -> CampaignReport {
     let parts = &MachineParts::from(result);
-    let machine = emit_parts(parts, options.loop_stages.max(1));
+    let machine = emit_parts(parts, options.loop_stages);
     let transitions = parts.table.stable_transitions();
     let protected: Vec<bool> = transitions
         .iter()
         .map(|t| is_protected(parts.table, t))
         .collect();
-    let analytic = analytic_verdicts(parts);
-    let num_vars = machine.y.len();
-    let num_outputs = machine.z.len();
-
-    let n = options.assignments;
     let mut merged = CampaignReport {
-        assignments: n,
-        ..CampaignReport::empty(parts.name.to_string(), analytic, num_vars, num_outputs)
+        machine: parts.name.to_string(),
+        assignments: options.assignments,
+        analytic: analytic_verdicts(parts),
+        ..CampaignReport::empty(&machine)
     };
     if !transitions.is_empty() {
         let reports = claim_pool(
             options.workers,
-            n,
+            options.assignments,
             || (),
             |_, a| run_assignment(parts, &machine, &transitions, &protected, options, a),
         );
@@ -338,26 +331,10 @@ pub fn run_campaign_sparse(
 /// multiple-input change is specified to lead to the destination state (see
 /// the module docs). Single-input changes are trivially protected.
 fn is_protected(table: &FlowTable, t: &StableTransition) -> bool {
-    let width = t.from_input.width();
-    let diffs: Vec<usize> = (0..width)
-        .filter(|&i| t.from_input.bit(i) != t.to_input.bit(i))
-        .collect();
-    for mask in 0..(1u64 << diffs.len()) {
-        let mut bits: Vec<bool> = (0..width).map(|i| t.from_input.bit(i)).collect();
-        for (k, &pos) in diffs.iter().enumerate() {
-            if (mask >> k) & 1 == 1 {
-                bits[pos] = t.to_input.bit(pos);
-            }
-        }
-        let col = Bits::from_bools(bits).index();
-        if col == t.from_input.index() {
-            continue;
-        }
-        if table.next_state(t.from_state, col) != Some(t.to_state) {
-            return false;
-        }
-    }
-    true
+    Bits::transition_cube(&t.from_input, &t.to_input)
+        .iter()
+        .filter(|&column| *column != t.from_input)
+        .all(|column| table.next_state(t.from_state, column.index()) == Some(t.to_state))
 }
 
 fn analytic_verdicts(parts: &MachineParts<'_>) -> AnalyticVerdicts {
@@ -394,18 +371,14 @@ fn run_assignment(
     options: &CampaignOptions,
     assignment: usize,
 ) -> CampaignReport {
-    let sweep = DelaySweep {
-        min: options.delay_min,
-        max: options.delay_max,
-    };
-    let model = sweep.model_for_trial(options.seed, assignment);
+    let model = DELAYS.model_for_trial(options.seed, assignment);
     // Loop-delay assumption, sized exactly as the validation harness does.
     let loop_delay = (parts.total_depth as u64 + 4) * model.max_delay() * 2;
     let build = || {
         let mut b = Simulator::builder(&machine.netlist)
             .delay_model(model.clone())
             .style(DelayStyle::Inertial)
-            .event_budget(options.event_budget);
+            .event_budget(EVENT_BUDGET);
         for gates in &machine.loop_gates {
             for &g in gates {
                 b = b.gate_delay(g, loop_delay);
@@ -422,12 +395,7 @@ fn run_assignment(
         b.build()
     };
 
-    let mut counters = CampaignReport::empty(
-        String::new(),
-        AnalyticVerdicts::default(),
-        machine.y.len(),
-        machine.z.len(),
-    );
+    let mut counters = CampaignReport::empty(machine);
     let mut harness = Harness::new(build(), options.oracle);
 
     let all = options.sequences_per_assignment == 0
@@ -449,9 +417,8 @@ fn run_assignment(
             ) % transitions.len() as u64) as usize
         };
         let t = &transitions[ti];
-        let prot = protected[ti];
-        let from_code = parts.spec.code(t.from_state).clone();
-        let to_code = parts.spec.code(t.to_state).clone();
+        let from_code = parts.spec.code(t.from_state);
+        let to_code = parts.spec.code(t.to_state);
 
         // Per-step RNG stream, independent of worker scheduling.
         let mut rng = StdRng::seed_from_u64(derive_seed(
@@ -459,13 +426,10 @@ fn run_assignment(
             ((assignment as u64) << 24) | step_no as u64,
         ));
 
-        let mut fixed: Vec<(NetId, bool)> = Vec::with_capacity(machine.x.len() + machine.y.len());
-        for (i, &net) in machine.x.iter().enumerate() {
-            fixed.push((net, t.from_input.bit(i)));
-        }
-        for (i, &net) in machine.y.iter().enumerate() {
-            fixed.push((net, from_code.bit(i)));
-        }
+        let fixed: Vec<(NetId, bool)> = (machine.x.iter().zip(t.from_input.as_slice()))
+            .chain(machine.y.iter().zip(from_code.as_slice()))
+            .map(|(&net, &bit)| (net, bit))
+            .collect();
         if harness.init(&fixed).is_err() {
             counters.init_failures += 1;
             counters.events += harness.sim().events_processed();
@@ -489,18 +453,16 @@ fn run_assignment(
             .collect();
         let outcome = harness.step(&changes);
         counters.steps += 1;
-        if prot {
+        let checks = if protected[ti] {
             counters.protected_steps += 1;
+            &mut counters.protected
         } else {
             counters.unprotected_steps += 1;
-        }
+            &mut counters.unprotected
+        };
 
         if outcome.error.is_some() {
-            if prot {
-                counters.protected_settle_failures += 1;
-            } else {
-                counters.unprotected_settle_failures += 1;
-            }
+            checks.settle_failures += 1;
             counters.events += harness.sim().events_processed();
             harness = Harness::new(build(), options.oracle);
             continue;
@@ -511,19 +473,10 @@ fn run_assignment(
             let wave = harness.sim().waveform(net).expect("monitored");
             let changes_seen = analysis::transitions_since(wave, outcome.start_time) as u64;
             if from_code.bit(i) == to_code.bit(i) {
-                if prot {
-                    counters.protected_invariant_glitches += changes_seen;
-                    counters.protected_glitches_per_var[i] += changes_seen;
-                } else {
-                    counters.unprotected_invariant_glitches += changes_seen;
-                    counters.unprotected_glitches_per_var[i] += changes_seen;
-                }
+                checks.invariant_glitches += changes_seen;
+                checks.glitches_per_var[i] += changes_seen;
             } else if changes_seen > 1 {
-                if prot {
-                    counters.excess_state_changes += changes_seen - 1;
-                } else {
-                    counters.unprotected_excess_state_changes += changes_seen - 1;
-                }
+                checks.excess_state_changes += changes_seen - 1;
             }
         }
 
@@ -548,11 +501,7 @@ fn run_assignment(
             .enumerate()
             .all(|(i, &net)| harness.sim().value(net) == to_code.bit(i));
         if !state_ok {
-            if prot {
-                counters.wrong_final_state += 1;
-            } else {
-                counters.unprotected_wrong_final_state += 1;
-            }
+            checks.wrong_final_state += 1;
         }
         if let Some(out) = parts.table.output(t.to_state, t.to_input.index()) {
             let out_ok = machine
@@ -561,22 +510,12 @@ fn run_assignment(
                 .enumerate()
                 .all(|(i, &net)| harness.sim().value(net) == out.bit(i));
             if !out_ok {
-                if prot {
-                    counters.wrong_final_output += 1;
-                } else {
-                    counters.unprotected_wrong_final_output += 1;
-                }
+                checks.wrong_final_output += 1;
             }
         }
 
         match outcome.oracle {
-            OracleVerdict::Disagreed { .. } => {
-                if prot {
-                    counters.protected_oracle_disagreements += 1;
-                } else {
-                    counters.unprotected_oracle_disagreements += 1;
-                }
-            }
+            OracleVerdict::Disagreed { .. } => checks.oracle_disagreements += 1,
             OracleVerdict::Unstable { .. } => counters.oracle_unstable += 1,
             OracleVerdict::Agreed | OracleVerdict::Skipped => {}
         }
@@ -638,21 +577,25 @@ mod tests {
             unprotected_steps: base + 400,
             events: base + 123_456,
             init_failures: base + 1,
-            protected_settle_failures: base + 2,
-            unprotected_settle_failures: base + 3,
-            wrong_final_state: base + 4,
-            wrong_final_output: base + 5,
-            protected_invariant_glitches: base + 6,
-            protected_glitches_per_var: vec![base + 7, base + 8],
-            unprotected_invariant_glitches: base + 9,
-            unprotected_glitches_per_var: vec![base + 10, base + 11],
+            protected: StepChecks {
+                settle_failures: base + 2,
+                wrong_final_state: base + 4,
+                wrong_final_output: base + 5,
+                invariant_glitches: base + 6,
+                glitches_per_var: vec![base + 7, base + 8],
+                excess_state_changes: base + 13,
+                oracle_disagreements: base + 17,
+            },
+            unprotected: StepChecks {
+                settle_failures: base + 3,
+                wrong_final_state: base + 14,
+                wrong_final_output: base + 15,
+                invariant_glitches: base + 9,
+                glitches_per_var: vec![base + 10, base + 11],
+                excess_state_changes: base + 16,
+                oracle_disagreements: base + 18,
+            },
             output_glitches_per_var: vec![base + 12],
-            excess_state_changes: base + 13,
-            unprotected_wrong_final_state: base + 14,
-            unprotected_wrong_final_output: base + 15,
-            unprotected_excess_state_changes: base + 16,
-            protected_oracle_disagreements: base + 17,
-            unprotected_oracle_disagreements: base + 18,
             oracle_unstable: base + 19,
             analytic: AnalyticVerdicts {
                 fsv_hazard_free: true,
@@ -694,13 +637,13 @@ mod tests {
         // Each clears one strict check of `filled(0)`.
         let strict: [fn(&mut CampaignReport); 7] = [
             |r| r.init_failures = 0,
-            |r| r.protected_settle_failures = 0,
-            |r| r.wrong_final_state = 0,
-            |r| r.wrong_final_output = 0,
-            |r| r.excess_state_changes = 0,
-            |r| r.protected_oracle_disagreements = 0,
+            |r| r.protected.settle_failures = 0,
+            |r| r.protected.wrong_final_state = 0,
+            |r| r.protected.wrong_final_output = 0,
+            |r| r.protected.excess_state_changes = 0,
+            |r| r.protected.oracle_disagreements = 0,
             // Only variable 0 is analytically hazard-free.
-            |r| r.protected_glitches_per_var[0] = 0,
+            |r| r.protected.glitches_per_var[0] = 0,
         ];
         let mut clean = filled(0);
         strict.iter().for_each(|clear| clear(&mut clean));
@@ -725,7 +668,7 @@ mod tests {
         assert_eq!(report.machine, "traffic");
         assert!(report.steps > 0);
         assert_eq!(
-            report.protected_glitches_per_var.len(),
+            report.protected.glitches_per_var.len(),
             result.spec.num_state_vars()
         );
     }

@@ -41,7 +41,7 @@ pub fn fsv_function(
     for m in occupied_minterms(spec) {
         f.set_off(m);
     }
-    for m in hazards.fl.iter() {
+    for &m in &hazards.fl {
         f.set_on(m);
     }
     Ok(f)
@@ -146,10 +146,10 @@ fn extend_next_state(
     let mut f = Function::constant_false(vars)?;
     // The loop below probes the hazard list for every minterm of the space;
     // materialise the (tiny) sparse list as a dense bitset first so each
-    // probe is a word-indexed load instead of a hash lookup.
+    // probe is a word-indexed load instead of a tree search.
     let hl = fantom_boolean::MintermSet::from_minterms(
         base.space_size(),
-        hazards.hl.get(var).into_iter().flatten(),
+        hazards.hl.get(var).into_iter().flatten().copied(),
     );
     for m in 0..base.space_size() {
         let fsv0 = m << 1;
@@ -242,7 +242,7 @@ pub fn fsv_cover_function(
         hazards
             .fl
             .iter()
-            .map(|m| Cube::from_minterm(vars, m).expect("hazard minterm in range"))
+            .map(|&m| Cube::from_minterm(vars, m).expect("hazard minterm in range"))
             .collect(),
     );
     let off = spec.occupied_cover().sharp(&on);
@@ -307,11 +307,7 @@ fn extend_next_state_cover(
 ) -> CoverFunction {
     let vars = spec.num_vars();
     let ext_vars = spec.num_vars_extended();
-    let hazard_points: Vec<u64> = hazards
-        .hl
-        .get(var)
-        .map(|s| s.iter().collect())
-        .unwrap_or_default();
+    let hazard_points: Vec<u64> = hazards.hl.get(var).into_iter().flatten().copied().collect();
     let hp_cover = Cover::from_cubes(
         vars,
         hazard_points
@@ -379,7 +375,7 @@ mod tests {
             let (spec, analysis) = setup(table);
             let eqs = generate_covers(&spec, &analysis).unwrap();
             for m in occupied_minterms(&spec) {
-                let expected = analysis.fl.contains(m);
+                let expected = analysis.fl.contains(&m);
                 assert_eq!(
                     eqs.fsv_cover.covers_minterm(m),
                     expected,
@@ -418,7 +414,7 @@ mod tests {
             let (spec, analysis) = setup(table);
             let eqs = generate_covers(&spec, &analysis).unwrap();
             for (var, hl) in analysis.hl.iter().enumerate() {
-                for m in hl.iter() {
+                for &m in hl {
                     let (_, code) = spec.decompose(m);
                     let present = code.bit(var);
                     let fsv0 = m << 1;

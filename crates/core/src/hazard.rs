@@ -13,7 +13,8 @@
 //! held, and the combined list `FL` used to generate the fantom state
 //! variable.
 
-use fantom_boolean::SparseMintermSet;
+use std::collections::BTreeSet;
+
 use fantom_flow::{Bits, StableTransition};
 
 use crate::SpecifiedTable;
@@ -33,18 +34,20 @@ pub struct HazardSite {
 
 /// The result of the hazard search.
 ///
-/// The hazard lists are hash-backed [`SparseMintermSet`]s over the `(x, y)`
-/// total state space: the lists hold only the handful of hazardous total
-/// states, so their size is independent of the `2^n` space — which lets the
-/// same search serve machines far beyond the dense-function variable limit.
+/// The hazard lists are ordered sets of minterms of the `(x, y)` total state
+/// space: they hold only the handful of hazardous total states, so their
+/// size is independent of the `2^n` space — which lets the same search serve
+/// machines far beyond the dense-function variable limit — and they iterate
+/// in ascending order, which keeps every cover built from them
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct HazardAnalysis {
     /// Hazard list per state variable: minterms of the `(x, y)` space at which
     /// that variable must be held while `fsv = 0`.
-    pub hl: Vec<SparseMintermSet>,
+    pub hl: Vec<BTreeSet<u64>>,
     /// The fantom-variable list: union of all per-variable hazard lists; `fsv`
     /// is asserted exactly on these total states.
-    pub fl: SparseMintermSet,
+    pub fl: BTreeSet<u64>,
     /// Every hazardous intermediate point, for reporting and validation.
     pub sites: Vec<HazardSite>,
 }
@@ -63,7 +66,7 @@ impl HazardAnalysis {
 
     /// Whether `minterm` is in the hazard list of state variable `var`.
     pub fn is_hazardous_for(&self, var: usize, minterm: u64) -> bool {
-        self.hl.get(var).is_some_and(|set| set.contains(minterm))
+        self.hl.get(var).is_some_and(|set| set.contains(&minterm))
     }
 }
 
@@ -76,8 +79,8 @@ impl HazardAnalysis {
 /// each transition changes a single variable the two behaviours coincide.
 pub fn analyze(spec: &SpecifiedTable) -> HazardAnalysis {
     let n = spec.num_state_vars();
-    let mut hl: Vec<SparseMintermSet> = vec![SparseMintermSet::new(); n];
-    let mut fl = SparseMintermSet::new();
+    let mut hl: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n];
+    let mut fl = BTreeSet::new();
     let mut sites = Vec::new();
 
     for transition in spec.stable_transitions() {
@@ -136,13 +139,11 @@ mod tests {
 
     #[test]
     fn hazard_lists_are_consistent_with_fl() {
-        use std::collections::BTreeSet;
         for table in benchmarks::all() {
             let spec = spec_for(table);
             let analysis = analyze(&spec);
-            let union: BTreeSet<u64> = analysis.hl.iter().flat_map(|s| s.iter()).collect();
-            let fl: BTreeSet<u64> = analysis.fl.iter().collect();
-            assert_eq!(union, fl, "{}", spec.table().name());
+            let union: BTreeSet<u64> = analysis.hl.iter().flatten().copied().collect();
+            assert_eq!(union, analysis.fl, "{}", spec.table().name());
         }
     }
 

@@ -74,7 +74,9 @@ pub mod spec;
 pub mod validate;
 mod workspace;
 
-pub use campaign::{run_campaign_sparse, AnalyticVerdicts, CampaignOptions, CampaignReport};
+pub use campaign::{
+    run_campaign_sparse, AnalyticVerdicts, CampaignOptions, CampaignReport, StepChecks,
+};
 pub use error::SynthesisError;
 pub use fantom_assign::AssignmentOptions;
 pub use fantom_minimize::ReductionOptions;

@@ -42,12 +42,14 @@
 //! looked up without inserting, the stored canonical table is compared with
 //! the submission carried through its canonical maps, entry by entry and in
 //! place ([`canonical::canonical_table_eq`]), and the cached covers are
-//! relabeled word by word. A hit is not validated: validity is invariant
-//! under relabeling, and an entry exists only for a table that passed
-//! validation. Every submission that misses is validated (with
-//! [`SynthesisOptions::validate_input`]) before the cache is touched, so an
-//! invalid table never creates or evicts an entry, and its error names the
-//! submitted table. With the cache disabled every table goes straight to
+//! relabeled word by word. A submission that finds the entry filled while it
+//! waits for the entry's lock is compared the same way: only a miss builds
+//! the canonical table, which the cache stores. A hit is not validated:
+//! validity is invariant under relabeling, and an entry exists only for a
+//! table that passed validation. Every submission that misses is validated
+//! (with [`SynthesisOptions::validate_input`]) before the cache is touched,
+//! so an invalid table never creates or evicts an entry, and its error names
+//! the submitted table. With the cache disabled every table goes straight to
 //! [`synthesize_sparse_with`] under its original labeling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -329,7 +331,6 @@ impl SynthesisService {
         if self.options.synthesis.validate_input {
             check_acceptable(table)?;
         }
-        let ctable = canonical::canonical_table(table, &canon);
         let slot = {
             let mut map = self.cache.lock().expect("cache lock");
             let slot = map
@@ -357,7 +358,9 @@ impl SynthesisService {
         let mut entry = slot.entry.lock().expect("slot lock");
         let (core, status) = match entry.as_ref() {
             // Another worker filled the slot since the lookup above.
-            Some(cached) if cached.canonical_table == ctable => {
+            Some(cached)
+                if canonical::canonical_table_eq(table, &canon, &cached.canonical_table) =>
+            {
                 (Arc::clone(cached), CacheStatus::Hit)
             }
             Some(_) => {
@@ -370,6 +373,7 @@ impl SynthesisService {
             None => {
                 // Errors are returned, not cached: the slot stays empty and
                 // a later isomorphic submission re-derives the same error.
+                let ctable = canonical::canonical_table(table, &canon);
                 let r = synthesize_sparse_with(&ctable, &self.options.synthesis, ws)?;
                 let core = Arc::new(CanonicalResult {
                     canonical_table: ctable,

@@ -39,7 +39,7 @@ pub fn verify_hold_property(result: &SparseSynthesisResult) -> Result<(), String
     let spec = &result.spec;
     let vars = spec.num_vars();
     for (var, hl) in result.hazards.hl.iter().enumerate() {
-        for m in hl.iter() {
+        for &m in hl {
             let (_, code) = spec.decompose(m);
             let mut bits = minterm_bits(m, vars);
             bits.push(false); // fsv = 0
@@ -67,7 +67,7 @@ pub fn verify_fsv_marks_hazards(result: &SparseSynthesisResult) -> Result<(), St
     let fsv = &result.equations.fsv;
     for m in specified_minterms(fsv.on_cover(), fsv.off_cover()) {
         let value = result.factored.fsv_expr.eval(&minterm_bits(m, vars));
-        let expected = result.hazards.fl.contains(m);
+        let expected = result.hazards.fl.contains(&m);
         if value != expected {
             return Err(format!(
                 "fsv is {value} at minterm {m}, expected {expected}"
@@ -151,12 +151,12 @@ mod tests {
         assert!(r.unprotected_steps > 0, "{}", r.render());
         let failures = [
             r.init_failures,
-            r.protected_settle_failures,
-            r.unprotected_settle_failures,
-            r.wrong_final_state,
-            r.unprotected_wrong_final_state,
-            r.wrong_final_output,
-            r.unprotected_wrong_final_output,
+            r.protected.settle_failures,
+            r.unprotected.settle_failures,
+            r.protected.wrong_final_state,
+            r.unprotected.wrong_final_state,
+            r.protected.wrong_final_output,
+            r.unprotected.wrong_final_output,
         ];
         assert_eq!(failures, [0; 7], "{}", r.render());
     }
@@ -165,8 +165,8 @@ mod tests {
     fn invariant_state_variables_do_not_glitch_on_lion() {
         let r = lion_campaign(7);
         let glitches = [
-            r.protected_invariant_glitches,
-            r.unprotected_invariant_glitches,
+            r.protected.invariant_glitches,
+            r.unprotected.invariant_glitches,
         ];
         assert_eq!(glitches, [0, 0], "{}", r.render());
     }

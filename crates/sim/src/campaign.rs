@@ -35,36 +35,13 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The delay-assignment style of one campaign trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DelayStyleKind {
-    /// Every gate has delay 1.
-    Unit,
-    /// Every gate at the sweep minimum.
-    Min,
-    /// Every gate at the sweep maximum.
-    Max,
-    /// Per-gate delays drawn uniformly from the sweep range.
-    Random,
-}
-
-impl DelayStyleKind {
-    /// Short lower-case name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DelayStyleKind::Unit => "unit",
-            DelayStyleKind::Min => "min",
-            DelayStyleKind::Max => "max",
-            DelayStyleKind::Random => "random",
-        }
-    }
-}
-
 /// A deterministic sweep over delay assignments.
 ///
-/// Trials round-robin through the four [`DelayStyleKind`] styles; random
-/// trials derive their seed from `(base_seed, trial)` so the assignment for a
-/// trial is independent of which worker runs it.
+/// Trials round-robin through four styles: unit delays, every gate at the
+/// sweep minimum, every gate at the sweep maximum, and per-gate delays drawn
+/// uniformly from the sweep range. Random trials derive their seed from
+/// `(base_seed, trial)`, so the assignment for a trial is independent of
+/// which worker runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelaySweep {
     /// Smallest per-gate delay of the sweep.
@@ -74,23 +51,13 @@ pub struct DelaySweep {
 }
 
 impl DelaySweep {
-    /// The style assigned to `trial`.
-    pub fn style_for_trial(&self, trial: usize) -> DelayStyleKind {
-        match trial % 4 {
-            0 => DelayStyleKind::Unit,
-            1 => DelayStyleKind::Min,
-            2 => DelayStyleKind::Max,
-            _ => DelayStyleKind::Random,
-        }
-    }
-
     /// The delay model of `trial` under campaign seed `base_seed`.
     pub fn model_for_trial(&self, base_seed: u64, trial: usize) -> DelayModel {
-        match self.style_for_trial(trial) {
-            DelayStyleKind::Unit => DelayModel::Unit,
-            DelayStyleKind::Min => DelayModel::Fixed(self.min),
-            DelayStyleKind::Max => DelayModel::Fixed(self.max),
-            DelayStyleKind::Random => DelayModel::Random {
+        match trial % 4 {
+            0 => DelayModel::Unit,
+            1 => DelayModel::Fixed(self.min),
+            2 => DelayModel::Fixed(self.max),
+            _ => DelayModel::Random {
                 min: self.min,
                 max: self.max,
                 seed: derive_seed(base_seed, trial as u64),
@@ -361,20 +328,17 @@ pub struct Harness<'a> {
     sim: Simulator<'a>,
     oracle: Option<ZeroDelayOracle<'a>>,
     /// Per net: `true` for flip-flop outputs, which the oracle cannot predict.
-    dff_q: Vec<bool>,
+    dff_q: &'a [bool],
 }
 
 impl<'a> Harness<'a> {
     /// Wrap a built simulator; `use_oracle` enables the differential check,
-    /// with an oracle that shares the netlist's fanout with the simulator.
+    /// with an oracle that shares the netlist's indexes with the simulator.
     pub fn new(sim: Simulator<'a>, use_oracle: bool) -> Self {
         let netlist = sim.netlist();
-        let mut dff_q = vec![false; netlist.num_nets()];
-        for dff in netlist.dffs() {
-            dff_q[dff.q.0] = true;
-        }
         let oracle =
             use_oracle.then(|| ZeroDelayOracle::with_slow_gates(netlist, sim.slow_gates()));
+        let dff_q = netlist.fanout().dff_q();
         Harness { sim, oracle, dff_q }
     }
 
@@ -466,12 +430,14 @@ mod tests {
     #[test]
     fn sweep_round_robins_styles() {
         let sweep = DelaySweep { min: 2, max: 7 };
-        assert_eq!(sweep.style_for_trial(0), DelayStyleKind::Unit);
-        assert_eq!(sweep.style_for_trial(1), DelayStyleKind::Min);
-        assert_eq!(sweep.style_for_trial(2), DelayStyleKind::Max);
-        assert_eq!(sweep.style_for_trial(3), DelayStyleKind::Random);
-        assert_eq!(sweep.style_for_trial(4), DelayStyleKind::Unit);
+        assert_eq!(sweep.model_for_trial(9, 0), DelayModel::Unit);
         assert_eq!(sweep.model_for_trial(9, 1), DelayModel::Fixed(2));
+        assert_eq!(sweep.model_for_trial(9, 2), DelayModel::Fixed(7));
+        assert!(matches!(
+            sweep.model_for_trial(9, 3),
+            DelayModel::Random { min: 2, max: 7, .. }
+        ));
+        assert_eq!(sweep.model_for_trial(9, 4), DelayModel::Unit);
         // Random trials with different indices draw different seeds.
         assert_ne!(sweep.model_for_trial(9, 3), sweep.model_for_trial(9, 7));
         // ... but the same (seed, trial) is stable.

@@ -12,7 +12,10 @@
 //!
 //! * [`Netlist`] — gates ([`GateKind`]), rising-edge D flip-flops and nets,
 //!   including direct construction from `fantom_boolean::Expr` trees, plus
-//!   the shared [`Fanout`] CSR both evaluation engines walk,
+//!   the [`Fanout`] indexes both evaluation engines walk (the readers and
+//!   drivers of each net, the flip-flops it clocks, the flip-flop outputs),
+//!   built once per netlist and shared by every simulator, oracle and
+//!   harness over it,
 //! * [`DelayModel`] — unit, fixed and seeded-random gate delays,
 //! * [`Simulator`] — an event-driven simulator (transport or inertial
 //!   [`DelayStyle`]) with waveform recording, configured through

@@ -118,8 +118,9 @@ pub struct Netlist {
     gates: Vec<Gate>,
     dffs: Vec<Dff>,
     primary_inputs: Vec<NetId>,
-    /// The fanout CSR, built on first use and shared by every simulator and
-    /// oracle over this netlist; each edit drops it.
+    /// The fanout, driver and flip-flop indexes, built on first use and
+    /// shared by every simulator and oracle over this netlist; each edit
+    /// drops them.
     fanout: OnceLock<Fanout>,
 }
 
@@ -268,77 +269,80 @@ impl Netlist {
         self.net_names.iter().position(|n| n == name).map(NetId)
     }
 
-    /// The net→gate fanout, built once per netlist: campaigns build a
+    /// The netlist's indexes, built once per netlist: campaigns build a
     /// simulator (and an oracle) per delay assignment over one netlist.
     pub(crate) fn fanout(&self) -> &Fanout {
         self.fanout.get_or_init(|| Fanout::build(self))
     }
 }
 
-/// Net→gate fanout of a [`Netlist`] in compressed sparse row form.
+/// The per-net indexes of a [`Netlist`] that the simulator and the
+/// zero-delay oracle walk: the gates reading each net (its fanout), the gates
+/// driving it and the flip-flops it clocks, each in compressed sparse row
+/// form, and which nets are flip-flop outputs. They depend only on the
+/// netlist, which builds them once and shares them with every engine over it.
 ///
-/// Row `n` lists the distinct gates reading net `n`, in ascending gate order,
-/// each with the *multiplicity* of the connection (a gate reading the same net
-/// twice — legal for parity gates — appears once with multiplicity 2). The
-/// flat layout lets the event loop and the zero-delay oracle walk a net's
-/// fanout by index with no per-event clone or allocation, and the
-/// multiplicities are what make counter-based incremental gate evaluation
-/// exact for `Xor`/`Xnor`.
+/// Row `n` of the fanout lists the distinct gates reading net `n`, in
+/// ascending gate order, each with the *multiplicity* of the connection (a
+/// gate reading the same net twice — legal for parity gates — appears once
+/// with multiplicity 2). The flat layout lets the event loop and the
+/// zero-delay oracle walk a net's fanout by index with no per-event clone or
+/// allocation, and the multiplicities are what make counter-based
+/// incremental gate evaluation exact for `Xor`/`Xnor`.
 #[derive(Debug, Clone, Default)]
 pub struct Fanout {
     offsets: Vec<u32>,
     gates: Vec<u32>,
     mults: Vec<u32>,
+    /// Net `n`'s drivers are `drivers[driver_offsets[n]..driver_offsets[n + 1]]`.
+    driver_offsets: Vec<u32>,
+    drivers: Vec<u32>,
+    /// Net `n` clocks the flip-flops `clocked[clock_offsets[n]..clock_offsets[n + 1]]`.
+    clock_offsets: Vec<u32>,
+    clocked: Vec<u32>,
+    /// Per net: `true` for flip-flop outputs.
+    dff_q: Vec<bool>,
 }
 
 impl Fanout {
-    /// Build the fanout CSR for `netlist`.
+    /// Build the indexes of `netlist`.
     pub fn build(netlist: &Netlist) -> Self {
-        // Per-gate sorted, multiplicity-counted input lists.
-        let gate_inputs: Vec<Vec<(usize, u32)>> = netlist
-            .gates()
-            .iter()
-            .map(|gate| {
-                let mut nets: Vec<usize> = gate.inputs.iter().map(|n| n.0).collect();
-                nets.sort_unstable();
-                let mut runs: Vec<(usize, u32)> = Vec::with_capacity(nets.len());
-                for n in nets {
-                    match runs.last_mut() {
-                        Some((last, m)) if *last == n => *m += 1,
-                        _ => runs.push((n, 1)),
-                    }
+        let nets = netlist.num_nets();
+        // `(net, (gate, multiplicity))` per distinct connection, in gate
+        // order, which leaves every fanout row sorted by gate id: that is
+        // what makes the fanout walk order (and therefore event sequence
+        // numbering) deterministic.
+        let mut readers: Vec<(usize, (u32, u32))> = Vec::new();
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            let gi = gi as u32;
+            let mut inputs: Vec<usize> = gate.inputs.iter().map(|n| n.0).collect();
+            inputs.sort_unstable();
+            for net in inputs {
+                match readers.last_mut() {
+                    Some((n, (g, mult))) if (*n, *g) == (net, gi) => *mult += 1,
+                    _ => readers.push((net, (gi, 1))),
                 }
-                runs
-            })
-            .collect();
-        let mut counts = vec![0u32; netlist.num_nets() + 1];
-        for runs in &gate_inputs {
-            for &(n, _) in runs {
-                counts[n + 1] += 1;
             }
         }
-        let mut offsets = counts;
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let total = *offsets.last().expect("offsets") as usize;
-        let mut gates = vec![0u32; total];
-        let mut mults = vec![0u32; total];
-        let mut cursor: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
-        // Filling in ascending gate order leaves every row sorted by gate id,
-        // which is what makes the fanout walk order (and therefore event
-        // sequence numbering) deterministic and equal to the old scheduler's.
-        for (gi, runs) in gate_inputs.iter().enumerate() {
-            for &(n, m) in runs {
-                gates[cursor[n] as usize] = gi as u32;
-                mults[cursor[n] as usize] = m;
-                cursor[n] += 1;
-            }
+        let (offsets, readers) = csr(nets, readers.iter().copied());
+        let (gates, mults) = readers.into_iter().unzip();
+        let outputs = netlist.gates().iter().map(|gate| gate.output.0);
+        let (driver_offsets, drivers) = csr(nets, outputs.zip(0..));
+        let clocks = netlist.dffs().iter().map(|dff| dff.clock.0);
+        let (clock_offsets, clocked) = csr(nets, clocks.zip(0..));
+        let mut dff_q = vec![false; nets];
+        for dff in netlist.dffs() {
+            dff_q[dff.q.0] = true;
         }
         Fanout {
             offsets,
             gates,
             mults,
+            driver_offsets,
+            drivers,
+            clock_offsets,
+            clocked,
+            dff_q,
         }
     }
 
@@ -366,6 +370,48 @@ impl Fanout {
         let (start, end) = self.row_bounds(net);
         (start..end).map(move |k| (self.gate_at(k), self.mult_at(k)))
     }
+
+    /// The gates driving `net`, in ascending order.
+    pub(crate) fn drivers(&self, net: usize) -> &[u32] {
+        row(&self.driver_offsets, &self.drivers, net)
+    }
+
+    /// The flip-flops clocked by `net`, in ascending order.
+    pub(crate) fn clocked_dffs(&self, net: usize) -> &[u32] {
+        row(&self.clock_offsets, &self.clocked, net)
+    }
+
+    /// Per net: `true` for flip-flop outputs.
+    pub(crate) fn dff_q(&self) -> &[bool] {
+        &self.dff_q
+    }
+}
+
+/// Compressed sparse rows over `rows` rows from `(row, item)` pairs: the row
+/// offsets, and each row's items in the order the pairs list them.
+fn csr<T: Copy + Default>(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut offsets = vec![0u32; rows + 1];
+    for (row, _) in pairs.clone() {
+        offsets[row + 1] += 1;
+    }
+    for r in 0..rows {
+        offsets[r + 1] += offsets[r];
+    }
+    let mut cursor = offsets.clone();
+    let mut items = vec![T::default(); offsets[rows] as usize];
+    for (row, item) in pairs {
+        items[cursor[row] as usize] = item;
+        cursor[row] += 1;
+    }
+    (offsets, items)
+}
+
+/// Row `n` of a compressed sparse row index.
+fn row<'s>(offsets: &[u32], items: &'s [u32], n: usize) -> &'s [u32] {
+    &items[offsets[n] as usize..offsets[n + 1] as usize]
 }
 
 #[cfg(test)]
@@ -457,6 +503,28 @@ mod tests {
             let row: Vec<(usize, u32)> = rebuilt.readers(net).collect();
             assert_eq!(clone.fanout().readers(net).collect::<Vec<_>>(), row);
         }
+    }
+
+    #[test]
+    fn indexes_list_drivers_clocks_and_flip_flop_outputs() {
+        let mut nl = Netlist::new();
+        let clk = nl.add_primary_input("clk");
+        let a = nl.add_primary_input("a");
+        let y = nl.add_net("y");
+        let q = nl.add_net("q");
+        nl.add_gate(GateKind::Not, vec![a], y);
+        nl.add_gate(GateKind::Buf, vec![clk], y); // a second driver of `y`
+        assert_eq!(nl.fanout().drivers(y.0), [0, 1]);
+        assert!(nl.fanout().drivers(a.0).is_empty());
+        assert!(nl.fanout().clocked_dffs(clk.0).is_empty());
+        assert_eq!(nl.fanout().dff_q(), [false; 4]);
+        // Each flip-flop drops the cached indexes.
+        nl.add_dff(clk, y, q);
+        nl.add_dff(clk, a, y);
+        assert_eq!(nl.fanout().clocked_dffs(clk.0), [0, 1]);
+        assert!(nl.fanout().clocked_dffs(y.0).is_empty());
+        assert_eq!(nl.fanout().dff_q(), [false, false, true, true]);
+        assert!(nl.fanout().drivers(q.0).is_empty());
     }
 
     #[test]

@@ -212,24 +212,6 @@ impl<'a> SimulatorBuilder<'a> {
             assert!(delay > 0, "gate delay must be positive");
             gate_delays[gi] = delay;
         }
-        let fanout = netlist.fanout();
-        let mut fanout_dff_clocks = vec![Vec::new(); num_nets];
-        for (di, dff) in netlist.dffs().iter().enumerate() {
-            fanout_dff_clocks[dff.clock.0].push(di);
-        }
-        let mut driver_offsets = vec![0u32; num_nets + 1];
-        for gate in netlist.gates() {
-            driver_offsets[gate.output.0 + 1] += 1;
-        }
-        for n in 0..num_nets {
-            driver_offsets[n + 1] += driver_offsets[n];
-        }
-        let mut drivers = vec![0u32; num_gates];
-        let mut cursor = driver_offsets.clone();
-        for (gi, gate) in netlist.gates().iter().enumerate() {
-            drivers[cursor[gate.output.0] as usize] = gi as u32;
-            cursor[gate.output.0] += 1;
-        }
         let gate_words = num_gates.div_ceil(64);
         let mut sim = Simulator {
             netlist,
@@ -243,10 +225,7 @@ impl<'a> SimulatorBuilder<'a> {
             // Sources: one per gate (gate-originated transitions) plus one
             // per net (externally driven: inputs and flip-flop outputs).
             queue: IndexedEventQueue::new(num_gates + num_nets),
-            fanout,
-            driver_offsets,
-            drivers,
-            fanout_dff_clocks,
+            fanout: netlist.fanout(),
             time: 0,
             seq: 0,
             events_processed: 0,
@@ -295,12 +274,8 @@ pub struct Simulator<'a> {
     /// which evaluates any gate in O(1). Every value change keeps it current.
     true_counts: Vec<u32>,
     queue: IndexedEventQueue,
+    /// The netlist's fanout, driver and flip-flop clock indexes.
     fanout: &'a Fanout,
-    /// The gates driving each net, in CSR form: net `n`'s drivers are
-    /// `drivers[driver_offsets[n]..driver_offsets[n + 1]]`.
-    driver_offsets: Vec<u32>,
-    drivers: Vec<u32>,
-    fanout_dff_clocks: Vec<Vec<usize>>,
     time: u64,
     seq: u64,
     events_processed: u64,
@@ -513,9 +488,8 @@ impl<'a> Simulator<'a> {
         // Both rounds are empty now; the held drivers start the stale set.
         for &(net, _) in fixed {
             self.held[net.0] = false;
-            for k in self.driver_offsets[net.0]..self.driver_offsets[net.0 + 1] {
-                let gi = self.drivers[k as usize] as usize;
-                insert(&mut round, gi);
+            for &gi in self.fanout.drivers(net.0) {
+                insert(&mut round, gi as usize);
             }
         }
         (self.stale, self.next_round) = (round, next);
@@ -566,10 +540,9 @@ impl<'a> Simulator<'a> {
             }
             mark(gi);
         }
-        for k in self.driver_offsets[net]..self.driver_offsets[net + 1] {
-            let gi = self.drivers[k as usize] as usize;
-            if Some(gi) != cursor {
-                mark(gi);
+        for &gi in self.fanout.drivers(net) {
+            if Some(gi as usize) != cursor {
+                mark(gi as usize);
             }
         }
     }
@@ -651,19 +624,17 @@ impl<'a> Simulator<'a> {
         }
         // A driver of this net other than the event's source may now
         // disagree with its own output.
-        for k in self.driver_offsets[net]..self.driver_offsets[net + 1] {
-            let gi = self.drivers[k as usize] as usize;
-            if gi != source {
-                insert(&mut self.stale, gi);
+        for &gi in self.fanout.drivers(net) {
+            if gi as usize != source {
+                insert(&mut self.stale, gi as usize);
             }
         }
 
         // Rising-edge flip-flops clocked by this net sample *before* the
         // combinational fanout walk (scheduling order fixes global seq order).
         if event.value && !old {
-            for i in 0..self.fanout_dff_clocks[net].len() {
-                let di = self.fanout_dff_clocks[net][i];
-                let dff = &self.netlist.dffs()[di];
+            for &di in self.fanout.clocked_dffs(net) {
+                let dff = &self.netlist.dffs()[di as usize];
                 let q = dff.q;
                 let sampled = self.values[dff.data.0];
                 let ev = ScheduledEvent {

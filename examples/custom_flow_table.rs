@@ -71,10 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..CampaignOptions::default()
         },
     );
-    let wrong = report.wrong_final_state
-        + report.wrong_final_output
-        + report.unprotected_wrong_final_state
-        + report.unprotected_wrong_final_output;
+    let wrong = report.protected.wrong_final_state
+        + report.protected.wrong_final_output
+        + report.unprotected.wrong_final_state
+        + report.unprotected.wrong_final_output;
     println!(
         "simulated {} transition steps; all correct = {}",
         report.steps,

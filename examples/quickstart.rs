@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..CampaignOptions::default()
         },
     );
-    let wrong_states = report.wrong_final_state + report.unprotected_wrong_final_state;
-    let glitches = report.protected_invariant_glitches + report.unprotected_invariant_glitches;
+    let wrong_states = report.protected.wrong_final_state + report.unprotected.wrong_final_state;
+    let glitches = report.protected.invariant_glitches + report.unprotected.invariant_glitches;
     println!(
         "simulated {} steps: wrong final states = {wrong_states}, invariant-variable glitches = {glitches}",
         report.steps

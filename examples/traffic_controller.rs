@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..CampaignOptions::default()
         },
     );
-    let settled = report.protected_settle_failures + report.unprotected_settle_failures == 0;
-    let correct = report.wrong_final_state + report.unprotected_wrong_final_state == 0;
+    let settled = report.protected.settle_failures + report.unprotected.settle_failures == 0;
+    let correct = report.protected.wrong_final_state + report.unprotected.wrong_final_state == 0;
     println!(
         "campaign: {} steps over {} assignments, {} events, all settled = {settled}, all correct = {correct}, clean = {}",
         report.steps,

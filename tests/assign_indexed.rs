@@ -25,12 +25,11 @@ use proptest::prelude::*;
 
 /// The like-for-like configuration: Forward + Reverse orderings (the scalar
 /// reference's rotation variants ≥ 2 are provably duplicates of Forward, so
-/// two orderings is the largest pool both engines agree on) and no adjacency
-/// seeds.
+/// two orderings is the largest pool both engines agree on), grown with no
+/// adjacency seeds.
 fn like_for_like() -> AssignmentOptions {
     AssignmentOptions {
         seed_orderings: 2,
-        adjacency_seeding: false,
         ..AssignmentOptions::bounded()
     }
 }
@@ -105,10 +104,6 @@ fn lazy_greedy_matches_scalar_reference_on_suite_pools() {
 #[test]
 fn adjacency_seeded_assignment_is_valid_within_pins() {
     let default = AssignmentOptions::default();
-    assert!(
-        default.adjacency_seeding,
-        "adjacency seeding is the default"
-    );
     let pins = [("lion9", 4), ("train11", 5)];
     for table in benchmarks::all() {
         let assignment = assign_with_options(&table, &default);
@@ -162,7 +157,6 @@ fn adjacency_seeded_assignment_is_valid_within_pins() {
 fn budget_starvation_fires_dedicated_partition_fallback() {
     let starved = AssignmentOptions {
         max_candidate_partitions: 0,
-        adjacency_seeding: true,
         ..AssignmentOptions::bounded()
     };
     let table = benchmarks::train11();

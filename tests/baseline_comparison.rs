@@ -24,7 +24,7 @@ fn fantom_protects_every_hazard_the_baseline_leaves_exposed() {
             table.name()
         );
         // The protection is real: every hazard state appears in the fsv on-set.
-        for m in &fantom.hazards.fl {
+        for &m in &fantom.hazards.fl {
             assert!(fantom.factored.fsv_cover.covers_minterm(m));
         }
     }

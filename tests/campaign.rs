@@ -40,14 +40,14 @@ fn campaign_report_is_byte_identical_across_worker_counts() {
         // machine, not left empty).
         for r in &reports[1..] {
             assert_eq!(
-                r.protected_glitches_per_var,
-                reports[0].protected_glitches_per_var,
+                r.protected.glitches_per_var,
+                reports[0].protected.glitches_per_var,
                 "{}: protected histogram",
                 table.name()
             );
             assert_eq!(
-                r.unprotected_glitches_per_var,
-                reports[0].unprotected_glitches_per_var,
+                r.unprotected.glitches_per_var,
+                reports[0].unprotected.glitches_per_var,
                 "{}: unprotected histogram",
                 table.name()
             );
@@ -59,8 +59,8 @@ fn campaign_report_is_byte_identical_across_worker_counts() {
             );
         }
         assert_eq!(
-            reports[0].protected_glitches_per_var.len(),
-            reports[0].unprotected_glitches_per_var.len(),
+            reports[0].protected.glitches_per_var.len(),
+            reports[0].unprotected.glitches_per_var.len(),
             "{}: state histograms cover the same variables",
             table.name()
         );
@@ -95,7 +95,7 @@ fn small_corpus_campaigns_are_clean() {
         // glitches; a cover that also fails the plain static check on pairs
         // ending in a don't-care must still never glitch on a protected step.
         assert_eq!(
-            report.protected_invariant_glitches,
+            report.protected.invariant_glitches,
             0,
             "{}:\n{}",
             table.name(),

@@ -61,12 +61,12 @@ fn every_multiple_input_change_reaches_the_correct_stable_state() {
         // of the paper suite also settle correctly, without glitches, on
         // every unprotected step.
         let must_be_zero = [
-            r.protected_invariant_glitches,
-            r.unprotected_settle_failures,
-            r.unprotected_wrong_final_state,
-            r.unprotected_wrong_final_output,
-            r.unprotected_excess_state_changes,
-            r.unprotected_invariant_glitches,
+            r.protected.invariant_glitches,
+            r.unprotected.settle_failures,
+            r.unprotected.wrong_final_state,
+            r.unprotected.wrong_final_output,
+            r.unprotected.excess_state_changes,
+            r.unprotected.invariant_glitches,
         ];
         assert_eq!(must_be_zero, [0; 6], "{name}:\n{}", r.render());
     }
@@ -77,7 +77,7 @@ fn invariant_state_variables_never_glitch_on_completely_specified_machines() {
     for table in completely_specified_suite() {
         let r = campaign(&table, 32, 3);
         assert_eq!(
-            r.protected_invariant_glitches + r.unprotected_invariant_glitches,
+            r.protected.invariant_glitches + r.unprotected.invariant_glitches,
             0,
             "{}: an invariant state variable glitched during a multiple-input change\n{}",
             table.name(),
@@ -94,7 +94,7 @@ fn changing_state_variables_obey_the_two_change_bound() {
     for table in completely_specified_suite() {
         let r = campaign(&table, 16, 5);
         assert_eq!(
-            r.excess_state_changes + r.unprotected_excess_state_changes,
+            r.protected.excess_state_changes + r.unprotected.excess_state_changes,
             0,
             "{}: a state variable changed more than once\n{}",
             table.name(),

@@ -77,7 +77,6 @@ fn starved_assignment_budgets_degrade_width_not_validity() {
             max_candidate_partitions: 1,
             seed_orderings: 1,
             refine_passes: 0,
-            adjacency_seeding: false,
         },
         ..unreduced_options()
     };
@@ -194,7 +193,7 @@ fn sparse_pipeline_synthesizes_the_large_suite() {
         // variable in the fsv = 0 half-space.
         let mut checked = 0usize;
         for (var, hl) in result.hazards.hl.iter().enumerate() {
-            for m in hl.iter().take(3) {
+            for &m in hl.iter().take(3) {
                 let (_, code) = result.spec.decompose(m);
                 let present = code.bit(var);
                 let fsv0 = m << 1;
