@@ -41,8 +41,8 @@
 //! 10. `batch.*` — a sequential `synthesize_sparse` loop and
 //!     `synthesize_many` at batch sizes 1/64/4096 over relabeled corpus
 //!     machines, plus cold- and warm-cache batches on a persistent service;
-//! 11. `sim.ladder.ms` — the simulator on a glitch-heavy inertial xor-ladder
-//!     workload, best of 5;
+//! 11. `sim.ladder.{ms,events}` — the simulator on a glitch-heavy inertial
+//!     xor-ladder workload, best of 5, and the events one run processes;
 //! 12. `campaign.*.{ms,events}` — Monte-Carlo hazard campaigns over both
 //!     corpora, each asserted clean;
 //! 13. `grid.*.{ms,cubes,depth}` — end-to-end synthesis of the grid with
@@ -620,7 +620,9 @@ fn batch(m: &mut Metrics, _: &Grid) {
 /// wide-fanin xor ladders with randomized delays, where every skewed input
 /// round makes each ladder gate re-evaluate many times inside its own delay
 /// window, so the queue cancels superseded events in place and the
-/// counter-based evaluator pays O(1) per fanout edge. Best of 5.
+/// counter-based evaluator pays O(1) per fanout edge. Best of 5, plus the
+/// events one run processes: the stimulus is scheduled up front, so most of
+/// it lies far past the gate delays.
 fn sim(m: &mut Metrics, _: &Grid) {
     use fantom_sim::{DelayModel, DelayStyle, GateKind, NetId, Netlist, Simulator};
 
@@ -673,6 +675,7 @@ fn sim(m: &mut Metrics, _: &Grid) {
         })
         .collect();
 
+    let mut events = 0;
     let ms = best_ms(5, || {
         let mut sim = Simulator::builder(&netlist)
             .delay_model(model.clone())
@@ -682,9 +685,11 @@ fn sim(m: &mut Metrics, _: &Grid) {
         for &(net, value, delta) in &stimulus {
             sim.schedule_input(net, value, delta);
         }
-        sim.run_until_quiet().expect("workload settles")
+        sim.run_until_quiet().expect("workload settles");
+        events = sim.events_processed();
     });
     m.put("sim.ladder.ms", ms);
+    m.put("sim.ladder.events", events as f64);
 }
 
 /// Monte-Carlo hazard-validation campaigns: 1000 sampled delay assignments
