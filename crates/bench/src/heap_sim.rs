@@ -1,11 +1,11 @@
 //! The retired `BinaryHeap<Reverse<Event>>` event-driven simulator, kept
 //! verbatim as a reference implementation.
 //!
-//! `fantom_sim`'s scheduler now runs on a position-indexed heap of per-source
-//! FIFOs (`fantom_sim::queue`); this module preserves its predecessor so that
-//! `tests/sim_parity.rs` can pin the new scheduler's waveforms (and, in
-//! transport mode, its exact event ordering) against the old one on the
-//! benchmark corpus.
+//! `fantom_sim`'s scheduler now runs on a timing wheel with one slot per time
+//! unit (a private module of the simulator); this module preserves the
+//! global-heap scheduler it descends from, so that `tests/sim_parity.rs` can
+//! pin the simulator's waveforms (and, in transport mode, its exact event
+//! ordering) against it on the benchmark corpus.
 //!
 //! The code is the pre-rewrite `crates/sim/src/sim.rs` with imports pointed
 //! at `fantom_sim` and the types prefixed `Heap*`; behaviour is untouched.
@@ -153,7 +153,7 @@ impl<'a> HeapSimulator<'a> {
     }
 
     /// Cumulative number of popped events (stale inertial tombstones
-    /// included — the cost the indexed queue eliminates).
+    /// included, which the simulator's queue skips uncounted).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

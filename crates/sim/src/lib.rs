@@ -22,10 +22,10 @@
 //!   [`SimulatorBuilder`]: delay model and style, per-gate delay overrides
 //!   for the loop-delay assumption, monitors, and the event budget enforced
 //!   by the argument-free [`Simulator::run_until_quiet`] /
-//!   [`Simulator::settle`],
-//! * [`queue`] — the scheduling core: [`queue::IndexedEventQueue`], a
-//!   position-indexed heap of per-source event FIFOs with O(1) membership
-//!   and in-place cancellation (no stale-event tombstones),
+//!   [`Simulator::settle`]. It schedules on a private timing wheel, a ring
+//!   of FIFOs with one slot per time unit over the longest delay, so a
+//!   schedule is an append, a pop a slot read and an inertial cancellation
+//!   a counter bump,
 //! * [`campaign`] — Monte-Carlo campaign building blocks: deterministic
 //!   delay sweeps ([`campaign::DelaySweep`]), the zero-delay differential
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
@@ -66,7 +66,7 @@ pub mod analysis;
 pub mod campaign;
 mod delay;
 mod netlist;
-pub mod queue;
+mod queue;
 mod sim;
 
 pub use delay::DelayModel;

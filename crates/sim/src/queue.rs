@@ -1,246 +1,226 @@
-//! Position-indexed event queue — the scheduling core of the simulator.
+//! Timing-wheel event queue — the scheduling core of the simulator.
 //!
-//! A gate-level event simulator schedules transitions from a bounded set of
-//! *sources*: every gate output and every externally driven net. A global
-//! `BinaryHeap` over raw events (the pre-PR 7 scheduler) loses that structure:
-//! membership is unanswerable without a scan, a superseded transition can only
-//! be cancelled by leaving a stale tombstone to be skipped at pop time, and
-//! the heap grows with the number of *events* instead of the number of
-//! *active sources*.
+//! Gate delays are small integers, so the queue is a timing wheel (Varghese
+//! and Lauck, "Hashed and hierarchical timing wheels", SOSP 1987): a
+//! power-of-two ring of FIFOs, one per time unit, spanning the longest delay
+//! the simulator schedules. Scheduling an event appends it to the slot of its
+//! time, popping reads the current slot, and an occupancy bitmap finds the
+//! next non-empty slot a word at a time. Slots keep their capacity across
+//! revolutions, so a steady-state run does not allocate.
 //!
-//! [`IndexedEventQueue`] keeps one short FIFO of pending events per source and
-//! a binary heap over the **sources**, ordered by each source's earliest
-//! pending event, with a position array mapping every source to its heap slot
-//! (the `FiniteHeapedMap` shape). That gives:
+//! Events are delivered in `(time, schedule order)` order, the order of the
+//! retired global-heap scheduler that the parity suite pins:
 //!
-//! * **O(1) membership** — `contains(source)` is an array read, which is how
-//!   the inertial delay mode knows whether a gate has an outstanding
-//!   transition without auxiliary sequence-number bookkeeping;
-//! * **in-place reprioritization** — scheduling an earlier event for an
-//!   already-queued source sifts its existing heap entry, and cancelling a
-//!   superseded transition removes it outright, so no stale events are ever
-//!   popped;
-//! * **a small heap** — the heap holds at most one entry per source, so sift
-//!   depth tracks the number of simultaneously active gates, not the total
-//!   backlog of scheduled transitions.
+//! * a slot is appended in schedule order, and every entry in it is due at
+//!   the one time of the window `[now, now + slots)` that maps to it;
+//! * an event due past the window (only a long external delay reaches there)
+//!   waits in a small heap ordered by `(time, issue order)` and moves into
+//!   its slot as soon as the window reaches its time, before any later
+//!   schedule can land in that slot.
 //!
-//! Events from one source are almost always scheduled in nondecreasing time
-//! order (a gate's output events are `now + delay` with `now` monotone), so
-//! the per-source insertion is amortized O(1); the global pop order is the
-//! exact `(time, seq)` order a global heap would produce, which is what lets
-//! the parity suite pin this queue event-for-event against the old scheduler.
+//! Every event belongs to a *source*: a gate, or an externally driven net.
+//! [`EventWheel::cancel`] drops a source's pending events (the inertial
+//! mode's supersede) by bumping the source's epoch and zeroing its live
+//! count; an entry from an older epoch is skipped, uncounted, when its slot
+//! drains. Membership and the length read the live counts.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::NetId;
 
-/// A scheduled value change, ordered by `(time, seq)`.
-///
-/// `seq` is a globally unique, monotonically increasing issue number assigned
-/// by the simulator; it breaks ties between events scheduled for the same
-/// instant so that delivery order equals scheduling order (FIFO at equal
-/// times), exactly as the old global-heap scheduler behaved.
+/// A value change: at `time`, `net` takes `value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     /// Absolute simulation time at which the change is delivered.
     pub time: u64,
-    /// Global issue number (unique; ties at equal `time` resolve FIFO).
-    pub seq: u64,
     /// The net that changes.
     pub net: NetId,
     /// The value the net changes to.
     pub value: bool,
 }
 
-impl ScheduledEvent {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.time, self.seq)
-    }
+/// A queued event without its time, which its slot (or the far heap's key)
+/// holds: 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    source: u32,
+    /// The source's epoch when the event was scheduled.
+    epoch: u32,
+    net: u32,
+    value: bool,
 }
 
-const NULL_POS: u32 = u32::MAX;
+/// Per source: the epoch its live events carry and how many there are.
+#[derive(Debug, Clone, Copy, Default)]
+struct Source {
+    epoch: u32,
+    live: u32,
+}
 
-/// Position-indexed heap of per-source event FIFOs (see the module docs).
-///
-/// The source id space is fixed at construction; the simulator uses
-/// `gate_index` for gate-originated events and `num_gates + net` for
-/// externally driven nets (primary inputs, flip-flop outputs).
+/// The most slots a wheel gets; events past a longer span take the far heap,
+/// so no delay can size the ring beyond memory.
+const MAX_SLOTS: u64 = 1 << 16;
+
+/// Timing wheel over a fixed set of event sources (see the module docs).
 #[derive(Debug, Clone)]
-pub struct IndexedEventQueue {
-    /// Heap of source ids, ordered by the head event of each source's FIFO.
-    heap: Vec<u32>,
-    /// `pos[source]` is the heap slot of `source`, or `NULL_POS` if the
-    /// source has no pending events.
-    pos: Vec<u32>,
-    /// Per-source pending events, sorted by `(time, seq)`.
-    fifos: Vec<VecDeque<ScheduledEvent>>,
-    /// Total number of pending events across all sources.
+pub(crate) struct EventWheel {
+    /// `slots[t & mask]` holds the entries due at `t`, for `t` in the window
+    /// `[now, now + slots.len())`, in schedule order.
+    slots: Vec<Vec<Entry>>,
+    mask: usize,
+    /// Bit `s` is set while `slots[s]` is not empty.
+    occupied: Vec<u64>,
+    /// Entries of the current slot already popped.
+    head: usize,
+    /// Time of the last popped event: the start of the window.
+    now: u64,
+    /// Events due past the window, by `(time, issue order)`.
+    far: BinaryHeap<Reverse<(u64, u64, Entry)>>,
+    far_issued: u64,
+    sources: Vec<Source>,
+    /// Live events over all sources.
     len: usize,
 }
 
-impl IndexedEventQueue {
-    /// An empty queue over `num_sources` event sources.
-    pub fn new(num_sources: usize) -> Self {
-        IndexedEventQueue {
-            heap: Vec::with_capacity(num_sources.min(64)),
-            pos: vec![NULL_POS; num_sources],
-            fifos: vec![VecDeque::new(); num_sources],
+impl EventWheel {
+    /// An empty wheel over `num_sources` sources whose window spans every
+    /// delay up to `span` (up to [`MAX_SLOTS`]).
+    pub(crate) fn new(num_sources: usize, span: u64) -> Self {
+        let size = span.saturating_add(1).min(MAX_SLOTS).next_power_of_two() as usize;
+        EventWheel {
+            slots: vec![Vec::new(); size],
+            mask: size - 1,
+            occupied: vec![0; size.div_ceil(64)],
+            head: 0,
+            now: 0,
+            far: BinaryHeap::new(),
+            far_issued: 0,
+            sources: vec![Source::default(); num_sources],
             len: 0,
         }
     }
 
-    /// Total number of pending events.
-    pub fn len(&self) -> usize {
+    /// Number of live pending events.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` if `source` has at least one pending event — O(1).
+    /// `true` if `source` has a live pending event.
     #[inline]
-    pub fn contains(&self, source: usize) -> bool {
-        self.pos[source] != NULL_POS
+    pub(crate) fn contains(&self, source: usize) -> bool {
+        self.sources[source].live > 0
     }
 
-    /// Number of pending events of a single source.
-    pub fn source_len(&self, source: usize) -> usize {
-        self.fifos[source].len()
-    }
-
-    /// The `(time, seq)` key of a source's earliest pending event.
-    #[inline]
-    fn head_key(&self, source: u32) -> (u64, u64) {
-        self.fifos[source as usize]
-            .front()
-            .expect("queued source has a head event")
-            .key()
-    }
-
-    /// Schedule `event` for `source`.
+    /// Schedule `event` for `source`, after every pending event due at the
+    /// same time.
     ///
-    /// Events of one source are kept sorted by `(time, seq)`; the common case
-    /// (nondecreasing times) appends in O(1), and only an event that becomes
-    /// the source's new head touches the heap (an in-place decrease-key).
-    pub fn schedule(&mut self, source: usize, event: ScheduledEvent) {
-        let fifo = &mut self.fifos[source];
-        let key = event.key();
-        let mut idx = fifo.len();
-        while idx > 0 && fifo[idx - 1].key() > key {
-            idx -= 1;
-        }
-        fifo.insert(idx, event);
+    /// # Panics
+    ///
+    /// Panics if `event` is due before the last popped event.
+    pub(crate) fn schedule(&mut self, source: usize, event: ScheduledEvent) {
+        assert!(event.time >= self.now, "event scheduled in the past");
+        let state = &mut self.sources[source];
+        state.live += 1;
         self.len += 1;
-        let p = self.pos[source];
-        if p == NULL_POS {
-            let slot = self.heap.len();
-            self.heap.push(source as u32);
-            self.pos[source] = slot as u32;
-            self.sift_up(slot);
-        } else if idx == 0 {
-            // The source's head got earlier: restore the heap in place.
-            self.sift_up(p as usize);
-        }
-    }
-
-    /// Remove and return the globally earliest pending event (by
-    /// `(time, seq)`), together with its source id.
-    pub fn pop(&mut self) -> Option<(usize, ScheduledEvent)> {
-        let &root = self.heap.first()?;
-        let source = root as usize;
-        let event = self.fifos[source].pop_front().expect("root has a head");
-        self.len -= 1;
-        if self.fifos[source].is_empty() {
-            self.remove_heap_slot(0);
+        let entry = Entry {
+            source: source as u32,
+            epoch: state.epoch,
+            net: event.net.0 as u32,
+            value: event.value,
+        };
+        if event.time - self.now < self.slots.len() as u64 {
+            self.push_slot(event.time, entry);
         } else {
-            // The head key only grew; sift the root down.
-            self.sift_down(0);
-        }
-        Some((source, event))
-    }
-
-    /// Drop every pending event of `source` (the inertial mode's supersede:
-    /// the cancelled transition is removed *now* instead of being popped and
-    /// skipped later). Returns the number of events removed.
-    pub fn cancel(&mut self, source: usize) -> usize {
-        let p = self.pos[source];
-        if p == NULL_POS {
-            return 0;
-        }
-        let dropped = self.fifos[source].len();
-        self.fifos[source].clear();
-        self.len -= dropped;
-        self.remove_heap_slot(p as usize);
-        dropped
-    }
-
-    /// Drop every pending event of every source.
-    pub fn clear(&mut self) {
-        for &s in &self.heap {
-            self.fifos[s as usize].clear();
-            self.pos[s as usize] = NULL_POS;
-        }
-        self.heap.clear();
-        self.len = 0;
-    }
-
-    /// Remove the heap entry at `slot`, restoring the heap property around
-    /// the element swapped into its place.
-    fn remove_heap_slot(&mut self, slot: usize) {
-        let source = self.heap.swap_remove(slot);
-        self.pos[source as usize] = NULL_POS;
-        if slot < self.heap.len() {
-            self.pos[self.heap[slot] as usize] = slot as u32;
-            // The swapped-in element may violate either direction.
-            self.sift_up(slot);
-            self.sift_down(self.pos_slot_of(slot));
+            self.far.push(Reverse((event.time, self.far_issued, entry)));
+            self.far_issued += 1;
         }
     }
 
-    /// After a sift_up from `slot`, the element that must sift down is the
-    /// one now occupying `slot` (sift_up may have moved a different source
-    /// there).
-    fn pos_slot_of(&self, slot: usize) -> usize {
-        slot
+    fn push_slot(&mut self, time: u64, entry: Entry) {
+        let slot = time as usize & self.mask;
+        self.slots[slot].push(entry);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
     }
 
-    fn sift_up(&mut self, mut slot: usize) {
-        while slot > 0 {
-            let parent = (slot - 1) / 2;
-            if self.head_key(self.heap[slot]) < self.head_key(self.heap[parent]) {
-                self.heap.swap(slot, parent);
-                self.pos[self.heap[slot] as usize] = slot as u32;
-                self.pos[self.heap[parent] as usize] = parent as u32;
-                slot = parent;
-            } else {
+    /// Remove and return the earliest live event, by `(time, schedule
+    /// order)`, with its source.
+    pub(crate) fn pop(&mut self) -> Option<(usize, ScheduledEvent)> {
+        while self.len > 0 {
+            let slot = self.now as usize & self.mask;
+            let Some(&entry) = self.slots[slot].get(self.head) else {
+                self.slots[slot].clear();
+                self.head = 0;
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+                self.advance();
+                continue;
+            };
+            self.head += 1;
+            let source = entry.source as usize;
+            let state = &mut self.sources[source];
+            if entry.epoch == state.epoch {
+                state.live -= 1;
+                self.len -= 1;
+                let event = ScheduledEvent {
+                    time: self.now,
+                    net: NetId(entry.net as usize),
+                    value: entry.value,
+                };
+                return Some((source, event));
+            }
+        }
+        None
+    }
+
+    /// Move the window to the next occupied slot or the earliest far event,
+    /// whichever is due first, and move every far event it now reaches into
+    /// its slot.
+    fn advance(&mut self) {
+        self.now = match self.next_occupied() {
+            Some(distance) => self.now + distance,
+            None => self.far.peek().expect("a live event is pending").0 .0,
+        };
+        let end = self.now + self.slots.len() as u64;
+        while let Some(&Reverse((time, _, entry))) = self.far.peek() {
+            if time >= end {
                 break;
             }
+            self.far.pop();
+            self.push_slot(time, entry);
         }
     }
 
-    fn sift_down(&mut self, mut slot: usize) {
-        let n = self.heap.len();
-        loop {
-            let left = 2 * slot + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let mut best = left;
-            if right < n && self.head_key(self.heap[right]) < self.head_key(self.heap[left]) {
-                best = right;
-            }
-            if self.head_key(self.heap[best]) < self.head_key(self.heap[slot]) {
-                self.heap.swap(slot, best);
-                self.pos[self.heap[slot] as usize] = slot as u32;
-                self.pos[self.heap[best] as usize] = best as u32;
-                slot = best;
-            } else {
-                break;
-            }
+    /// Distance from `now` to the first occupied slot, scanning the bitmap
+    /// a word at a time around the ring: the current word from the current
+    /// slot on, the other words, then the current word below the slot.
+    fn next_occupied(&self) -> Option<u64> {
+        let start = self.now as usize & self.mask;
+        let (first, bit) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        (0..=words).find_map(|k| {
+            let w = (first + k) % words;
+            let bits = match k {
+                0 => self.occupied[w] & (!0 << bit),
+                _ if k == words => self.occupied[w] & !(!0 << bit),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                (slot.wrapping_sub(start) & self.mask) as u64
+            })
+        })
+    }
+
+    /// Drop every pending event of `source` (the inertial mode's supersede).
+    pub(crate) fn cancel(&mut self, source: usize) {
+        let state = &mut self.sources[source];
+        if state.live > 0 {
+            self.len -= state.live as usize;
+            state.live = 0;
+            // An entry survives at most until the window passes it, so the
+            // epoch cannot wrap around onto a queued entry.
+            state.epoch = state.epoch.wrapping_add(1);
         }
     }
 }
@@ -250,117 +230,166 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
-    fn ev(time: u64, seq: u64, net: usize, value: bool) -> ScheduledEvent {
+    fn ev(time: u64, net: usize, value: bool) -> ScheduledEvent {
         ScheduledEvent {
             time,
-            seq,
             net: NetId(net),
             value,
         }
     }
 
+    fn drain(q: &mut EventWheel) -> Vec<(u64, usize)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(s, e)| (e.time, s))
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = IndexedEventQueue::new(4);
-        q.schedule(0, ev(10, 0, 0, true));
-        q.schedule(1, ev(5, 1, 1, true));
-        q.schedule(2, ev(10, 2, 2, false));
-        q.schedule(3, ev(5, 3, 3, false));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| (e.time, e.seq))
-            .collect();
-        assert_eq!(order, vec![(5, 1), (5, 3), (10, 0), (10, 2)]);
-        assert!(q.is_empty());
+        // Ties at one time pop in schedule order, on the wheel and through
+        // the far heap alike.
+        for span in [0, 3, 15] {
+            let mut q = EventWheel::new(4, span);
+            q.schedule(0, ev(10, 0, true));
+            q.schedule(1, ev(5, 1, true));
+            q.schedule(2, ev(10, 2, false));
+            q.schedule(3, ev(5, 3, false));
+            assert_eq!(drain(&mut q), [(5, 1), (5, 3), (10, 0), (10, 2)]);
+            assert_eq!(q.len(), 0);
+        }
     }
 
     #[test]
     fn membership_and_cancel() {
-        let mut q = IndexedEventQueue::new(3);
+        let mut q = EventWheel::new(3, 7);
         assert!(!q.contains(1));
-        q.schedule(1, ev(7, 0, 1, true));
-        q.schedule(1, ev(9, 1, 1, false));
+        q.schedule(1, ev(7, 1, true));
+        q.schedule(1, ev(90, 1, false));
+        q.schedule(2, ev(8, 2, true));
         assert!(q.contains(1));
-        assert_eq!(q.source_len(1), 2);
-        assert_eq!(q.cancel(1), 2);
+        assert_eq!(q.len(), 3);
+        q.cancel(1);
         assert!(!q.contains(1));
-        assert!(q.is_empty());
-        assert_eq!(q.cancel(1), 0);
+        assert_eq!(q.len(), 1);
+        q.cancel(1);
+        assert_eq!(q.len(), 1);
+        // The cancelled entries are skipped, uncounted, as their times pass.
+        q.schedule(1, ev(95, 1, true));
+        assert_eq!(drain(&mut q), [(8, 2), (95, 1)]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn earlier_event_reprioritizes_in_place() {
-        let mut q = IndexedEventQueue::new(2);
-        q.schedule(0, ev(50, 0, 0, true));
-        // Out-of-order (earlier) event for the same source becomes its head.
-        q.schedule(0, ev(20, 1, 0, false));
-        q.schedule(1, ev(30, 2, 1, true));
-        let (_, first) = q.pop().unwrap();
-        assert_eq!((first.time, first.seq), (20, 1));
-        let (_, second) = q.pop().unwrap();
-        assert_eq!((second.time, second.seq), (30, 2));
-        let (_, third) = q.pop().unwrap();
-        assert_eq!((third.time, third.seq), (50, 0));
+        // A source's later-scheduled but earlier-due event pops first.
+        let mut q = EventWheel::new(2, 15);
+        q.schedule(0, ev(50, 0, true));
+        q.schedule(0, ev(20, 0, false));
+        q.schedule(1, ev(30, 1, true));
+        q.schedule(0, ev(3, 0, true));
+        assert_eq!(drain(&mut q), [(3, 0), (20, 0), (30, 1), (50, 0)]);
     }
 
     #[test]
+    fn far_and_direct_events_due_together_pop_in_schedule_order() {
+        let mut q = EventWheel::new(3, 7);
+        q.schedule(0, ev(20, 0, true)); // far: past the 8-slot window
+        q.schedule(1, ev(6, 1, true));
+        assert_eq!(q.pop().map(|(s, e)| (e.time, s)), Some((6, 1)));
+        q.schedule(1, ev(13, 1, false));
+        assert_eq!(q.pop().map(|(s, e)| (e.time, s)), Some((13, 1)));
+        // The window now reaches 20, so this one lands in the slot directly.
+        q.schedule(2, ev(20, 2, true));
+        assert_eq!(drain(&mut q), [(20, 0), (20, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn scheduling_in_the_past_panics() {
+        let mut q = EventWheel::new(2, 7);
+        q.schedule(0, ev(5, 0, true));
+        q.pop();
+        q.schedule(1, ev(4, 1, true));
+    }
+
+    /// The reference: a global heap keyed by `(time, issue counter)`.
+    type Reference = BinaryHeap<Reverse<(u64, u64, usize, usize, bool)>>;
+
+    #[test]
     fn differential_against_global_binary_heap() {
-        // Random schedules (per-source nondecreasing times, plus occasional
-        // out-of-order external events) must pop in exactly the order a
-        // global (time, seq) heap produces — interleaved with random cancels
-        // mirrored on both sides.
+        // Random schedules, pops and cancels on wheels of 1 to 512 slots,
+        // mirrored on a global heap. Times follow the simulator's contract:
+        // never before the last popped time. Per source they mostly grow,
+        // sometimes fall back towards that time (still earlier than the
+        // source's own pending events), and sometimes jump several windows
+        // ahead into the far heap. Each pop's (time, source, net, value),
+        // the length and every source's membership must agree after every
+        // operation.
         let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF);
-        for round in 0..50 {
+        const SIZES: [u64; 7] = [1, 2, 16, 32, 64, 128, 512];
+        let (mut far, mut far_cancels, mut revolutions) = (0, 0, [0; 7]);
+        for round in 0..140 {
+            let size = SIZES[round % 7];
             let sources = 1 + (rng.next_u64() % 12) as usize;
-            let mut q = IndexedEventQueue::new(sources);
-            let mut reference: BinaryHeap<Reverse<(u64, u64, usize, bool)>> = BinaryHeap::new();
+            let mut q = EventWheel::new(sources, size - 1);
+            let mut reference = Reference::new();
             let mut last_time = vec![0u64; sources];
-            let mut seq = 0u64;
-            let mut popped = Vec::new();
-            let mut expected = Vec::new();
-            for _ in 0..200 {
+            let (mut now, mut issued) = (0u64, 0u64);
+            for op in 0..2_000 {
+                let s = (rng.next_u64() % sources as u64) as usize;
                 match rng.next_u64() % 10 {
-                    0..=6 => {
-                        let s = (rng.next_u64() % sources as u64) as usize;
-                        // Mostly nondecreasing per source; sometimes earlier.
-                        let t = if rng.next_u64() % 8 == 0 {
-                            rng.next_u64() % 100
-                        } else {
-                            last_time[s] + rng.next_u64() % 10
+                    0..=5 => {
+                        let base = last_time[s].max(now);
+                        let t = match rng.next_u64() % 16 {
+                            0 | 1 => now + rng.next_u64() % (base - now + 1),
+                            2 => base + size * (1 + rng.next_u64() % 4) + rng.next_u64() % 3,
+                            _ => base + rng.next_u64() % size.min(10),
                         };
+                        far += u32::from(t - now >= size);
                         last_time[s] = last_time[s].max(t);
-                        let v = rng.next_u64() % 2 == 0;
-                        q.schedule(s, ev(t, seq, s, v));
-                        reference.push(Reverse((t, seq, s, v)));
-                        seq += 1;
+                        let (net, v) = (s + sources * (issued % 3) as usize, t % 3 == 0);
+                        q.schedule(s, ev(t, net, v));
+                        reference.push(Reverse((t, issued, s, net, v)));
+                        issued += 1;
                     }
-                    7 => {
-                        let s = (rng.next_u64() % sources as u64) as usize;
+                    6 => {
+                        let queued_far = reference
+                            .iter()
+                            .any(|Reverse((t, _, src, ..))| *src == s && t - now >= size);
+                        far_cancels += u32::from(queued_far);
                         q.cancel(s);
-                        let keep: Vec<_> = reference
-                            .drain()
-                            .filter(|Reverse((_, _, src, _))| *src != s)
-                            .collect();
-                        reference = keep.into_iter().collect();
+                        reference.retain(|Reverse((_, _, src, ..))| *src != s);
                     }
                     _ => {
-                        let got = q.pop().map(|(_, e)| (e.time, e.seq, e.net.0, e.value));
-                        let want = reference.pop().map(|Reverse(x)| x);
-                        popped.push(got);
-                        expected.push(want);
+                        let got = q.pop().map(|(src, e)| (e.time, src, e.net.0, e.value));
+                        let want = reference.pop().map(|Reverse((t, _, s, n, v))| (t, s, n, v));
+                        assert_eq!(got, want, "round {round} op {op}: pop");
+                        if let Some((t, ..)) = got {
+                            revolutions[round % 7] += t / size - now / size;
+                            now = t;
+                        }
                     }
                 }
+                assert_eq!(q.len(), reference.len(), "round {round} op {op}: len");
+                let mut queued = vec![false; sources];
+                for Reverse((_, _, src, ..)) in reference.iter() {
+                    queued[*src] = true;
+                }
+                for (src, &queued) in queued.iter().enumerate() {
+                    assert_eq!(q.contains(src), queued, "round {round} op {op}: {src}");
+                }
             }
-            while let Some((_, e)) = q.pop() {
-                popped.push(Some((e.time, e.seq, e.net.0, e.value)));
+            while let Some(Reverse((t, _, s, n, v))) = reference.pop() {
+                let got = q.pop().map(|(src, e)| (e.time, src, e.net.0, e.value));
+                assert_eq!(got, Some((t, s, n, v)), "round {round}: drain");
             }
-            while let Some(Reverse(x)) = reference.pop() {
-                expected.push(Some(x));
-            }
-            assert_eq!(popped, expected, "round {round}");
-            assert!(q.is_empty());
+            assert_eq!(q.pop(), None);
         }
+        // The histories reach the far heap, cancel it and wrap every wheel.
+        assert!(
+            far > 5_000 && far_cancels > 500 && revolutions.iter().all(|&r| r > 1_000),
+            "{far} {far_cancels} {revolutions:?}"
+        );
     }
 }

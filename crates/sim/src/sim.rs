@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::queue::{IndexedEventQueue, ScheduledEvent};
+use crate::queue::{EventWheel, ScheduledEvent};
 use crate::{DelayModel, Fanout, NetId, Netlist};
 
 /// Recorded value changes on a monitored net: `(time, new_value)` pairs in
@@ -213,10 +213,13 @@ impl<'a> SimulatorBuilder<'a> {
             gate_delays[gi] = delay;
         }
         let gate_words = num_gates.div_ceil(64);
+        let dff_delay = self.delay_model.max_delay();
+        // The wheel spans the longest delay a gate or flip-flop schedules.
+        let span = gate_delays.iter().copied().fold(dff_delay, u64::max);
         let mut sim = Simulator {
             netlist,
             gate_delays,
-            dff_delay: self.delay_model.max_delay(),
+            dff_delay,
             style: self.style,
             event_budget: self.event_budget,
             values: vec![false; num_nets],
@@ -224,10 +227,9 @@ impl<'a> SimulatorBuilder<'a> {
             true_counts: vec![0; num_gates],
             // Sources: one per gate (gate-originated transitions) plus one
             // per net (externally driven: inputs and flip-flop outputs).
-            queue: IndexedEventQueue::new(num_gates + num_nets),
+            queue: EventWheel::new(num_gates + num_nets, span),
             fanout: netlist.fanout(),
             time: 0,
-            seq: 0,
             events_processed: 0,
             toggles: vec![0; num_nets],
             toggled: Vec::new(),
@@ -254,11 +256,10 @@ impl<'a> SimulatorBuilder<'a> {
 
 /// Event-driven gate-level simulator over a [`Netlist`].
 ///
-/// Built via [`Simulator::builder`]. Scheduling runs on an
-/// [`IndexedEventQueue`] — one FIFO per event source (gate or externally
-/// driven net) under a position-indexed heap — so inertial-mode supersession
-/// cancels transitions in place instead of leaving stale tombstones, and gate
-/// re-evaluation is O(1) via per-gate true-input counters maintained
+/// Built via [`Simulator::builder`]. Scheduling runs on a timing wheel with
+/// one slot per time unit over the longest delay, so a schedule is an append,
+/// a pop a slot read and an inertial-mode supersession a counter bump, and
+/// gate re-evaluation is O(1) via per-gate true-input counters maintained
 /// incrementally along the fanout CSR.
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -273,11 +274,10 @@ pub struct Simulator<'a> {
     /// Per-gate count of currently-true input connections, with multiplicity,
     /// which evaluates any gate in O(1). Every value change keeps it current.
     true_counts: Vec<u32>,
-    queue: IndexedEventQueue,
+    queue: EventWheel,
     /// The netlist's fanout, driver and flip-flop clock indexes.
     fanout: &'a Fanout,
     time: u64,
-    seq: u64,
     events_processed: u64,
     /// Per-net value changes within the current budgeted run (oscillation
     /// diagnosis).
@@ -385,11 +385,9 @@ impl<'a> Simulator<'a> {
     pub fn schedule_input(&mut self, net: NetId, value: bool, delta: u64) {
         let event = ScheduledEvent {
             time: self.time + delta,
-            seq: self.seq,
             net,
             value,
         };
-        self.seq += 1;
         let source = self.netlist.num_gates() + net.0;
         self.queue.schedule(source, event);
     }
@@ -577,9 +575,13 @@ impl<'a> Simulator<'a> {
                 // The dropped event and the queued ones leave gates that
                 // disagree with their outputs.
                 self.mark_all_stale();
-                return Err(self.budget_error(processed, event.net));
+                let error = self.budget_error(processed, event.net);
+                // The queue has reached the dropped event's time; later
+                // schedules start there.
+                self.time = event.time;
+                return Err(error);
             }
-            self.time = self.time.max(event.time);
+            self.time = event.time;
             self.apply(source, event);
         }
         Ok(self.time)
@@ -631,7 +633,8 @@ impl<'a> Simulator<'a> {
         }
 
         // Rising-edge flip-flops clocked by this net sample *before* the
-        // combinational fanout walk (scheduling order fixes global seq order).
+        // combinational fanout walk (schedule order is delivery order at
+        // equal times).
         if event.value && !old {
             for &di in self.fanout.clocked_dffs(net) {
                 let dff = &self.netlist.dffs()[di as usize];
@@ -639,11 +642,9 @@ impl<'a> Simulator<'a> {
                 let sampled = self.values[dff.data.0];
                 let ev = ScheduledEvent {
                     time: event.time + self.dff_delay,
-                    seq: self.seq,
                     net: q,
                     value: sampled,
                 };
-                self.seq += 1;
                 let source = self.netlist.num_gates() + q.0;
                 self.queue.schedule(source, ev);
             }
@@ -671,7 +672,7 @@ impl<'a> Simulator<'a> {
                 DelayStyle::Inertial => {
                     if new_val == self.values[self.netlist.gates()[gi].output.0] {
                         // The change was rescinded before it could happen:
-                        // remove the outstanding transition in place.
+                        // cancel the outstanding transition.
                         self.queue.cancel(gi);
                         self.pending[gi] = new_val;
                     } else if new_val != self.pending[gi] || !self.queue.contains(gi) {
@@ -693,11 +694,9 @@ impl<'a> Simulator<'a> {
     fn schedule_gate_event(&mut self, gate_index: usize, now: u64, value: bool) {
         let ev = ScheduledEvent {
             time: now + self.gate_delays[gate_index],
-            seq: self.seq,
             net: self.netlist.gates()[gate_index].output,
             value,
         };
-        self.seq += 1;
         self.queue.schedule(gate_index, ev);
     }
 
@@ -846,6 +845,23 @@ mod tests {
         let end = sim.run_until_quiet().unwrap();
         assert_eq!(sim.value(out), !initial);
         assert!(end >= 5 + 4, "four unit delays must elapse, got {end}");
+    }
+
+    #[test]
+    fn delays_past_the_largest_wheel_still_deliver_in_order() {
+        // A ring spanning a 2^40 delay would not fit in memory: the wheel
+        // stops at its largest size and longer delays take its far heap.
+        let (nl, input, out) = inverter_chain(3);
+        let delay = 1 << 40;
+        let mut sim = Simulator::builder(&nl)
+            .delay_model(DelayModel::Fixed(delay))
+            .event_budget(100)
+            .build();
+        sim.settle().unwrap();
+        let (start, initial) = (sim.time(), sim.value(out));
+        sim.schedule_input(input, true, 5);
+        assert_eq!(sim.run_until_quiet(), Ok(start + 5 + 3 * delay));
+        assert_eq!(sim.value(out), !initial);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Scheduler parity: the indexed-queue simulator (`fantom_sim`) must behave
+//! Scheduler parity: the timing-wheel simulator (`fantom_sim`) must behave
 //! exactly like the retired global `BinaryHeap` scheduler
 //! (`fantom_bench::heap_sim::HeapSimulator`) on the benchmark corpus.
 //!
 //! Transport mode is compared event-for-event (identical processed-event
-//! counts — the two schedulers pop the same `(time, seq)` stream) on top of
-//! identical waveforms. Inertial mode is compared on applied-value traces:
-//! the old scheduler popped stale superseded events as tombstones, so its
-//! processed count is an upper bound on the new one, but every committed
-//! value change — and therefore every waveform and final state — must match.
+//! counts — both schedulers deliver events in `(time, schedule order)`) on
+//! top of identical waveforms. Inertial mode is compared on applied-value
+//! traces: the old scheduler popped stale superseded events as tombstones,
+//! so its processed count is an upper bound on the new one, but every
+//! committed value change — and therefore every waveform and final state —
+//! must match.
 
 use fantom_bench::heap_sim::{HeapDelayStyle, HeapSimulator};
 use fantom_flow::benchmarks;
@@ -182,8 +183,8 @@ fn inertial_mode_matches_the_heap_scheduler_on_applied_values() {
             );
             // The old scheduler popped superseded events as tombstones —
             // advancing its clock and its event count on each — while the
-            // indexed queue cancels them in place, so it can only do less of
-            // both.
+            // timing wheel skips cancelled entries uncounted, so it can only
+            // do less of both.
             assert!(
                 new_sim.time() <= old_sim.time(),
                 "{name}: {} > {} final time under {model:?}",
