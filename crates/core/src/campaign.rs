@@ -172,7 +172,9 @@ pub struct CampaignReport {
     pub unprotected_steps: u64,
     /// Simulator events processed across the whole campaign.
     pub events: u64,
-    /// Steps whose initial fixpoint could not be established.
+    /// Steps whose initial fixpoint could not be established, or whose
+    /// fixpoint is not a stable total state (some `y` disagrees with its
+    /// `Y`).
     pub init_failures: u64,
     /// The checks of protected steps, which must all pass.
     pub protected: StepChecks,
@@ -361,6 +363,16 @@ fn min_gate_delay(model: &DelayModel) -> u64 {
     }
 }
 
+/// `true` when every present-state net `y` agrees with its next-state net
+/// `Y`. The initialization holds `y` at the source code and skips the
+/// feedback buffers that drive it, so nothing is queued to correct a `y`
+/// that its `Y` disagrees with. A step that starts from a stable total
+/// state and settles also ends in one: every feedback buffer has evaluated
+/// its latest input by then, so only the start needs the check.
+fn is_stable_total_state(machine: &FantomNetlist, sim: &Simulator<'_>) -> bool {
+    (machine.y.iter().zip(&machine.y_next)).all(|(&y, &next)| sim.value(y) == sim.value(next))
+}
+
 /// Run one delay assignment: build the simulator once, drive the selected
 /// transitions through it, and count what happened.
 fn run_assignment(
@@ -430,7 +442,7 @@ fn run_assignment(
             .chain(machine.y.iter().zip(from_code.as_slice()))
             .map(|(&net, &bit)| (net, bit))
             .collect();
-        if harness.init(&fixed).is_err() {
+        if harness.init(&fixed).is_err() || !is_stable_total_state(machine, harness.sim()) {
             counters.init_failures += 1;
             counters.events += harness.sim().events_processed();
             harness = Harness::new(build(), options.oracle);

@@ -21,10 +21,12 @@
 //! pins a third configuration, `mutants`, whose counters are not zero: each
 //! small-corpus machine under the `oracle` options, emitted from two
 //! corrupted results, one with `fsv` forced to 0 (named `<machine>+fsv0`)
-//! and one with `Y1` complemented (`<machine>+notY1`). Their wrong final
-//! states and outputs differ between protected and unprotected steps, so a
-//! check counted in the wrong class, dropped in a merge or rendered in the
-//! wrong place moves the golden.
+//! and one with `Y1` complemented (`<machine>+notY1`). The `+fsv0` wrong
+//! final states and outputs differ between protected and unprotected steps,
+//! so a check counted in the wrong class, dropped in a merge or rendered in
+//! the wrong place moves the golden. A `+notY1` machine's `Y1` disagrees
+//! with `y1` in every source state, so every one of its steps is an init
+//! failure: no step may start from a total state that is not stable.
 //!
 //! Each configuration is a separate test so the harness runs them in
 //! parallel.
