@@ -14,7 +14,7 @@
 //! * a slot is appended in schedule order, and every entry in it is due at
 //!   the one time of the window `[now, now + slots)` that maps to it;
 //! * an event due past the window (only a long external delay reaches there)
-//!   waits in a small heap ordered by `(time, issue order)` and moves into
+//!   waits in a small heap ordered by `(time, schedule order)` and moves into
 //!   its slot as soon as the window reaches its time, before any later
 //!   schedule can land in that slot.
 //!
@@ -63,7 +63,7 @@ struct Source {
 const MAX_SLOTS: u64 = 1 << 16;
 
 /// Timing wheel over a fixed set of event sources (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct EventWheel {
     /// `slots[t & mask]` holds the entries due at `t`, for `t` in the window
     /// `[now, now + slots.len())`, in schedule order.
@@ -75,9 +75,10 @@ pub(crate) struct EventWheel {
     head: usize,
     /// Time of the last popped event: the start of the window.
     now: u64,
-    /// Events due past the window, by `(time, issue order)`.
+    /// Events due past the window, by `(time, schedule order)`.
     far: BinaryHeap<Reverse<(u64, u64, Entry)>>,
-    far_issued: u64,
+    /// The next far event's rank in schedule order.
+    far_next: u64,
     sources: Vec<Source>,
     /// Live events over all sources.
     len: usize,
@@ -95,7 +96,7 @@ impl EventWheel {
             head: 0,
             now: 0,
             far: BinaryHeap::new(),
-            far_issued: 0,
+            far_next: 0,
             sources: vec![Source::default(); num_sources],
             len: 0,
         }
@@ -133,8 +134,8 @@ impl EventWheel {
         if event.time - self.now < self.slots.len() as u64 {
             self.push_slot(event.time, entry);
         } else {
-            self.far.push(Reverse((event.time, self.far_issued, entry)));
-            self.far_issued += 1;
+            self.far.push(Reverse((event.time, self.far_next, entry)));
+            self.far_next += 1;
         }
     }
 
@@ -218,8 +219,9 @@ impl EventWheel {
         if state.live > 0 {
             self.len -= state.live as usize;
             state.live = 0;
-            // An entry survives at most until the window passes it, so the
-            // epoch cannot wrap around onto a queued entry.
+            // Wrapping back onto a still-queued entry would take 2^32
+            // schedule-and-cancel rounds of this source before the window
+            // reaches that entry.
             state.epoch = state.epoch.wrapping_add(1);
         }
     }
@@ -305,6 +307,13 @@ mod tests {
     }
 
     #[test]
+    fn slot_entries_are_16_bytes() {
+        // No time and no sequence number: the slot holds the one, the
+        // schedule order the other.
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
     #[should_panic(expected = "event scheduled in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventWheel::new(2, 7);
@@ -313,7 +322,7 @@ mod tests {
         q.schedule(1, ev(4, 1, true));
     }
 
-    /// The reference: a global heap keyed by `(time, issue counter)`.
+    /// The reference: a global heap keyed by `(time, schedule counter)`.
     type Reference = BinaryHeap<Reverse<(u64, u64, usize, usize, bool)>>;
 
     #[test]
@@ -335,7 +344,7 @@ mod tests {
             let mut q = EventWheel::new(sources, size - 1);
             let mut reference = Reference::new();
             let mut last_time = vec![0u64; sources];
-            let (mut now, mut issued) = (0u64, 0u64);
+            let (mut now, mut scheduled) = (0u64, 0u64);
             for op in 0..2_000 {
                 let s = (rng.next_u64() % sources as u64) as usize;
                 match rng.next_u64() % 10 {
@@ -348,10 +357,10 @@ mod tests {
                         };
                         far += u32::from(t - now >= size);
                         last_time[s] = last_time[s].max(t);
-                        let (net, v) = (s + sources * (issued % 3) as usize, t % 3 == 0);
+                        let (net, v) = (s + sources * (scheduled % 3) as usize, t % 3 == 0);
                         q.schedule(s, ev(t, net, v));
-                        reference.push(Reverse((t, issued, s, net, v)));
-                        issued += 1;
+                        reference.push(Reverse((t, scheduled, s, net, v)));
+                        scheduled += 1;
                     }
                     6 => {
                         let queued_far = reference

@@ -561,7 +561,8 @@ impl<'a> Simulator<'a> {
     ///
     /// On budget exhaustion, returns [`SimError::Oscillation`] naming the
     /// busiest net when some net kept toggling, and
-    /// [`SimError::BudgetExhausted`] otherwise.
+    /// [`SimError::BudgetExhausted`] otherwise. The event past the budget is
+    /// dropped, and the clock moves on to its time.
     pub fn run_until_quiet(&mut self) -> Result<u64, SimError> {
         for &net in &self.toggled {
             self.toggles[net as usize] = 0;
