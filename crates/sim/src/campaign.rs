@@ -416,6 +416,8 @@ impl<'a> Harness<'a> {
 mod tests {
     use super::*;
     use crate::{DelayStyle, GateKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn derive_seed_is_deterministic_and_spread() {
@@ -555,6 +557,189 @@ mod tests {
         let wave = harness.sim().waveform(y).unwrap();
         let changes = wave.windows(2).filter(|w| w[0].1 != w[1].1).count();
         assert!(changes >= 2, "glitch recorded: {wave:?}");
+    }
+
+    /// A random netlist for the differential test of step verdicts, with its
+    /// slow gates and its inputs. Random gates over four inputs and a few
+    /// internal nets make cyclic logic, duplicated inputs and nets with
+    /// several drivers; some of them are slow feedback gates. Fixed gadgets
+    /// make every verdict occur:
+    ///
+    /// * the latch `q = NOR(x, qb)`, `qb = NOR(x, q)`, released by one input:
+    ///   the oracle sets `q`, and a simulator whose `qb` gate is faster
+    ///   settles the other way;
+    /// * two slow cross-coupled NORs released by one input: the oracle's
+    ///   simultaneous slow rounds never settle, while an inertial simulator
+    ///   settles on the faster gate;
+    /// * two flip-flops clocked and fed through racing gates, so what they
+    ///   capture depends on the delays. The random gates and an AND with an
+    ///   input read one `q`; no gate reads or drives the other.
+    fn verdict_netlist(rng: &mut StdRng) -> (Netlist, Vec<usize>, Vec<NetId>) {
+        const KINDS: [GateKind; 8] = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let mut nl = Netlist::new();
+        let inputs: Vec<NetId> = (0..4)
+            .map(|i| nl.add_primary_input(format!("x{i}")))
+            .collect();
+        let input = |rng: &mut StdRng| inputs[rng.gen_range(0..inputs.len())];
+        let internal: Vec<NetId> = (0..rng.gen_range(2..7usize))
+            .map(|i| nl.add_net(format!("n{i}")))
+            .collect();
+        let (q, qb) = (nl.add_net("q"), nl.add_net("qb"));
+        let x = input(rng);
+        nl.add_gate(GateKind::Nor, vec![x, qb], q);
+        nl.add_gate(GateKind::Nor, vec![x, q], qb);
+        let (u, ub) = (nl.add_net("u"), nl.add_net("ub"));
+        let x = input(rng);
+        let mut slow = vec![
+            nl.add_gate(GateKind::Nor, vec![x, ub], u),
+            nl.add_gate(GateKind::Nor, vec![x, u], ub),
+        ];
+        let mut unread = NetId(0);
+        for read in [true, false] {
+            let (clock, data, q) = (nl.add_net("c"), nl.add_net("d"), nl.add_net("ff"));
+            nl.add_gate(GateKind::Buf, vec![input(rng)], clock);
+            nl.add_gate(GateKind::Not, vec![input(rng)], data);
+            nl.add_dff(clock, data, q);
+            if read {
+                let r = nl.add_net("r");
+                nl.add_gate(GateKind::And, vec![q, input(rng)], r);
+            } else {
+                unread = q;
+            }
+        }
+        let readable: Vec<NetId> = (0..nl.num_nets())
+            .map(NetId)
+            .filter(|&n| n != unread)
+            .collect();
+        for g in 0..rng.gen_range(1..internal.len() + 4) {
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let fanin: Vec<NetId> = (0..rng.gen_range(1..4usize))
+                .map(|_| readable[rng.gen_range(0..readable.len())])
+                .collect();
+            let gi = nl.add_gate(kind, fanin, internal[g % internal.len()]);
+            if rng.gen_bool(0.15) {
+                slow.push(gi);
+            }
+        }
+        (nl, slow, inputs)
+    }
+
+    /// A fresh oracle's prediction for `changes` from the state of `sim`.
+    fn fresh_prediction<'a>(
+        sim: &Simulator<'a>,
+        changes: &[(NetId, bool, u64)],
+    ) -> (ZeroDelayOracle<'a>, Result<(), NetId>) {
+        let mut oracle = ZeroDelayOracle::with_slow_gates(sim.netlist(), sim.slow_gates());
+        oracle.load(sim);
+        for &(net, value, _) in changes {
+            oracle.set(net, value);
+        }
+        let settled = oracle.settle();
+        (oracle, settled)
+    }
+
+    /// The verdict on a step that `fresh_prediction` predicted and that
+    /// ended in `sim` with `error`.
+    fn fresh_verdict(
+        (oracle, settled): (ZeroDelayOracle<'_>, Result<(), NetId>),
+        sim: &Simulator<'_>,
+        error: Option<&SimError>,
+    ) -> OracleVerdict {
+        let netlist = sim.netlist();
+        match (settled, error) {
+            (_, Some(_)) => OracleVerdict::Skipped,
+            (Err(net), None) => OracleVerdict::Unstable { net },
+            (Ok(()), None) => {
+                let is_q = |n: usize| netlist.dffs().iter().any(|dff| dff.q.0 == n);
+                (0..netlist.num_nets())
+                    .find(|&n| oracle.values()[n] != sim.net_values()[n] && !is_q(n))
+                    .map_or(OracleVerdict::Agreed, |n| OracleVerdict::Disagreed {
+                        net: NetId(n),
+                    })
+            }
+        }
+    }
+
+    /// Every step verdict equals that of a fresh oracle loaded from the
+    /// simulator state the step started from. Each random netlist replays
+    /// one input sequence under several delay models and both delay styles,
+    /// initializing before each step and rebuilding the harness after a
+    /// failed initialization or step, as campaigns do.
+    #[test]
+    fn step_verdicts_match_a_fresh_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x0AC1_E5EE);
+        let mut seen = [0usize; 4];
+        for case in 0..120 {
+            let (nl, slow, inputs) = verdict_netlist(&mut rng);
+            // Per step: the inputs held by the initialization, and the change.
+            let steps: Vec<_> = (0..10)
+                .map(|_| {
+                    let from: Vec<bool> = inputs.iter().map(|_| rng.gen_bool(0.5)).collect();
+                    let flips = rng.gen_range(1..16usize);
+                    let changes: Vec<(NetId, bool, u64)> = (0..inputs.len())
+                        .filter(|&i| flips >> i & 1 == 1)
+                        .map(|i| (inputs[i], !from[i], rng.gen_range(1..3u64)))
+                        .collect();
+                    let fixed: Vec<(NetId, bool)> = inputs.iter().copied().zip(from).collect();
+                    (fixed, changes)
+                })
+                .collect();
+            let mut models = vec![DelayModel::Unit, DelayModel::Fixed(2), DelayModel::Fixed(4)];
+            models.extend((0..3).map(|_| DelayModel::Random {
+                min: 1,
+                max: 4,
+                seed: rng.next_u64(),
+            }));
+            for model in &models {
+                for style in [DelayStyle::Transport, DelayStyle::Inertial] {
+                    let build = || {
+                        let mut builder = Simulator::builder(&nl)
+                            .delay_model(model.clone())
+                            .style(style)
+                            .event_budget(400);
+                        for (k, &gi) in slow.iter().enumerate() {
+                            builder = builder.gate_delay(gi, 30 + 2 * k as u64);
+                        }
+                        builder.build()
+                    };
+                    let mut harness = Harness::new(build(), true);
+                    for (step, (fixed, changes)) in steps.iter().enumerate() {
+                        if harness.init(fixed).is_err() {
+                            harness = Harness::new(build(), true);
+                            continue;
+                        }
+                        let prediction = fresh_prediction(harness.sim(), changes);
+                        let outcome = harness.step(changes);
+                        let expected =
+                            fresh_verdict(prediction, harness.sim(), outcome.error.as_ref());
+                        assert_eq!(
+                            outcome.oracle, expected,
+                            "case {case} {model:?} {style:?} step {step}"
+                        );
+                        seen[match expected {
+                            OracleVerdict::Agreed => 0,
+                            OracleVerdict::Disagreed { .. } => 1,
+                            OracleVerdict::Unstable { .. } => 2,
+                            OracleVerdict::Skipped => 3,
+                        }] += 1;
+                        if outcome.error.is_some() {
+                            harness = Harness::new(build(), true);
+                        }
+                    }
+                }
+            }
+        }
+        // Every verdict occurs.
+        assert!(seen.iter().all(|&n| n > 400), "{seen:?}");
     }
 
     #[test]
