@@ -18,7 +18,10 @@
 //!   feedback buffers updated only once the logic has settled (the
 //!   loop-delay assumption the simulator enforces with their long delays),
 //!   and the event-driven simulator must agree wherever the machine's
-//!   behaviour is delay-independent.
+//!   behaviour is delay-independent. The prediction does not depend on the
+//!   delays, so each worker computes a transition's prediction once and
+//!   serves it to its later assignments from a
+//!   [`fantom_sim::campaign::OracleMemo`].
 //!
 //! ## Protected vs. unprotected transitions
 //!
@@ -47,7 +50,7 @@
 use fantom_boolean::hazard::is_static_hazard_free;
 use fantom_flow::{Bits, FlowTable, StableTransition};
 use fantom_sim::analysis;
-use fantom_sim::campaign::{derive_seed, DelaySweep, Harness, OracleVerdict};
+use fantom_sim::campaign::{derive_seed, DelaySweep, Harness, OracleMemo, OracleVerdict};
 use fantom_sim::{DelayModel, DelayStyle, NetId, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -301,6 +304,19 @@ pub fn run_campaign_sparse(
     result: &SparseSynthesisResult,
     options: &CampaignOptions,
 ) -> CampaignReport {
+    campaign_with_fills(result, options).0
+}
+
+/// [`run_campaign_sparse`], and how many zero-delay predictions the
+/// workers' oracle memos computed.
+///
+/// Each worker lends its own memo to the harness of every assignment it
+/// runs, so a transition's prediction is computed once per worker and
+/// served to its later assignments.
+pub(crate) fn campaign_with_fills(
+    result: &SparseSynthesisResult,
+    options: &CampaignOptions,
+) -> (CampaignReport, u64) {
     let parts = &MachineParts::from(result);
     let machine = emit_parts(parts, options.loop_stages);
     let transitions = parts.table.stable_transitions();
@@ -314,19 +330,26 @@ pub fn run_campaign_sparse(
         analytic: analytic_verdicts(parts),
         ..CampaignReport::empty(&machine)
     };
+    let mut fills = 0;
     if !transitions.is_empty() {
         let reports = claim_pool(
             options.workers,
             options.assignments,
-            || (),
-            |_, a| run_assignment(parts, &machine, &transitions, &protected, options, a),
+            || OracleMemo::with_capacity(transitions.len()),
+            |memo, a| {
+                let before = memo.fills();
+                let report =
+                    run_assignment(parts, &machine, &transitions, &protected, options, memo, a);
+                (report, memo.fills() - before)
+            },
         );
-        for c in &reports {
+        for (c, f) in &reports {
             merged.merge(c);
+            fills += f;
         }
     }
 
-    merged
+    (merged, fills)
 }
 
 /// A transition is *protected* when every intermediate input column of the
@@ -374,13 +397,15 @@ fn is_stable_total_state(machine: &FantomNetlist, sim: &Simulator<'_>) -> bool {
 }
 
 /// Run one delay assignment: build the simulator once, drive the selected
-/// transitions through it, and count what happened.
-fn run_assignment(
+/// transitions through it, and count what happened. With the oracle on, the
+/// worker's `memo` predicts each transition's zero-delay fixpoint.
+fn run_assignment<'a>(
     parts: &MachineParts<'_>,
-    machine: &FantomNetlist,
+    machine: &'a FantomNetlist,
     transitions: &[StableTransition],
     protected: &[bool],
     options: &CampaignOptions,
+    memo: &mut OracleMemo<'a>,
     assignment: usize,
 ) -> CampaignReport {
     let model = DELAYS.model_for_trial(options.seed, assignment);
@@ -408,7 +433,8 @@ fn run_assignment(
     };
 
     let mut counters = CampaignReport::empty(machine);
-    let mut harness = Harness::new(build(), options.oracle);
+    let mut memo = options.oracle.then_some(memo);
+    let mut harness = Harness::new(build(), memo.as_deref_mut());
 
     let all = options.sequences_per_assignment == 0
         || options.sequences_per_assignment >= transitions.len();
@@ -445,7 +471,7 @@ fn run_assignment(
         if harness.init(&fixed).is_err() || !is_stable_total_state(machine, harness.sim()) {
             counters.init_failures += 1;
             counters.events += harness.sim().events_processed();
-            harness = Harness::new(build(), options.oracle);
+            harness = Harness::new(build(), memo.as_deref_mut());
             continue;
         }
 
@@ -463,7 +489,7 @@ fn run_assignment(
                 (net, t.to_input.bit(i), 1 + skew)
             })
             .collect();
-        let outcome = harness.step(&changes);
+        let outcome = harness.step(ti, &changes);
         counters.steps += 1;
         let checks = if protected[ti] {
             counters.protected_steps += 1;
@@ -476,7 +502,7 @@ fn run_assignment(
         if outcome.error.is_some() {
             checks.settle_failures += 1;
             counters.events += harness.sim().events_processed();
-            harness = Harness::new(build(), options.oracle);
+            harness = Harness::new(build(), memo.as_deref_mut());
             continue;
         }
 
@@ -564,6 +590,23 @@ mod tests {
         assert!(report.steps > 0);
         assert!(report.protected_steps > 0);
         assert!(report.is_clean(), "{}", report.render());
+    }
+
+    /// A worker's oracle memo serves every assignment after its first, so
+    /// one worker settles the oracle once per stable transition, however
+    /// many assignments it runs.
+    #[test]
+    fn one_worker_settles_the_oracle_once_per_transition() {
+        let result = lion();
+        let transitions = result.reduced_table.stable_transitions().len() as u64;
+        let (report, fills) = campaign_with_fills(&result, &small_options());
+        assert_eq!(report.steps, 8 * transitions);
+        assert_eq!(fills, transitions);
+        let no_oracle = CampaignOptions {
+            oracle: false,
+            ..small_options()
+        };
+        assert_eq!(campaign_with_fills(&result, &no_oracle).1, 0);
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!   evaluator (the `rva` propagation idiom) that predicts the zero-delay
 //!   fixpoint after an input change, used as a differential reference for the
 //!   event-driven simulator's settled state;
-//! * [`Harness`] — a [`Simulator`] + oracle pair that drives one trial step
-//!   by step, reporting per-step timing windows and oracle verdicts.
+//! * [`OracleMemo`] — the oracle's predictions, kept bit-packed per step key
+//!   across the delay assignments of one campaign worker and served again
+//!   whenever a step starts from the state a prediction was computed from;
+//! * [`Harness`] — a [`Simulator`] plus a borrowed memo that drives one trial
+//!   step by step, reporting per-step timing windows and oracle verdicts.
 //!
 //! The machine-aware campaign driver (which transitions to exercise, which
 //! outputs are analytically hazard-free, report aggregation, parallel seeds)
@@ -91,6 +94,11 @@ impl DelaySweep {
 /// dirty ones together, so a transient next-state value never reaches the
 /// feedback — as in the simulator, where the long inertial loop delay
 /// filters it.
+///
+/// A settle depends on the loaded state and the input change, never on the
+/// simulator's delays. A harness therefore runs the oracle through an
+/// [`OracleMemo`], which settles it only for a start state the memo has not
+/// seen under the step's key.
 #[derive(Debug)]
 pub struct ZeroDelayOracle<'a> {
     netlist: &'a Netlist,
@@ -317,29 +325,179 @@ impl StepOutcome {
     }
 }
 
-/// A simulator plus optional zero-delay oracle, driven step by step.
+/// Zero-delay predictions kept across the harnesses of one campaign worker.
 ///
-/// The harness owns the per-trial mechanics shared by every campaign: sync
-/// the oracle to the simulator's committed state before each input change,
-/// apply the change to both, run the simulator to quiescence, and compare
-/// settled values on every combinationally driven net.
-#[derive(Debug)]
-pub struct Harness<'a> {
-    sim: Simulator<'a>,
+/// At zero delay the oracle's prediction for an input change depends on the
+/// simulator state the change starts from, not on the delay assignment. A
+/// campaign worker steps every transition once per delay assignment, nearly
+/// always from the same start state, so the memo keeps one entry per step
+/// key (a campaign passes the transition index): the start state and the
+/// settled state, bit-packed one bit per net in one flat arena, and the net
+/// the oracle found unstable, if any.
+///
+/// An entry serves a step only when the simulator's start state equals the
+/// stored one on every net the oracle can read or write: every net but the
+/// flip-flop outputs that no gate reads or drives, which a prediction
+/// carries through unchanged and the settled comparison skips. Any other
+/// start state runs the oracle and overwrites the entry, so every verdict is
+/// the one a freshly loaded oracle gives. A key must always come with the
+/// same input change.
+///
+/// The memo serves one netlist and one set of slow gates; a harness that
+/// brings another clears it.
+#[derive(Debug, Default)]
+pub struct OracleMemo<'a> {
+    /// The oracle that fills entries.
     oracle: Option<ZeroDelayOracle<'a>>,
-    /// Per net: `true` for flip-flop outputs, which the oracle cannot predict.
-    dff_q: &'a [bool],
+    /// Words per packed state: one bit per net.
+    words: usize,
+    /// The nets a start state must match on.
+    key_mask: Vec<u64>,
+    /// The nets the settled comparison checks: all but flip-flop outputs.
+    compare_mask: Vec<u64>,
+    /// Per key: the oracle's result, once filled.
+    predictions: Vec<Option<Result<(), NetId>>>,
+    /// Per key: the packed start state, then the packed settled state.
+    arena: Vec<u64>,
+    /// The simulator's packed state, scratch of each step.
+    packed: Vec<u64>,
+    /// Predictions computed.
+    fills: u64,
 }
 
-impl<'a> Harness<'a> {
-    /// Wrap a built simulator; `use_oracle` enables the differential check,
-    /// with an oracle that shares the netlist's indexes with the simulator.
-    pub fn new(sim: Simulator<'a>, use_oracle: bool) -> Self {
+impl<'a> OracleMemo<'a> {
+    /// A memo with room for the keys `0..keys` once it knows the netlist, so
+    /// its arena is allocated once.
+    pub fn with_capacity(keys: usize) -> Self {
+        OracleMemo {
+            predictions: Vec::with_capacity(keys),
+            ..OracleMemo::default()
+        }
+    }
+
+    /// How many predictions the oracle has computed: one for every step the
+    /// memo could not serve.
+    pub fn fills(&self) -> u64 {
+        self.fills
+    }
+
+    /// Serve the simulators of `sim`'s netlist and slow gates, starting over
+    /// if the memo served others.
+    fn bind(&mut self, sim: &Simulator<'a>) {
         let netlist = sim.netlist();
-        let oracle =
-            use_oracle.then(|| ZeroDelayOracle::with_slow_gates(netlist, sim.slow_gates()));
-        let dff_q = netlist.fanout().dff_q();
-        Harness { sim, oracle, dff_q }
+        let slow = sim.slow_gates();
+        if let Some(oracle) = &self.oracle {
+            if std::ptr::eq(oracle.netlist, netlist) && oracle.slow == slow {
+                return;
+            }
+        }
+        let fanout = netlist.fanout();
+        let dff_q = fanout.dff_q();
+        // A prediction carries the flip-flop outputs that no gate reads or
+        // drives, whatever their values.
+        let keyed: Vec<bool> = (0..netlist.num_nets())
+            .map(|n| {
+                let (start, end) = fanout.row_bounds(n);
+                !dff_q[n] || start < end || !fanout.drivers(n).is_empty()
+            })
+            .collect();
+        let compared: Vec<bool> = dff_q.iter().map(|&q| !q).collect();
+        self.words = keyed.len().div_ceil(64);
+        self.key_mask = vec![0; self.words];
+        self.compare_mask = vec![0; self.words];
+        pack(&keyed, &mut self.key_mask);
+        pack(&compared, &mut self.compare_mask);
+        self.packed = vec![0; self.words];
+        self.predictions.clear();
+        self.arena.clear();
+        self.arena
+            .reserve_exact(self.predictions.capacity() * 2 * self.words);
+        self.oracle = Some(ZeroDelayOracle::with_slow_gates(netlist, slow));
+    }
+
+    /// Make entry `key` predict `changes` from the state of `sim`: keep it
+    /// if its start state matches, otherwise run the oracle and overwrite
+    /// it.
+    fn predict(&mut self, sim: &Simulator<'_>, key: usize, changes: &[(NetId, bool, u64)]) {
+        let words = self.words;
+        pack(sim.net_values(), &mut self.packed);
+        if key >= self.predictions.len() {
+            self.predictions.resize(key + 1, None);
+            self.arena.resize((key + 1) * 2 * words, 0);
+        }
+        let (start, settled) = self.arena[2 * key * words..][..2 * words].split_at_mut(words);
+        let same_start = (start.iter().zip(&self.packed).zip(&self.key_mask))
+            .all(|((s, p), m)| (s ^ p) & m == 0);
+        if self.predictions[key].is_some() && same_start {
+            return;
+        }
+        let oracle = self.oracle.as_mut().expect("bound to a simulator");
+        oracle.load(sim);
+        for &(net, value, _) in changes {
+            oracle.set(net, value);
+        }
+        let prediction = oracle.settle();
+        if prediction.is_ok() {
+            pack(oracle.values(), settled);
+        }
+        start.copy_from_slice(&self.packed);
+        self.predictions[key] = Some(prediction);
+        self.fills += 1;
+    }
+
+    /// The verdict of entry `key` on a step that settled in `sim`: the
+    /// lowest net, flip-flop outputs aside, whose settled value differs
+    /// from the prediction.
+    fn verdict(&mut self, sim: &Simulator<'_>, key: usize) -> OracleVerdict {
+        if let Some(Err(net)) = self.predictions[key] {
+            return OracleVerdict::Unstable { net };
+        }
+        let words = self.words;
+        pack(sim.net_values(), &mut self.packed);
+        let settled = &self.arena[(2 * key + 1) * words..][..words];
+        (settled.iter().zip(&self.packed).zip(&self.compare_mask))
+            .map(|((s, p), m)| (s ^ p) & m)
+            .enumerate()
+            .find(|&(_, diff)| diff != 0)
+            .map_or(OracleVerdict::Agreed, |(w, diff)| {
+                OracleVerdict::Disagreed {
+                    net: NetId(w * 64 + diff.trailing_zeros() as usize),
+                }
+            })
+    }
+}
+
+/// Pack `values` one bit per net: net `n` is bit `n % 64` of word `n / 64`.
+fn pack(values: &[bool], words: &mut [u64]) {
+    for (word, chunk) in words.iter_mut().zip(values.chunks(64)) {
+        *word = (chunk.iter().enumerate()).fold(0, |w, (i, &v)| w | u64::from(v) << i);
+    }
+}
+
+/// A simulator plus optional zero-delay oracle, driven step by step.
+///
+/// The harness owns the per-trial mechanics shared by every campaign: get
+/// the zero-delay prediction of each input change from the simulator's
+/// committed state before the change, apply the change, run the simulator to
+/// quiescence, and compare settled values on every combinationally driven
+/// net. The predictions come from an [`OracleMemo`] the harness borrows, so
+/// they outlive it: a campaign worker lends one memo to the harness of each
+/// delay assignment in turn.
+#[derive(Debug)]
+pub struct Harness<'a, 'm> {
+    sim: Simulator<'a>,
+    /// The predictions, when the differential check is enabled.
+    memo: Option<&'m mut OracleMemo<'a>>,
+}
+
+impl<'a, 'm> Harness<'a, 'm> {
+    /// Wrap a built simulator; a `memo` enables the differential check
+    /// against the zero-delay oracle, and holds its predictions.
+    pub fn new(sim: Simulator<'a>, mut memo: Option<&'m mut OracleMemo<'a>>) -> Self {
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.bind(&sim);
+        }
+        Harness { sim, memo }
     }
 
     /// The wrapped simulator.
@@ -360,25 +518,20 @@ impl<'a> Harness<'a> {
     /// Apply one input-change step: each `(net, value, delta)` is scheduled
     /// `delta` time units from now (skewed multiple-input changes use
     /// distinct deltas), the simulator runs to quiescence, and the settled
-    /// state is compared against the zero-delay fixpoint.
+    /// state is compared against the zero-delay fixpoint that the memo holds
+    /// under `key`, the step's name for this input change.
     ///
-    /// The oracle starts from the simulator's committed values and
-    /// true-input counters ([`ZeroDelayOracle::load`]), so besides that copy
-    /// and the settled-state comparison a step costs only the gates the
-    /// change reaches, in both engines.
-    pub fn step(&mut self, changes: &[(NetId, bool, u64)]) -> StepOutcome {
+    /// The memo serves the prediction when the step starts from the state it
+    /// was computed from. Otherwise the oracle starts from the simulator's
+    /// committed values and true-input counters ([`ZeroDelayOracle::load`])
+    /// and costs only the gates the change reaches. Either way the start
+    /// state and the settled state are each packed and compared word by
+    /// word.
+    pub fn step(&mut self, key: usize, changes: &[(NetId, bool, u64)]) -> StepOutcome {
         let start_time = self.sim.time() + 1;
         // Predict the fixpoint from the pre-step committed state.
-        let mut oracle_verdict = OracleVerdict::Skipped;
-        if let Some(oracle) = self.oracle.as_mut() {
-            oracle.load(&self.sim);
-            for &(net, value, _) in changes {
-                oracle.set(net, value);
-            }
-            oracle_verdict = match oracle.settle() {
-                Ok(()) => OracleVerdict::Agreed, // refined after the sim runs
-                Err(net) => OracleVerdict::Unstable { net },
-            };
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.predict(&self.sim, key, changes);
         }
         for &(net, value, delta) in changes {
             self.sim.schedule_input(net, value, delta.max(1));
@@ -387,27 +540,15 @@ impl<'a> Harness<'a> {
             Ok(t) => (t, None),
             Err(e) => (self.sim.time(), Some(e)),
         };
-        if error.is_none() {
-            if let (OracleVerdict::Agreed, Some(oracle)) = (oracle_verdict, self.oracle.as_ref()) {
-                let sim_values = self.sim.net_values();
-                let mismatch = oracle
-                    .values()
-                    .iter()
-                    .zip(sim_values.iter())
-                    .enumerate()
-                    .find(|&(n, (o, s))| o != s && !self.dff_q[n]);
-                if let Some((n, _)) = mismatch {
-                    oracle_verdict = OracleVerdict::Disagreed { net: NetId(n) };
-                }
-            }
-        } else {
-            oracle_verdict = OracleVerdict::Skipped;
-        }
+        let oracle = match self.memo.as_deref_mut() {
+            Some(memo) if error.is_none() => memo.verdict(&self.sim, key),
+            _ => OracleVerdict::Skipped,
+        };
         StepOutcome {
             start_time,
             end_time,
             error,
-            oracle: oracle_verdict,
+            oracle,
         }
     }
 }
@@ -524,9 +665,10 @@ mod tests {
             .gate_delay(3, 20)
             .event_budget(1_000)
             .build();
-        let mut harness = Harness::new(sim, true);
+        let mut memo = OracleMemo::default();
+        let mut harness = Harness::new(sim, Some(&mut memo));
         harness.init(&[(a, false)]).unwrap();
-        let outcome = harness.step(&[(a, true, 1)]);
+        let outcome = harness.step(0, &[(a, true, 1)]);
         assert_eq!(outcome.oracle, OracleVerdict::Agreed);
         assert!(!harness.sim().value(y));
     }
@@ -547,9 +689,10 @@ mod tests {
             .event_budget(1_000)
             .monitor(y)
             .build();
-        let mut harness = Harness::new(sim, true);
+        let mut memo = OracleMemo::default();
+        let mut harness = Harness::new(sim, Some(&mut memo));
         harness.init(&[(a, false)]).unwrap();
-        let outcome = harness.step(&[(a, true, 1)]);
+        let outcome = harness.step(0, &[(a, true, 1)]);
         assert!(outcome.is_clean(), "outcome {outcome:?}");
         assert_eq!(outcome.oracle, OracleVerdict::Agreed);
         assert!(!harness.sim().value(y));
@@ -670,16 +813,24 @@ mod tests {
     }
 
     /// Every step verdict equals that of a fresh oracle loaded from the
-    /// simulator state the step started from. Each random netlist replays
-    /// one input sequence under several delay models and both delay styles,
+    /// simulator state the step started from, while one memo serves all the
+    /// simulators of a netlist. Each random netlist replays one input
+    /// sequence under several delay models and both delay styles,
     /// initializing before each step and rebuilding the harness after a
     /// failed initialization or step, as campaigns do.
     #[test]
     fn step_verdicts_match_a_fresh_oracle() {
         let mut rng = StdRng::seed_from_u64(0x0AC1_E5EE);
-        let mut seen = [0usize; 4];
+        // Verdicts seen, and served from the memo, per kind.
+        let (mut seen, mut served) = ([0usize; 4], [0usize; 4]);
+        // Served steps whose start state differs from the stored one.
+        let mut served_unread_q = 0;
         for case in 0..120 {
             let (nl, slow, inputs) = verdict_netlist(&mut rng);
+            let unread_q = |n: usize| {
+                nl.dffs().iter().any(|dff| dff.q.0 == n)
+                    && (nl.gates().iter()).all(|g| g.output.0 != n && !g.inputs.contains(&NetId(n)))
+            };
             // Per step: the inputs held by the initialization, and the change.
             let steps: Vec<_> = (0..10)
                 .map(|_| {
@@ -699,6 +850,9 @@ mod tests {
                 max: 4,
                 seed: rng.next_u64(),
             }));
+            let mut memo = OracleMemo::default();
+            // Per step: the start state its memo entry was filled from.
+            let mut filled_from: Vec<Vec<bool>> = vec![Vec::new(); steps.len()];
             for model in &models {
                 for style in [DelayStyle::Transport, DelayStyle::Inertial] {
                     let build = || {
@@ -711,35 +865,50 @@ mod tests {
                         }
                         builder.build()
                     };
-                    let mut harness = Harness::new(build(), true);
+                    let mut harness = Harness::new(build(), Some(&mut memo));
                     for (step, (fixed, changes)) in steps.iter().enumerate() {
+                        let at = format!("case {case} {model:?} {style:?} step {step}");
                         if harness.init(fixed).is_err() {
-                            harness = Harness::new(build(), true);
+                            harness = Harness::new(build(), Some(&mut memo));
                             continue;
                         }
+                        let start = harness.sim().net_values().to_vec();
+                        let fills = harness.memo.as_ref().map(|memo| memo.fills);
                         let prediction = fresh_prediction(harness.sim(), changes);
-                        let outcome = harness.step(changes);
+                        let outcome = harness.step(step, changes);
                         let expected =
                             fresh_verdict(prediction, harness.sim(), outcome.error.as_ref());
-                        assert_eq!(
-                            outcome.oracle, expected,
-                            "case {case} {model:?} {style:?} step {step}"
-                        );
-                        seen[match expected {
+                        assert_eq!(outcome.oracle, expected, "{at}");
+                        let kind = match expected {
                             OracleVerdict::Agreed => 0,
                             OracleVerdict::Disagreed { .. } => 1,
                             OracleVerdict::Unstable { .. } => 2,
                             OracleVerdict::Skipped => 3,
-                        }] += 1;
+                        };
+                        seen[kind] += 1;
+                        if harness.memo.as_ref().map(|memo| memo.fills) == fills {
+                            // Served: the start state differs from the stored
+                            // one on unread flip-flop outputs only.
+                            let differ: Vec<usize> = (0..start.len())
+                                .filter(|&n| start[n] != filled_from[step][n])
+                                .collect();
+                            assert!(differ.iter().all(|&n| unread_q(n)), "{at}: {differ:?}");
+                            served[kind] += 1;
+                            served_unread_q += usize::from(!differ.is_empty());
+                        } else {
+                            filled_from[step] = start;
+                        }
                         if outcome.error.is_some() {
-                            harness = Harness::new(build(), true);
+                            harness = Harness::new(build(), Some(&mut memo));
                         }
                     }
                 }
             }
         }
-        // Every verdict occurs.
+        // Every verdict occurs, and the memo serves each kind.
         assert!(seen.iter().all(|&n| n > 400), "{seen:?}");
+        assert!(served.iter().all(|&n| n > 300), "{served:?}");
+        assert!(served_unread_q > 300, "{served_unread_q}");
     }
 
     #[test]
@@ -749,9 +918,9 @@ mod tests {
         let y = nl.add_net("y");
         nl.add_gate(GateKind::Buf, vec![a], y);
         let sim = Simulator::builder(&nl).event_budget(100).build();
-        let mut harness = Harness::new(sim, false);
+        let mut harness = Harness::new(sim, None);
         harness.init(&[]).unwrap();
-        let outcome = harness.step(&[(a, true, 1)]);
+        let outcome = harness.step(0, &[(a, true, 1)]);
         assert_eq!(outcome.oracle, OracleVerdict::Skipped);
         assert!(outcome.error.is_none());
         assert!(harness.sim().value(y));

@@ -30,8 +30,10 @@
 //!   delay sweeps ([`campaign::DelaySweep`]), the zero-delay differential
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
 //!   propagation over true-input counters, with the slow feedback gates held
-//!   until the rest of the logic settles), and the per-trial
-//!   [`campaign::Harness`],
+//!   until the rest of the logic settles), the per-worker
+//!   [`campaign::OracleMemo`] that settles the oracle once per transition
+//!   and start state rather than once per delay assignment, and the
+//!   per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!
