@@ -445,9 +445,9 @@ impl<'a> OracleMemo<'a> {
         self.fills += 1;
     }
 
-    /// The verdict of entry `key` on a step that settled in `sim`: the
-    /// lowest net, flip-flop outputs aside, whose settled value differs
-    /// from the prediction.
+    /// The verdict of entry `key` on a step that settled in `sim`: the net
+    /// the oracle found unstable, or else the lowest net, flip-flop outputs
+    /// aside, whose settled value differs from the prediction.
     fn verdict(&mut self, sim: &Simulator<'_>, key: usize) -> OracleVerdict {
         if let Some(Err(net)) = self.predictions[key] {
             return OracleVerdict::Unstable { net };
@@ -474,7 +474,7 @@ fn pack(values: &[bool], words: &mut [u64]) {
     }
 }
 
-/// A simulator plus optional zero-delay oracle, driven step by step.
+/// A simulator plus an optional zero-delay oracle memo, driven step by step.
 ///
 /// The harness owns the per-trial mechanics shared by every campaign: get
 /// the zero-delay prediction of each input change from the simulator's
