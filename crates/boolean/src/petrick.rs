@@ -275,6 +275,84 @@ mod tests {
         assert!(cf.implemented_by(&cover));
     }
 
+    /// 64-bit FNV-1a of a cover's rendering.
+    fn digest(cover: &Cover) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for &b in cover.to_string().as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// A function over 3 + `split` variables whose fragment count is known
+    /// in closed form, with its primes. The on-set is the four cubes
+    /// `000`, `010`, `100` and `110` with every split variable free, plus
+    /// the minterm `001` + `1…1` when `extra` is set; the off-set is empty.
+    /// The primes, in order, are `0-0`, `1-0` and `-10` (each holding two
+    /// of the four cubes whole), `--1`, and one prime `x_v = 1` per split
+    /// variable `v`, which halves every fragment that leaves `v` free: the
+    /// four cubes end in 4 × 2^`split` fragments and the minterm in one.
+    ///
+    /// `0-0` and `1-0` are essential and cover the four cubes. The
+    /// sharp-based greedy takes `-10` first (it ties the two on whole cubes
+    /// and comes last), so a fallback shows in the cover.
+    fn splitting_function(split: usize, extra: bool) -> (CoverFunction, Vec<Cube>) {
+        let n = 3 + split;
+        let free = "-".repeat(split);
+        let mut on: Vec<String> = ["000", "010", "100", "110"]
+            .iter()
+            .map(|item| format!("{item}{free}"))
+            .collect();
+        if extra {
+            on.push(format!("001{}", "1".repeat(split)));
+        }
+        let on = Cover::parse(n, &on.join(" ")).unwrap();
+        let f = CoverFunction::from_on_off(on, Cover::empty(n)).unwrap();
+        let mut primes: Vec<Cube> = ["0-0", "1-0", "-10", "--1"]
+            .iter()
+            .map(|p| Cube::parse(&format!("{p}{free}")).unwrap())
+            .collect();
+        primes.extend((3..n).map(|v| Cube::universe(n).with_literal(v, crate::Literal::One)));
+        (f, primes)
+    }
+
+    /// The cover of a [`splitting_function`], checked valid, with its cube
+    /// count and digest, and whether it is the sharp-based greedy's.
+    fn split_cover(split: usize, extra: bool) -> (usize, u64, bool) {
+        let (f, primes) = splitting_function(split, extra);
+        let cover = minimum_cover_sparse(&f, &primes);
+        assert!(f.implemented_by(&cover));
+        let greedy = cover == greedy_sharp_cover(&f, &primes);
+        (cover.cube_count(), digest(&cover), greedy)
+    }
+
+    #[test]
+    fn fragment_limit_admits_exactly_2048_fragments() {
+        // 4 × 2^9 = 2,048 fragments: the covering table runs and keeps the
+        // two essential primes.
+        let (f, primes) = splitting_function(9, false);
+        let cover = minimum_cover_sparse(&f, &primes);
+        assert_eq!(cover.to_string(), "0-0--------- + 1-0---------");
+        assert_eq!(split_cover(9, false), (2, 0x0bdf_6223_3f23_8415, false));
+    }
+
+    #[test]
+    fn fragment_limit_trips_at_2049_fragments() {
+        // The minterm adds one fragment, 2,049 in all, only once every
+        // prime has split the four cubes: the greedy runs instead.
+        assert_eq!(split_cover(9, true), (4, 0xa1cf_17a0_1381_7c24, true));
+    }
+
+    #[test]
+    fn fragment_limit_trips_when_splits_cross_it() {
+        // Four rows, each split into 2^11 = 2,048 fragments: the first row
+        // alone reaches the limit without passing it, and the second row's
+        // splits cross it; the prime-by-prime pass crosses it at the tenth
+        // of the eleven splitting primes.
+        assert_eq!(split_cover(11, false), (3, 0x04c9_54a3_9137_1593, true));
+    }
+
     #[test]
     fn greedy_fallback_still_valid() {
         // A moderately large function whose residual table exceeds the exact
