@@ -365,7 +365,7 @@ impl Cube {
     }
 
     /// Overwrite the literal at position `var` in place.
-    fn set_literal(&mut self, var: usize, lit: Literal) {
+    pub(crate) fn set_literal(&mut self, var: usize, lit: Literal) {
         debug_assert!(var < self.num_vars);
         let shift = Self::shift(var);
         let word = &mut self.words_mut()[var / SLOTS_PER_WORD];
@@ -380,6 +380,28 @@ impl Cube {
     pub fn with_literal(&self, var: usize, lit: Literal) -> Cube {
         assert!(var < self.num_vars, "variable index out of range");
         let mut cube = self.clone();
+        cube.set_literal(var, lit);
+        cube
+    }
+
+    /// The cube over one more variable: this cube's literals, then `lit` at
+    /// position `num_vars()`. The new field is written into the packed
+    /// padding (canonically `11`, so only `lit`'s field changes); a cube of
+    /// a multiple of 32 variables grows by one word.
+    pub fn appended(&self, lit: Literal) -> Cube {
+        let var = self.num_vars;
+        let repr = match &self.repr {
+            Repr::Inline(w) if var < SLOTS_PER_WORD => Repr::Inline(*w),
+            _ => {
+                let mut words = self.words().to_vec();
+                words.resize(word_count(var + 1), !0u64);
+                Repr::Heap(words.into_boxed_slice())
+            }
+        };
+        let mut cube = Cube {
+            num_vars: var + 1,
+            repr,
+        };
         cube.set_literal(var, lit);
         cube
     }
@@ -405,6 +427,23 @@ impl Cube {
     /// Iterate over the literals in variable order.
     pub fn literals(&self) -> impl Iterator<Item = Literal> + '_ {
         (0..self.num_vars).map(move |v| self.literal(v))
+    }
+
+    /// The bound positions and their literals, in variable order, read off
+    /// the packed words: a bound field is one that is not `11` (padding
+    /// fields are `11`).
+    pub(crate) fn bound_literals(&self) -> impl Iterator<Item = (usize, Literal)> + '_ {
+        self.words().iter().enumerate().flat_map(|(i, &w)| {
+            let mut bound = !(w & (w >> 1)) & LO_BITS;
+            std::iter::from_fn(move || {
+                let low = bound.checked_ilog2()?;
+                bound &= !(1u64 << low);
+                Some((
+                    i * SLOTS_PER_WORD + SLOTS_PER_WORD - 1 - (low / 2) as usize,
+                    Literal::from_field((w >> low) & 0b11),
+                ))
+            })
+        })
     }
 
     /// Number of non-don't-care positions (the literal count of the product term).
@@ -563,21 +602,22 @@ impl Cube {
         if other.covers(self) {
             return Vec::new();
         }
+        // The positions to visit are the fields `11` in `self` and not `11`
+        // in `other` (padding is `11` in both), highest field first, which
+        // is variable order. The prefix's field there is still `11`, so
+        // XOR with `other`'s field flips it to the opposite literal and AND
+        // pins it to `other`'s literal.
         let mut out = Vec::new();
         let mut prefix = self.clone();
-        for var in 0..self.num_vars {
-            let ol = other.literal(var);
-            if ol == Literal::DontCare {
-                continue;
-            }
-            if self.literal(var) == Literal::DontCare {
-                let flipped = match ol {
-                    Literal::Zero => Literal::One,
-                    Literal::One => Literal::Zero,
-                    Literal::DontCare => unreachable!(),
-                };
-                out.push(prefix.with_literal(var, flipped));
-                prefix.set_literal(var, ol);
+        for (i, (a, b)) in self.zip_words(other).enumerate() {
+            let mut free = a & (a >> 1) & !(b & (b >> 1)) & LO_BITS;
+            while free != 0 {
+                let field = 0b11u64 << (63 - free.leading_zeros());
+                free &= !field;
+                let mut piece = prefix.clone();
+                piece.words_mut()[i] ^= b & field;
+                out.push(piece);
+                prefix.words_mut()[i] &= b | !field;
             }
         }
         out
@@ -933,5 +973,20 @@ mod tests {
         let a = Cube::parse("10-").unwrap();
         let b = Cube::parse("11-").unwrap();
         assert!(a < b);
+    }
+
+    #[test]
+    fn bound_literals_read_every_word_in_variable_order() {
+        // A fixed three-literal pattern repeated across widths that end
+        // inside a word, on its boundary, and one and two words past it.
+        for n in [0, 1, 5, 31, 32, 33, 64, 65, 96] {
+            let text: String = (0..n).map(|v| ['1', '-', '0', '-'][v % 4]).collect();
+            let cube = Cube::parse(&text).unwrap();
+            let expected: Vec<(usize, Literal)> = (0..n)
+                .map(|v| (v, cube.literal(v)))
+                .filter(|&(_, lit)| lit != Literal::DontCare)
+                .collect();
+            assert_eq!(cube.bound_literals().collect::<Vec<_>>(), expected, "n={n}");
+        }
     }
 }

@@ -131,6 +131,30 @@ impl RefCube {
         )
     }
 
+    /// The disjoint sharp, one literal at a time: for each variable bound
+    /// in `other` and free in `self`, the prefix with that variable flipped,
+    /// then the prefix pinned to `other`'s literal there.
+    fn sharp(&self, other: &RefCube) -> Vec<RefCube> {
+        if self.intersect(other).is_none() {
+            return vec![self.clone()];
+        }
+        let mut out = Vec::new();
+        let mut prefix = self.clone();
+        for (v, (&a, &b)) in self.0.iter().zip(&other.0).enumerate() {
+            if a == Literal::DontCare && b != Literal::DontCare {
+                let mut piece = prefix.clone();
+                piece.0[v] = if b == Literal::One {
+                    Literal::Zero
+                } else {
+                    Literal::One
+                };
+                out.push(piece);
+                prefix.0[v] = b;
+            }
+        }
+        out
+    }
+
     fn contains_minterm(&self, m: u64) -> bool {
         let n = self.0.len();
         self.0
@@ -376,6 +400,63 @@ fn word_boundary_with_literal_round_trips() {
                         assert_eq!(q.literal(u), expected, "n={n} v={v} u={u}");
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn disjoint_sharp_matches_reference() {
+    // Random pairs, pairs nested by `near`, and partly overlapping pairs (a
+    // nested cube with some positions freed again), in both directions.
+    let mut rng = Rng::new(0x100D);
+    for &n in WIDTHS {
+        for _ in 0..CASES_PER_WIDTH {
+            let a = RefCube::random(&mut rng, n, true);
+            let near = a.near(&mut rng);
+            let overlap = RefCube(
+                near.0
+                    .iter()
+                    .map(|&lit| {
+                        if rng.below(3) == 0 {
+                            Literal::DontCare
+                        } else {
+                            lit
+                        }
+                    })
+                    .collect(),
+            );
+            for b in [RefCube::random(&mut rng, n, true), near, overlap] {
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let expected: Vec<Cube> = x.sharp(y).iter().map(RefCube::to_packed).collect();
+                    assert_eq!(
+                        x.to_packed().sharp(&y.to_packed()),
+                        expected,
+                        "{x:?} # {y:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn appended_matches_reference_across_word_boundaries() {
+    // Appending a literal writes into the padding of the last word, or opens
+    // a word at 32 and 64 variables: the result must equal the cube built
+    // from the extended literal vector, equality and hash included.
+    let mut rng = Rng::new(0x100C);
+    for n in [0usize, 1, 5, 30, 31, 32, 33, 63, 64, 65, 96] {
+        for _ in 0..16 {
+            let r = RefCube::random(&mut rng, n, true);
+            for lit in [Literal::Zero, Literal::One, Literal::DontCare] {
+                let mut lits = r.0.clone();
+                lits.push(lit);
+                let expected = RefCube(lits);
+                let appended = r.to_packed().appended(lit);
+                assert_eq!(appended, expected.to_packed(), "n={n} {lit:?}");
+                assert_eq!(appended.to_string(), expected.display(), "n={n}");
+                assert_eq!(appended.literal_count(), expected.literal_count());
             }
         }
     }

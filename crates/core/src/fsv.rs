@@ -287,12 +287,6 @@ fn constrain_unspecified_intermediates_covers(spec: &SpecifiedTable, base: &mut 
     }
 }
 
-/// Append a literal for the new least-significant `fsv` variable to a cube
-/// over the `(x, y)` space, producing a cube over `(x, y, fsv)`.
-fn extend_cube(cube: &Cube, fsv: Literal) -> Cube {
-    Cube::new(cube.literals().chain(std::iter::once(fsv)).collect())
-}
-
 /// Extend a next-state cover function into the `(x, y, fsv)` space,
 /// complementing hazard-list minterms in the `fsv = 0` half (the cover form
 /// of [`extend_next_state`]). The `fsv = 1` half carries the base
@@ -319,32 +313,28 @@ fn extend_next_state_cover(
     let mut on: Vec<Cube> = Vec::new();
     let mut off: Vec<Cube> = Vec::new();
     // fsv = 1 half: the base function unchanged.
-    on.extend(base.on_cover().iter().map(|c| extend_cube(c, Literal::One)));
-    off.extend(
-        base.off_cover()
-            .iter()
-            .map(|c| extend_cube(c, Literal::One)),
-    );
+    on.extend(base.on_cover().iter().map(|c| c.appended(Literal::One)));
+    off.extend(base.off_cover().iter().map(|c| c.appended(Literal::One)));
     // fsv = 0 half: base minus the hazard points ...
     on.extend(
         base.on_cover()
             .sharp(&hp_cover)
             .iter()
-            .map(|c| extend_cube(c, Literal::Zero)),
+            .map(|c| c.appended(Literal::Zero)),
     );
     off.extend(
         base.off_cover()
             .sharp(&hp_cover)
             .iter()
-            .map(|c| extend_cube(c, Literal::Zero)),
+            .map(|c| c.appended(Literal::Zero)),
     );
     // ... with each hazard point held at its present (complemented) value.
     for &m in &hazard_points {
         let point = Cube::from_minterm(vars, m).expect("hazard minterm in range");
         if base.is_on(m) {
-            off.push(extend_cube(&point, Literal::Zero));
+            off.push(point.appended(Literal::Zero));
         } else if base.is_off(m) {
-            on.push(extend_cube(&point, Literal::Zero));
+            on.push(point.appended(Literal::Zero));
         }
         // A don't-care hazard point stays don't-care in both halves.
     }
