@@ -218,25 +218,53 @@ impl CoverFunction {
     }
 
     /// A set of prime implicants sufficient to cover the on-set, by greedy
-    /// expansion of each on-cube against the off-set cover: each widening
-    /// test is a word-parallel cube/cover intersection, and the result size
-    /// is bounded by the on-cover size rather than the total prime count
-    /// (which can be exponential for the don't-care-heavy functions of
-    /// flow-table synthesis).
+    /// expansion of each on-cube against the off-set cover: the bound
+    /// variables are freed one at a time in variable order, and a widening
+    /// is kept whenever the widened cube misses every off-cube. The result
+    /// size is bounded by the on-cover size rather than the total prime
+    /// count (which can be exponential for the don't-care-heavy functions
+    /// of flow-table synthesis); it comes sorted and without repeats.
+    ///
+    /// Each widening test is one AND of two candidate bitsets of the off-set
+    /// [`CoverIndex`](crate::CoverIndex). The off-cubes a cube intersects
+    /// are those that admit each of its bound literals (same phase or free
+    /// there). While variable `v` is tested, the widened cube binds the
+    /// literals kept before `v` and the original literals after it, so its
+    /// off-set candidates are the *prefix* bitset (the off-cubes that admit
+    /// every kept literal, updated as a literal is kept) ANDed with the
+    /// *suffix* bitset of the bound literals after `v`. The suffixes are
+    /// built once per on-cube, back to front, so a test costs one pass over
+    /// `ceil(|off| / 64)` words instead of one per bound literal.
     pub fn expand_primes(&self) -> Vec<Cube> {
         let off_index = crate::index::CoverIndex::build(&self.off);
-        let mut cand = Vec::new();
+        let words = off_index.used_words();
+        let mut bound: Vec<(usize, Literal)> = Vec::with_capacity(self.num_vars);
+        // `suffix[k * words..][..words]`: the off-cubes that admit every
+        // bound literal from the `k`-th on; block `bound.len()` is all cubes.
+        let mut suffix: Vec<u64> = Vec::new();
+        let mut prefix: Vec<u64> = vec![0; words];
         let mut out: Vec<Cube> = Vec::new();
         let mut seen: crate::collections::HashSet<Cube> = crate::collections::HashSet::default();
         for cube in self.on.cubes() {
+            bound.clear();
+            bound.extend(cube.bound_literals());
+            suffix.clear();
+            suffix.resize((bound.len() + 1) * words, 0);
+            off_index.fill_all(&mut suffix[bound.len() * words..]);
+            for (k, &(var, lit)) in bound.iter().enumerate().rev() {
+                let (head, ahead) = suffix.split_at_mut((k + 1) * words);
+                let block = &mut head[k * words..];
+                block.copy_from_slice(&ahead[..words]);
+                off_index.constrain(block, var, lit);
+            }
+            off_index.fill_all(&mut prefix);
             let mut grown = cube.clone();
-            for var in 0..self.num_vars {
-                if grown.literal(var) == Literal::DontCare {
-                    continue;
-                }
-                let widened = grown.with_literal(var, Literal::DontCare);
-                if !off_index.intersecting_candidates(&widened, &mut cand) {
-                    grown = widened;
+            for (k, &(var, lit)) in bound.iter().enumerate() {
+                let ahead = &suffix[(k + 1) * words..(k + 2) * words];
+                if prefix.iter().zip(ahead).all(|(p, a)| p & a == 0) {
+                    grown.set_literal(var, Literal::DontCare);
+                } else {
+                    off_index.constrain(&mut prefix, var, lit);
                 }
             }
             if seen.insert(grown.clone()) {

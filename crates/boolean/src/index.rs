@@ -100,10 +100,16 @@ impl CoverIndex {
 
     /// Build the index of `cover`.
     pub fn build(cover: &Cover) -> Self {
-        let mut index = CoverIndex::new(cover.num_vars());
-        index.buckets = vec![0u64; cover.cube_count().div_ceil(64) * cover.num_vars() * PHASES];
-        index.words = cover.cube_count().div_ceil(64);
-        for cube in cover.cubes() {
+        CoverIndex::of_cubes(cover.num_vars(), cover.cubes())
+    }
+
+    /// Build the index of `cubes`, each `num_vars` wide: cube `i` gets id
+    /// `i`, as in [`build`](Self::build).
+    pub(crate) fn of_cubes(num_vars: usize, cubes: &[Cube]) -> Self {
+        let mut index = CoverIndex::new(num_vars);
+        index.words = cubes.len().div_ceil(64);
+        index.buckets = vec![0u64; index.words * num_vars * PHASES];
+        for cube in cubes {
             index.push(cube);
         }
         index
@@ -126,9 +132,10 @@ impl CoverIndex {
     }
 
     /// Words actually holding cube bits (`ceil(len / 64)`); the remaining
-    /// `words - used_words` per bucket are zeroed growth headroom.
+    /// `words - used_words` per bucket are zeroed growth headroom. Every
+    /// candidate bitset is this long.
     #[inline]
-    fn used_words(&self) -> usize {
+    pub(crate) fn used_words(&self) -> usize {
         self.len.div_ceil(64)
     }
 
@@ -200,7 +207,7 @@ impl CoverIndex {
     /// together as it stores them, so the emptiness test needs no second
     /// pass.
     #[inline]
-    fn constrain(&self, cand: &mut [u64], var: usize, lit: Literal) -> bool {
+    pub(crate) fn constrain(&self, cand: &mut [u64], var: usize, lit: Literal) -> bool {
         let dc = self.bucket(var, phase_of(Literal::DontCare));
         let mut any = 0;
         match lit {
@@ -219,6 +226,14 @@ impl CoverIndex {
             }
         }
         any != 0
+    }
+
+    /// Set `cand` (`used_words` long) to every indexed cube: the candidate
+    /// bitset of the universe, before any constraint.
+    #[inline]
+    pub(crate) fn fill_all(&self, cand: &mut [u64]) {
+        cand.fill(!0u64);
+        mask_tail(cand, self.len);
     }
 
     /// Compute the covering-candidate bitset of `q` into `cand` (resized and
@@ -361,14 +376,14 @@ fn mask_tail(cand: &mut [u64], len: usize) {
 }
 
 /// Iterator over the set-bit positions of a word slice, ascending.
-struct BitIds<'a> {
+pub(crate) struct BitIds<'a> {
     words: &'a [u64],
     word_idx: usize,
     bits: u64,
 }
 
 impl<'a> BitIds<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
         BitIds {
             words,
             word_idx: 0,

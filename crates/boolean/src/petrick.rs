@@ -4,16 +4,20 @@
 //! sum-of-products: the essential primes plus a small selection of
 //! additional primes covering the rest of the on-set. The covering table is
 //! built cube-wise from a [`CoverFunction`] ([`minimum_cover_sparse`]), so no
-//! step enumerates minterms. The residual table left after the essential
-//! primes goes to the shared [`crate::covering`] solver: exactly, with the
-//! selection Petrick's method (product-of-sums expansion) would make —
-//! fewest primes, then fewest literals, ties in Petrick's order — when the
-//! table is small, and greedily past the exact-size limit or once the exact
-//! search spends its node budget, so that the synthesis pipeline stays fast
-//! on every benchmark.
+//! step enumerates minterms: each disjoint on-cube is fragmented against the
+//! primes it meets, one query on a prime [`CoverIndex`], and each fragment
+//! carries the bitset of the primes that cover it out of the splits, so the
+//! table's incidence is never searched for. The residual table left after
+//! the essential primes goes to the shared [`crate::covering`] solver:
+//! exactly, with the selection Petrick's method (product-of-sums expansion)
+//! would make — fewest primes, then fewest literals, ties in Petrick's
+//! order — when the table is small, and greedily past the exact-size limit
+//! or once the exact search spends its node budget, so that the synthesis
+//! pipeline stays fast on every benchmark.
 
+use crate::bitset::popcount;
 use crate::covering::{self, NODE_BUDGET};
-use crate::index::CoverIndex;
+use crate::index::{BitIds, CoverIndex};
 use crate::{Cover, CoverFunction, Cube, MintermSet};
 
 /// Upper bound on `primes × residual rows` for which the exact solve is
@@ -40,18 +44,32 @@ fn build_cover(num_vars: usize, primes: &[Cube], selected: &[usize]) -> Cover {
 /// enumerating minterms. The result is the "essential SOP expression" the
 /// paper refers to in Steps 4 and 6.
 ///
-/// The covering table is built **cover-based**: the on-set cubes are
-/// fragmented against the primes (splitting a row into its intersection with
-/// a prime and the disjoint-sharp remainder) until every fragment is either
-/// inside or disjoint from each prime. Fragments then play the role minterms
-/// play in the textbook table: fragments covered by exactly one prime make
-/// that prime essential. The residual table is solved exactly when small, by
+/// The covering table is built **cover-based**: each cube of the disjoint
+/// on-cover is fragmented against the primes that intersect it, in prime
+/// order (splitting a fragment into its intersection with a prime and the
+/// disjoint-sharp remainder), until every fragment is either inside or
+/// disjoint from each prime. A prime that misses the on-cube misses all of
+/// its fragments, so the rows, their order and their multiplicity are those
+/// of splitting the whole on-cover prime by prime. Fragments then play the
+/// role minterms play in the textbook table: fragments covered by exactly
+/// one prime make that prime essential.
+///
+/// Which primes cover a fragment is decided by the splits themselves: a
+/// piece inside a prime stays inside it and a piece outside stays outside,
+/// so each fragment inherits a bitset of its covering primes, one bit set
+/// per "inside" outcome, and the essentials, the residual rows and their
+/// candidates are bitset operations.
+///
+/// The residual table is solved exactly when small, by
 /// [`covering::minimum_cover`], which selects what Petrick's expansion would
 /// (fewest primes, then fewest literals, ties in Petrick's product order);
 /// larger tables, and searches that exhaust its node budget, by
-/// [`covering::greedy_cover`]. If fragmentation explodes past the internal
-/// `FRAGMENT_LIMIT` rows, a sharp-based greedy selection (repeatedly
-/// subtracting the best prime from the uncovered cover) is used instead.
+/// [`covering::greedy_cover`]. If fragmentation produces more than the
+/// internal `FRAGMENT_LIMIT` (2,048) rows, a sharp-based greedy selection
+/// (repeatedly subtracting the best prime from the uncovered cover) is used
+/// instead. Splitting never removes a row, so the row count only grows and
+/// the limit trips as soon as the rows produced so far pass it: exactly
+/// when the final count does.
 ///
 /// # Example
 ///
@@ -77,68 +95,43 @@ pub(crate) fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budg
     if primes.is_empty() || f.on_cover().is_empty() {
         return Cover::empty(n);
     }
+    let stride = primes.len().div_ceil(64);
+    let Some(rows) = fragment_incidence(f, primes, stride) else {
+        return greedy_sharp_cover(f, primes);
+    };
+    let rows = || rows.chunks_exact(stride);
 
-    // 1. Fragment the on-set against the primes.
-    let mut rows: Vec<Cube> = f.on_cover().make_disjoint().cubes().to_vec();
-    let mut next: Vec<Cube> = Vec::with_capacity(rows.len());
-    for p in primes {
-        next.clear();
-        for r in rows.drain(..) {
-            match r.intersect(p) {
-                None => next.push(r),
-                Some(_) if p.covers(&r) => next.push(r),
-                Some(inside) => {
-                    next.push(inside);
-                    next.extend(r.sharp(p));
-                }
-            }
-        }
-        std::mem::swap(&mut rows, &mut next);
-        if rows.len() > FRAGMENT_LIMIT {
-            return greedy_sharp_cover(f, primes);
+    // Essential primes: sole coverer of some fragment.
+    let mut essential = vec![0u64; stride];
+    for row in rows().filter(|row| popcount(row) == 1) {
+        for (e, w) in essential.iter_mut().zip(row) {
+            *e |= w;
         }
     }
+    let mut selected: Vec<usize> = BitIds::new(&essential).collect();
 
-    // 2. Incidence: which primes cover each fragment entirely — answered by
-    // the prime index's exact covering-candidate bitsets instead of a
-    // rows × primes containment scan.
-    let prime_index = CoverIndex::build(&Cover::from_cubes(n, primes.to_vec()));
-    let mut cand: Vec<u64> = Vec::new();
-    let mut ids: Vec<usize> = Vec::new();
-    let coverers: Vec<Vec<usize>> = rows
-        .iter()
-        .map(|r| {
-            prime_index.covering_ids(r, &mut cand, &mut ids);
-            ids.clone()
+    // Residual rows (covered, but by no essential prime) and their
+    // candidates, the union of their coverers.
+    let residual: Vec<&[u64]> = rows()
+        .filter(|row| {
+            row.iter().any(|&w| w != 0) && row.iter().zip(&essential).all(|(w, e)| w & e == 0)
         })
-        .collect();
-
-    // 3. Essential primes: sole coverer of some fragment.
-    let mut selected: Vec<usize> = Vec::new();
-    for c in &coverers {
-        if let [only] = c.as_slice() {
-            if !selected.contains(only) {
-                selected.push(*only);
-            }
-        }
-    }
-
-    // 4. Residual rows and candidates.
-    let residual: Vec<&Vec<usize>> = coverers
-        .iter()
-        .filter(|c| !c.is_empty() && !c.iter().any(|i| selected.contains(i)))
         .collect();
     if residual.is_empty() {
         return build_cover(n, primes, &selected);
     }
+    let mut union = vec![0u64; stride];
+    for row in &residual {
+        for (u, w) in union.iter_mut().zip(row.iter()) {
+            *u |= w;
+        }
+    }
+    let candidates: Vec<usize> = BitIds::new(&union).collect();
     // The residual table column-wise: the rows each candidate prime covers.
-    let mut candidates: Vec<usize> = residual.iter().flat_map(|r| r.iter().copied()).collect();
-    candidates.sort_unstable();
-    candidates.dedup();
     let mut covers = vec![MintermSet::new(residual.len() as u64); candidates.len()];
     for (r, row) in residual.iter().enumerate() {
-        for id in row.iter() {
-            covers[candidates.partition_point(|x| x < id)].insert(r as u64);
+        for id in BitIds::new(row) {
+            covers[candidates.partition_point(|&x| x < id)].insert(r as u64);
         }
     }
     let cost = |c: usize| primes[candidates[c]].literal_count();
@@ -150,6 +143,65 @@ pub(crate) fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budg
     let picked = exact.unwrap_or_else(|| covering::greedy_cover(&covers, residual.len()));
     selected.extend(picked.into_iter().map(|c| candidates[c]));
     build_cover(n, primes, &selected)
+}
+
+/// The rows of the covering table: one `stride`-word bitset per fragment of
+/// the disjoint on-cover, bit `i` set iff `primes[i]` covers the fragment,
+/// in the order and multiplicity of the prime-by-prime fragmentation of
+/// [`minimum_cover_sparse`]. `None` once more than `FRAGMENT_LIMIT`
+/// fragments have been produced.
+fn fragment_incidence(f: &CoverFunction, primes: &[Cube], stride: usize) -> Option<Vec<u64>> {
+    let prime_index = CoverIndex::of_cubes(f.num_vars(), primes);
+    let (mut cand, mut hits) = (Vec::new(), Vec::new());
+    let mut rows: Vec<u64> = Vec::new();
+    // One on-cube's fragments and their incidence bitsets, double-buffered.
+    let (mut pieces, mut next): (Vec<Cube>, Vec<Cube>) = (Vec::new(), Vec::new());
+    let (mut incidence, mut next_incidence): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    for cube in f.on_cover().make_disjoint().cubes() {
+        pieces.clear();
+        pieces.push(cube.clone());
+        incidence.clear();
+        incidence.resize(stride, 0);
+        prime_index.intersecting_ids(cube, &mut cand, &mut hits);
+        for &id in &hits {
+            let prime = &primes[id];
+            let (word, bit) = (id / 64, 1u64 << (id % 64));
+            next.clear();
+            next_incidence.clear();
+            for (piece, inc) in pieces.drain(..).zip(incidence.chunks_exact(stride)) {
+                let Some(inside) = piece.intersect(prime) else {
+                    next.push(piece);
+                    next_incidence.extend_from_slice(inc);
+                    continue;
+                };
+                let row = next_incidence.len();
+                next_incidence.extend_from_slice(inc);
+                next_incidence[row + word] |= bit;
+                if prime.covers(&piece) {
+                    next.push(piece);
+                    continue;
+                }
+                next.push(inside);
+                for outside in piece.sharp(prime) {
+                    next.push(outside);
+                    next_incidence.extend_from_slice(inc);
+                }
+            }
+            std::mem::swap(&mut pieces, &mut next);
+            std::mem::swap(&mut incidence, &mut next_incidence);
+            // Rows only grow, so once they pass the limit the final count
+            // does too: stopping here bounds the splitting work.
+            if rows.len() / stride + pieces.len() > FRAGMENT_LIMIT {
+                return None;
+            }
+        }
+        // The per-split test above never sees a row that no prime splits.
+        rows.extend_from_slice(&incidence);
+        if rows.len() / stride > FRAGMENT_LIMIT {
+            return None;
+        }
+    }
+    Some(rows)
 }
 
 /// Sharp-based greedy selection used when fragmentation is too expensive:
@@ -351,6 +403,33 @@ mod tests {
         // splits cross it; the prime-by-prime pass crosses it at the tenth
         // of the eleven splitting primes.
         assert_eq!(split_cover(11, false), (3, 0x04c9_54a3_9137_1593, true));
+    }
+
+    #[test]
+    fn fragment_limit_counts_rows_that_no_prime_splits() {
+        // 2,049 minterm rows over 12 variables. Only the first four meet a
+        // prime (`000-`, `001-` and `00-1` on the low four variables), so
+        // no split happens and the other 2,045 rows are never split at
+        // all: the row count alone passes the limit, and the greedy runs.
+        // It takes `00-1` first (a tie, and last), where the table would
+        // keep the two primes `000-` and `001-`.
+        let n = 12;
+        let on: Vec<Cube> = [0b0000, 0b0001, 0b0011, 0b0010]
+            .into_iter()
+            .chain(4..2_049)
+            .map(|m| Cube::from_minterm(n, m).unwrap())
+            .collect();
+        let f = CoverFunction::from_on_off(Cover::from_cubes(n, on), Cover::empty(n)).unwrap();
+        let primes: Vec<Cube> = ["000-", "001-", "00-1"]
+            .iter()
+            .map(|p| Cube::parse(&format!("{}{p}", "0".repeat(8))).unwrap())
+            .collect();
+        let cover = minimum_cover_sparse(&f, &primes);
+        assert_eq!(cover, greedy_sharp_cover(&f, &primes));
+        assert_eq!(
+            (cover.cube_count(), digest(&cover)),
+            (3, 0xc4d4_79bc_e10e_1e38)
+        );
     }
 
     #[test]
