@@ -281,6 +281,16 @@ impl CoverFunction {
     /// This is the reduction of SEANCE Steps 4 and 6 (the paper's
     /// "Quine-McCluskey reduction technique to produce an essential SOP
     /// expression").
+    ///
+    /// Both halves index one side and query it:
+    /// [`expand_primes`](Self::expand_primes) tests each widening with one
+    /// AND of a prefix and a suffix bitset over the off-set index, and the
+    /// covering table fragments each disjoint on-cube only against the
+    /// primes a query on the prime index says it meets, each fragment
+    /// inheriting the bitset of its covering primes from the splits. Past
+    /// 2,048 fragments the sharp-based greedy selection runs instead; since
+    /// fragments only grow in number, that is decided as soon as the count
+    /// passes the limit.
     pub fn minimize(&self) -> Cover {
         let primes = self.expand_primes();
         crate::petrick::minimum_cover_sparse(self, &primes)

@@ -504,6 +504,7 @@ impl Cube {
     }
 
     /// Whether this cube covers (is a superset of) `other`.
+    #[inline]
     pub fn covers(&self, other: &Cube) -> bool {
         debug_assert_eq!(self.num_vars, other.num_vars);
         match (&self.repr, &other.repr) {

@@ -32,6 +32,11 @@
 //!
 //! The index stores cube *indices*, not cubes; callers keep it in sync with
 //! the cover they query against (see [`IndexedCover`] for a bundled pair).
+//!
+//! Steps 4 and 6 use the same buckets crate-internally: prime expansion
+//! ANDs the per-literal `(same-phase ∪ don't-care)` bitsets of an off-set
+//! index into prefix and suffix candidate sets, and the covering table asks
+//! a prime index which primes each on-cube meets.
 
 use crate::bitset::popcount;
 use crate::{Cover, Cube, Literal};
