@@ -96,14 +96,14 @@ pub(crate) fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budg
         return Cover::empty(n);
     }
     let stride = primes.len().div_ceil(64);
-    let Some(rows) = fragment_incidence(f, primes, stride) else {
+    let Some(incidence) = fragment_incidence(f, primes, stride) else {
         return greedy_sharp_cover(f, primes);
     };
-    let rows = || rows.chunks_exact(stride);
+    let rows = incidence.chunks_exact(stride);
 
     // Essential primes: sole coverer of some fragment.
     let mut essential = vec![0u64; stride];
-    for row in rows().filter(|row| popcount(row) == 1) {
+    for row in rows.clone().filter(|row| popcount(row) == 1) {
         for (e, w) in essential.iter_mut().zip(row) {
             *e |= w;
         }
@@ -112,7 +112,7 @@ pub(crate) fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budg
 
     // Residual rows (covered, but by no essential prime) and their
     // candidates, the union of their coverers.
-    let residual: Vec<&[u64]> = rows()
+    let residual: Vec<&[u64]> = rows
         .filter(|row| {
             row.iter().any(|&w| w != 0) && row.iter().zip(&essential).all(|(w, e)| w & e == 0)
         })
@@ -122,7 +122,7 @@ pub(crate) fn minimum_cover_within(f: &CoverFunction, primes: &[Cube], node_budg
     }
     let mut union = vec![0u64; stride];
     for row in &residual {
-        for (u, w) in union.iter_mut().zip(row.iter()) {
+        for (u, w) in union.iter_mut().zip(*row) {
             *u |= w;
         }
     }
