@@ -4,8 +4,8 @@
 //! `CoverFunction::minimize`, whose prime expansion and covering table break
 //! ties by variable and prime order: a kernel change that keeps every cover
 //! valid can still move a cube, and a relabeled machine takes other tie
-//! paths than its base. The small corpus is pinned by `tests/golden/
-//! service_demo.txt` and the grid as the service runs it by
+//! paths than its base. The small corpus is pinned by
+//! `tests/golden/service_demo.txt` and the grid as the service runs it by
 //! `service_replay.txt`; `tests/golden/large_equations.txt` pins the rest.
 //!
 //! The machines are `benchmarks::large_suite()`, the `benchmarks/*.kiss`
