@@ -18,10 +18,14 @@
 //!   feedback buffers updated only once the logic has settled (the
 //!   loop-delay assumption the simulator enforces with their long delays),
 //!   and the event-driven simulator must agree wherever the machine's
-//!   behaviour is delay-independent. The prediction does not depend on the
-//!   delays, so each worker computes a transition's prediction once and
-//!   serves it to its later assignments from a
-//!   [`fantom_sim::campaign::OracleMemo`].
+//!   behaviour is delay-independent.
+//!
+//! Neither a step's initialization to its source state nor the oracle's
+//! prediction depends on the delays once the state the step starts from is
+//! fixed, so each worker keeps one [`fantom_sim::campaign::StepMemo`],
+//! keyed by transition index, across the assignments it runs: it runs a
+//! transition's initialization rounds and settles its oracle once and
+//! replays them to the later assignments, with the oracle off too.
 //!
 //! ## Protected vs. unprotected transitions
 //!
@@ -50,7 +54,7 @@
 use fantom_boolean::hazard::is_static_hazard_free;
 use fantom_flow::{Bits, FlowTable, StableTransition};
 use fantom_sim::analysis;
-use fantom_sim::campaign::{derive_seed, DelaySweep, Harness, OracleMemo, OracleVerdict};
+use fantom_sim::campaign::{derive_seed, DelaySweep, Harness, OracleVerdict, StepMemo};
 use fantom_sim::{DelayModel, DelayStyle, NetId, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,8 +70,10 @@ pub struct CampaignOptions {
     pub assignments: usize,
     /// Campaign seed; every delay draw and input skew derives from it.
     pub seed: u64,
-    /// Input-change steps per assignment; `0` exercises every stable
-    /// transition of the table once per assignment.
+    /// Input-change steps per assignment, each on a transition drawn from
+    /// the campaign seed. `0`, or any value at or above the number of
+    /// stable transitions, exercises every stable transition of the table
+    /// once per assignment, in order.
     pub sequences_per_assignment: usize,
     /// Worker threads; `0` uses the host's available parallelism.
     pub workers: usize,
@@ -307,16 +313,17 @@ pub fn run_campaign_sparse(
     campaign_with_fills(result, options).0
 }
 
-/// [`run_campaign_sparse`], and how many zero-delay predictions the
-/// workers' oracle memos computed.
+/// [`run_campaign_sparse`], and how many initializations ran their rounds
+/// and how many zero-delay predictions the oracle computed, over the
+/// workers' step memos.
 ///
 /// Each worker lends its own memo to the harness of every assignment it
-/// runs, so a transition's prediction is computed once per worker and
-/// served to its later assignments.
+/// runs, so a transition's initialization and prediction are computed once
+/// per worker and start state and served to its later assignments.
 pub(crate) fn campaign_with_fills(
     result: &SparseSynthesisResult,
     options: &CampaignOptions,
-) -> (CampaignReport, u64) {
+) -> (CampaignReport, Fills) {
     let parts = &MachineParts::from(result);
     let machine = emit_parts(parts, options.loop_stages);
     let transitions = parts.table.stable_transitions();
@@ -330,26 +337,40 @@ pub(crate) fn campaign_with_fills(
         analytic: analytic_verdicts(parts),
         ..CampaignReport::empty(&machine)
     };
-    let mut fills = 0;
+    let mut fills = Fills::default();
     if !transitions.is_empty() {
         let reports = claim_pool(
             options.workers,
             options.assignments,
-            || OracleMemo::with_capacity(transitions.len()),
+            || StepMemo::with_capacity(transitions.len()),
             |memo, a| {
-                let before = memo.fills();
+                let (inits, predictions) = (memo.init_fills(), memo.oracle_fills());
                 let report =
                     run_assignment(parts, &machine, &transitions, &protected, options, memo, a);
-                (report, memo.fills() - before)
+                let fills = Fills {
+                    inits: memo.init_fills() - inits,
+                    predictions: memo.oracle_fills() - predictions,
+                };
+                (report, fills)
             },
         );
         for (c, f) in &reports {
             merged.merge(c);
-            fills += f;
+            fills.inits += f.inits;
+            fills.predictions += f.predictions;
         }
     }
 
     (merged, fills)
+}
+
+/// What the workers' step memos computed over a campaign.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fills {
+    /// Initializations that ran their rounds.
+    pub(crate) inits: u64,
+    /// Zero-delay predictions the oracle computed.
+    pub(crate) predictions: u64,
 }
 
 /// A transition is *protected* when every intermediate input column of the
@@ -397,15 +418,16 @@ fn is_stable_total_state(machine: &FantomNetlist, sim: &Simulator<'_>) -> bool {
 }
 
 /// Run one delay assignment: build the simulator once, drive the selected
-/// transitions through it, and count what happened. With the oracle on, the
-/// worker's `memo` predicts each transition's zero-delay fixpoint.
+/// transitions through it, and count what happened. The worker's `memo`
+/// initializes each step under its transition index and, with the oracle
+/// on, predicts its zero-delay fixpoint.
 fn run_assignment<'a>(
     parts: &MachineParts<'_>,
     machine: &'a FantomNetlist,
     transitions: &[StableTransition],
     protected: &[bool],
     options: &CampaignOptions,
-    memo: &mut OracleMemo<'a>,
+    memo: &mut StepMemo<'a>,
     assignment: usize,
 ) -> CampaignReport {
     let model = DELAYS.model_for_trial(options.seed, assignment);
@@ -433,8 +455,7 @@ fn run_assignment<'a>(
     };
 
     let mut counters = CampaignReport::empty(machine);
-    let mut memo = options.oracle.then_some(memo);
-    let mut harness = Harness::new(build(), memo.as_deref_mut());
+    let mut harness = Harness::new(build(), memo, options.oracle);
 
     let all = options.sequences_per_assignment == 0
         || options.sequences_per_assignment >= transitions.len();
@@ -468,10 +489,10 @@ fn run_assignment<'a>(
             .chain(machine.y.iter().zip(from_code.as_slice()))
             .map(|(&net, &bit)| (net, bit))
             .collect();
-        if harness.init(&fixed).is_err() || !is_stable_total_state(machine, harness.sim()) {
+        if harness.init(ti, &fixed).is_err() || !is_stable_total_state(machine, harness.sim()) {
             counters.init_failures += 1;
             counters.events += harness.sim().events_processed();
-            harness = Harness::new(build(), memo.as_deref_mut());
+            harness = Harness::new(build(), memo, options.oracle);
             continue;
         }
 
@@ -502,7 +523,7 @@ fn run_assignment<'a>(
         if outcome.error.is_some() {
             checks.settle_failures += 1;
             counters.events += harness.sim().events_processed();
-            harness = Harness::new(build(), memo.as_deref_mut());
+            harness = Harness::new(build(), memo, options.oracle);
             continue;
         }
 
@@ -564,6 +585,8 @@ fn run_assignment<'a>(
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
     use crate::{synthesize_sparse, SynthesisOptions};
     use fantom_flow::benchmarks;
@@ -592,21 +615,59 @@ mod tests {
         assert!(report.is_clean(), "{}", report.render());
     }
 
-    /// A worker's oracle memo serves every assignment after its first, so
-    /// one worker settles the oracle once per stable transition, however
-    /// many assignments it runs.
+    /// The machines of the perfbench `campaign` workload: the small corpus,
+    /// and the large suite and the grid files under the large-machine
+    /// options.
+    fn campaign_machines() -> Vec<SparseSynthesisResult> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks");
+        let grid = benchmarks::import_kiss_dir(&dir).expect("grid files import");
+        let large = SynthesisOptions::for_large_machines();
+        let small = benchmarks::all()
+            .into_iter()
+            .map(|t| (t, SynthesisOptions::default()));
+        let tables: Vec<_> = small
+            .chain(
+                benchmarks::large_suite()
+                    .into_iter()
+                    .chain(grid)
+                    .map(|t| (t, large)),
+            )
+            .collect();
+        assert_eq!(tables.len(), 20, "the campaign workload's machines");
+        tables
+            .iter()
+            .map(|(t, options)| synthesize_sparse(t, options).expect("corpus machine"))
+            .collect()
+    }
+
+    /// A worker's step memo serves every assignment after its first, so on
+    /// every machine of the perfbench `campaign` workload one worker runs
+    /// the initialization rounds and settles the oracle once per stable
+    /// transition over 16 assignments, with the oracle on and off. Two
+    /// workers run the rounds at most twice per transition.
     #[test]
     fn one_worker_settles_the_oracle_once_per_transition() {
-        let result = lion();
-        let transitions = result.reduced_table.stable_transitions().len() as u64;
-        let (report, fills) = campaign_with_fills(&result, &small_options());
-        assert_eq!(report.steps, 8 * transitions);
-        assert_eq!(fills, transitions);
-        let no_oracle = CampaignOptions {
-            oracle: false,
-            ..small_options()
+        let options = |workers, oracle| CampaignOptions {
+            assignments: 16,
+            workers,
+            oracle,
+            ..CampaignOptions::default()
         };
-        assert_eq!(campaign_with_fills(&result, &no_oracle).1, 0);
+        for result in campaign_machines() {
+            let transitions = result.reduced_table.stable_transitions().len() as u64;
+            for oracle in [true, false] {
+                let (report, fills) = campaign_with_fills(&result, &options(1, oracle));
+                assert_eq!(report.steps, 16 * transitions, "{}", report.machine);
+                let predictions = if oracle { transitions } else { 0 };
+                let once = Fills {
+                    inits: transitions,
+                    predictions,
+                };
+                assert_eq!(fills, once, "{} oracle {oracle}", report.machine);
+            }
+            let (report, fills) = campaign_with_fills(&result, &options(2, true));
+            assert!(fills.inits <= 2 * transitions, "{}", report.machine);
+        }
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //!   evaluator (the `rva` propagation idiom) that predicts the zero-delay
 //!   fixpoint after an input change, used as a differential reference for the
 //!   event-driven simulator's settled state;
-//! * [`OracleMemo`] — the oracle's predictions, kept bit-packed per step key
-//!   across the delay assignments of one campaign worker and served again
-//!   whenever a step starts from the state a prediction was computed from;
+//! * [`StepMemo`] — the per-worker step memo: per step key, the record of
+//!   the step's initialization and the oracle's prediction, kept bit-packed
+//!   across the delay assignments of one campaign worker. A record serves
+//!   again whenever a step starts from the state it was made from: the
+//!   initialization is replayed (its values, counters, pending states,
+//!   cancelled events, stale set and waveform points) without running its
+//!   rounds, and the prediction is reused without settling the oracle;
 //! * [`Harness`] — a [`Simulator`] plus a borrowed memo that drives one trial
 //!   step by step, reporting per-step timing windows and oracle verdicts.
 //!
@@ -96,8 +100,8 @@ impl DelaySweep {
 /// filters it.
 ///
 /// A settle depends on the loaded state and the input change, never on the
-/// simulator's delays. A harness therefore runs the oracle through an
-/// [`OracleMemo`], which settles it only for a start state the memo has not
+/// simulator's delays. A harness therefore runs the oracle through a
+/// [`StepMemo`], which settles it only for a start state the memo has not
 /// seen under the step's key.
 #[derive(Debug)]
 pub struct ZeroDelayOracle<'a> {
@@ -325,60 +329,88 @@ impl StepOutcome {
     }
 }
 
-/// Zero-delay predictions kept across the harnesses of one campaign worker.
+/// The per-worker step memo: what a campaign step computes from its start
+/// state alone, kept across the harnesses of one campaign worker.
 ///
-/// At zero delay the oracle's prediction for an input change depends on the
-/// simulator state the change starts from, not on the delay assignment. A
-/// campaign worker steps every transition once per delay assignment, nearly
-/// always from the same start state, so the memo keeps one entry per step
-/// key (a campaign passes the transition index): the start state and the
-/// settled state, bit-packed one bit per net in one flat arena, and the net
-/// the oracle found unstable, if any.
+/// A campaign worker steps every transition once per delay assignment,
+/// nearly always from the same start state, and two parts of a step do not
+/// depend on the delays once that state is fixed:
 ///
-/// An entry serves a step only when the simulator's start state equals the
-/// stored one on every net the oracle can read or write: every net but the
-/// flip-flop outputs that no gate reads or drives, which a prediction
-/// carries through unchanged and the settled comparison skips. Any other
-/// start state runs the oracle and overwrites the entry, so every verdict is
-/// the one a freshly loaded oracle gives. A key must always come with the
-/// same input change.
+/// * the initialization ([`Simulator::initialize_consistent`]), whose
+///   Gauss–Seidel rounds read only the net values and the stale set;
+/// * the zero-delay oracle's prediction, which reads only the state the
+///   initialization leaves and the input change.
+///
+/// So the memo keeps one entry per step key (a campaign passes the
+/// transition index), in flat arrays of words that pack one bit per net or
+/// gate: the initialization's start values, start stale set, visited gates
+/// and end values, and the oracle's settled values; beside them, the net the
+/// oracle found unstable, if any. The initialization's end values are the
+/// step's start state, the one the prediction was computed from.
+///
+/// A record serves only a start state equal to the stored one on every net
+/// but the flip-flop outputs that no gate reads or drives, and an
+/// initialization only with an equal stale set. Those outputs matter to
+/// neither: the rounds write them only when they are held, which a replay
+/// repeats, and a prediction carries them through unchanged and the settled
+/// comparison skips them. A failed initialization is never recorded, and any
+/// other start state runs the rounds or the oracle and overwrites the entry,
+/// so every simulator state and every verdict is the one the rounds and a
+/// freshly loaded oracle give. A key must always come with the same fixed
+/// nets and the same input change.
 ///
 /// The memo serves one netlist and one set of slow gates; a harness that
 /// brings another clears it.
 #[derive(Debug, Default)]
-pub struct OracleMemo<'a> {
-    /// The oracle that fills entries.
+pub struct StepMemo<'a> {
+    /// The oracle that fills predictions.
     oracle: Option<ZeroDelayOracle<'a>>,
-    /// Words per packed state: one bit per net.
+    /// Words per packed state (one bit per net) and per gate set.
     words: usize,
+    gate_words: usize,
     /// The nets a start state must match on.
     key_mask: Vec<u64>,
     /// The nets the settled comparison checks: all but flip-flop outputs.
     compare_mask: Vec<u64>,
-    /// Per key: the oracle's result, once filled.
+    /// Per key: whether the entry records an initialization.
+    recorded: Vec<bool>,
+    /// Per key: the oracle's result from the step start state, once filled.
     predictions: Vec<Option<Result<(), NetId>>>,
-    /// Per key: the packed start state, then the packed settled state.
-    arena: Vec<u64>,
+    /// Per key, one packed state or gate set each: the initialization's
+    /// start values, start stale set and visited gates, the step's start
+    /// state (the initialization's end values) and the settled state.
+    init_starts: Vec<u64>,
+    stales: Vec<u64>,
+    visited: Vec<u64>,
+    starts: Vec<u64>,
+    settled: Vec<u64>,
     /// The simulator's packed state, scratch of each step.
     packed: Vec<u64>,
-    /// Predictions computed.
-    fills: u64,
+    /// Initializations that ran their rounds, and predictions computed.
+    init_fills: u64,
+    oracle_fills: u64,
 }
 
-impl<'a> OracleMemo<'a> {
+impl<'a> StepMemo<'a> {
     /// A memo with room for the keys `0..keys` once it knows the netlist, so
-    /// its arena is allocated once.
+    /// its arrays are allocated once.
     pub fn with_capacity(keys: usize) -> Self {
-        OracleMemo {
-            predictions: Vec::with_capacity(keys),
-            ..OracleMemo::default()
+        StepMemo {
+            recorded: Vec::with_capacity(keys),
+            ..StepMemo::default()
         }
+    }
+
+    /// How many initializations ran their rounds: one for every
+    /// initialization the memo could not replay, failed ones included.
+    pub fn init_fills(&self) -> u64 {
+        self.init_fills
     }
 
     /// How many predictions the oracle has computed: one for every step the
     /// memo could not serve.
-    pub fn fills(&self) -> u64 {
-        self.fills
+    pub fn oracle_fills(&self) -> u64 {
+        self.oracle_fills
     }
 
     /// Serve the simulators of `sim`'s netlist and slow gates, starting over
@@ -393,8 +425,8 @@ impl<'a> OracleMemo<'a> {
         }
         let fanout = netlist.fanout();
         let dff_q = fanout.dff_q();
-        // A prediction carries the flip-flop outputs that no gate reads or
-        // drives, whatever their values.
+        // Neither the rounds nor the oracle read the flip-flop outputs that
+        // no gate reads or drives.
         let keyed: Vec<bool> = (0..netlist.num_nets())
             .map(|n| {
                 let (start, end) = fanout.row_bounds(n);
@@ -403,32 +435,110 @@ impl<'a> OracleMemo<'a> {
             .collect();
         let compared: Vec<bool> = dff_q.iter().map(|&q| !q).collect();
         self.words = keyed.len().div_ceil(64);
+        self.gate_words = netlist.num_gates().div_ceil(64);
         self.key_mask = vec![0; self.words];
         self.compare_mask = vec![0; self.words];
         pack(&keyed, &mut self.key_mask);
         pack(&compared, &mut self.compare_mask);
         self.packed = vec![0; self.words];
+        let keys = self.recorded.capacity();
+        self.recorded.clear();
         self.predictions.clear();
-        self.arena.clear();
-        self.arena
-            .reserve_exact(self.predictions.capacity() * 2 * self.words);
+        self.predictions.reserve_exact(keys);
+        for (slots, width) in self.slots() {
+            slots.clear();
+            slots.reserve_exact(keys * width);
+        }
         self.oracle = Some(ZeroDelayOracle::with_slow_gates(netlist, slow));
     }
 
-    /// Make entry `key` predict `changes` from the state of `sim`: keep it
-    /// if its start state matches, otherwise run the oracle and overwrite
-    /// it.
-    fn predict(&mut self, sim: &Simulator<'_>, key: usize, changes: &[(NetId, bool, u64)]) {
-        let words = self.words;
-        pack(sim.net_values(), &mut self.packed);
-        if key >= self.predictions.len() {
+    /// Every per-key array of words, with its words per key.
+    fn slots(&mut self) -> [(&mut Vec<u64>, usize); 5] {
+        let (words, gate_words) = (self.words, self.gate_words);
+        [
+            (&mut self.init_starts, words),
+            (&mut self.stales, gate_words),
+            (&mut self.visited, gate_words),
+            (&mut self.starts, words),
+            (&mut self.settled, words),
+        ]
+    }
+
+    /// Make room for entry `key`.
+    fn grow(&mut self, key: usize) {
+        if key >= self.recorded.len() {
+            self.recorded.resize(key + 1, false);
             self.predictions.resize(key + 1, None);
-            self.arena.resize((key + 1) * 2 * words, 0);
+            for (slots, width) in self.slots() {
+                slots.resize((key + 1) * width, 0);
+            }
         }
-        let (start, settled) = self.arena[2 * key * words..][..2 * words].split_at_mut(words);
-        let same_start = (start.iter().zip(&self.packed).zip(&self.key_mask))
-            .all(|((s, p), m)| (s ^ p) & m == 0);
-        if self.predictions[key].is_some() && same_start {
+    }
+
+    /// Initialize `sim` with the `fixed` nets held: replay entry `key` if it
+    /// records the rounds from this start state, otherwise run them and
+    /// record them under `key`.
+    fn initialize(
+        &mut self,
+        sim: &mut Simulator<'_>,
+        key: usize,
+        fixed: &[(NetId, bool)],
+    ) -> Result<(), SimError> {
+        self.grow(key);
+        let (words, gate_words) = (self.words, self.gate_words);
+        pack(sim.net_values(), &mut self.packed);
+        let init_start = slot(&mut self.init_starts, key, words);
+        let stale = slot(&mut self.stales, key, gate_words);
+        let visited = slot(&mut self.visited, key, gate_words);
+        let start = slot(&mut self.starts, key, words);
+        if self.recorded[key]
+            && *stale == *sim.stale()
+            && same(init_start, &self.packed, &self.key_mask)
+        {
+            sim.replay_initialization(fixed, init_start, start, &self.key_mask, visited);
+            return Ok(());
+        }
+        self.init_fills += 1;
+        self.recorded[key] = false;
+        stale.copy_from_slice(sim.stale());
+        sim.initialize_visiting(fixed, Some(visited))?;
+        init_start.copy_from_slice(&self.packed);
+        pack(sim.net_values(), &mut self.packed);
+        if !same(start, &self.packed, &self.key_mask) {
+            // The step starts from another state now.
+            self.predictions[key] = None;
+        }
+        start.copy_from_slice(&self.packed);
+        self.recorded[key] = true;
+        Ok(())
+    }
+
+    /// Make entry `key` predict `changes` from the state of `sim`: keep the
+    /// prediction if it was made from that state, otherwise run the oracle
+    /// and overwrite it. `at_start` says that `sim` holds the entry's step
+    /// start state, which an initialization under `key` just left, so the
+    /// state need not be packed and compared.
+    fn predict(
+        &mut self,
+        sim: &Simulator<'_>,
+        key: usize,
+        changes: &[(NetId, bool, u64)],
+        at_start: bool,
+    ) {
+        self.grow(key);
+        let words = self.words;
+        if !at_start {
+            pack(sim.net_values(), &mut self.packed);
+            let start = slot(&mut self.starts, key, words);
+            if !same(start, &self.packed, &self.key_mask) {
+                // The recorded initialization no longer ends where the step
+                // starts.
+                self.recorded[key] = false;
+                self.predictions[key] = None;
+                start.copy_from_slice(&self.packed);
+            }
+        }
+        if self.predictions[key].is_some() {
             return;
         }
         let oracle = self.oracle.as_mut().expect("bound to a simulator");
@@ -438,11 +548,10 @@ impl<'a> OracleMemo<'a> {
         }
         let prediction = oracle.settle();
         if prediction.is_ok() {
-            pack(oracle.values(), settled);
+            pack(oracle.values(), slot(&mut self.settled, key, words));
         }
-        start.copy_from_slice(&self.packed);
         self.predictions[key] = Some(prediction);
-        self.fills += 1;
+        self.oracle_fills += 1;
     }
 
     /// The verdict of entry `key` on a step that settled in `sim`: the net
@@ -454,7 +563,7 @@ impl<'a> OracleMemo<'a> {
         }
         let words = self.words;
         pack(sim.net_values(), &mut self.packed);
-        let settled = &self.arena[(2 * key + 1) * words..][..words];
+        let settled = &self.settled[key * words..][..words];
         (settled.iter().zip(&self.packed).zip(&self.compare_mask))
             .map(|((s, p), m)| (s ^ p) & m)
             .enumerate()
@@ -467,37 +576,71 @@ impl<'a> OracleMemo<'a> {
     }
 }
 
+/// Entry `key`'s words in `slots`, an array of `width` words per key.
+fn slot(slots: &mut [u64], key: usize, width: usize) -> &mut [u64] {
+    &mut slots[key * width..][..width]
+}
+
+/// `true` when the packed states `a` and `b` agree on every net of `mask`.
+fn same(a: &[u64], b: &[u64], mask: &[u64]) -> bool {
+    (a.iter().zip(b).zip(mask)).all(|((a, b), m)| (a ^ b) & m == 0)
+}
+
 /// Pack `values` one bit per net: net `n` is bit `n % 64` of word `n / 64`.
+///
+/// Eight nets take one multiply. A `bool` is the byte 0 or 1, so eight of
+/// them read as one little-endian word hold net `i`'s value in bit `8 * i`,
+/// and multiplying by `0x0102_0408_1020_4080` adds that bit into bit
+/// `56 + i`. The partial products never share a bit, so nothing carries.
 fn pack(values: &[bool], words: &mut [u64]) {
     for (word, chunk) in words.iter_mut().zip(values.chunks(64)) {
-        *word = (chunk.iter().enumerate()).fold(0, |w, (i, &v)| w | u64::from(v) << i);
+        let full = chunk.len() - chunk.len() % 8;
+        let mut packed = 0;
+        for i in (0..full).step_by(8) {
+            let e = &chunk[i..i + 8];
+            let bytes = [e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7]].map(u8::from);
+            packed |= u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56 << i;
+        }
+        for (i, &v) in chunk.iter().enumerate().skip(full) {
+            packed |= u64::from(v) << i;
+        }
+        *word = packed;
     }
 }
 
-/// A simulator plus an optional zero-delay oracle memo, driven step by step.
+/// A simulator plus the worker's step memo, driven step by step.
 ///
-/// The harness owns the per-trial mechanics shared by every campaign: get
-/// the zero-delay prediction of each input change from the simulator's
-/// committed state before the change, apply the change, run the simulator to
-/// quiescence, and compare settled values on every combinationally driven
-/// net. The predictions come from an [`OracleMemo`] the harness borrows, so
-/// they outlive it: a campaign worker lends one memo to the harness of each
-/// delay assignment in turn.
+/// The harness owns the per-trial mechanics shared by every campaign:
+/// initialize the simulator to each step's source state, get the zero-delay
+/// prediction of the input change from the state the initialization left,
+/// apply the change, run the simulator to quiescence, and compare settled
+/// values on every combinationally driven net. The initializations and the
+/// predictions come from a [`StepMemo`] the harness borrows, so they outlive
+/// it: a campaign worker lends one memo to the harness of each delay
+/// assignment in turn, and an initialization or a prediction the memo
+/// recorded under a delay assignment serves the later ones.
 #[derive(Debug)]
 pub struct Harness<'a, 'm> {
     sim: Simulator<'a>,
-    /// The predictions, when the differential check is enabled.
-    memo: Option<&'m mut OracleMemo<'a>>,
+    memo: &'m mut StepMemo<'a>,
+    /// Whether steps are checked against the zero-delay oracle.
+    oracle: bool,
+    /// The key of the last initialization while the simulator holds the
+    /// state it left, which is that entry's step start state.
+    initialized: Option<usize>,
 }
 
 impl<'a, 'm> Harness<'a, 'm> {
-    /// Wrap a built simulator; a `memo` enables the differential check
-    /// against the zero-delay oracle, and holds its predictions.
-    pub fn new(sim: Simulator<'a>, mut memo: Option<&'m mut OracleMemo<'a>>) -> Self {
-        if let Some(memo) = memo.as_deref_mut() {
-            memo.bind(&sim);
+    /// Wrap a built simulator and the memo that records its steps; `oracle`
+    /// enables the differential check against the zero-delay oracle.
+    pub fn new(sim: Simulator<'a>, memo: &'m mut StepMemo<'a>, oracle: bool) -> Self {
+        memo.bind(&sim);
+        Harness {
+            sim,
+            memo,
+            oracle,
+            initialized: None,
         }
-        Harness { sim, memo }
     }
 
     /// The wrapped simulator.
@@ -505,14 +648,23 @@ impl<'a, 'm> Harness<'a, 'm> {
         &self.sim
     }
 
-    /// Establish a consistent initial condition and run to quiescence.
+    /// Establish a consistent initial condition with the `fixed` nets held
+    /// ([`Simulator::initialize_consistent`]) and run to quiescence. The
+    /// memo replays the initialization recorded under `key`, the step's name
+    /// for this set of fixed nets, when it starts from the same state.
     ///
     /// # Errors
     ///
     /// Propagates initialization and budget errors from the simulator.
-    pub fn init(&mut self, fixed: &[(NetId, bool)]) -> Result<u64, SimError> {
-        self.sim.initialize_consistent(fixed)?;
-        self.sim.run_until_quiet()
+    pub fn init(&mut self, key: usize, fixed: &[(NetId, bool)]) -> Result<u64, SimError> {
+        self.initialized = None;
+        self.memo.initialize(&mut self.sim, key, fixed)?;
+        let events = self.sim.events_processed();
+        let quiet = self.sim.run_until_quiet()?;
+        if self.sim.events_processed() == events {
+            self.initialized = Some(key);
+        }
+        Ok(quiet)
     }
 
     /// Apply one input-change step: each `(net, value, delta)` is scheduled
@@ -522,16 +674,19 @@ impl<'a, 'm> Harness<'a, 'm> {
     /// under `key`, the step's name for this input change.
     ///
     /// The memo serves the prediction when the step starts from the state it
-    /// was computed from. Otherwise the oracle starts from the simulator's
+    /// was computed from. Right after an initialization under the same key
+    /// the simulator holds that entry's start state, so nothing is compared
+    /// before the step; otherwise the start state is packed and compared
+    /// word by word. On a miss the oracle starts from the simulator's
     /// committed values and true-input counters ([`ZeroDelayOracle::load`])
-    /// and costs only the gates the change reaches. Either way the start
-    /// state and the settled state are each packed and compared word by
-    /// word.
+    /// and costs only the gates the change reaches. The settled state is
+    /// packed and compared word by word.
     pub fn step(&mut self, key: usize, changes: &[(NetId, bool, u64)]) -> StepOutcome {
         let start_time = self.sim.time() + 1;
+        let at_start = self.initialized.take() == Some(key);
         // Predict the fixpoint from the pre-step committed state.
-        if let Some(memo) = self.memo.as_deref_mut() {
-            memo.predict(&self.sim, key, changes);
+        if self.oracle {
+            self.memo.predict(&self.sim, key, changes, at_start);
         }
         for &(net, value, delta) in changes {
             self.sim.schedule_input(net, value, delta.max(1));
@@ -540,9 +695,10 @@ impl<'a, 'm> Harness<'a, 'm> {
             Ok(t) => (t, None),
             Err(e) => (self.sim.time(), Some(e)),
         };
-        let oracle = match self.memo.as_deref_mut() {
-            Some(memo) if error.is_none() => memo.verdict(&self.sim, key),
-            _ => OracleVerdict::Skipped,
+        let oracle = if self.oracle && error.is_none() {
+            self.memo.verdict(&self.sim, key)
+        } else {
+            OracleVerdict::Skipped
         };
         StepOutcome {
             start_time,
@@ -665,9 +821,9 @@ mod tests {
             .gate_delay(3, 20)
             .event_budget(1_000)
             .build();
-        let mut memo = OracleMemo::default();
-        let mut harness = Harness::new(sim, Some(&mut memo));
-        harness.init(&[(a, false)]).unwrap();
+        let mut memo = StepMemo::default();
+        let mut harness = Harness::new(sim, &mut memo, true);
+        harness.init(0, &[(a, false)]).unwrap();
         let outcome = harness.step(0, &[(a, true, 1)]);
         assert_eq!(outcome.oracle, OracleVerdict::Agreed);
         assert!(!harness.sim().value(y));
@@ -689,9 +845,9 @@ mod tests {
             .event_budget(1_000)
             .monitor(y)
             .build();
-        let mut memo = OracleMemo::default();
-        let mut harness = Harness::new(sim, Some(&mut memo));
-        harness.init(&[(a, false)]).unwrap();
+        let mut memo = StepMemo::default();
+        let mut harness = Harness::new(sim, &mut memo, true);
+        harness.init(0, &[(a, false)]).unwrap();
         let outcome = harness.step(0, &[(a, true, 1)]);
         assert!(outcome.is_clean(), "outcome {outcome:?}");
         assert_eq!(outcome.oracle, OracleVerdict::Agreed);
@@ -850,7 +1006,7 @@ mod tests {
                 max: 4,
                 seed: rng.next_u64(),
             }));
-            let mut memo = OracleMemo::default();
+            let mut memo = StepMemo::default();
             // Per step: the start state its memo entry was filled from.
             let mut filled_from: Vec<Vec<bool>> = vec![Vec::new(); steps.len()];
             for model in &models {
@@ -865,15 +1021,15 @@ mod tests {
                         }
                         builder.build()
                     };
-                    let mut harness = Harness::new(build(), Some(&mut memo));
+                    let mut harness = Harness::new(build(), &mut memo, true);
                     for (step, (fixed, changes)) in steps.iter().enumerate() {
                         let at = format!("case {case} {model:?} {style:?} step {step}");
-                        if harness.init(fixed).is_err() {
-                            harness = Harness::new(build(), Some(&mut memo));
+                        if harness.init(step, fixed).is_err() {
+                            harness = Harness::new(build(), &mut memo, true);
                             continue;
                         }
                         let start = harness.sim().net_values().to_vec();
-                        let fills = harness.memo.as_ref().map(|memo| memo.fills);
+                        let fills = harness.memo.oracle_fills;
                         let prediction = fresh_prediction(harness.sim(), changes);
                         let outcome = harness.step(step, changes);
                         let expected =
@@ -886,7 +1042,7 @@ mod tests {
                             OracleVerdict::Skipped => 3,
                         };
                         seen[kind] += 1;
-                        if harness.memo.as_ref().map(|memo| memo.fills) == fills {
+                        if harness.memo.oracle_fills == fills {
                             // Served: the start state differs from the stored
                             // one on unread flip-flop outputs only.
                             let differ: Vec<usize> = (0..start.len())
@@ -899,7 +1055,7 @@ mod tests {
                             filled_from[step] = start;
                         }
                         if outcome.error.is_some() {
-                            harness = Harness::new(build(), Some(&mut memo));
+                            harness = Harness::new(build(), &mut memo, true);
                         }
                     }
                 }
@@ -911,6 +1067,132 @@ mod tests {
         assert!(served_unread_q > 300, "{served_unread_q}");
     }
 
+    /// Every initialization the memo replays leaves the simulator as the
+    /// rounds leave a twin simulator driven through the same history:
+    /// values, true-input counters, pending states, the stale set, queued
+    /// events, time and waveforms. Each random netlist (cyclic logic, nets
+    /// with several drivers, read and unread flip-flops, slow gates) steps
+    /// a few keys in order under several delay models, both delay styles,
+    /// event budgets that some runs exhaust, and the oracle on and off, as
+    /// campaigns do. A key holds the inputs and sometimes one more net, and
+    /// its change may carry an external event on a gate-driven net. After a
+    /// failed initialization or step, the harness and its twin are rebuilt
+    /// or go on, by a coin flip, so replays also start on fresh simulators.
+    #[test]
+    fn replayed_initializations_match_the_rounds() {
+        let mut rng = StdRng::seed_from_u64(0x1E1A_11CE);
+        // Replays, those on a fresh simulator, failed inits, failed steps.
+        let (mut replays, mut fresh, mut failed, mut aborted) = (0, 0, 0, 0);
+        for case in 0..150 {
+            let (nl, slow, inputs) = verdict_netlist(&mut rng);
+            let nets = nl.num_nets();
+            let keys: Vec<_> = (0..6)
+                .map(|_| {
+                    let mut fixed: Vec<(NetId, bool)> =
+                        inputs.iter().map(|&x| (x, rng.gen_bool(0.5))).collect();
+                    if rng.gen_bool(0.3) {
+                        fixed.push((NetId(rng.gen_range(0..nets)), rng.gen_bool(0.5)));
+                    }
+                    let flips = rng.gen_range(1..16usize);
+                    let mut changes: Vec<(NetId, bool, u64)> = (0..inputs.len())
+                        .filter(|&i| flips >> i & 1 == 1)
+                        .map(|i| (inputs[i], !fixed[i].1, rng.gen_range(1..3u64)))
+                        .collect();
+                    if rng.gen_bool(0.2) {
+                        let net = NetId(rng.gen_range(inputs.len()..nets));
+                        changes.push((net, rng.gen_bool(0.5), rng.gen_range(1..4u64)));
+                    }
+                    (fixed, changes)
+                })
+                .collect();
+            let mut models = vec![DelayModel::Unit, DelayModel::Fixed(3)];
+            models.extend((0..2).map(|_| DelayModel::Random {
+                min: 1,
+                max: 4,
+                seed: rng.next_u64(),
+            }));
+            let mut memo = StepMemo::default();
+            for model in &models {
+                for style in [DelayStyle::Transport, DelayStyle::Inertial] {
+                    let mut builder = Simulator::builder(&nl)
+                        .delay_model(model.clone())
+                        .style(style)
+                        .event_budget(rng.gen_range(8..300usize));
+                    for (k, &gi) in slow.iter().enumerate() {
+                        builder = builder.gate_delay(gi, 30 + 2 * k as u64);
+                    }
+                    for net in 0..nets {
+                        if rng.gen_bool(0.3) {
+                            builder = builder.monitor(NetId(net));
+                        }
+                    }
+                    let oracle = rng.gen_bool(0.5);
+                    let mut harness = Harness::new(builder.clone().build(), &mut memo, oracle);
+                    let mut twin = builder.clone().build();
+                    let mut is_fresh = true;
+                    for (key, (fixed, changes)) in keys.iter().enumerate() {
+                        let at = format!("case {case} {model:?} {style:?} key {key}");
+                        let fills = harness.memo.init_fills;
+                        let result = harness.init(key, fixed);
+                        let expected = twin
+                            .initialize_consistent(fixed)
+                            .and_then(|()| twin.run_until_quiet());
+                        assert_eq!(result, expected, "{at}: init");
+                        harness.sim.assert_same_state(&twin, &at);
+                        assert_eq!(harness.sim.stale(), twin.stale(), "{at}: stale set");
+                        if harness.memo.init_fills == fills {
+                            replays += 1;
+                            fresh += usize::from(is_fresh);
+                        }
+                        is_fresh = false;
+                        let mut rebuild = result.is_err();
+                        failed += usize::from(rebuild);
+                        if !rebuild {
+                            let outcome = harness.step(key, changes);
+                            for &(net, value, delta) in changes {
+                                twin.schedule_input(net, value, delta.max(1));
+                            }
+                            let expected = twin.run_until_quiet().err();
+                            assert_eq!(outcome.error, expected, "{at}: step");
+                            harness.sim.assert_same_state(&twin, &at);
+                            rebuild = outcome.error.is_some();
+                            aborted += usize::from(rebuild);
+                        }
+                        if rebuild && rng.gen_bool(0.5) {
+                            harness = Harness::new(builder.clone().build(), &mut memo, oracle);
+                            twin = builder.clone().build();
+                            is_fresh = true;
+                        }
+                    }
+                }
+            }
+        }
+        // The histories reach every kind of start state they test.
+        assert!(
+            replays > 2_000 && fresh > 500 && failed > 500 && aborted > 500,
+            "{replays} {fresh} {failed} {aborted}"
+        );
+    }
+
+    /// Packing eight nets per multiply equals setting one bit per net, at
+    /// every length from none to past two words.
+    #[test]
+    fn packing_matches_the_bit_by_bit_loop() {
+        let mut rng = StdRng::seed_from_u64(0xB175);
+        for len in 0..=130usize {
+            for _ in 0..20 {
+                let values: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+                let mut expected = vec![0; len.div_ceil(64)];
+                for (n, &v) in values.iter().enumerate() {
+                    expected[n / 64] |= u64::from(v) << (n % 64);
+                }
+                let mut packed = vec![!0; len.div_ceil(64)];
+                pack(&values, &mut packed);
+                assert_eq!(packed, expected, "{values:?}");
+            }
+        }
+    }
+
     #[test]
     fn harness_skips_oracle_when_disabled() {
         let mut nl = Netlist::new();
@@ -918,8 +1200,9 @@ mod tests {
         let y = nl.add_net("y");
         nl.add_gate(GateKind::Buf, vec![a], y);
         let sim = Simulator::builder(&nl).event_budget(100).build();
-        let mut harness = Harness::new(sim, None);
-        harness.init(&[]).unwrap();
+        let mut memo = StepMemo::default();
+        let mut harness = Harness::new(sim, &mut memo, false);
+        harness.init(0, &[]).unwrap();
         let outcome = harness.step(0, &[(a, true, 1)]);
         assert_eq!(outcome.oracle, OracleVerdict::Skipped);
         assert!(outcome.error.is_none());

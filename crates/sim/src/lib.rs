@@ -31,9 +31,9 @@
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
 //!   propagation over true-input counters, with the slow feedback gates held
 //!   until the rest of the logic settles), the per-worker
-//!   [`campaign::OracleMemo`] that settles the oracle once per transition
-//!   and start state rather than once per delay assignment, and the
-//!   per-trial [`campaign::Harness`],
+//!   [`campaign::StepMemo`] that runs each transition's initialization
+//!   rounds and settles its oracle once per start state rather than once
+//!   per delay assignment, and the per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!

@@ -108,6 +108,12 @@ impl EventWheel {
         self.len
     }
 
+    /// Live pending events per source.
+    #[cfg(test)]
+    pub(crate) fn live_counts(&self) -> Vec<u32> {
+        self.sources.iter().map(|s| s.live).collect()
+    }
+
     /// `true` if `source` has a live pending event.
     #[inline]
     pub(crate) fn contains(&self, source: usize) -> bool {

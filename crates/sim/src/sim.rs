@@ -432,7 +432,32 @@ impl<'a> Simulator<'a> {
     /// of that round; pending states, queued events and waveforms are left
     /// as they were. The true-input counters follow every value change, so a
     /// later run still evaluates every gate correctly.
+    ///
+    /// # Replay
+    ///
+    /// The rounds read only the stale set and the net values, and they write
+    /// only the values (with their readers' counters), the pending states and
+    /// queued events of the gates they visit, the stale set and the monitored
+    /// waveforms. A successful initialization is therefore a function of its
+    /// fixed nets, its start values and its stale set, and a campaign's
+    /// [`StepMemo`](crate::campaign::StepMemo) records it as those plus the
+    /// end values and the visited gates. It replays the record whenever an
+    /// initialization with the same fixed nets starts from the same values
+    /// and stale set, leaving every part of the simulator state as the
+    /// rounds would. Flip-flop outputs that no gate reads or drives are the
+    /// exception on the key side: the rounds write them only when they are
+    /// held, and the replay holds them as the rounds do.
     pub fn initialize_consistent(&mut self, fixed: &[(NetId, bool)]) -> Result<(), SimError> {
+        self.initialize_visiting(fixed, None)
+    }
+
+    /// [`Simulator::initialize_consistent`], which on success also writes
+    /// the gates its rounds visited to `visited`, a bitset over gate ids.
+    pub(crate) fn initialize_visiting(
+        &mut self,
+        fixed: &[(NetId, bool)],
+        mut visited: Option<&mut [u64]>,
+    ) -> Result<(), SimError> {
         let gates = self.netlist.gates();
         let mut round = std::mem::take(&mut self.stale);
         let mut next = std::mem::take(&mut self.next_round);
@@ -483,27 +508,116 @@ impl<'a> Simulator<'a> {
                 Some(_) => std::mem::swap(&mut round, &mut next),
             }
         }
-        // Both rounds are empty now; the held drivers start the stale set.
         for &(net, _) in fixed {
             self.held[net.0] = false;
-            for &gi in self.fanout.drivers(net.0) {
-                insert(&mut round, gi as usize);
-            }
         }
+        // Both rounds are empty now; the held drivers start the stale set.
         (self.stale, self.next_round) = (round, next);
+        self.stale_held_drivers(fixed);
         for w in 0..self.touched.len() {
+            if let Some(visited) = visited.as_deref_mut() {
+                visited[w] = self.touched[w];
+            }
             while self.touched[w] != 0 {
                 let gi = w * 64 + self.touched[w].trailing_zeros() as usize;
                 self.touched[w] &= self.touched[w] - 1;
-                self.pending[gi] = self.values[gates[gi].output.0];
-                self.queue.cancel(gi);
+                self.reset_pending(gi);
             }
         }
+        self.record_waveforms();
+        Ok(())
+    }
+
+    /// Replay a successful [`Simulator::initialize_consistent`] recorded
+    /// with the same `fixed` nets: `start` and `end` are its values before
+    /// and after, packed one bit per net, and `visited` the gates its rounds
+    /// visited. The simulator must hold the recorded start values on every
+    /// net `mask` keeps, and the recorded stale set.
+    ///
+    /// The nets where the packed states differ take their end values; a
+    /// held net `mask` clears (a flip-flop output no gate reads or drives)
+    /// takes its fixed value, the only write of the rounds there. Then the
+    /// visited gates lose their pending transitions, the held drivers become
+    /// the stale set and the monitored waveforms take their points, as at
+    /// the end of the rounds.
+    pub(crate) fn replay_initialization(
+        &mut self,
+        fixed: &[(NetId, bool)],
+        start: &[u64],
+        end: &[u64],
+        mask: &[u64],
+        visited: &[u64],
+    ) {
+        for (w, ((&s, &e), &m)) in start.iter().zip(end).zip(mask).enumerate() {
+            let mut diff = (s ^ e) & m;
+            while diff != 0 {
+                let bit = diff.trailing_zeros();
+                diff &= diff - 1;
+                self.assign(w * 64 + bit as usize, e >> bit & 1 == 1);
+            }
+        }
+        for &(net, value) in fixed {
+            if self.values[net.0] != value {
+                self.assign(net.0, value);
+            }
+        }
+        for (w, &word) in visited.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let gi = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.reset_pending(gi);
+            }
+        }
+        self.stale.fill(0);
+        self.stale_held_drivers(fixed);
+        self.record_waveforms();
+    }
+
+    /// Commit a changed `value` to `net`, keeping its readers' true-input
+    /// counters current.
+    fn assign(&mut self, net: usize, value: bool) {
+        self.values[net] = value;
+        let (start, end) = self.fanout.row_bounds(net);
+        for k in start..end {
+            let gi = self.fanout.gate_at(k);
+            let mult = self.fanout.mult_at(k);
+            if value {
+                self.true_counts[gi] += mult;
+            } else {
+                self.true_counts[gi] -= mult;
+            }
+        }
+    }
+
+    /// Preset gate `gi`'s pending state to its output's value and drop its
+    /// queued transitions.
+    fn reset_pending(&mut self, gi: usize) {
+        self.pending[gi] = self.values[self.netlist.gates()[gi].output.0];
+        self.queue.cancel(gi);
+    }
+
+    /// Mark the drivers of the `fixed` nets stale: their outputs were held.
+    fn stale_held_drivers(&mut self, fixed: &[(NetId, bool)]) {
+        for &(net, _) in fixed {
+            for &gi in self.fanout.drivers(net.0) {
+                insert(&mut self.stale, gi as usize);
+            }
+        }
+    }
+
+    /// Extend every monitored waveform with its net's current value.
+    fn record_waveforms(&mut self) {
         for &net in &self.monitored_nets {
             let wave = self.monitored[net].as_mut().expect("monitored net");
             wave.push((self.time, self.values[net]));
         }
-        Ok(())
+    }
+
+    /// The gates the next initialization evaluates first, a bitset over gate
+    /// ids.
+    pub(crate) fn stale(&self) -> &[u64] {
+        &self.stale
     }
 
     /// Commit `value` to `net` during an initialization round at gate
@@ -727,23 +841,28 @@ impl<'a> Simulator<'a> {
     /// [`Simulator::initialize_consistent`] evaluates them all.
     pub fn preset(&mut self, net: NetId, value: bool) {
         self.mark_all_stale();
-        let old = self.values[net.0];
-        if old != value {
-            self.values[net.0] = value;
-            let (start, end) = self.fanout.row_bounds(net.0);
-            for k in start..end {
-                let gi = self.fanout.gate_at(k);
-                let mult = self.fanout.mult_at(k);
-                if value {
-                    self.true_counts[gi] += mult;
-                } else {
-                    self.true_counts[gi] -= mult;
-                }
-            }
+        if self.values[net.0] != value {
+            self.assign(net.0, value);
         }
         if let Some(wave) = self.monitored[net.0].as_mut() {
             wave.push((self.time, value));
         }
+    }
+}
+
+#[cfg(test)]
+impl Simulator<'_> {
+    /// Assert that `self` and `other` hold the same values, waveforms,
+    /// pending states, true-input counters, time and live queued events per
+    /// source.
+    pub(crate) fn assert_same_state(&self, other: &Simulator<'_>, at: &str) {
+        assert_eq!(self.values, other.values, "{at}: values");
+        assert_eq!(self.monitored, other.monitored, "{at}: waveforms");
+        assert_eq!(self.pending, other.pending, "{at}: pending");
+        assert_eq!(self.true_counts, other.true_counts, "{at}: true counts");
+        assert_eq!(self.time, other.time, "{at}: time");
+        let live = |sim: &Simulator<'_>| sim.queue.live_counts();
+        assert_eq!(live(self), live(other), "{at}: queued events");
     }
 }
 
@@ -1139,15 +1258,6 @@ mod tests {
         nl
     }
 
-    fn assert_same_state(new: &Simulator<'_>, old: &Simulator<'_>, at: &str) {
-        assert_eq!(new.values, old.values, "{at}: values");
-        assert_eq!(new.monitored, old.monitored, "{at}: waveforms");
-        assert_eq!(new.pending, old.pending, "{at}: pending");
-        assert_eq!(new.true_counts, old.true_counts, "{at}: true counts");
-        assert_eq!(new.time, old.time, "{at}: time");
-        assert_eq!(new.queue.len(), old.queue.len(), "{at}: queued events");
-    }
-
     /// Selective-trace initialization against the full sweep it replaced,
     /// over random netlists and random histories of presets, external
     /// events (on gate-driven nets too), settles, runs that exhaust their
@@ -1226,7 +1336,7 @@ mod tests {
                         old.monitor(net);
                     }
                 }
-                assert_same_state(&new, &old, &at);
+                new.assert_same_state(&old, &at);
             }
         }
         // The histories reach every kind of initialization they test.
