@@ -28,6 +28,15 @@
 //! with `y1` in every source state, so every one of its steps is an init
 //! failure: no step may start from a total state that is not stable.
 //!
+//! A worker's step memo serves a later delay assignment only what an
+//! earlier one on the same worker recorded, so four assignments on one
+//! worker leave most of it idle. `tests/golden/campaign_replay.txt` pins a
+//! fourth configuration, `replay`, on the 20 machines: 16 assignments (four
+//! of each delay style) on two workers, seed 3, oracle on, every stable
+//! transition. It sets the workers explicitly because the smoke diff and
+//! the fuzz job run on the host's parallelism, which can leave each worker
+//! one or two assignments.
+//!
 //! Each configuration is a separate test so the harness runs them in
 //! parallel.
 
@@ -83,6 +92,13 @@ fn configuration(name: &str) -> CampaignOptions {
             sequences_per_assignment: 32,
             ..base
         },
+        "replay" => CampaignOptions {
+            assignments: 16,
+            workers: 2,
+            seed: 3,
+            oracle: true,
+            ..base
+        },
         _ => unreachable!("unknown configuration {name}"),
     }
 }
@@ -131,6 +147,7 @@ fn golden(file: &str) -> String {
 fn assert_matches_golden(name: &str) {
     let golden = match name {
         "mutants" => golden("campaign_mutants.txt"),
+        "replay" => golden("campaign_replay.txt"),
         _ => golden("campaign_reports.txt"),
     };
     let lines: Vec<&str> = golden.lines().collect();
@@ -163,4 +180,9 @@ fn sampled_campaign_reports_match_golden() {
 #[test]
 fn mutant_campaign_reports_match_golden() {
     assert_matches_golden("mutants");
+}
+
+#[test]
+fn replay_campaign_reports_match_golden() {
+    assert_matches_golden("replay");
 }
