@@ -25,7 +25,15 @@
 //! fixed, so each worker keeps one [`fantom_sim::campaign::StepMemo`],
 //! keyed by transition index, across the assignments it runs: it runs a
 //! transition's initialization rounds and settles its oracle once and
-//! replays them to the later assignments, with the oracle off too.
+//! replays them to the later assignments, with the oracle off too. The
+//! unit, all-minimum and all-maximum assignments make every gate,
+//! feedback-buffer and flip-flop delay a fixed multiple of 1, 4 or 9, and
+//! the input skew of 0 or 1 stays below that unit, so they are one
+//! assignment at three time scales: the memo also runs a transition's
+//! event loop once per start state and skew pattern under them and replays
+//! the run, rescaled, to the others (see `fantom_sim::campaign`). Random
+//! assignments always run. Reports, event counts included, are the same
+//! either way.
 //!
 //! ## Protected vs. unprotected transitions
 //!
@@ -313,13 +321,16 @@ pub fn run_campaign_sparse(
     campaign_with_fills(result, options).0
 }
 
-/// [`run_campaign_sparse`], and how many initializations ran their rounds
-/// and how many zero-delay predictions the oracle computed, over the
-/// workers' step memos.
+/// [`run_campaign_sparse`], and how many initializations ran their rounds,
+/// how many zero-delay predictions the oracle computed and how many steps
+/// ran the event loop, over the workers' step memos.
 ///
 /// Each worker lends its own memo to the harness of every assignment it
 /// runs, so a transition's initialization and prediction are computed once
-/// per worker and start state and served to its later assignments.
+/// per worker and start state and served to its later assignments, and a
+/// run under the unit, minimum or maximum delays once per worker, start
+/// state and input skew and replayed to its later assignments of those
+/// three styles.
 pub(crate) fn campaign_with_fills(
     result: &SparseSynthesisResult,
     options: &CampaignOptions,
@@ -344,12 +355,14 @@ pub(crate) fn campaign_with_fills(
             options.assignments,
             || StepMemo::with_capacity(transitions.len()),
             |memo, a| {
-                let (inits, predictions) = (memo.init_fills(), memo.oracle_fills());
+                let before = Fills::of(memo);
                 let report =
                     run_assignment(parts, &machine, &transitions, &protected, options, memo, a);
+                let after = Fills::of(memo);
                 let fills = Fills {
-                    inits: memo.init_fills() - inits,
-                    predictions: memo.oracle_fills() - predictions,
+                    inits: after.inits - before.inits,
+                    predictions: after.predictions - before.predictions,
+                    steps: after.steps - before.steps,
                 };
                 (report, fills)
             },
@@ -358,6 +371,7 @@ pub(crate) fn campaign_with_fills(
             merged.merge(c);
             fills.inits += f.inits;
             fills.predictions += f.predictions;
+            fills.steps += f.steps;
         }
     }
 
@@ -371,6 +385,19 @@ pub(crate) struct Fills {
     pub(crate) inits: u64,
     /// Zero-delay predictions the oracle computed.
     pub(crate) predictions: u64,
+    /// Steps that ran the event loop.
+    pub(crate) steps: u64,
+}
+
+impl Fills {
+    /// What `memo` has computed so far.
+    fn of(memo: &StepMemo<'_>) -> Self {
+        Fills {
+            inits: memo.init_fills(),
+            predictions: memo.oracle_fills(),
+            steps: memo.step_fills(),
+        }
+    }
 }
 
 /// A transition is *protected* when every intermediate input column of the
@@ -645,6 +672,15 @@ mod tests {
     /// the initialization rounds and settles the oracle once per stable
     /// transition over 16 assignments, with the oracle on and off. Two
     /// workers run the rounds at most twice per transition.
+    ///
+    /// The memo also replays runs across the 12 assignments of unit,
+    /// minimum and maximum delays, which are one assignment at three time
+    /// scales. With T transitions, T_mic of them multiple-input changes,
+    /// one worker runs the event loop on every transition under the four
+    /// random assignments, on each single-input transition once under the
+    /// other twelve, and on each multiple-input one at most once per input
+    /// skew pattern: between 5T and 5T + 11·T_mic steps. Two workers run
+    /// at most 6T + 10·T_mic.
     #[test]
     fn one_worker_settles_the_oracle_once_per_transition() {
         let options = |workers, oracle| CampaignOptions {
@@ -654,19 +690,23 @@ mod tests {
             ..CampaignOptions::default()
         };
         for result in campaign_machines() {
-            let transitions = result.reduced_table.stable_transitions().len() as u64;
+            let stable = result.reduced_table.stable_transitions();
+            let transitions = stable.len() as u64;
+            let mic = stable.iter().filter(|t| t.input_distance() > 1).count() as u64;
             for oracle in [true, false] {
                 let (report, fills) = campaign_with_fills(&result, &options(1, oracle));
-                assert_eq!(report.steps, 16 * transitions, "{}", report.machine);
+                let at = format!("{} oracle {oracle}: {fills:?}", report.machine);
+                assert_eq!(report.steps, 16 * transitions, "{at}");
+                assert_eq!(fills.inits, transitions, "{at}");
                 let predictions = if oracle { transitions } else { 0 };
-                let once = Fills {
-                    inits: transitions,
-                    predictions,
-                };
-                assert_eq!(fills, once, "{} oracle {oracle}", report.machine);
+                assert_eq!(fills.predictions, predictions, "{at}");
+                let steps = 5 * transitions..=5 * transitions + 11 * mic;
+                assert!(steps.contains(&fills.steps), "{at}");
             }
             let (report, fills) = campaign_with_fills(&result, &options(2, true));
-            assert!(fills.inits <= 2 * transitions, "{}", report.machine);
+            let at = format!("{} two workers: {fills:?}", report.machine);
+            assert!(fills.inits <= 2 * transitions, "{at}");
+            assert!(fills.steps <= 6 * transitions + 10 * mic, "{at}");
         }
     }
 

@@ -7,27 +7,52 @@
 //! * [`DelaySweep`] — a deterministic schedule of delay assignments
 //!   (unit / all-min / all-max / seeded-random styles, round-robin by trial
 //!   index) with split-mix seed derivation so every `(campaign seed, trial)`
-//!   pair maps to one delay assignment regardless of execution order;
+//!   pair maps to one delay assignment regardless of execution order. Its
+//!   first three styles are one assignment at three time scales;
 //! * [`ZeroDelayOracle`] — a cheap dirty-flag + process-queue netlist
 //!   evaluator (the `rva` propagation idiom) that predicts the zero-delay
 //!   fixpoint after an input change, used as a differential reference for the
 //!   event-driven simulator's settled state;
 //! * [`StepMemo`] — the per-worker step memo: per step key, the record of
-//!   the step's initialization and the oracle's prediction, kept bit-packed
-//!   across the delay assignments of one campaign worker. A record serves
-//!   again whenever a step starts from the state it was made from: the
-//!   initialization is replayed (its values, counters, pending states,
-//!   cancelled events, stale set and waveform points) without running its
-//!   rounds, and the prediction is reused without settling the oracle;
+//!   the step's initialization, the oracle's prediction and the event
+//!   loop's runs, kept bit-packed across the delay assignments of one
+//!   campaign worker. A record serves again whenever a step starts from the
+//!   state it was made from: the initialization is replayed (its values,
+//!   counters, pending states, cancelled events, stale set and waveform
+//!   points) without running its rounds, and the prediction is reused
+//!   without settling the oracle. A run is replayed (its values, counters,
+//!   pending values, stale gates, waveform points, event count and end time)
+//!   without scheduling an event, under delays that are the recording ones
+//!   at another time scale;
 //! * [`Harness`] — a [`Simulator`] plus a borrowed memo that drives one trial
 //!   step by step, reporting per-step timing windows and oracle verdicts.
 //!
 //! The machine-aware campaign driver (which transitions to exercise, which
 //! outputs are analytically hazard-free, report aggregation, parallel seeds)
 //! lives in the `seance` crate on top of these pieces.
+//!
+//! # Runs at another time scale
+//!
+//! Let `u` be a simulator's smallest gate delay. When every gate delay,
+//! every delay override and the flip-flop delay is `u` times a fixed
+//! integer, and every input of a step is due less than `u` after the
+//! earliest one, at `base`, each event of the step's run falls at
+//! `base + o + m·u` for exactly one pair `(m, o)` with `o < u`, `o` an input
+//! offset: an input event at its offset, and a gate or flip-flop event a
+//! multiple of `u` after the event that caused it. The timing wheel
+//! delivers in `(time, schedule order)`, which is the order of
+//! `(m, o, schedule order)` and does not depend on `u`. So from one start
+//! state, with one input change (nets, values and offsets), two simulators
+//! whose delays have the same quotients by their units, the same delay
+//! style, event budget and monitored nets run the same events in the same
+//! order, each at its own `base + o + m·u`. The unit, minimum and maximum
+//! styles of a [`DelaySweep`] are such simulators: the campaign's gate,
+//! feedback-buffer and flip-flop delays are multiples of 1, of the minimum
+//! or of the maximum, and its input skew of 0 or 1 stays below that unit.
 
 use std::collections::VecDeque;
 
+use crate::sim::DelaySignature;
 use crate::{DelayModel, Fanout, NetId, Netlist, SimError, Simulator};
 
 /// Split-mix style derivation of independent RNG seeds from a campaign seed
@@ -49,6 +74,14 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
 /// uniformly from the sweep range. Random trials derive their seed from
 /// `(base_seed, trial)`, so the assignment for a trial is independent of
 /// which worker runs it.
+///
+/// The unit, minimum and maximum styles are one assignment at three time
+/// scales: every delay the model draws, and the flip-flop delay, is 1, the
+/// minimum or the maximum, so delay overrides that are multiples of the
+/// model's largest delay (as a campaign's feedback buffers are) keep the
+/// quotients by the unit equal too. A [`StepMemo`] replays the runs of one
+/// of them to the other two (see the module docs); the random style draws
+/// per-gate delays that are almost never all multiples of the smallest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelaySweep {
     /// Smallest per-gate delay of the sweep.
@@ -330,34 +363,54 @@ impl StepOutcome {
 }
 
 /// The per-worker step memo: what a campaign step computes from its start
-/// state alone, kept across the harnesses of one campaign worker.
+/// state, kept across the harnesses of one campaign worker.
 ///
 /// A campaign worker steps every transition once per delay assignment,
-/// nearly always from the same start state, and two parts of a step do not
-/// depend on the delays once that state is fixed:
+/// nearly always from the same start state, and three parts of a step
+/// depend on the delays little or not at all once that state is fixed:
 ///
 /// * the initialization ([`Simulator::initialize_consistent`]), whose
 ///   Gauss–Seidel rounds read only the net values and the stale set;
 /// * the zero-delay oracle's prediction, which reads only the state the
-///   initialization leaves and the input change.
+///   initialization leaves and the input change;
+/// * the event loop's run, which under delays that are all multiples of
+///   one unit is the same run at every unit ([`Harness::step`]).
 ///
 /// So the memo keeps one entry per step key (a campaign passes the
 /// transition index), in flat arrays of words that pack one bit per net or
 /// gate: the initialization's start values, start stale set, visited gates
 /// and end values, and the oracle's settled values; beside them, the net the
-/// oracle found unstable, if any. The initialization's end values are the
-/// step's start state, the one the prediction was computed from.
+/// oracle found unstable, if any, and the key's fixed nets and input change.
+/// The initialization's end values are the step's start state, the one the
+/// prediction was computed from.
 ///
 /// A record serves only a start state equal to the stored one on every net
 /// but the flip-flop outputs that no gate reads or drives, and an
-/// initialization only with an equal stale set. Those outputs matter to
-/// neither: the rounds write them only when they are held, which a replay
-/// repeats, and a prediction carries them through unchanged and the settled
-/// comparison skips them. A failed initialization is never recorded, and any
-/// other start state runs the rounds or the oracle and overwrites the entry,
+/// initialization only with an equal stale set and the same fixed nets and
+/// values. Those outputs matter to neither: the rounds write them only when
+/// they are held, which a replay repeats, and a prediction carries them
+/// through unchanged and the settled comparison skips them. A prediction
+/// serves only the input change (nets and values) it was made for. A failed
+/// initialization is never recorded, and any other start state, fixed nets
+/// or input change runs the rounds or the oracle and overwrites the entry,
 /// so every simulator state and every verdict is the one the rounds and a
-/// freshly loaded oracle give. A key must always come with the same fixed
-/// nets and the same input change.
+/// freshly loaded oracle give.
+///
+/// Runs are recorded per key too, for the simulators of one delay
+/// signature: the memo adopts that of the first simulator whose delays are
+/// all multiples of its smallest gate delay, and a simulator with another
+/// signature neither reads nor writes them. A key keeps one step start
+/// state (every net value, every gate's pending value and the stale set;
+/// right after an initialization each pending value is its gate's output
+/// value, but the key does not rest on that) and, per pattern of input
+/// offsets, the record of a successful run in flat arenas: the nets it
+/// flipped, the pending values it flipped unless they are those of the
+/// flipped nets' drivers, and the gates it made stale if any, masks that
+/// the runs of a key which flip the same share; its monitored waveform
+/// points and its last event as times after the earliest input event, with
+/// the unit it ran under; and its event count. A different start state or
+/// input change drops the key's records, and a failed run is never
+/// recorded.
 ///
 /// The memo serves one netlist and one set of slow gates; a harness that
 /// brings another clears it.
@@ -378,17 +431,139 @@ pub struct StepMemo<'a> {
     predictions: Vec<Option<Result<(), NetId>>>,
     /// Per key, one packed state or gate set each: the initialization's
     /// start values, start stale set and visited gates, the step's start
-    /// state (the initialization's end values) and the settled state.
+    /// state (the initialization's end values) and the settled state; and
+    /// the start state of the recorded runs: values, pending values and
+    /// stale set.
     init_starts: Vec<u64>,
     stales: Vec<u64>,
     visited: Vec<u64>,
     starts: Vec<u64>,
     settled: Vec<u64>,
-    /// The simulator's packed state, scratch of each step.
+    run_starts: Vec<u64>,
+    /// Per key: its fixed nets and its input change's nets, in `pairs`.
+    fixed: Vec<Span>,
+    change: Vec<Span>,
+    pairs: Vec<(u32, bool)>,
+    /// The delay signature whose runs the memo records, once adopted.
+    signature: Option<DelaySignature>,
+    /// Per key: its latest run record, or `NONE`; each links to the key's
+    /// previous one.
+    heads: Vec<u32>,
+    records: Vec<RunRecord>,
+    /// The records' masks, waveform points and input offsets.
+    masks: Vec<u64>,
+    points: Vec<Point>,
+    offsets: Vec<u32>,
+    /// Records dropped but still in the arenas.
+    dead: usize,
+    /// The simulator's packed state, scratch of each step, and that of a
+    /// run: its start and its end (values, pending values, stale set), its
+    /// input offsets, its waveform lengths and event count before the run,
+    /// and the drivers of the nets it flipped.
     packed: Vec<u64>,
-    /// Initializations that ran their rounds, and predictions computed.
+    run_start: Vec<u64>,
+    run_end: Vec<u64>,
+    run_offsets: Vec<u32>,
+    wave_lens: Vec<usize>,
+    events_before: u64,
+    drivers: Vec<u64>,
+    /// Initializations that ran their rounds, predictions computed and
+    /// steps that ran the event loop.
     init_fills: u64,
     oracle_fills: u64,
+    step_fills: u64,
+}
+
+/// The end of a key's run records.
+const NONE: u32 = u32::MAX;
+
+/// A key's `(net, value)` pairs in [`StepMemo`]'s `pairs`, with room for
+/// `cap` of them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: usize,
+    len: usize,
+    cap: usize,
+}
+
+impl Span {
+    /// `true` when the span holds exactly `items`.
+    fn holds(
+        self,
+        pairs: &[(u32, bool)],
+        items: impl ExactSizeIterator<Item = (NetId, bool)>,
+    ) -> bool {
+        let items = items.map(|(net, value)| (net.0 as u32, value));
+        self.len == items.len() && pairs[self.start..][..self.len].iter().copied().eq(items)
+    }
+
+    /// Store `items`, moving to the end of `pairs` when they do not fit.
+    fn put(
+        &mut self,
+        pairs: &mut Vec<(u32, bool)>,
+        items: impl ExactSizeIterator<Item = (NetId, bool)>,
+    ) {
+        if items.len() > self.cap {
+            self.start = pairs.len();
+            self.cap = items.len();
+            pairs.resize(self.start + self.cap, (0, false));
+        }
+        self.len = items.len();
+        for (pair, (net, value)) in pairs[self.start..].iter_mut().zip(items) {
+            *pair = (net.0 as u32, value);
+        }
+    }
+}
+
+/// One recorded run, its variable parts in the memo's arenas, which it
+/// indexes with `u32` (48 bytes a record).
+#[derive(Debug, Clone, Copy)]
+struct RunRecord {
+    /// The key's previous record, or `NONE`.
+    next: u32,
+    /// Its input offsets, one per change, start at `offsets[offsets_at]`.
+    offsets_at: u32,
+    /// From `masks[masks_at]`: the nets it flipped, then the pending values
+    /// it flipped if `own_pending` (otherwise those of the flipped nets'
+    /// drivers), then the gates it made stale if `adds_stale`.
+    masks_at: u32,
+    own_pending: bool,
+    adds_stale: bool,
+    /// Its monitored waveform points, `points[points_at..][..point_count]`.
+    points_at: u32,
+    point_count: u32,
+    /// The time of its last event after its earliest input event, and the
+    /// unit of the delays it ran under.
+    last: u32,
+    unit: u64,
+    /// Events processed.
+    events: u64,
+}
+
+/// A waveform point of a recorded run, at `after` its earliest input event.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    net: u32,
+    after: u32,
+    value: bool,
+}
+
+/// The time frame of one run: its earliest input event is due at `base`,
+/// and every delay is a multiple of `unit`.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    base: u64,
+    unit: u64,
+}
+
+impl Frame {
+    /// The time of an event recorded `after` the earliest input event of a
+    /// run under delays of `unit`: `m` units and `o < unit` more there, so
+    /// `m` of this frame's units and `o` more here.
+    fn time(self, after: u32, unit: u64) -> u64 {
+        let after = u64::from(after);
+        self.base + after % unit + after / unit * self.unit
+    }
 }
 
 impl<'a> StepMemo<'a> {
@@ -411,6 +586,12 @@ impl<'a> StepMemo<'a> {
     /// memo could not serve.
     pub fn oracle_fills(&self) -> u64 {
         self.oracle_fills
+    }
+
+    /// How many steps ran the event loop: one for every step whose run the
+    /// memo could not replay, failed ones included.
+    pub fn step_fills(&self) -> u64 {
+        self.step_fills
     }
 
     /// Serve the simulators of `sim`'s netlist and slow gates, starting over
@@ -441,6 +622,9 @@ impl<'a> StepMemo<'a> {
         pack(&keyed, &mut self.key_mask);
         pack(&compared, &mut self.compare_mask);
         self.packed = vec![0; self.words];
+        self.run_start = vec![0; self.run_words()];
+        self.run_end = vec![0; self.run_words()];
+        self.drivers = vec![0; self.gate_words];
         let keys = self.recorded.capacity();
         self.recorded.clear();
         self.predictions.clear();
@@ -449,18 +633,37 @@ impl<'a> StepMemo<'a> {
             slots.clear();
             slots.reserve_exact(keys * width);
         }
+        for spans in [&mut self.fixed, &mut self.change] {
+            spans.clear();
+            spans.reserve_exact(keys);
+        }
+        self.heads.clear();
+        self.heads.reserve_exact(keys);
+        self.pairs.clear();
+        self.signature = None;
+        self.records.clear();
+        self.masks.clear();
+        self.points.clear();
+        self.offsets.clear();
+        self.dead = 0;
         self.oracle = Some(ZeroDelayOracle::with_slow_gates(netlist, slow));
     }
 
+    /// Words per run start state: values, pending values and stale set.
+    fn run_words(&self) -> usize {
+        self.words + 2 * self.gate_words
+    }
+
     /// Every per-key array of words, with its words per key.
-    fn slots(&mut self) -> [(&mut Vec<u64>, usize); 5] {
-        let (words, gate_words) = (self.words, self.gate_words);
+    fn slots(&mut self) -> [(&mut Vec<u64>, usize); 6] {
+        let (words, gate_words, run_words) = (self.words, self.gate_words, self.run_words());
         [
             (&mut self.init_starts, words),
             (&mut self.stales, gate_words),
             (&mut self.visited, gate_words),
             (&mut self.starts, words),
             (&mut self.settled, words),
+            (&mut self.run_starts, run_words),
         ]
     }
 
@@ -472,12 +675,15 @@ impl<'a> StepMemo<'a> {
             for (slots, width) in self.slots() {
                 slots.resize((key + 1) * width, 0);
             }
+            self.fixed.resize(key + 1, Span::default());
+            self.change.resize(key + 1, Span::default());
+            self.heads.resize(key + 1, NONE);
         }
     }
 
     /// Initialize `sim` with the `fixed` nets held: replay entry `key` if it
-    /// records the rounds from this start state, otherwise run them and
-    /// record them under `key`.
+    /// records the rounds from this start state with these fixed nets,
+    /// otherwise run them and record them under `key`.
     fn initialize(
         &mut self,
         sim: &mut Simulator<'_>,
@@ -494,6 +700,7 @@ impl<'a> StepMemo<'a> {
         if self.recorded[key]
             && *stale == *sim.stale()
             && same(init_start, &self.packed, &self.key_mask)
+            && self.fixed[key].holds(&self.pairs, fixed.iter().copied())
         {
             sim.replay_initialization(fixed, init_start, start, &self.key_mask, visited);
             return Ok(());
@@ -509,8 +716,22 @@ impl<'a> StepMemo<'a> {
             self.predictions[key] = None;
         }
         start.copy_from_slice(&self.packed);
+        self.fixed[key].put(&mut self.pairs, fixed.iter().copied());
         self.recorded[key] = true;
         Ok(())
+    }
+
+    /// Keep entry `key`'s prediction and runs only for the input change
+    /// (nets and values) they were made for: for another, drop them and
+    /// store `changes` as the key's.
+    fn adopt_change(&mut self, key: usize, changes: &[(NetId, bool, u64)]) {
+        self.grow(key);
+        let pairs = changes.iter().map(|&(net, value, _)| (net, value));
+        if !self.change[key].holds(&self.pairs, pairs.clone()) {
+            self.predictions[key] = None;
+            self.drop_runs(key);
+            self.change[key].put(&mut self.pairs, pairs);
+        }
     }
 
     /// Make entry `key` predict `changes` from the state of `sim`: keep the
@@ -525,7 +746,6 @@ impl<'a> StepMemo<'a> {
         changes: &[(NetId, bool, u64)],
         at_start: bool,
     ) {
-        self.grow(key);
         let words = self.words;
         if !at_start {
             pack(sim.net_values(), &mut self.packed);
@@ -574,11 +794,256 @@ impl<'a> StepMemo<'a> {
                 }
             })
     }
+
+    /// The unit of `sim`'s delays when its runs may read and write the
+    /// memo's records: its delay signature is the memo's, which adopts that
+    /// of the first simulator whose delays have a unit.
+    fn time_unit(&mut self, sim: &Simulator<'_>) -> Option<u64> {
+        let (unit, signature) = sim.time_scale()?;
+        match &self.signature {
+            Some(adopted) if *adopted != signature => None,
+            Some(_) => Some(unit),
+            None => {
+                self.signature = Some(signature);
+                Some(unit)
+            }
+        }
+    }
+
+    /// The frame of a run that starts at `now` with `changes` under delays
+    /// of `unit`, with its input offsets, when every offset is below the
+    /// unit (and fits a `u32`).
+    fn frame(&mut self, now: u64, changes: &[(NetId, bool, u64)], unit: u64) -> Option<Frame> {
+        let first = changes.iter().map(|&(_, _, delta)| delta.max(1)).min()?;
+        self.run_offsets.clear();
+        for &(_, _, delta) in changes {
+            let offset = u32::try_from(delta.max(1) - first).ok();
+            self.run_offsets
+                .push(offset.filter(|&o| u64::from(o) < unit)?);
+        }
+        Some(Frame {
+            base: now + first,
+            unit,
+        })
+    }
+
+    /// The record of entry `key` for a run from the state of `sim` with the
+    /// offsets [`StepMemo::frame`] took, if there is one. A start state
+    /// other than the key's drops its records; on a miss, the run's start
+    /// is noted for [`StepMemo::record`].
+    fn find(&mut self, sim: &Simulator<'_>, key: usize) -> Option<usize> {
+        let run_words = self.run_words();
+        pack_run(sim, self.words, &mut self.run_start);
+        if self.heads[key] != NONE
+            && self.run_starts[key * run_words..][..run_words] != self.run_start[..]
+        {
+            self.drop_runs(key);
+        }
+        let mut r = self.heads[key];
+        while r != NONE {
+            let record = &self.records[r as usize];
+            let offsets = &self.offsets[record.offsets_at as usize..][..self.run_offsets.len()];
+            if *offsets == *self.run_offsets {
+                return Some(r as usize);
+            }
+            r = record.next;
+        }
+        self.wave_lens.clear();
+        for &net in sim.monitored_nets() {
+            self.wave_lens
+                .push(sim.waveform(NetId(net)).map_or(0, Vec::len));
+        }
+        self.events_before = sim.events_processed();
+        None
+    }
+
+    /// Apply record `r` to `sim` in `frame`.
+    fn replay(&self, sim: &mut Simulator<'_>, r: usize, frame: Frame) {
+        let record = &self.records[r];
+        let (changed, mut rest) = self.masks[record.masks_at as usize..].split_at(self.words);
+        let pending = record.own_pending.then(|| {
+            let (pending, tail) = rest.split_at(self.gate_words);
+            rest = tail;
+            pending
+        });
+        let stale = record.adds_stale.then(|| &rest[..self.gate_words]);
+        let points = self.points[record.points_at as usize..][..record.point_count as usize]
+            .iter()
+            .map(|p| (p.net as usize, frame.time(p.after, record.unit), p.value));
+        let end = frame.time(record.last, record.unit);
+        sim.replay_run(changed, pending, stale, points, record.events, end);
+    }
+
+    /// Record under `key` the successful run that `sim` just ended, which
+    /// started where [`StepMemo::find`] noted, in `frame`. A record indexes
+    /// its arenas and reads its times after the earliest input event as
+    /// `u32`, so a run or a memo too large for that is not recorded.
+    fn record(&mut self, sim: &Simulator<'_>, key: usize, frame: Frame) {
+        let index = |n: usize| u32::try_from(n).ok().filter(|&i| i != NONE);
+        let waves = || {
+            (sim.monitored_nets().iter().zip(&self.wave_lens)).map(|(&net, &len)| {
+                (
+                    net,
+                    &sim.waveform(NetId(net)).expect("monitored net")[len..],
+                )
+            })
+        };
+        let added = waves().map(|(_, points)| points.len()).sum();
+        let (Some(id), Some(block_at), Some(points_at), Some(point_count), Some(offsets_at)) = (
+            index(self.records.len()),
+            index(self.masks.len()),
+            index(self.points.len()),
+            index(added),
+            index(self.offsets.len()),
+        ) else {
+            return;
+        };
+        let Ok(last) = u32::try_from(sim.time() - frame.base) else {
+            return;
+        };
+        // Every event is due at or before the last, so its time fits too.
+        for (net, points) in waves() {
+            self.points
+                .extend(points.iter().map(|&(time, value)| Point {
+                    net: net as u32,
+                    after: (time - frame.base) as u32,
+                    value,
+                }));
+        }
+        let (words, gate_words, run_words) = (self.words, self.gate_words, self.run_words());
+        let end = &mut self.run_end;
+        pack_run(sim, words, end);
+        // A run only adds to the stale set, so the XOR is what it added.
+        for (e, s) in end.iter_mut().zip(&self.run_start) {
+            *e ^= s;
+        }
+        let (changed, rest) = end.split_at(words);
+        let (flipped, added) = rest.split_at(gate_words);
+        // The pending values a run flips are most often those of the
+        // flipped nets' drivers.
+        self.drivers.fill(0);
+        let fanout = sim.netlist().fanout();
+        for (w, &word) in changed.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                for &gi in fanout.drivers(w * 64 + word.trailing_zeros() as usize) {
+                    self.drivers[gi as usize / 64] |= 1 << (gi % 64);
+                }
+                word &= word - 1;
+            }
+        }
+        let own_pending = *flipped != *self.drivers;
+        let adds_stale = added.iter().any(|&w| w != 0);
+        self.masks.extend_from_slice(changed);
+        if own_pending {
+            self.masks.extend_from_slice(flipped);
+        }
+        if adds_stale {
+            self.masks.extend_from_slice(added);
+        }
+        // The runs of a key from one start state mostly end alike: such a
+        // run shares the masks of the key's latest record.
+        let mut masks_at = block_at;
+        if let Some(head) = self.records.get(self.heads[key] as usize) {
+            let block = &self.masks[block_at as usize..];
+            if (head.own_pending, head.adds_stale) == (own_pending, adds_stale)
+                && self.masks[head.masks_at as usize..][..block.len()] == *block
+            {
+                masks_at = head.masks_at;
+                self.masks.truncate(block_at as usize);
+            }
+        }
+        self.offsets.extend_from_slice(&self.run_offsets);
+        if self.heads[key] == NONE {
+            slot(&mut self.run_starts, key, run_words).copy_from_slice(&self.run_start);
+        }
+        self.records.push(RunRecord {
+            next: self.heads[key],
+            offsets_at,
+            masks_at,
+            own_pending,
+            adds_stale,
+            points_at,
+            point_count,
+            last,
+            unit: frame.unit,
+            events: sim.events_processed() - self.events_before,
+        });
+        self.heads[key] = id;
+    }
+
+    /// Drop entry `key`'s run records, and compact the arenas once dropped
+    /// records fill half of them.
+    fn drop_runs(&mut self, key: usize) {
+        let mut r = std::mem::replace(&mut self.heads[key], NONE);
+        while r != NONE {
+            self.dead += 1;
+            r = self.records[r as usize].next;
+        }
+        if self.dead > 16 && 2 * self.dead > self.records.len() {
+            self.compact();
+        }
+    }
+
+    /// Copy the live run records and their arena parts to the front, in
+    /// key order.
+    fn compact(&mut self) {
+        let records = std::mem::take(&mut self.records);
+        let masks = std::mem::take(&mut self.masks);
+        let points = std::mem::take(&mut self.points);
+        let offsets = std::mem::take(&mut self.offsets);
+        for key in 0..self.heads.len() {
+            let mut r = std::mem::replace(&mut self.heads[key], NONE);
+            // The record copied last, and where its masks were and are now:
+            // a key's records share masks only with their neighbours.
+            let (mut previous, mut masks_from, mut masks_to) = (NONE, NONE, NONE);
+            while r != NONE {
+                let old = records[r as usize];
+                let id = self.records.len() as u32;
+                if old.masks_at != masks_from {
+                    let pending_words = usize::from(old.own_pending) + usize::from(old.adds_stale);
+                    let len = self.words + self.gate_words * pending_words;
+                    (masks_from, masks_to) = (old.masks_at, self.masks.len() as u32);
+                    self.masks
+                        .extend_from_slice(&masks[old.masks_at as usize..][..len]);
+                }
+                let record = RunRecord {
+                    next: NONE,
+                    offsets_at: self.offsets.len() as u32,
+                    masks_at: masks_to,
+                    points_at: self.points.len() as u32,
+                    ..old
+                };
+                let old_points = &points[old.points_at as usize..][..old.point_count as usize];
+                self.points.extend_from_slice(old_points);
+                let old_offsets = &offsets[old.offsets_at as usize..][..self.change[key].len];
+                self.offsets.extend_from_slice(old_offsets);
+                match previous {
+                    NONE => self.heads[key] = id,
+                    p => self.records[p as usize].next = id,
+                }
+                previous = id;
+                self.records.push(record);
+                r = old.next;
+            }
+        }
+        self.dead = 0;
+    }
 }
 
 /// Entry `key`'s words in `slots`, an array of `width` words per key.
 fn slot(slots: &mut [u64], key: usize, width: usize) -> &mut [u64] {
     &mut slots[key * width..][..width]
+}
+
+/// Pack the state a run starts or ends in: `sim`'s values in the first
+/// `words` words, then its pending values and its stale set.
+fn pack_run(sim: &Simulator<'_>, words: usize, into: &mut [u64]) {
+    let (values, gates) = into.split_at_mut(words);
+    let (pending, stale) = gates.split_at_mut(gates.len() / 2);
+    pack(sim.net_values(), values);
+    pack(sim.pending(), pending);
+    stale.copy_from_slice(sim.stale());
 }
 
 /// `true` when the packed states `a` and `b` agree on every net of `mask`.
@@ -614,11 +1079,12 @@ fn pack(values: &[bool], words: &mut [u64]) {
 /// initialize the simulator to each step's source state, get the zero-delay
 /// prediction of the input change from the state the initialization left,
 /// apply the change, run the simulator to quiescence, and compare settled
-/// values on every combinationally driven net. The initializations and the
-/// predictions come from a [`StepMemo`] the harness borrows, so they outlive
-/// it: a campaign worker lends one memo to the harness of each delay
-/// assignment in turn, and an initialization or a prediction the memo
-/// recorded under a delay assignment serves the later ones.
+/// values on every combinationally driven net. The initializations, the
+/// predictions and the runs come from a [`StepMemo`] the harness borrows,
+/// so they outlive it: a campaign worker lends one memo to the harness of
+/// each delay assignment in turn, and an initialization or a prediction the
+/// memo recorded under a delay assignment serves the later ones, and a run
+/// those of the same delay signature at any time scale.
 #[derive(Debug)]
 pub struct Harness<'a, 'm> {
     sim: Simulator<'a>,
@@ -628,6 +1094,9 @@ pub struct Harness<'a, 'm> {
     /// The key of the last initialization while the simulator holds the
     /// state it left, which is that entry's step start state.
     initialized: Option<usize>,
+    /// The unit of the simulator's delays when its runs may replay the
+    /// memo's records.
+    unit: Option<u64>,
 }
 
 impl<'a, 'm> Harness<'a, 'm> {
@@ -635,11 +1104,13 @@ impl<'a, 'm> Harness<'a, 'm> {
     /// enables the differential check against the zero-delay oracle.
     pub fn new(sim: Simulator<'a>, memo: &'m mut StepMemo<'a>, oracle: bool) -> Self {
         memo.bind(&sim);
+        let unit = memo.time_unit(&sim);
         Harness {
             sim,
             memo,
             oracle,
             initialized: None,
+            unit,
         }
     }
 
@@ -651,7 +1122,8 @@ impl<'a, 'm> Harness<'a, 'm> {
     /// Establish a consistent initial condition with the `fixed` nets held
     /// ([`Simulator::initialize_consistent`]) and run to quiescence. The
     /// memo replays the initialization recorded under `key`, the step's name
-    /// for this set of fixed nets, when it starts from the same state.
+    /// for this set of fixed nets, when it starts from the same state with
+    /// the same fixed nets and values.
     ///
     /// # Errors
     ///
@@ -674,26 +1146,57 @@ impl<'a, 'm> Harness<'a, 'm> {
     /// under `key`, the step's name for this input change.
     ///
     /// The memo serves the prediction when the step starts from the state it
-    /// was computed from. Right after an initialization under the same key
-    /// the simulator holds that entry's start state, so nothing is compared
-    /// before the step; otherwise the start state is packed and compared
-    /// word by word. On a miss the oracle starts from the simulator's
-    /// committed values and true-input counters ([`ZeroDelayOracle::load`])
-    /// and costs only the gates the change reaches. The settled state is
-    /// packed and compared word by word.
+    /// was computed from with the same input nets and values. Right after an
+    /// initialization under the same key the simulator holds that entry's
+    /// start state, so nothing is compared before the step; otherwise the
+    /// start state is packed and compared word by word. On a miss the oracle
+    /// starts from the simulator's committed values and true-input counters
+    /// ([`ZeroDelayOracle::load`]) and costs only the gates the change
+    /// reaches. The settled state is packed and compared word by word.
+    ///
+    /// The memo replays the run itself when the step starts right after an
+    /// initialization under `key`, the simulator's delay signature is the
+    /// memo's, and every input is due less than one unit (the smallest gate
+    /// delay) after the earliest: a run recorded from an equal start state
+    /// with the same input offsets is the same run at another time scale
+    /// (see the module docs). The replay writes what the run wrote (values
+    /// with their readers' counters, pending values, stale gates, waveform
+    /// points at their rescaled times, the event count and the end time)
+    /// without scheduling an event. Otherwise the simulator runs, and a
+    /// successful run under those conditions is recorded.
     pub fn step(&mut self, key: usize, changes: &[(NetId, bool, u64)]) -> StepOutcome {
         let start_time = self.sim.time() + 1;
         let at_start = self.initialized.take() == Some(key);
+        self.memo.adopt_change(key, changes);
         // Predict the fixpoint from the pre-step committed state.
         if self.oracle {
             self.memo.predict(&self.sim, key, changes, at_start);
         }
-        for &(net, value, delta) in changes {
-            self.sim.schedule_input(net, value, delta.max(1));
-        }
-        let (end_time, error) = match self.sim.run_until_quiet() {
-            Ok(t) => (t, None),
-            Err(e) => (self.sim.time(), Some(e)),
+        let frame = match self.unit {
+            Some(unit) if at_start => self.memo.frame(self.sim.time(), changes, unit),
+            _ => None,
+        };
+        let record = frame.and_then(|_| self.memo.find(&self.sim, key));
+        let (end_time, error) = match (frame, record) {
+            (Some(frame), Some(r)) => {
+                self.memo.replay(&mut self.sim, r, frame);
+                (self.sim.time(), None)
+            }
+            _ => {
+                self.memo.step_fills += 1;
+                for &(net, value, delta) in changes {
+                    self.sim.schedule_input(net, value, delta.max(1));
+                }
+                match self.sim.run_until_quiet() {
+                    Ok(t) => {
+                        if let Some(frame) = frame {
+                            self.memo.record(&self.sim, key, frame);
+                        }
+                        (t, None)
+                    }
+                    Err(e) => (self.sim.time(), Some(e)),
+                }
+            }
         };
         let oracle = if self.oracle && error.is_none() {
             self.memo.verdict(&self.sim, key)
@@ -1172,6 +1675,214 @@ mod tests {
             replays > 2_000 && fresh > 500 && failed > 500 && aborted > 500,
             "{replays} {fresh} {failed} {aborted}"
         );
+    }
+
+    /// Every step whose run the memo replays leaves the simulator as a twin
+    /// leaves it that simulated every step: values, true-input counters,
+    /// pending values, waveforms, time, live queued events, the stale set
+    /// and the event count. Each random netlist (cyclic logic, nets with
+    /// several drivers, read and unread flip-flops and one clocked by a
+    /// flip-flop's output, slow gates) steps a few keys under unit delays
+    /// and fixed delays of 2, 3 and 5, whose slow gates' delays are multiples
+    /// of the unit, mixed with random delays, in both delay styles and under
+    /// an event budget that some runs exhaust. A key holds the inputs and
+    /// sometimes one more net, and its change may carry an external event
+    /// on a gate-driven net. Each step draws its input offsets, below the
+    /// unit and at or above it, and some steps start with one gate's
+    /// pending value flipped, a state no history reaches right after an
+    /// initialization, so the key's pending values show. One memo serves
+    /// the delay models twice over
+    /// per style. A harness steps the keys in order or shuffled, and after a
+    /// failed initialization or step the harness and its twin are rebuilt
+    /// or go on, by a coin flip, so start states vary, records are dropped
+    /// and the arenas compacted.
+    #[test]
+    fn replayed_steps_match_the_simulation() {
+        let mut rng = StdRng::seed_from_u64(0x5CA1_EDDE);
+        const UNITS: [u64; 4] = [1, 2, 3, 5];
+        // Per unit: replays of a run recorded at another unit, and replays.
+        let (mut crossed, mut replays) = ([0usize; 4], [0usize; 4]);
+        let (mut simulated, mut failed, mut compactions) = (0, 0, 0);
+        for case in 0..150 {
+            let (mut nl, slow, inputs) = verdict_netlist(&mut rng);
+            let nets = nl.num_nets();
+            // The read flip-flop's output clocks another one, which a gate
+            // reads.
+            let clock = nl.dffs()[0].q;
+            let (q, r) = (nl.add_net("ff2"), nl.add_net("r2"));
+            nl.add_dff(clock, NetId(rng.gen_range(0..nets)), q);
+            nl.add_gate(GateKind::Xor, vec![q, inputs[0]], r);
+            let nets = nl.num_nets();
+            let keys: Vec<_> = (0..5)
+                .map(|_| {
+                    let mut fixed: Vec<(NetId, bool)> =
+                        inputs.iter().map(|&x| (x, rng.gen_bool(0.5))).collect();
+                    if rng.gen_bool(0.3) {
+                        fixed.push((NetId(rng.gen_range(0..nets)), rng.gen_bool(0.5)));
+                    }
+                    let flips = rng.gen_range(1..16usize);
+                    let mut changes: Vec<(NetId, bool)> = (0..inputs.len())
+                        .filter(|&i| flips >> i & 1 == 1)
+                        .map(|i| (inputs[i], !fixed[i].1))
+                        .collect();
+                    if rng.gen_bool(0.2) {
+                        let net = NetId(rng.gen_range(inputs.len()..nets));
+                        changes.push((net, rng.gen_bool(0.5)));
+                    }
+                    (fixed, changes)
+                })
+                .collect();
+            let random = |rng: &mut StdRng| DelayModel::Random {
+                min: 1,
+                max: 4,
+                seed: rng.next_u64(),
+            };
+            for style in [DelayStyle::Transport, DelayStyle::Inertial] {
+                let models = [
+                    DelayModel::Unit,
+                    DelayModel::Fixed(2),
+                    random(&mut rng),
+                    DelayModel::Fixed(3),
+                    DelayModel::Fixed(5),
+                    random(&mut rng),
+                    DelayModel::Unit,
+                    DelayModel::Fixed(3),
+                    DelayModel::Fixed(2),
+                    DelayModel::Fixed(5),
+                ];
+                let budget = rng.gen_range(8..300usize);
+                let monitored: Vec<NetId> =
+                    (0..nets).filter(|_| rng.gen_bool(0.3)).map(NetId).collect();
+                let mut memo = StepMemo::default();
+                // Per (key, offsets): the unit of the run last recorded.
+                let mut recorded_at = std::collections::BTreeMap::new();
+                for model in models.iter().chain(&models) {
+                    let mut builder = Simulator::builder(&nl)
+                        .delay_model(model.clone())
+                        .style(style)
+                        .event_budget(budget);
+                    for (k, &gi) in slow.iter().enumerate() {
+                        builder = builder.gate_delay(gi, (8 + 2 * k as u64) * model.max_delay());
+                    }
+                    for &net in &monitored {
+                        builder = builder.monitor(net);
+                    }
+                    let oracle = rng.gen_bool(0.5);
+                    let mut harness = Harness::new(builder.clone().build(), &mut memo, oracle);
+                    let mut twin = builder.clone().build();
+                    let mut order: Vec<usize> = (0..keys.len()).collect();
+                    if rng.gen_bool(0.5) {
+                        for i in (1..order.len()).rev() {
+                            order.swap(i, rng.gen_range(0..=i));
+                        }
+                    }
+                    for key in order {
+                        let (fixed, changes) = &keys[key];
+                        let at = format!("case {case} {model:?} {style:?} key {key}");
+                        let result = harness.init(key, fixed);
+                        let expected = twin
+                            .initialize_consistent(fixed)
+                            .and_then(|()| twin.run_until_quiet());
+                        assert_eq!(result, expected, "{at}: init");
+                        let mut rebuild = result.is_err();
+                        if !rebuild && rng.gen_bool(0.2) {
+                            // A start state that differs from a recorded one
+                            // only in a pending value.
+                            let gi = rng.gen_range(0..nl.num_gates());
+                            harness.sim.flip_pending(gi);
+                            twin.flip_pending(gi);
+                        }
+                        if !rebuild {
+                            // Inputs without skew scale at every unit.
+                            let even = rng.gen_bool(0.4).then(|| rng.gen_range(0..3u64));
+                            let changes: Vec<(NetId, bool, u64)> = changes
+                                .iter()
+                                .map(|&(net, value)| {
+                                    (net, value, even.unwrap_or_else(|| rng.gen_range(0..5)))
+                                })
+                                .collect();
+                            let first = changes.iter().map(|c| c.2.max(1)).min().unwrap();
+                            let offsets: Vec<u64> =
+                                changes.iter().map(|c| c.2.max(1) - first).collect();
+                            let unit = harness.unit.filter(|&u| {
+                                harness.initialized == Some(key) && offsets.iter().all(|&o| o < u)
+                            });
+                            let (fills, records) =
+                                (harness.memo.step_fills, harness.memo.records.len());
+                            let outcome = harness.step(key, &changes);
+                            compactions += usize::from(harness.memo.records.len() < records);
+                            for &(net, value, delta) in &changes {
+                                twin.schedule_input(net, value, delta.max(1));
+                            }
+                            let expected = twin.run_until_quiet();
+                            assert_eq!(outcome.error, expected.clone().err(), "{at}: step");
+                            assert_eq!(outcome.end_time, twin.time(), "{at}: end time");
+                            rebuild = expected.is_err();
+                            failed += usize::from(rebuild);
+                            if harness.memo.step_fills == fills {
+                                let unit = unit.expect("only a scaled step replays");
+                                let u = UNITS.iter().position(|&u| u == unit).unwrap();
+                                replays[u] += 1;
+                                crossed[u] += usize::from(recorded_at[&(key, offsets)] != unit);
+                            } else {
+                                simulated += 1;
+                                if let (Some(unit), false) = (unit, rebuild) {
+                                    recorded_at.insert((key, offsets), unit);
+                                }
+                            }
+                        }
+                        harness.sim.assert_same_state(&twin, &at);
+                        assert_eq!(harness.sim.stale(), twin.stale(), "{at}: stale set");
+                        let events = (harness.sim.events_processed(), twin.events_processed());
+                        assert_eq!(events.0, events.1, "{at}: events");
+                        if rebuild && rng.gen_bool(0.5) {
+                            harness = Harness::new(builder.clone().build(), &mut memo, oracle);
+                            twin = builder.clone().build();
+                        }
+                    }
+                }
+            }
+        }
+        // Runs replay at every unit, from records made at another unit too,
+        // and the arenas are compacted.
+        assert!(
+            crossed.iter().all(|&n| n > 250)
+                && simulated > 10_000
+                && failed > 3_000
+                && compactions > 60,
+            "{crossed:?} {replays:?} {simulated} {failed} {compactions}"
+        );
+    }
+
+    /// A key serves only the fixed nets and the input change it recorded.
+    /// Over `n = NOT x`, initializing key 0 with `x = 1` and then with
+    /// `x = 0`, each from a fresh simulator, leaves `n = 1` as the rounds
+    /// do; and a step from that state under key 0 that leaves `x` at 0,
+    /// after one under key 0 that raised it, keeps `n = 1`, and the oracle
+    /// agrees.
+    #[test]
+    fn a_key_serves_only_its_fixed_nets_and_change() {
+        let mut nl = Netlist::new();
+        let x = nl.add_primary_input("x");
+        let n = nl.add_net("n");
+        nl.add_gate(GateKind::Not, vec![x], n);
+        let build = || Simulator::builder(&nl).event_budget(100).build();
+        let mut memo = StepMemo::default();
+        let mut harness = Harness::new(build(), &mut memo, true);
+        harness.init(0, &[(x, true)]).unwrap();
+        assert!(!harness.sim().value(n));
+        let mut harness = Harness::new(build(), &mut memo, true);
+        harness.init(0, &[(x, false)]).unwrap();
+        assert!(harness.sim().value(n), "n = NOT x with x = 0");
+        let outcome = harness.step(0, &[(x, true, 1)]);
+        assert_eq!(outcome.oracle, OracleVerdict::Agreed);
+        assert!(!harness.sim().value(n));
+        let mut harness = Harness::new(build(), &mut memo, true);
+        harness.init(0, &[(x, false)]).unwrap();
+        let outcome = harness.step(0, &[(x, false, 1)]);
+        assert_eq!(outcome.oracle, OracleVerdict::Agreed);
+        assert!(harness.sim().value(n), "x stays 0");
+        assert_eq!(memo.step_fills(), 2);
     }
 
     /// Packing eight nets per multiply equals setting one bit per net, at

@@ -33,7 +33,9 @@
 //!   until the rest of the logic settles), the per-worker
 //!   [`campaign::StepMemo`] that runs each transition's initialization
 //!   rounds and settles its oracle once per start state rather than once
-//!   per delay assignment, and the per-trial [`campaign::Harness`],
+//!   per delay assignment, and runs its event loop once per start state and
+//!   input skew across the delay assignments that differ only in time
+//!   scale, and the per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!

@@ -219,6 +219,27 @@ impl EventWheel {
         })
     }
 
+    /// Move the window of an empty wheel to `now`, as if its last popped
+    /// event were due then, and drop the cancelled and popped entries it
+    /// still holds, which a slot at another time would otherwise misread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live event is pending or `now` is before the window.
+    pub(crate) fn move_window(&mut self, now: u64) {
+        assert!(self.len == 0, "only an empty wheel moves its window");
+        assert!(now >= self.now, "the window moves forward");
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                self.slots[w * 64 + word.trailing_zeros() as usize].clear();
+                *word &= *word - 1;
+            }
+        }
+        self.far.clear();
+        self.head = 0;
+        self.now = now;
+    }
+
     /// Drop every pending event of `source` (the inertial mode's supersede).
     pub(crate) fn cancel(&mut self, source: usize) {
         let state = &mut self.sources[source];
@@ -338,12 +359,13 @@ mod tests {
         // never before the last popped time. Per source they mostly grow,
         // sometimes fall back towards that time (still earlier than the
         // source's own pending events), and sometimes jump several windows
-        // ahead into the far heap. Each pop's (time, source, net, value),
-        // the length and every source's membership must agree after every
-        // operation.
+        // ahead into the far heap. A drained wheel sometimes moves its
+        // window on, as a replayed run leaves it. Each pop's (time, source,
+        // net, value), the length and every source's membership must agree
+        // after every operation.
         let mut rng = StdRng::seed_from_u64(0xDEAD_BEEF);
         const SIZES: [u64; 7] = [1, 2, 16, 32, 64, 128, 512];
-        let (mut far, mut far_cancels, mut revolutions) = (0, 0, [0; 7]);
+        let (mut far, mut far_cancels, mut revolutions, mut moves) = (0, 0, [0; 7], 0);
         for round in 0..140 {
             let size = SIZES[round % 7];
             let sources = 1 + (rng.next_u64() % 12) as usize;
@@ -383,6 +405,14 @@ mod tests {
                         if let Some((t, ..)) = got {
                             revolutions[round % 7] += t / size - now / size;
                             now = t;
+                        } else if rng.next_u64() % 2 == 0 {
+                            // A drained wheel moves on, up to several
+                            // windows, past the entries cancelled in it.
+                            let t = now + rng.next_u64() % (3 * size + 2);
+                            q.move_window(t);
+                            revolutions[round % 7] += t / size - now / size;
+                            moves += 1;
+                            now = t;
                         }
                     }
                 }
@@ -401,10 +431,14 @@ mod tests {
             }
             assert_eq!(q.pop(), None);
         }
-        // The histories reach the far heap, cancel it and wrap every wheel.
+        // The histories reach the far heap, cancel it, wrap every wheel and
+        // move drained windows.
         assert!(
-            far > 5_000 && far_cancels > 500 && revolutions.iter().all(|&r| r > 1_000),
-            "{far} {far_cancels} {revolutions:?}"
+            far > 5_000
+                && far_cancels > 500
+                && revolutions.iter().all(|&r| r > 1_000)
+                && moves > 1_000,
+            "{far} {far_cancels} {revolutions:?} {moves}"
         );
     }
 }

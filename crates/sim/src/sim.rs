@@ -254,6 +254,17 @@ impl<'a> SimulatorBuilder<'a> {
     }
 }
 
+/// What a simulator's runs depend on besides their start state and input
+/// change, with every delay read in its unit ([`Simulator::time_scale`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DelaySignature {
+    /// Each gate delay, then the flip-flop delay, over the unit.
+    quotients: Vec<u64>,
+    style: DelayStyle,
+    event_budget: usize,
+    monitored: Vec<usize>,
+}
+
 /// Event-driven gate-level simulator over a [`Netlist`].
 ///
 /// Built via [`Simulator::builder`]. Scheduling runs on a timing wheel with
@@ -322,7 +333,12 @@ impl<'a> Simulator<'a> {
     }
 
     /// Cumulative number of events processed over the simulator's lifetime
-    /// (feeds the `sim.events_per_s` throughput metric).
+    /// (feeds the `sim.events_per_s` throughput metric). A run that a
+    /// campaign [`Harness`](crate::campaign::Harness) replays from its
+    /// [`StepMemo`](crate::campaign::StepMemo) counts the events of the
+    /// recorded run it repeats, so campaign event counts do not depend on
+    /// replays, and a throughput over them counts replayed events as if
+    /// simulated.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -336,6 +352,36 @@ impl<'a> Simulator<'a> {
     /// current with [`Simulator::net_values`].
     pub(crate) fn true_counts(&self) -> &[u32] {
         &self.true_counts
+    }
+
+    /// Per gate: the last value it scheduled or rescinded to.
+    pub(crate) fn pending(&self) -> &[bool] {
+        &self.pending
+    }
+
+    /// The monitored nets, in the order monitoring began.
+    pub(crate) fn monitored_nets(&self) -> &[usize] {
+        &self.monitored_nets
+    }
+
+    /// The time unit of this simulator's delays, its smallest gate delay,
+    /// and what a run depends on besides its start state and input change;
+    /// `None` when some gate or flip-flop delay is not a multiple of the
+    /// unit. Two simulators with equal signatures run a step alike at their
+    /// own time scales when its inputs are due within a unit of each other
+    /// (see [`campaign`](crate::campaign), "Runs at another time scale").
+    pub(crate) fn time_scale(&self) -> Option<(u64, DelaySignature)> {
+        let unit = (self.gate_delays.iter().copied().min()).unwrap_or(self.dff_delay);
+        let quotients = (self.gate_delays.iter().chain([&self.dff_delay]))
+            .map(|&d| (d % unit == 0).then_some(d / unit))
+            .collect::<Option<Vec<u64>>>()?;
+        let signature = DelaySignature {
+            quotients,
+            style: self.style,
+            event_budget: self.event_budget,
+            monitored: self.monitored_nets.clone(),
+        };
+        Some((unit, signature))
     }
 
     /// Per gate: `true` when its delay exceeds every delay the model draws,
@@ -572,6 +618,59 @@ impl<'a> Simulator<'a> {
         self.stale.fill(0);
         self.stale_held_drivers(fixed);
         self.record_waveforms();
+    }
+
+    /// Replay a successful [`Simulator::run_until_quiet`] recorded from the
+    /// state this simulator holds, whose input events the caller does not
+    /// schedule: with nothing queued, apply everything the run writes.
+    ///
+    /// `changed` holds, one bit per net, the nets whose values the run
+    /// flipped; they flip with their readers' true-input counters. The run
+    /// flipped the pending values of the gates in `pending`, or of the
+    /// drivers of the changed nets when it is `None`, and added `stale` to
+    /// the stale set. Each `(net, time, value)` of `points` extends a
+    /// monitored waveform. The run processed `events` events and ended at
+    /// `end`, where the drained wheel's window moves.
+    pub(crate) fn replay_run(
+        &mut self,
+        changed: &[u64],
+        pending: Option<&[u64]>,
+        stale: Option<&[u64]>,
+        points: impl Iterator<Item = (usize, u64, bool)>,
+        events: u64,
+        end: u64,
+    ) {
+        let fanout = self.fanout;
+        for (w, &word) in changed.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let net = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.assign(net, !self.values[net]);
+                if pending.is_none() {
+                    for &gi in fanout.drivers(net) {
+                        self.pending[gi as usize] ^= true;
+                    }
+                }
+            }
+        }
+        for (w, &word) in pending.unwrap_or_default().iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                self.pending[w * 64 + word.trailing_zeros() as usize] ^= true;
+                word &= word - 1;
+            }
+        }
+        for (set, &added) in self.stale.iter_mut().zip(stale.unwrap_or_default()) {
+            *set |= added;
+        }
+        for (net, time, value) in points {
+            let wave = self.monitored[net].as_mut().expect("monitored net");
+            wave.push((time, value));
+        }
+        self.events_processed += events;
+        self.time = end;
+        self.queue.move_window(end);
     }
 
     /// Commit a changed `value` to `net`, keeping its readers' true-input
@@ -852,6 +951,13 @@ impl<'a> Simulator<'a> {
 
 #[cfg(test)]
 impl Simulator<'_> {
+    /// Flip gate `gi`'s pending value: a start state that no history
+    /// reaches right after an initialization, where every gate's pending
+    /// value equals its output's.
+    pub(crate) fn flip_pending(&mut self, gi: usize) {
+        self.pending[gi] ^= true;
+    }
+
     /// Assert that `self` and `other` hold the same values, waveforms,
     /// pending states, true-input counters, time and live queued events per
     /// source.
