@@ -399,18 +399,20 @@ impl StepOutcome {
 /// Runs are recorded per key too, for the simulators of one delay
 /// signature: the memo adopts that of the first simulator whose delays are
 /// all multiples of its smallest gate delay, and a simulator with another
-/// signature neither reads nor writes them. A key keeps one step start
-/// state (every net value, every gate's pending value and the stale set;
-/// right after an initialization each pending value is its gate's output
-/// value, but the key does not rest on that) and, per pattern of input
-/// offsets, the record of a successful run in flat arenas: the nets it
-/// flipped, the pending values it flipped unless they are those of the
-/// flipped nets' drivers, and the gates it made stale if any, masks that
-/// the runs of a key which flip the same share; its monitored waveform
-/// points and its last event as times after the earliest input event, with
-/// the unit it ran under; and its event count. A different start state or
-/// input change drops the key's records, and a failed run is never
-/// recorded.
+/// signature neither reads nor writes them. A run is recorded and replayed
+/// only right after an initialization under its key, so the entry pins the
+/// run's start state: the step start values, every gate's pending value at
+/// its output's value, and the drivers of the fixed nets as the stale set
+/// (debug builds check all three). The unread flip-flop outputs, which the
+/// entry does not match, are kept beside the start values for the runs.
+/// Per pattern of input offsets, the record of a successful run sits in
+/// flat arenas: the nets it flipped, the pending values it flipped unless
+/// they are those of the flipped nets' drivers, and the gates it made stale
+/// if any; its monitored waveform points and its last event as times after
+/// the earliest input event, with the unit it ran under; and its event
+/// count. Other start values (unread flip-flop outputs included), fixed
+/// nets or input change drop the key's records, which stay in the arenas
+/// until the memo is dropped, and a failed run is never recorded.
 ///
 /// The memo serves one netlist and one set of slow gates; a harness that
 /// brings another clears it.
@@ -421,8 +423,10 @@ pub struct StepMemo<'a> {
     /// Words per packed state (one bit per net) and per gate set.
     words: usize,
     gate_words: usize,
-    /// The nets a start state must match on.
+    /// The nets a start state must match on, and the others: the flip-flop
+    /// outputs that no gate reads or drives.
     key_mask: Vec<u64>,
+    unread: Vec<usize>,
     /// The nets the settled comparison checks: all but flip-flop outputs.
     compare_mask: Vec<u64>,
     /// Per key: whether the entry records an initialization.
@@ -431,15 +435,13 @@ pub struct StepMemo<'a> {
     predictions: Vec<Option<Result<(), NetId>>>,
     /// Per key, one packed state or gate set each: the initialization's
     /// start values, start stale set and visited gates, the step's start
-    /// state (the initialization's end values) and the settled state; and
-    /// the start state of the recorded runs: values, pending values and
-    /// stale set.
+    /// state (the initialization's end values, with the unread flip-flop
+    /// outputs its runs start from) and the settled state.
     init_starts: Vec<u64>,
     stales: Vec<u64>,
     visited: Vec<u64>,
     starts: Vec<u64>,
     settled: Vec<u64>,
-    run_starts: Vec<u64>,
     /// Per key: its fixed nets and its input change's nets, in `pairs`.
     fixed: Vec<Span>,
     change: Vec<Span>,
@@ -454,12 +456,10 @@ pub struct StepMemo<'a> {
     masks: Vec<u64>,
     points: Vec<Point>,
     offsets: Vec<u32>,
-    /// Records dropped but still in the arenas.
-    dead: usize,
     /// The simulator's packed state, scratch of each step, and that of a
-    /// run: its start and its end (values, pending values, stale set), its
-    /// input offsets, its waveform lengths and event count before the run,
-    /// and the drivers of the nets it flipped.
+    /// simulated run: its start and its end (values, pending values, stale
+    /// set), its input offsets, its waveform lengths and event count before
+    /// the run, and the drivers of the nets it flipped.
     packed: Vec<u64>,
     run_start: Vec<u64>,
     run_end: Vec<u64>,
@@ -621,9 +621,11 @@ impl<'a> StepMemo<'a> {
         self.compare_mask = vec![0; self.words];
         pack(&keyed, &mut self.key_mask);
         pack(&compared, &mut self.compare_mask);
+        self.unread = (0..keyed.len()).filter(|&n| !keyed[n]).collect();
         self.packed = vec![0; self.words];
-        self.run_start = vec![0; self.run_words()];
-        self.run_end = vec![0; self.run_words()];
+        let run_words = self.words + 2 * self.gate_words;
+        self.run_start = vec![0; run_words];
+        self.run_end = vec![0; run_words];
         self.drivers = vec![0; self.gate_words];
         let keys = self.recorded.capacity();
         self.recorded.clear();
@@ -645,25 +647,18 @@ impl<'a> StepMemo<'a> {
         self.masks.clear();
         self.points.clear();
         self.offsets.clear();
-        self.dead = 0;
         self.oracle = Some(ZeroDelayOracle::with_slow_gates(netlist, slow));
     }
 
-    /// Words per run start state: values, pending values and stale set.
-    fn run_words(&self) -> usize {
-        self.words + 2 * self.gate_words
-    }
-
     /// Every per-key array of words, with its words per key.
-    fn slots(&mut self) -> [(&mut Vec<u64>, usize); 6] {
-        let (words, gate_words, run_words) = (self.words, self.gate_words, self.run_words());
+    fn slots(&mut self) -> [(&mut Vec<u64>, usize); 5] {
+        let (words, gate_words) = (self.words, self.gate_words);
         [
             (&mut self.init_starts, words),
             (&mut self.stales, gate_words),
             (&mut self.visited, gate_words),
             (&mut self.starts, words),
             (&mut self.settled, words),
-            (&mut self.run_starts, run_words),
         ]
     }
 
@@ -715,8 +710,15 @@ impl<'a> StepMemo<'a> {
             // The step starts from another state now.
             self.predictions[key] = None;
         }
+        // The runs start from every value and from the fixed nets' drivers
+        // as the stale set.
+        let moved =
+            *start != *self.packed || !self.fixed[key].holds(&self.pairs, fixed.iter().copied());
         start.copy_from_slice(&self.packed);
         self.fixed[key].put(&mut self.pairs, fixed.iter().copied());
+        if moved {
+            self.drop_runs(key);
+        }
         self.recorded[key] = true;
         Ok(())
     }
@@ -756,6 +758,7 @@ impl<'a> StepMemo<'a> {
                 self.recorded[key] = false;
                 self.predictions[key] = None;
                 start.copy_from_slice(&self.packed);
+                self.drop_runs(key);
             }
         }
         if self.predictions[key].is_some() {
@@ -827,16 +830,23 @@ impl<'a> StepMemo<'a> {
         })
     }
 
-    /// The record of entry `key` for a run from the state of `sim` with the
-    /// offsets [`StepMemo::frame`] took, if there is one. A start state
-    /// other than the key's drops its records; on a miss, the run's start
-    /// is noted for [`StepMemo::record`].
+    /// The record of entry `key` for a run from the state of `sim`, which an
+    /// initialization under `key` just left, with the offsets
+    /// [`StepMemo::frame`] took, if there is one. Unread flip-flop outputs
+    /// other than the key's drop its records; on a miss, the run's start is
+    /// noted for [`StepMemo::record`].
     fn find(&mut self, sim: &Simulator<'_>, key: usize) -> Option<usize> {
-        let run_words = self.run_words();
-        pack_run(sim, self.words, &mut self.run_start);
-        if self.heads[key] != NONE
-            && self.run_starts[key * run_words..][..run_words] != self.run_start[..]
-        {
+        debug_assert!(self.holds_step_start(sim, key), "key {key}");
+        let start = slot(&mut self.starts, key, self.words);
+        let mut moved = false;
+        for &net in &self.unread {
+            let bit = 1 << (net % 64);
+            if (start[net / 64] & bit != 0) != sim.net_values()[net] {
+                start[net / 64] ^= bit;
+                moved = true;
+            }
+        }
+        if moved {
             self.drop_runs(key);
         }
         let mut r = self.heads[key];
@@ -848,6 +858,7 @@ impl<'a> StepMemo<'a> {
             }
             r = record.next;
         }
+        pack_run(sim, self.words, &mut self.run_start);
         self.wave_lens.clear();
         for &net in sim.monitored_nets() {
             self.wave_lens
@@ -855,6 +866,29 @@ impl<'a> StepMemo<'a> {
         }
         self.events_before = sim.events_processed();
         None
+    }
+
+    /// `true` when `sim` holds the step start state of entry `key` as its
+    /// initialization leaves it: the start values on every keyed net, every
+    /// gate's pending value at its output's value (the rounds reset every
+    /// gate they visit, and a drained run leaves the others so), and the
+    /// drivers of the fixed nets as the stale set.
+    fn holds_step_start(&self, sim: &Simulator<'_>, key: usize) -> bool {
+        let mut values = vec![0; self.words];
+        pack(sim.net_values(), &mut values);
+        let start = &self.starts[key * self.words..][..self.words];
+        let mut stale = vec![0; self.gate_words];
+        let fixed = self.fixed[key];
+        for &(net, _) in &self.pairs[fixed.start..][..fixed.len] {
+            for &gi in sim.netlist().fanout().drivers(net as usize) {
+                stale[gi as usize / 64] |= 1 << (gi % 64);
+            }
+        }
+        let gates = sim.netlist().gates();
+        let outputs = gates.iter().map(|g| sim.net_values()[g.output.0]);
+        same(start, &values, &self.key_mask)
+            && outputs.eq(sim.pending().iter().copied())
+            && *sim.stale() == *stale
     }
 
     /// Apply record `r` to `sim` in `frame`.
@@ -889,7 +923,7 @@ impl<'a> StepMemo<'a> {
             })
         };
         let added = waves().map(|(_, points)| points.len()).sum();
-        let (Some(id), Some(block_at), Some(points_at), Some(point_count), Some(offsets_at)) = (
+        let (Some(id), Some(masks_at), Some(points_at), Some(point_count), Some(offsets_at)) = (
             index(self.records.len()),
             index(self.masks.len()),
             index(self.points.len()),
@@ -910,7 +944,7 @@ impl<'a> StepMemo<'a> {
                     value,
                 }));
         }
-        let (words, gate_words, run_words) = (self.words, self.gate_words, self.run_words());
+        let (words, gate_words) = (self.words, self.gate_words);
         let end = &mut self.run_end;
         pack_run(sim, words, end);
         // A run only adds to the stale set, so the XOR is what it added.
@@ -941,22 +975,7 @@ impl<'a> StepMemo<'a> {
         if adds_stale {
             self.masks.extend_from_slice(added);
         }
-        // The runs of a key from one start state mostly end alike: such a
-        // run shares the masks of the key's latest record.
-        let mut masks_at = block_at;
-        if let Some(head) = self.records.get(self.heads[key] as usize) {
-            let block = &self.masks[block_at as usize..];
-            if (head.own_pending, head.adds_stale) == (own_pending, adds_stale)
-                && self.masks[head.masks_at as usize..][..block.len()] == *block
-            {
-                masks_at = head.masks_at;
-                self.masks.truncate(block_at as usize);
-            }
-        }
         self.offsets.extend_from_slice(&self.run_offsets);
-        if self.heads[key] == NONE {
-            slot(&mut self.run_starts, key, run_words).copy_from_slice(&self.run_start);
-        }
         self.records.push(RunRecord {
             next: self.heads[key],
             offsets_at,
@@ -972,62 +991,11 @@ impl<'a> StepMemo<'a> {
         self.heads[key] = id;
     }
 
-    /// Drop entry `key`'s run records, and compact the arenas once dropped
-    /// records fill half of them.
+    /// Drop entry `key`'s run records. Their arena parts stay until the
+    /// memo is dropped or serves another netlist: a campaign worker's memo
+    /// lives for one campaign, whose steps rarely start over.
     fn drop_runs(&mut self, key: usize) {
-        let mut r = std::mem::replace(&mut self.heads[key], NONE);
-        while r != NONE {
-            self.dead += 1;
-            r = self.records[r as usize].next;
-        }
-        if self.dead > 16 && 2 * self.dead > self.records.len() {
-            self.compact();
-        }
-    }
-
-    /// Copy the live run records and their arena parts to the front, in
-    /// key order.
-    fn compact(&mut self) {
-        let records = std::mem::take(&mut self.records);
-        let masks = std::mem::take(&mut self.masks);
-        let points = std::mem::take(&mut self.points);
-        let offsets = std::mem::take(&mut self.offsets);
-        for key in 0..self.heads.len() {
-            let mut r = std::mem::replace(&mut self.heads[key], NONE);
-            // The record copied last, and where its masks were and are now:
-            // a key's records share masks only with their neighbours.
-            let (mut previous, mut masks_from, mut masks_to) = (NONE, NONE, NONE);
-            while r != NONE {
-                let old = records[r as usize];
-                let id = self.records.len() as u32;
-                if old.masks_at != masks_from {
-                    let pending_words = usize::from(old.own_pending) + usize::from(old.adds_stale);
-                    let len = self.words + self.gate_words * pending_words;
-                    (masks_from, masks_to) = (old.masks_at, self.masks.len() as u32);
-                    self.masks
-                        .extend_from_slice(&masks[old.masks_at as usize..][..len]);
-                }
-                let record = RunRecord {
-                    next: NONE,
-                    offsets_at: self.offsets.len() as u32,
-                    masks_at: masks_to,
-                    points_at: self.points.len() as u32,
-                    ..old
-                };
-                let old_points = &points[old.points_at as usize..][..old.point_count as usize];
-                self.points.extend_from_slice(old_points);
-                let old_offsets = &offsets[old.offsets_at as usize..][..self.change[key].len];
-                self.offsets.extend_from_slice(old_offsets);
-                match previous {
-                    NONE => self.heads[key] = id,
-                    p => self.records[p as usize].next = id,
-                }
-                previous = id;
-                self.records.push(record);
-                r = old.next;
-            }
-        }
-        self.dead = 0;
+        self.heads[key] = NONE;
     }
 }
 
@@ -1685,24 +1653,22 @@ mod tests {
     /// flip-flop's output, slow gates) steps a few keys under unit delays
     /// and fixed delays of 2, 3 and 5, whose slow gates' delays are multiples
     /// of the unit, mixed with random delays, in both delay styles and under
-    /// an event budget that some runs exhaust. A key holds the inputs and
-    /// sometimes one more net, and its change may carry an external event
-    /// on a gate-driven net. Each step draws its input offsets, below the
-    /// unit and at or above it, and some steps start with one gate's
-    /// pending value flipped, a state no history reaches right after an
-    /// initialization, so the key's pending values show. One memo serves
-    /// the delay models twice over
-    /// per style. A harness steps the keys in order or shuffled, and after a
-    /// failed initialization or step the harness and its twin are rebuilt
-    /// or go on, by a coin flip, so start states vary, records are dropped
-    /// and the arenas compacted.
+    /// an event budget that some runs exhaust. A key holds the inputs and,
+    /// at some initializations, one more net, and its change may carry an
+    /// external event on a gate-driven net, often that one. Each step draws
+    /// its input offsets, below the unit and at or above it, and some steps
+    /// follow the last one without an initialization. One memo serves the
+    /// delay models twice over per style. A harness steps the keys in order
+    /// or shuffled, and after a failed initialization or step the harness
+    /// and its twin are rebuilt or go on, by a coin flip, so start states
+    /// vary (the unread flip-flop output's too) and records are dropped.
     #[test]
     fn replayed_steps_match_the_simulation() {
         let mut rng = StdRng::seed_from_u64(0x5CA1_EDDE);
         const UNITS: [u64; 4] = [1, 2, 3, 5];
         // Per unit: replays of a run recorded at another unit, and replays.
         let (mut crossed, mut replays) = ([0usize; 4], [0usize; 4]);
-        let (mut simulated, mut failed, mut compactions) = (0, 0, 0);
+        let (mut simulated, mut failed) = (0, 0);
         for case in 0..150 {
             let (mut nl, slow, inputs) = verdict_netlist(&mut rng);
             let nets = nl.num_nets();
@@ -1715,21 +1681,23 @@ mod tests {
             let nets = nl.num_nets();
             let keys: Vec<_> = (0..5)
                 .map(|_| {
-                    let mut fixed: Vec<(NetId, bool)> =
+                    let fixed: Vec<(NetId, bool)> =
                         inputs.iter().map(|&x| (x, rng.gen_bool(0.5))).collect();
-                    if rng.gen_bool(0.3) {
-                        fixed.push((NetId(rng.gen_range(0..nets)), rng.gen_bool(0.5)));
-                    }
+                    let extra = (rng.gen_bool(0.4))
+                        .then(|| (NetId(rng.gen_range(0..nets)), rng.gen_bool(0.5)));
                     let flips = rng.gen_range(1..16usize);
                     let mut changes: Vec<(NetId, bool)> = (0..inputs.len())
                         .filter(|&i| flips >> i & 1 == 1)
                         .map(|i| (inputs[i], !fixed[i].1))
                         .collect();
                     if rng.gen_bool(0.2) {
-                        let net = NetId(rng.gen_range(inputs.len()..nets));
+                        let net = match extra {
+                            Some((net, _)) if rng.gen_bool(0.5) => net,
+                            _ => NetId(rng.gen_range(inputs.len()..nets)),
+                        };
                         changes.push((net, rng.gen_bool(0.5)));
                     }
-                    (fixed, changes)
+                    (fixed, extra, changes)
                 })
                 .collect();
             let random = |rng: &mut StdRng| DelayModel::Random {
@@ -1777,20 +1745,21 @@ mod tests {
                         }
                     }
                     for key in order {
-                        let (fixed, changes) = &keys[key];
+                        let (fixed, extra, changes) = &keys[key];
                         let at = format!("case {case} {model:?} {style:?} key {key}");
-                        let result = harness.init(key, fixed);
-                        let expected = twin
-                            .initialize_consistent(fixed)
-                            .and_then(|()| twin.run_until_quiet());
-                        assert_eq!(result, expected, "{at}: init");
-                        let mut rebuild = result.is_err();
-                        if !rebuild && rng.gen_bool(0.2) {
-                            // A start state that differs from a recorded one
-                            // only in a pending value.
-                            let gi = rng.gen_range(0..nl.num_gates());
-                            harness.sim.flip_pending(gi);
-                            twin.flip_pending(gi);
+                        let mut rebuild = false;
+                        // Some steps follow the last one without an
+                        // initialization; the others hold the extra net or
+                        // not, by a coin flip.
+                        if rng.gen_bool(0.9) {
+                            let mut fixed = fixed.clone();
+                            fixed.extend(extra.filter(|_| rng.gen_bool(0.5)));
+                            let result = harness.init(key, &fixed);
+                            let expected = twin
+                                .initialize_consistent(&fixed)
+                                .and_then(|()| twin.run_until_quiet());
+                            assert_eq!(result, expected, "{at}: init");
+                            rebuild = result.is_err();
                         }
                         if !rebuild {
                             // Inputs without skew scale at every unit.
@@ -1807,10 +1776,8 @@ mod tests {
                             let unit = harness.unit.filter(|&u| {
                                 harness.initialized == Some(key) && offsets.iter().all(|&o| o < u)
                             });
-                            let (fills, records) =
-                                (harness.memo.step_fills, harness.memo.records.len());
+                            let fills = harness.memo.step_fills;
                             let outcome = harness.step(key, &changes);
-                            compactions += usize::from(harness.memo.records.len() < records);
                             for &(net, value, delta) in &changes {
                                 twin.schedule_input(net, value, delta.max(1));
                             }
@@ -1843,14 +1810,10 @@ mod tests {
                 }
             }
         }
-        // Runs replay at every unit, from records made at another unit too,
-        // and the arenas are compacted.
+        // Runs replay at every unit, from records made at another unit too.
         assert!(
-            crossed.iter().all(|&n| n > 250)
-                && simulated > 10_000
-                && failed > 3_000
-                && compactions > 60,
-            "{crossed:?} {replays:?} {simulated} {failed} {compactions}"
+            crossed.iter().all(|&n| n > 250) && simulated > 10_000 && failed > 3_000,
+            "{crossed:?} {replays:?} {simulated} {failed}"
         );
     }
 
@@ -1883,6 +1846,51 @@ mod tests {
         assert_eq!(outcome.oracle, OracleVerdict::Agreed);
         assert!(harness.sim().value(n), "x stays 0");
         assert_eq!(memo.step_fills(), 2);
+    }
+
+    /// A key's runs serve only the start state they were recorded from.
+    /// Over `n = NOT x`, a run recorded with `n` held beside `x`, so the
+    /// stale set holds its driver, does not serve an initialization that
+    /// holds `x` only, although the values are equal: the run's external
+    /// event on `n` leaves the driver stale, and the next initialization
+    /// restores `n`. And over a flip-flop `q` that a gate reads, a step
+    /// that the oracle predicts from another state (`q` set, after another
+    /// key's initialization) drops the runs recorded from `q` clear: the
+    /// initialization after it keeps `q` set.
+    #[test]
+    fn a_key_drops_its_runs_when_its_start_state_moves() {
+        let mut nl = Netlist::new();
+        let x = nl.add_primary_input("x");
+        let n = nl.add_net("n");
+        nl.add_gate(GateKind::Not, vec![x], n);
+        let build = || Simulator::builder(&nl).event_budget(100).build();
+        let mut memo = StepMemo::default();
+        let mut harness = Harness::new(build(), &mut memo, true);
+        harness.init(0, &[(x, true), (n, false)]).unwrap();
+        harness.step(0, &[(n, true, 1)]);
+        let mut harness = Harness::new(build(), &mut memo, true);
+        harness.init(0, &[(x, true)]).unwrap();
+        harness.step(0, &[(n, true, 1)]);
+        harness.init(1, &[(x, true)]).unwrap();
+        assert!(!harness.sim().value(n), "n = NOT x with x = 1");
+        assert_eq!(memo.step_fills(), 2);
+
+        let mut nl = Netlist::new();
+        let (c, d) = (nl.add_primary_input("c"), nl.add_primary_input("d"));
+        let (q, r) = (nl.add_net("q"), nl.add_net("r"));
+        nl.add_dff(c, d, q);
+        nl.add_gate(GateKind::And, vec![q, d], r);
+        let mut memo = StepMemo::default();
+        let sim = Simulator::builder(&nl).event_budget(100).build();
+        let mut harness = Harness::new(sim, &mut memo, true);
+        let fixed = [(c, false), (d, true)];
+        for (i, key) in [0, 1, 0, 0].into_iter().enumerate() {
+            harness.init(key, &fixed).unwrap();
+            harness.step(0, &[(c, true, 1)]);
+            assert!(harness.sim().value(q) && harness.sim().value(r), "step {i}");
+        }
+        // The last step replays the third.
+        assert_eq!(memo.step_fills(), 3);
     }
 
     /// Packing eight nets per multiply equals setting one bit per net, at

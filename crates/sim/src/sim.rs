@@ -951,13 +951,6 @@ impl<'a> Simulator<'a> {
 
 #[cfg(test)]
 impl Simulator<'_> {
-    /// Flip gate `gi`'s pending value: a start state that no history
-    /// reaches right after an initialization, where every gate's pending
-    /// value equals its output's.
-    pub(crate) fn flip_pending(&mut self, gi: usize) {
-        self.pending[gi] ^= true;
-    }
-
     /// Assert that `self` and `other` hold the same values, waveforms,
     /// pending states, true-input counters, time and live queued events per
     /// source.
