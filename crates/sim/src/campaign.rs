@@ -117,10 +117,12 @@ impl DelaySweep {
 /// differently under the sampled delays.
 ///
 /// Each gate is evaluated in O(1) from a per-gate count of its true input
-/// connections, which every value change keeps current along the fanout, so
-/// a settle costs the gates the change reaches. The oracle is an engine of
-/// its own: it shares with the [`Simulator`] only the netlist, the fanout
-/// and, through [`ZeroDelayOracle::load`], a snapshot of its state.
+/// connections, which every value change keeps current along the fanout's
+/// `(gate, multiplicity)` rows, and from the gate's packed record in the
+/// netlist's [`Fanout`] (its output net and counted rule), so a settle costs
+/// the gates the change reaches. The oracle is an engine of its own: it
+/// shares with the [`Simulator`] only the netlist, the fanout with its
+/// records and, through [`ZeroDelayOracle::load`], a snapshot of its state.
 ///
 /// Flip-flop `q` nets have no combinational driver and are simply carried at
 /// their loaded values; campaign comparisons exclude them.
@@ -243,10 +245,8 @@ impl<'a> ZeroDelayOracle<'a> {
     /// mark them dirty.
     fn assign(&mut self, net: usize, value: bool) {
         self.values[net] = value;
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            let gi = self.fanout.gate_at(k);
-            let mult = self.fanout.mult_at(k);
+        for &(gi, mult) in self.fanout.reader_row(net) {
+            let gi = gi as usize;
             if value {
                 self.true_counts[gi] += mult;
             } else {
@@ -267,8 +267,11 @@ impl<'a> ZeroDelayOracle<'a> {
         }
     }
 
-    fn eval(&self, gi: usize) -> bool {
-        self.netlist.gates()[gi].eval_counted(self.true_counts[gi], |n| self.values[n.0])
+    /// Gate `gi`'s value and its output net, from the gate's record.
+    fn eval(&self, gi: usize) -> (bool, usize) {
+        let record = self.fanout.record(gi);
+        let value = record.value(self.true_counts[gi], &self.values);
+        (value, record.output as usize)
     }
 
     /// Propagate until no gate is dirty: settle the fast gates, then let
@@ -285,8 +288,7 @@ impl<'a> ZeroDelayOracle<'a> {
             while let Some(gi) = self.queue.pop_front() {
                 let gi = gi as usize;
                 self.dirty[gi] = false;
-                let new_val = self.eval(gi);
-                let out = self.netlist.gates()[gi].output.0;
+                let (new_val, out) = self.eval(gi);
                 if self.values[out] != new_val {
                     steps += 1;
                     if steps > self.step_bound {
@@ -303,8 +305,7 @@ impl<'a> ZeroDelayOracle<'a> {
             for k in 0..self.slow_round.len() {
                 let gi = self.slow_round[k] as usize;
                 self.dirty[gi] = false;
-                let new_val = self.eval(gi);
-                let out = self.netlist.gates()[gi].output.0;
+                let (new_val, out) = self.eval(gi);
                 if self.values[out] != new_val {
                     self.slow_updates.push((out, new_val));
                 }

@@ -12,10 +12,13 @@
 //!
 //! * [`Netlist`] — gates ([`GateKind`]), rising-edge D flip-flops and nets,
 //!   including direct construction from `fantom_boolean::Expr` trees, plus
-//!   the [`Fanout`] indexes both evaluation engines walk (the readers and
-//!   drivers of each net, the flip-flops it clocks, the flip-flop outputs),
-//!   built once per netlist and shared by every simulator, oracle and
-//!   harness over it,
+//!   the [`Fanout`] indexes both evaluation engines walk (the readers of
+//!   each net as `(gate, multiplicity)` pairs, its drivers, the flip-flops
+//!   it clocks, the flip-flop outputs, each net's sole driver and whether it
+//!   clocks a flip-flop) and the packed per-gate record every engine
+//!   evaluates a gate from (its output net and a rule on its true-input
+//!   count), built once per netlist and shared by every simulator, oracle
+//!   and harness over it,
 //! * [`DelayModel`] — unit, fixed and seeded-random gate delays,
 //! * [`Simulator`] — an event-driven simulator (transport or inertial
 //!   [`DelayStyle`]) with waveform recording, configured through
@@ -29,13 +32,13 @@
 //! * [`campaign`] — Monte-Carlo campaign building blocks: deterministic
 //!   delay sweeps ([`campaign::DelaySweep`]), the zero-delay differential
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
-//!   propagation over true-input counters, with the slow feedback gates held
-//!   until the rest of the logic settles), the per-worker
-//!   [`campaign::StepMemo`] that runs each transition's initialization
-//!   rounds and settles its oracle once per start state rather than once
-//!   per delay assignment, and runs its event loop once per start state and
-//!   input skew across the delay assignments that differ only in time
-//!   scale, and the per-trial [`campaign::Harness`],
+//!   propagation over true-input counters and the gate records, with the
+//!   slow feedback gates held until the rest of the logic settles), the
+//!   per-worker [`campaign::StepMemo`] that runs each transition's
+//!   initialization rounds and settles its oracle once per start state
+//!   rather than once per delay assignment, and runs its event loop once
+//!   per start state and input skew across the delay assignments that
+//!   differ only in time scale, and the per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!

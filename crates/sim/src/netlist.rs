@@ -64,6 +64,10 @@ impl GateKind {
 }
 
 /// A combinational gate instance.
+///
+/// The engines do not evaluate a `Gate` itself: the netlist's [`Fanout`]
+/// compiles each gate into a packed record of its output net and a rule on
+/// its true-input count, which is all they read per evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// Logic function.
@@ -73,31 +77,6 @@ pub struct Gate {
     pub inputs: Vec<NetId>,
     /// Output net.
     pub output: NetId,
-}
-
-impl Gate {
-    /// Evaluate the gate from `true_count`, the number of its input
-    /// connections (with multiplicity) that are true — O(1) for the engines
-    /// that keep such counters current. `Buf`/`Not` are defined on their
-    /// first input, whose value `value_of` reads.
-    #[inline]
-    pub(crate) fn eval_counted(
-        &self,
-        true_count: u32,
-        value_of: impl FnOnce(NetId) -> bool,
-    ) -> bool {
-        let fanin = self.inputs.len() as u32;
-        match self.kind {
-            GateKind::Buf => value_of(self.inputs[0]),
-            GateKind::Not => !value_of(self.inputs[0]),
-            GateKind::And => true_count == fanin,
-            GateKind::Or => true_count > 0,
-            GateKind::Nand => true_count != fanin,
-            GateKind::Nor => true_count == 0,
-            GateKind::Xor => true_count & 1 == 1,
-            GateKind::Xnor => true_count & 1 == 0,
-        }
-    }
 }
 
 /// A rising-edge-triggered D flip-flop.
@@ -276,24 +255,46 @@ impl Netlist {
     }
 }
 
-/// The per-net indexes of a [`Netlist`] that the simulator and the
-/// zero-delay oracle walk: the gates reading each net (its fanout), the gates
-/// driving it and the flip-flops it clocks, each in compressed sparse row
-/// form, and which nets are flip-flop outputs. They depend only on the
+/// The per-net and per-gate indexes of a [`Netlist`] that the simulator and
+/// the zero-delay oracle walk: the gates reading each net (its fanout), the
+/// gates driving it and the flip-flops it clocks, each in compressed sparse
+/// row form, which nets are flip-flop outputs, each net's two event-loop
+/// flags and each gate's evaluation record. They depend only on the
 /// netlist, which builds them once and shares them with every engine over it.
 ///
 /// Row `n` of the fanout lists the distinct gates reading net `n`, in
-/// ascending gate order, each with the *multiplicity* of the connection (a
-/// gate reading the same net twice — legal for parity gates — appears once
-/// with multiplicity 2). The flat layout lets the event loop and the
-/// zero-delay oracle walk a net's fanout by index with no per-event clone or
+/// ascending gate order, each paired with the *multiplicity* of the
+/// connection (a gate reading the same net twice — legal for parity gates —
+/// appears once with multiplicity 2). The flat layout lets the event loop and
+/// the zero-delay oracle walk a net's fanout with no per-event clone or
 /// allocation, and the multiplicities are what make counter-based
 /// incremental gate evaluation exact for `Xor`/`Xnor`.
+///
+/// Every engine keeps, per gate, its *true-input count*: its input
+/// connections that are true, with multiplicity. A gate's record holds its
+/// output net and a rule giving its value from that count,
+/// `((count & mask) == target) != invert`:
+///
+/// | gate | `mask` | `target` | `invert` |
+/// |---|---|---|---|
+/// | `And` / `Nand` | all bits | fan-in | no / yes |
+/// | `Nor`, and `Not` of one input | all bits | 0 | no |
+/// | `Or`, and `Buf` of one input | all bits | 0 | yes |
+/// | `Xor` / `Xnor` | 1 | 1 | no / yes |
+///
+/// A `Buf` or `Not` of several inputs reads its first input only, so its
+/// record names that net, and its rule reads that input alone as the count.
+/// An evaluation reads one record, never the [`Gate`] and its input list.
+///
+/// Per net, the event loop also reads the net's sole driver, if it has
+/// exactly one (an event from that driver then skips the driver row), and
+/// whether it clocks a flip-flop (a rising edge of a net that clocks none
+/// then skips the clock row).
 #[derive(Debug, Clone, Default)]
 pub struct Fanout {
     offsets: Vec<u32>,
-    gates: Vec<u32>,
-    mults: Vec<u32>,
+    /// Per connection, in row order: `(gate, multiplicity)`.
+    readers: Vec<(u32, u32)>,
     /// Net `n`'s drivers are `drivers[driver_offsets[n]..driver_offsets[n + 1]]`.
     driver_offsets: Vec<u32>,
     drivers: Vec<u32>,
@@ -302,6 +303,77 @@ pub struct Fanout {
     clocked: Vec<u32>,
     /// Per net: `true` for flip-flop outputs.
     dff_q: Vec<bool>,
+    /// Per net: its event-loop flags.
+    flags: Vec<NetFlags>,
+    /// Per gate: its evaluation record.
+    records: Vec<GateRecord>,
+}
+
+/// No net or gate: a [`GateRecord`] of a gate that evaluates by its count,
+/// or a [`NetFlags`] of a net without exactly one driver.
+const NONE: u32 = u32::MAX;
+
+/// A gate's evaluation record (see [`Fanout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GateRecord {
+    /// The output net.
+    pub(crate) output: u32,
+    /// The net a `Buf` or `Not` of several inputs copies, or [`NONE`].
+    first: u32,
+    mask: u32,
+    target: u32,
+    invert: bool,
+}
+
+impl GateRecord {
+    fn new(gate: &Gate) -> Self {
+        let fanin = u32::try_from(gate.inputs.len()).expect("fan-in fits a u32");
+        let (mask, target, invert) = match gate.kind {
+            GateKind::And => (!0, fanin, false),
+            GateKind::Nand => (!0, fanin, true),
+            GateKind::Nor | GateKind::Not => (!0, 0, false),
+            GateKind::Or | GateKind::Buf => (!0, 0, true),
+            GateKind::Xor => (1, 1, false),
+            GateKind::Xnor => (1, 1, true),
+        };
+        let first = match gate.kind {
+            GateKind::Buf | GateKind::Not if fanin > 1 => net_u32(gate.inputs[0]),
+            _ => NONE,
+        };
+        GateRecord {
+            output: net_u32(gate.output),
+            first,
+            mask,
+            target,
+            invert,
+        }
+    }
+
+    /// The gate's value when `count` of its input connections are true and
+    /// the nets hold `values`. A gate that copies its first input counts
+    /// that input alone, so the rule of a one-input `Buf` or `Not` holds.
+    #[inline]
+    pub(crate) fn value(self, count: u32, values: &[bool]) -> bool {
+        let count = if self.first == NONE {
+            count
+        } else {
+            u32::from(values[self.first as usize])
+        };
+        (count & self.mask == self.target) != self.invert
+    }
+}
+
+/// A net's event-loop flags (see [`Fanout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NetFlags {
+    /// The net's only driver, or [`NONE`] when it has none or several.
+    pub(crate) sole_driver: u32,
+    /// Whether the net clocks a flip-flop.
+    pub(crate) clocks: bool,
+}
+
+fn net_u32(net: NetId) -> u32 {
+    u32::try_from(net.0).expect("net ids fit a u32")
 }
 
 impl Fanout {
@@ -325,7 +397,6 @@ impl Fanout {
             }
         }
         let (offsets, readers) = csr(nets, readers.iter().copied());
-        let (gates, mults) = readers.into_iter().unzip();
         let outputs = netlist.gates().iter().map(|gate| gate.output.0);
         let (driver_offsets, drivers) = csr(nets, outputs.zip(0..));
         let clocks = netlist.dffs().iter().map(|dff| dff.clock.0);
@@ -334,15 +405,25 @@ impl Fanout {
         for dff in netlist.dffs() {
             dff_q[dff.q.0] = true;
         }
+        let flags = (0..nets)
+            .map(|n| NetFlags {
+                sole_driver: match row(&driver_offsets, &drivers, n) {
+                    &[gi] => gi,
+                    _ => NONE,
+                },
+                clocks: !row(&clock_offsets, &clocked, n).is_empty(),
+            })
+            .collect();
         Fanout {
             offsets,
-            gates,
-            mults,
+            readers,
             driver_offsets,
             drivers,
             clock_offsets,
             clocked,
             dff_q,
+            flags,
+            records: netlist.gates().iter().map(GateRecord::new).collect(),
         }
     }
 
@@ -356,19 +437,24 @@ impl Fanout {
     /// The gate at flat index `k` of the CSR.
     #[inline]
     pub fn gate_at(&self, k: usize) -> usize {
-        self.gates[k] as usize
+        self.readers[k].0 as usize
     }
 
     /// The connection multiplicity at flat index `k` of the CSR.
     #[inline]
     pub fn mult_at(&self, k: usize) -> u32 {
-        self.mults[k]
+        self.readers[k].1
     }
 
     /// Iterator over `(gate_index, multiplicity)` for the gates reading `net`.
     pub fn readers(&self, net: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let (start, end) = self.row_bounds(net);
-        (start..end).map(move |k| (self.gate_at(k), self.mult_at(k)))
+        (self.reader_row(net).iter()).map(|&(gi, mult)| (gi as usize, mult))
+    }
+
+    /// The `(gate, multiplicity)` pairs of the gates reading `net`.
+    #[inline]
+    pub(crate) fn reader_row(&self, net: usize) -> &[(u32, u32)] {
+        row(&self.offsets, &self.readers, net)
     }
 
     /// The gates driving `net`, in ascending order.
@@ -384,6 +470,18 @@ impl Fanout {
     /// Per net: `true` for flip-flop outputs.
     pub(crate) fn dff_q(&self) -> &[bool] {
         &self.dff_q
+    }
+
+    /// Net `net`'s event-loop flags.
+    #[inline]
+    pub(crate) fn flags(&self, net: usize) -> NetFlags {
+        self.flags[net]
+    }
+
+    /// Gate `gi`'s evaluation record.
+    #[inline]
+    pub(crate) fn record(&self, gi: usize) -> GateRecord {
+        self.records[gi]
     }
 }
 
@@ -410,7 +508,8 @@ fn csr<T: Copy + Default>(
 }
 
 /// Row `n` of a compressed sparse row index.
-fn row<'s>(offsets: &[u32], items: &'s [u32], n: usize) -> &'s [u32] {
+#[inline]
+fn row<'s, T>(offsets: &[u32], items: &'s [T], n: usize) -> &'s [T] {
     &items[offsets[n] as usize..offsets[n + 1] as usize]
 }
 
@@ -486,22 +585,109 @@ mod tests {
 
     #[test]
     fn cached_fanout_follows_every_edit() {
+        let flags = |sole_driver, clocks| NetFlags {
+            sole_driver,
+            clocks,
+        };
         let mut nl = Netlist::new();
         let a = nl.add_primary_input("a");
         let y = nl.add_net("y");
         nl.add_gate(GateKind::Not, vec![a], y);
         assert!(std::ptr::eq(nl.fanout(), nl.fanout()), "built once");
         assert_eq!(nl.fanout().readers(a.0).collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(nl.fanout().flags(y.0), flags(0, false));
         let z = nl.add_net("z");
         assert_eq!(nl.fanout().readers(z.0).count(), 0, "a new net has a row");
+        assert_eq!(nl.fanout().flags(z.0), flags(NONE, false), "and flags");
         nl.add_gate(GateKind::And, vec![a, y], z);
         let readers: Vec<(usize, u32)> = nl.fanout().readers(a.0).collect();
         assert_eq!(readers, [(0, 1), (1, 1)]);
+        assert_eq!(nl.fanout().record(1), GateRecord::new(&nl.gates()[1]));
+        assert_eq!(nl.fanout().flags(z.0), flags(1, false), "a new sole driver");
+        // A second driver of `z`, a multi-input `Buf` reading `y` first.
+        nl.add_gate(GateKind::Buf, vec![y, a], z);
+        assert_eq!(nl.fanout().flags(z.0), flags(NONE, false), "two drivers");
+        let values = [true, false, false];
+        assert!(!nl.fanout().record(2).value(1, &values), "copies y");
+        let q = nl.add_net("q");
+        nl.add_dff(a, z, q);
+        assert_eq!(nl.fanout().flags(a.0), flags(NONE, true), "a clocks q");
+        assert_eq!(nl.fanout().flags(q.0), flags(NONE, false));
         let clone = nl.clone();
         let rebuilt = Fanout::build(&nl);
         for net in 0..nl.num_nets() {
             let row: Vec<(usize, u32)> = rebuilt.readers(net).collect();
             assert_eq!(clone.fanout().readers(net).collect::<Vec<_>>(), row);
+            assert_eq!(clone.fanout().flags(net), rebuilt.flags(net));
+        }
+        for gi in 0..nl.num_gates() {
+            assert_eq!(clone.fanout().record(gi), rebuilt.record(gi));
+            assert_eq!(rebuilt.record(gi), GateRecord::new(&nl.gates()[gi]));
+        }
+    }
+
+    /// Every input list of 1–5 connections over five nets, up to renaming
+    /// the nets (each list names its nets in order of first use), with no
+    /// net read more than three times.
+    fn input_lists() -> Vec<Vec<usize>> {
+        let mut lists = Vec::new();
+        let mut open = vec![vec![0]];
+        while let Some(list) = open.pop() {
+            let fresh = list.iter().max().unwrap() + 1;
+            if list.len() < 5 {
+                for net in 0..=fresh {
+                    let mut longer = list.clone();
+                    longer.push(net);
+                    open.push(longer);
+                }
+            }
+            if (0..fresh).all(|n| list.iter().filter(|&&m| m == n).count() <= 3) {
+                lists.push(list);
+            }
+        }
+        lists
+    }
+
+    #[test]
+    fn records_evaluate_every_gate_as_its_kind_does() {
+        const KINDS: [GateKind; 8] = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let lists = input_lists();
+        assert_eq!(lists.len(), 68, "75 lists, 7 reading a net 4 or 5 times");
+        assert!(lists
+            .iter()
+            .any(|l| l.iter().filter(|&&n| n == 0).count() == 3));
+        for kind in KINDS {
+            for list in &lists {
+                let mut nl = Netlist::new();
+                let nets: Vec<NetId> = (0..5).map(|i| nl.add_net(format!("i{i}"))).collect();
+                let out = nl.add_net("out");
+                nl.add_gate(kind, list.iter().map(|&i| nets[i]).collect(), out);
+                let record = nl.fanout().record(0);
+                assert_eq!(record.output, out.0 as u32);
+                for assignment in 0u32..32 {
+                    let mut values: Vec<bool> = (0..5).map(|i| assignment >> i & 1 == 1).collect();
+                    values.push(false);
+                    let inputs: Vec<bool> = list.iter().map(|&i| values[i]).collect();
+                    let count = inputs.iter().filter(|&&v| v).count() as u32;
+                    let value = record.value(count, &values);
+                    let at = format!("{kind:?} over {list:?} at {inputs:?}");
+                    assert_eq!(value, kind.eval(&inputs), "{at}");
+                    match kind {
+                        GateKind::Buf => assert_eq!(value, inputs[0], "{at}"),
+                        GateKind::Not => assert_eq!(value, !inputs[0], "{at}"),
+                        _ => {}
+                    }
+                }
+            }
         }
     }
 

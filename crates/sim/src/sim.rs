@@ -269,9 +269,14 @@ pub(crate) struct DelaySignature {
 ///
 /// Built via [`Simulator::builder`]. Scheduling runs on a timing wheel with
 /// one slot per time unit over the longest delay, so a schedule is an append,
-/// a pop a slot read and an inertial-mode supersession a counter bump, and
-/// gate re-evaluation is O(1) via per-gate true-input counters maintained
-/// incrementally along the fanout CSR.
+/// a pop a slot read and an inertial-mode supersession a counter bump. Gate
+/// re-evaluation is O(1): the simulator keeps per-gate true-input counters
+/// current along the fanout's `(gate, multiplicity)` rows, and evaluates a
+/// gate from its counter and its packed record in the netlist's [`Fanout`]
+/// (its output net and counted rule), never from the [`Gate`](crate::Gate)
+/// and its input list. An event skips its net's driver row when it comes
+/// from the net's sole driver, and its clock row when the net clocks no
+/// flip-flop.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
@@ -283,10 +288,12 @@ pub struct Simulator<'a> {
     /// Last value scheduled (or rescinded to) per gate.
     pending: Vec<bool>,
     /// Per-gate count of currently-true input connections, with multiplicity,
-    /// which evaluates any gate in O(1). Every value change keeps it current.
+    /// which with the gate's record evaluates it in O(1). Every value change
+    /// keeps it current.
     true_counts: Vec<u32>,
     queue: EventWheel,
-    /// The netlist's fanout, driver and flip-flop clock indexes.
+    /// The netlist's fanout, driver and flip-flop clock indexes, net flags
+    /// and gate records.
     fanout: &'a Fanout,
     time: u64,
     events_processed: u64,
@@ -504,7 +511,7 @@ impl<'a> Simulator<'a> {
         fixed: &[(NetId, bool)],
         mut visited: Option<&mut [u64]>,
     ) -> Result<(), SimError> {
-        let gates = self.netlist.gates();
+        let fanout = self.fanout;
         let mut round = std::mem::take(&mut self.stale);
         let mut next = std::mem::take(&mut self.next_round);
         for &(net, _) in fixed {
@@ -527,21 +534,22 @@ impl<'a> Simulator<'a> {
                     round[w] &= round[w] - 1;
                     self.touched[w] |= 1 << bit;
                     let gi = w * 64 + bit as usize;
-                    let out = gates[gi].output;
-                    if self.held[out.0] {
+                    let record = fanout.record(gi);
+                    let out = record.output as usize;
+                    if self.held[out] {
                         continue;
                     }
-                    let value = self.gate_output(gi);
-                    if self.values[out.0] != value {
-                        self.init_assign(out.0, value, Some(gi), &mut round, &mut next);
-                        changed = Some(out);
+                    let value = record.value(self.true_counts[gi], &self.values);
+                    if self.values[out] != value {
+                        self.init_assign(out, value, Some(gi), &mut round, &mut next);
+                        changed = Some(NetId(out));
                     }
                 }
             }
             iterations += 1;
             match changed {
                 None => break,
-                Some(net) if iterations > gates.len() => {
+                Some(net) if iterations > self.netlist.num_gates() => {
                     for &(net, _) in fixed {
                         self.held[net.0] = false;
                     }
@@ -677,10 +685,8 @@ impl<'a> Simulator<'a> {
     /// counters current.
     fn assign(&mut self, net: usize, value: bool) {
         self.values[net] = value;
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            let gi = self.fanout.gate_at(k);
-            let mult = self.fanout.mult_at(k);
+        for &(gi, mult) in self.fanout.reader_row(net) {
+            let gi = gi as usize;
             if value {
                 self.true_counts[gi] += mult;
             } else {
@@ -692,7 +698,7 @@ impl<'a> Simulator<'a> {
     /// Preset gate `gi`'s pending state to its output's value and drop its
     /// queued transitions.
     fn reset_pending(&mut self, gi: usize) {
-        self.pending[gi] = self.values[self.netlist.gates()[gi].output.0];
+        self.pending[gi] = self.values[self.fanout.record(gi).output as usize];
         self.queue.cancel(gi);
     }
 
@@ -740,10 +746,8 @@ impl<'a> Simulator<'a> {
             };
             insert(set, gi);
         };
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            let gi = self.fanout.gate_at(k);
-            let mult = self.fanout.mult_at(k);
+        for &(gi, mult) in self.fanout.reader_row(net) {
+            let gi = gi as usize;
             if value {
                 self.true_counts[gi] += mult;
             } else {
@@ -825,6 +829,7 @@ impl<'a> Simulator<'a> {
     }
 
     fn apply(&mut self, source: usize, event: ScheduledEvent) {
+        let fanout = self.fanout;
         let net = event.net.0;
         let old = self.values[net];
         if old == event.value {
@@ -839,18 +844,22 @@ impl<'a> Simulator<'a> {
             wave.push((event.time, event.value));
         }
         // A driver of this net other than the event's source may now
-        // disagree with its own output.
-        for &gi in self.fanout.drivers(net) {
-            if gi as usize != source {
-                insert(&mut self.stale, gi as usize);
+        // disagree with its own output; an event from the net's sole driver
+        // leaves none.
+        let flags = fanout.flags(net);
+        if flags.sole_driver as usize != source {
+            for &gi in fanout.drivers(net) {
+                if gi as usize != source {
+                    insert(&mut self.stale, gi as usize);
+                }
             }
         }
 
         // Rising-edge flip-flops clocked by this net sample *before* the
         // combinational fanout walk (schedule order is delivery order at
         // equal times).
-        if event.value && !old {
-            for &di in self.fanout.clocked_dffs(net) {
+        if event.value && !old && flags.clocks {
+            for &di in fanout.clocked_dffs(net) {
                 let dff = &self.netlist.dffs()[di as usize];
                 let q = dff.q;
                 let sampled = self.values[dff.data.0];
@@ -864,27 +873,27 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        // Combinational fanout: walk the CSR row by index, updating each
-        // reader's true-input counter and re-evaluating it in O(1).
-        let (start, end) = self.fanout.row_bounds(net);
-        for k in start..end {
-            let gi = self.fanout.gate_at(k);
-            let mult = self.fanout.mult_at(k);
+        // Combinational fanout: walk the row's `(gate, multiplicity)` pairs,
+        // updating each reader's true-input counter and re-evaluating it in
+        // O(1) from its record.
+        for &(gi, mult) in fanout.reader_row(net) {
+            let gi = gi as usize;
             if event.value {
                 self.true_counts[gi] += mult;
             } else {
                 self.true_counts[gi] -= mult;
             }
-            let new_val = self.gate_output(gi);
+            let record = fanout.record(gi);
+            let new_val = record.value(self.true_counts[gi], &self.values);
             match self.style {
                 DelayStyle::Transport => {
                     if new_val != self.pending[gi] {
                         self.pending[gi] = new_val;
-                        self.schedule_gate_event(gi, event.time, new_val);
+                        self.schedule_gate_event(gi, record.output, event.time, new_val);
                     }
                 }
                 DelayStyle::Inertial => {
-                    if new_val == self.values[self.netlist.gates()[gi].output.0] {
+                    if new_val == self.values[record.output as usize] {
                         // The change was rescinded before it could happen:
                         // cancel the outstanding transition.
                         self.queue.cancel(gi);
@@ -892,23 +901,19 @@ impl<'a> Simulator<'a> {
                     } else if new_val != self.pending[gi] || !self.queue.contains(gi) {
                         self.queue.cancel(gi);
                         self.pending[gi] = new_val;
-                        self.schedule_gate_event(gi, event.time, new_val);
+                        self.schedule_gate_event(gi, record.output, event.time, new_val);
                     }
                 }
             }
         }
     }
 
-    /// O(1) gate evaluation from the incremental counters.
-    #[inline]
-    fn gate_output(&self, gi: usize) -> bool {
-        self.netlist.gates()[gi].eval_counted(self.true_counts[gi], |n| self.values[n.0])
-    }
-
-    fn schedule_gate_event(&mut self, gate_index: usize, now: u64, value: bool) {
+    /// Schedule gate `gate_index`'s transition of its `output` net to
+    /// `value`, its delay after `now`.
+    fn schedule_gate_event(&mut self, gate_index: usize, output: u32, now: u64, value: bool) {
         let ev = ScheduledEvent {
             time: now + self.gate_delays[gate_index],
-            net: self.netlist.gates()[gate_index].output,
+            net: NetId(output as usize),
             value,
         };
         self.queue.schedule(gate_index, ev);
@@ -923,12 +928,13 @@ impl<'a> Simulator<'a> {
     /// Propagates the budget errors of [`Simulator::run_until_quiet`].
     pub fn settle(&mut self) -> Result<u64, SimError> {
         for gi in 0..self.netlist.num_gates() {
-            let new_val = self.gate_output(gi);
+            let record = self.fanout.record(gi);
+            let new_val = record.value(self.true_counts[gi], &self.values);
             self.queue.cancel(gi);
             self.pending[gi] = new_val;
-            if new_val != self.values[self.netlist.gates()[gi].output.0] {
+            if new_val != self.values[record.output as usize] {
                 let now = self.time;
-                self.schedule_gate_event(gi, now, new_val);
+                self.schedule_gate_event(gi, record.output, now, new_val);
             }
         }
         self.run_until_quiet()
