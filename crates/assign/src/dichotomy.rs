@@ -193,8 +193,9 @@ type DichotomyKey = [[u32; 2]; 2];
 ///
 /// Every group holds one or two states, so duplicates are removed and
 /// dichotomies implied by (contained in) another generated dichotomy are
-/// filtered out on fixed-size `[lo, hi]` keys; only the irredundant
-/// requirement list — in first-occurrence order — becomes packed bitsets.
+/// filtered out on fixed-size `[lo, hi]` keys, in one pass over them; only
+/// the irredundant requirement list — in first-occurrence order — becomes
+/// packed bitsets.
 pub fn required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
     let n = table.num_states();
     let mut seen: fantom_boolean::collections::HashSet<DichotomyKey> = Default::default();
@@ -235,41 +236,39 @@ pub fn required_dichotomies(table: &FlowTable) -> Vec<Dichotomy> {
     }
 
     // Drop dichotomies strictly subsumed by a larger one: separating the
-    // larger dichotomy separates them for free. Keys are unique, and two
-    // distinct dichotomies never subsume each other both ways, so every
-    // subsumer found is strict. A subsumer must contain every support state of the
-    // subsumee, so the candidates for each dichotomy are exactly the
-    // entries of its shortest support-state posting list — an inverted
-    // index that replaces the all-pairs subsumption scan with a near-linear
-    // pass.
-    let subset = |a: [u32; 2], b: [u32; 2]| a.iter().all(|s| b.contains(s));
-    let subsumed = |[l, r]: DichotomyKey, [big_l, big_r]: DichotomyKey| {
-        (subset(l, big_l) && subset(r, big_r)) || (subset(l, big_r) && subset(r, big_l))
-    };
-    let mut by_state: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, k) in all.iter().enumerate() {
-        for &s in k.iter().flatten() {
-            // A one-state group lists its state twice; index it once.
-            if by_state[s as usize].last() != Some(&(i as u32)) {
-                by_state[s as usize].push(i as u32);
+    // larger dichotomy separates them for free. Keys are unique and every
+    // group holds one or two states, so a two-by-two key is never strictly
+    // subsumed, `{a}|{b,c}` only by some `{a,z}|{b,c}`, and `{a}|{b}` by any
+    // key with a two-state group and `a` and `b` on opposite sides. One pass
+    // marks what the larger keys separate; the filter keeps the keys that
+    // nothing marked, in order.
+    let two = |[lo, hi]: [u32; 2]| lo != hi;
+    let pair = |a: u32, b: u32| a.min(b) as usize * n + a.max(b) as usize;
+    let mut split_pairs = vec![false; n * n];
+    let mut split_groups: fantom_boolean::collections::HashSet<(u32, [u32; 2])> =
+        Default::default();
+    for &[l, r] in &all {
+        if two(l) || two(r) {
+            for a in l {
+                for b in r {
+                    split_pairs[pair(a, b)] = true;
+                }
             }
+        }
+        if two(l) && two(r) {
+            split_groups.extend(l.iter().map(|&a| (a, r)));
+            split_groups.extend(r.iter().map(|&b| (b, l)));
         }
     }
     let group_set = |[lo, hi]: [u32; 2]| state_set(n, [StateId(lo as usize), StateId(hi as usize)]);
     all.iter()
-        .enumerate()
-        .filter(|(i, k)| {
-            let shortest = k
-                .iter()
-                .flatten()
-                .map(|&s| &by_state[s as usize])
-                .min_by_key(|list| list.len())
-                .expect("dichotomy groups are non-empty");
-            !shortest
-                .iter()
-                .any(|&j| j as usize != *i && subsumed(**k, all[j as usize]))
+        .filter(|&&[l, r]| match (two(l), two(r)) {
+            (true, true) => true,
+            (false, false) => !split_pairs[pair(l[0], r[0])],
+            (false, true) => !split_groups.contains(&(l[0], r)),
+            (true, false) => !split_groups.contains(&(r[0], l)),
         })
-        .map(|(_, &[a, b])| Dichotomy::from_oriented_sets(group_set(a), group_set(b)))
+        .map(|&[a, b]| Dichotomy::from_oriented_sets(group_set(a), group_set(b)))
         .collect()
 }
 

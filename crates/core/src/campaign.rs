@@ -22,18 +22,28 @@
 //!
 //! Neither a step's initialization to its source state nor the oracle's
 //! prediction depends on the delays once the state the step starts from is
-//! fixed, so each worker keeps one [`fantom_sim::campaign::StepMemo`],
-//! keyed by transition index, across the assignments it runs: it runs a
-//! transition's initialization rounds and settles its oracle once and
-//! replays them to the later assignments, with the oracle off too. The
-//! unit, all-minimum and all-maximum assignments make every gate,
-//! feedback-buffer and flip-flop delay a fixed multiple of 1, 4 or 9, and
-//! the input skew of 0 or 1 stays below that unit, so they are one
-//! assignment at three time scales: the memo also runs a transition's
-//! event loop once per start state and skew pattern under them and replays
-//! the run, rescaled, to the others (see `fantom_sim::campaign`). Random
-//! assignments always run. Reports, event counts included, are the same
-//! either way.
+//! fixed, so a [`fantom_sim::campaign::StepMemo`], keyed by transition
+//! index, serves them across assignments: it runs a transition's
+//! initialization rounds and settles its oracle once and replays them to
+//! the later assignments, with the oracle off too. The unit, all-minimum
+//! and all-maximum assignments make every gate, feedback-buffer and
+//! flip-flop delay a fixed multiple of 1, 4 or 9, and the input skew of 0
+//! or 1 stays below that unit, so they are one assignment at three time
+//! scales: the memo also runs a transition's event loop once per start
+//! state and skew pattern under them and replays the run, rescaled, to the
+//! others (see `fantom_sim::campaign`). Random assignments always run.
+//!
+//! Work is shared across assignments and workers in two more ways. When an
+//! assignment steps every transition in order, a unit-delay assignment
+//! draws neither delays nor input skew, so only the first one (assignment
+//! 0) runs and its report is merged once for each of them. And assignment 0
+//! runs first, on one worker, while the others take the random assignments,
+//! whose runs no memo replays: the worker that ran it publishes a copy of
+//! its memo, and every other worker adopts the copy at its next claim
+//! instead of filling the same initializations, predictions and unit-delay
+//! runs again. A copy serves exactly as the original, since every entry is
+//! checked against the simulator state it replays to. Reports, event counts
+//! included, are the same either way.
 //!
 //! ## Protected vs. unprotected transitions
 //!
@@ -59,6 +69,8 @@
 //! the assignments run on the claim-counter worker pool of
 //! [`crate::synthesize_many`].
 
+use std::sync::OnceLock;
+
 use fantom_boolean::hazard::is_static_hazard_free;
 use fantom_flow::{Bits, FlowTable, StableTransition};
 use fantom_sim::analysis;
@@ -68,7 +80,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::emit::{emit_parts, FantomNetlist, MachineParts};
-use crate::service::claim_pool;
+use crate::service::{claim_pool, effective_parallelism};
 use crate::SparseSynthesisResult;
 
 /// Configuration of a validation campaign.
@@ -90,6 +102,14 @@ pub struct CampaignOptions {
     /// Feedback buffer stages per state variable (the campaign raises their
     /// delay to enforce the loop-delay assumption regardless).
     pub loop_stages: usize,
+}
+
+impl CampaignOptions {
+    /// `true` when an assignment steps every one of `transitions` stable
+    /// transitions once, in order, rather than a sample drawn from the seed.
+    fn steps_every_transition(&self, transitions: usize) -> bool {
+        self.sequences_per_assignment == 0 || self.sequences_per_assignment >= transitions
+    }
 }
 
 impl Default for CampaignOptions {
@@ -325,12 +345,18 @@ pub fn run_campaign_sparse(
 /// how many zero-delay predictions the oracle computed and how many steps
 /// ran the event loop, over the workers' step memos.
 ///
-/// Each worker lends its own memo to the harness of every assignment it
-/// runs, so a transition's initialization and prediction are computed once
-/// per worker and start state and served to its later assignments, and a
-/// run under the unit, minimum or maximum delays once per worker, start
-/// state and input skew and replayed to its later assignments of those
-/// three styles.
+/// Each distinct assignment runs once: with every transition in order, the
+/// unit-delay assignments draw neither delays nor input skew, so assignment
+/// 0's report stands for each of them. The first run is assignment 0, then
+/// come the random ones, whose runs no memo replays, then the rest. Each
+/// worker lends its memo to the harness of every assignment it runs, so a
+/// transition's initialization and prediction are computed once per memo
+/// and start state and served to its later assignments, and a run under the
+/// unit, minimum or maximum delays once per memo, start state and input
+/// skew and replayed to its later assignments of those three styles. The
+/// worker that runs assignment 0 publishes a copy of its memo, and every
+/// other worker adopts that copy at its next claim instead of filling the
+/// same entries again; one worker copies nothing.
 pub(crate) fn campaign_with_fills(
     result: &SparseSynthesisResult,
     options: &CampaignOptions,
@@ -349,32 +375,70 @@ pub(crate) fn campaign_with_fills(
         ..CampaignReport::empty(&machine)
     };
     let mut fills = Fills::default();
-    if !transitions.is_empty() {
-        let reports = claim_pool(
-            options.workers,
-            options.assignments,
-            || StepMemo::with_capacity(transitions.len()),
-            |memo, a| {
-                let before = Fills::of(memo);
-                let report =
-                    run_assignment(parts, &machine, &transitions, &protected, options, memo, a);
-                let after = Fills::of(memo);
-                let fills = Fills {
-                    inits: after.inits - before.inits,
-                    predictions: after.predictions - before.predictions,
-                    steps: after.steps - before.steps,
-                };
-                (report, fills)
-            },
-        );
-        for (c, f) in &reports {
-            merged.merge(c);
-            fills.inits += f.inits;
-            fills.predictions += f.predictions;
-            fills.steps += f.steps;
-        }
+    if transitions.is_empty() {
+        return (merged, fills);
     }
-
+    let model = |a| DELAYS.model_for_trial(options.seed, a);
+    let every = options.steps_every_transition(transitions.len());
+    let runs_as = |a| {
+        if every && model(a) == DelayModel::Unit {
+            0
+        } else {
+            a
+        }
+    };
+    let mut runs: Vec<usize> = (0..options.assignments)
+        .filter(|&a| runs_as(a) == a)
+        .collect();
+    runs.sort_by_key(|&a| (a > 0, !matches!(model(a), DelayModel::Random { .. })));
+    let workers = effective_parallelism(options.workers).min(runs.len());
+    let first: OnceLock<StepMemo<'_>> = OnceLock::new();
+    let reports = claim_pool(
+        workers,
+        runs.len(),
+        // A worker's memo, and whether it holds or adopted the first run's.
+        || (StepMemo::with_capacity(transitions.len()), false),
+        |(memo, adopted), i| {
+            if !*adopted {
+                if let Some(copy) = first.get() {
+                    *memo = copy.clone();
+                    *adopted = true;
+                }
+            }
+            let before = Fills::of(memo);
+            let report = run_assignment(
+                parts,
+                &machine,
+                &transitions,
+                &protected,
+                options,
+                memo,
+                runs[i],
+            );
+            let after = Fills::of(memo);
+            if i == 0 {
+                if workers > 1 {
+                    first.get_or_init(|| memo.clone());
+                }
+                *adopted = true;
+            }
+            let fills = Fills {
+                inits: after.inits - before.inits,
+                predictions: after.predictions - before.predictions,
+                steps: after.steps - before.steps,
+            };
+            (report, fills)
+        },
+    );
+    for a in 0..options.assignments {
+        let run = runs.iter().position(|&r| r == runs_as(a));
+        merged.merge(&reports[run.expect("every assignment runs as one run")].0);
+    }
+    for (_, f) in &reports {
+        fills.inits += f.inits;
+        fills.predictions += f.predictions;
+        fills.steps += f.steps;
+    }
     (merged, fills)
 }
 
@@ -484,8 +548,7 @@ fn run_assignment<'a>(
     let mut counters = CampaignReport::empty(machine);
     let mut harness = Harness::new(build(), memo, options.oracle);
 
-    let all = options.sequences_per_assignment == 0
-        || options.sequences_per_assignment >= transitions.len();
+    let all = options.steps_every_transition(transitions.len());
     let step_count = if all {
         transitions.len()
     } else {
@@ -671,16 +734,27 @@ mod tests {
     /// every machine of the perfbench `campaign` workload one worker runs
     /// the initialization rounds and settles the oracle once per stable
     /// transition over 16 assignments, with the oracle on and off. Two
-    /// workers run the rounds at most twice per transition.
+    /// workers run the rounds at most twice per transition: once on the
+    /// worker that runs assignment 0, and once on the other before it adopts
+    /// the copy of that worker's memo.
     ///
     /// The memo also replays runs across the 12 assignments of unit,
     /// minimum and maximum delays, which are one assignment at three time
-    /// scales. With T transitions, T_mic of them multiple-input changes,
-    /// one worker runs the event loop on every transition under the four
-    /// random assignments, on each single-input transition once under the
-    /// other twelve, and on each multiple-input one at most once per input
-    /// skew pattern: between 5T and 5T + 11·T_mic steps. Two workers run
-    /// at most 6T + 10·T_mic.
+    /// scales, and the unit assignments after the first do not run at all.
+    /// With T transitions, T_mic of them multiple-input changes, one worker
+    /// runs the event loop on every transition under assignment 0 and the
+    /// four random assignments, on no single-input transition under the
+    /// eight of minimum or maximum delays, and on each multiple-input one at
+    /// most once per input skew pattern: between 5T and 5T + 8·T_mic steps.
+    ///
+    /// Two workers fill their memos apart only once the first run's copy is
+    /// adopted, so beyond the steps of one worker they run only the skew
+    /// patterns both meet, and, should a worker claim an assignment of
+    /// minimum or maximum delays before that copy is published, the runs of
+    /// one such assignment. Summed over the machines, they run the event loop
+    /// at most T more times than one worker: fewer than a second worker that
+    /// starts from an empty memo adds, since it fills every transition of
+    /// its first such assignment again.
     #[test]
     fn one_worker_settles_the_oracle_once_per_transition() {
         let options = |workers, oracle| CampaignOptions {
@@ -689,6 +763,8 @@ mod tests {
             oracle,
             ..CampaignOptions::default()
         };
+        // Summed over the machines: T, and the steps of one and of two workers.
+        let (mut total, mut one, mut two) = (0, 0, 0);
         for result in campaign_machines() {
             let stable = result.reduced_table.stable_transitions();
             let transitions = stable.len() as u64;
@@ -700,13 +776,76 @@ mod tests {
                 assert_eq!(fills.inits, transitions, "{at}");
                 let predictions = if oracle { transitions } else { 0 };
                 assert_eq!(fills.predictions, predictions, "{at}");
-                let steps = 5 * transitions..=5 * transitions + 11 * mic;
+                let steps = 5 * transitions..=5 * transitions + 8 * mic;
                 assert!(steps.contains(&fills.steps), "{at}");
+                one += if oracle { fills.steps } else { 0 };
             }
             let (report, fills) = campaign_with_fills(&result, &options(2, true));
             let at = format!("{} two workers: {fills:?}", report.machine);
             assert!(fills.inits <= 2 * transitions, "{at}");
-            assert!(fills.steps <= 6 * transitions + 10 * mic, "{at}");
+            total += transitions;
+            two += fills.steps;
+        }
+        assert!(
+            two <= one + total,
+            "two workers {two}, one {one}, T {total}"
+        );
+    }
+
+    /// The report of a campaign whose every assignment runs on a fresh
+    /// memo, merged in assignment order: nothing is served from an earlier
+    /// assignment, copied from another worker or merged for a run that did
+    /// not happen.
+    fn fresh_memo_report(
+        result: &SparseSynthesisResult,
+        options: &CampaignOptions,
+    ) -> CampaignReport {
+        let parts = &MachineParts::from(result);
+        let machine = emit_parts(parts, options.loop_stages);
+        let transitions = parts.table.stable_transitions();
+        let protected: Vec<bool> = (transitions.iter())
+            .map(|t| is_protected(parts.table, t))
+            .collect();
+        let mut merged = CampaignReport {
+            machine: parts.name.to_string(),
+            assignments: options.assignments,
+            analytic: analytic_verdicts(parts),
+            ..CampaignReport::empty(&machine)
+        };
+        for a in 0..options.assignments {
+            let memo = &mut StepMemo::with_capacity(transitions.len());
+            let report =
+                run_assignment(parts, &machine, &transitions, &protected, options, memo, a);
+            merged.merge(&report);
+        }
+        merged
+    }
+
+    /// Every report of the perfbench `campaign` machines equals the one
+    /// computed with each assignment on its own fresh memo, at 1, 2, 3 and
+    /// 8 workers: over 16 assignments with every transition in order, with
+    /// the oracle on and off, where the unit assignments run once and the
+    /// other workers adopt the first run's memo, and over 32 sequences per
+    /// assignment, which on the machines of more than 32 transitions are drawn
+    /// from the seed, so every assignment runs.
+    #[test]
+    fn reports_match_a_fresh_memo_per_assignment() {
+        let options = |oracle, sequences_per_assignment| CampaignOptions {
+            assignments: 16,
+            oracle,
+            sequences_per_assignment,
+            ..CampaignOptions::default()
+        };
+        for result in campaign_machines() {
+            for options in [options(true, 0), options(false, 0), options(true, 32)] {
+                let expected = fresh_memo_report(&result, &options);
+                for workers in [1, 2, 3, 8] {
+                    let report =
+                        run_campaign_sparse(&result, &CampaignOptions { workers, ..options });
+                    let at = format!("{} {options:?} workers {workers}", report.machine);
+                    assert_eq!(report, expected, "{at}");
+                }
+            }
         }
     }
 

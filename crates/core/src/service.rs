@@ -436,7 +436,7 @@ pub fn synthesize_many(tables: &[FlowTable], options: &ServiceOptions) -> Vec<Sy
 }
 
 /// `requested` workers, or the host's available parallelism for `0`.
-fn effective_parallelism(requested: usize) -> usize {
+pub(crate) fn effective_parallelism(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {

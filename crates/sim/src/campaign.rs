@@ -13,17 +13,18 @@
 //!   evaluator (the `rva` propagation idiom) that predicts the zero-delay
 //!   fixpoint after an input change, used as a differential reference for the
 //!   event-driven simulator's settled state;
-//! * [`StepMemo`] — the per-worker step memo: per step key, the record of
-//!   the step's initialization, the oracle's prediction and the event
-//!   loop's runs, kept bit-packed across the delay assignments of one
-//!   campaign worker. A record serves again whenever a step starts from the
-//!   state it was made from: the initialization is replayed (its values,
-//!   counters, pending states, cancelled events, stale set and waveform
-//!   points) without running its rounds, and the prediction is reused
-//!   without settling the oracle. A run is replayed (its values, counters,
-//!   pending values, stale gates, waveform points, event count and end time)
+//! * [`StepMemo`] — the step memo: per step key, the record of the step's
+//!   initialization, the oracle's prediction and the event loop's runs,
+//!   kept bit-packed across the delay assignments a campaign worker runs.
+//!   A record serves again whenever a step starts from the state it was
+//!   made from: the initialization is replayed (its values, counters,
+//!   pending states, cancelled events, stale set and waveform points)
+//!   without running its rounds, and the prediction is reused without
+//!   settling the oracle. A run is replayed (its values, counters, pending
+//!   values, stale gates, waveform points, event count and end time)
 //!   without scheduling an event, under delays that are the recording ones
-//!   at another time scale;
+//!   at another time scale. A copy of a memo serves as the original does,
+//!   so a campaign hands one worker's filled memo to the others;
 //! * [`Harness`] — a [`Simulator`] plus a borrowed memo that drives one trial
 //!   step by step, reporting per-step timing windows and oracle verdicts.
 //!
@@ -138,7 +139,7 @@ impl DelaySweep {
 /// simulator's delays. A harness therefore runs the oracle through a
 /// [`StepMemo`], which settles it only for a start state the memo has not
 /// seen under the step's key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ZeroDelayOracle<'a> {
     netlist: &'a Netlist,
     fanout: &'a Fanout,
@@ -363,8 +364,8 @@ impl StepOutcome {
     }
 }
 
-/// The per-worker step memo: what a campaign step computes from its start
-/// state, kept across the harnesses of one campaign worker.
+/// The step memo: what a campaign step computes from its start state, kept
+/// across the harnesses of a campaign worker.
 ///
 /// A campaign worker steps every transition once per delay assignment,
 /// nearly always from the same start state, and three parts of a step
@@ -417,7 +418,14 @@ impl StepOutcome {
 ///
 /// The memo serves one netlist and one set of slow gates; a harness that
 /// brings another clears it.
-#[derive(Debug, Default)]
+///
+/// A clone serves exactly as the original: every entry is checked against
+/// the simulator state it replays to, never against the simulator or the
+/// worker that recorded it, so a copy may serve any simulator of the same
+/// netlist, on any thread. A campaign lets its first delay assignment fill
+/// one memo and hands a copy to every other worker, which then neither
+/// runs those initializations and predictions nor those runs again.
+#[derive(Debug, Default, Clone)]
 pub struct StepMemo<'a> {
     /// The oracle that fills predictions.
     oracle: Option<ZeroDelayOracle<'a>>,
@@ -1042,7 +1050,7 @@ fn pack(values: &[bool], words: &mut [u64]) {
     }
 }
 
-/// A simulator plus the worker's step memo, driven step by step.
+/// A simulator plus a step memo, driven step by step.
 ///
 /// The harness owns the per-trial mechanics shared by every campaign:
 /// initialize the simulator to each step's source state, get the zero-delay
@@ -1050,10 +1058,11 @@ fn pack(values: &[bool], words: &mut [u64]) {
 /// apply the change, run the simulator to quiescence, and compare settled
 /// values on every combinationally driven net. The initializations, the
 /// predictions and the runs come from a [`StepMemo`] the harness borrows,
-/// so they outlive it: a campaign worker lends one memo to the harness of
+/// so they outlive it: a campaign worker lends its memo to the harness of
 /// each delay assignment in turn, and an initialization or a prediction the
 /// memo recorded under a delay assignment serves the later ones, and a run
-/// those of the same delay signature at any time scale.
+/// those of the same delay signature at any time scale. The memo may be a
+/// copy of one that another worker filled; it serves the same either way.
 #[derive(Debug)]
 pub struct Harness<'a, 'm> {
     sim: Simulator<'a>,
@@ -1815,6 +1824,139 @@ mod tests {
         assert!(
             crossed.iter().all(|&n| n > 250) && simulated > 10_000 && failed > 3_000,
             "{crossed:?} {replays:?} {simulated} {failed}"
+        );
+    }
+
+    /// A copy of a memo serves a simulator exactly as the original serves a
+    /// twin of it: the same results, outcomes and fills, and the same
+    /// simulator state (values, true-input counters, pending values,
+    /// waveforms, time, live queued events, the stale set and the event
+    /// count) after every initialization and step. Each random netlist
+    /// (cyclic logic, nets with several drivers, read and unread flip-flops,
+    /// slow gates) steps a few keys under unit delays with the oracle on, so
+    /// the memo records initializations, predictions and runs, and is then
+    /// copied. The original and the copy each serve one of two twin
+    /// harnesses under fixed delays of 2, 3 and 5, random delays and unit
+    /// delays again, in both delay styles, with the oracle on or off and an
+    /// event budget that some runs exhaust, and go on recording. Each step
+    /// draws its input offsets, below the unit and at or above it; some
+    /// steps follow the last one without an initialization, and after a
+    /// failed initialization or step both harnesses are rebuilt or go on, by
+    /// a coin flip.
+    #[test]
+    fn a_copied_memo_serves_as_the_original() {
+        let mut rng = StdRng::seed_from_u64(0xC0B1_ED11);
+        // What the copies served: initializations, predictions and runs.
+        let (mut inits, mut predictions, mut runs) = (0, 0, 0);
+        let fills = |h: &Harness<'_, '_>| {
+            let memo = &h.memo;
+            (memo.init_fills, memo.oracle_fills, memo.step_fills)
+        };
+        for case in 0..100 {
+            let (nl, slow, inputs) = verdict_netlist(&mut rng);
+            let nets = nl.num_nets();
+            let keys: Vec<_> = (0..5)
+                .map(|_| {
+                    let fixed: Vec<(NetId, bool)> =
+                        inputs.iter().map(|&x| (x, rng.gen_bool(0.5))).collect();
+                    let flips = rng.gen_range(1..16usize);
+                    let mut changes: Vec<(NetId, bool)> = (0..inputs.len())
+                        .filter(|&i| flips >> i & 1 == 1)
+                        .map(|i| (inputs[i], !fixed[i].1))
+                        .collect();
+                    if rng.gen_bool(0.2) {
+                        let net = NetId(rng.gen_range(inputs.len()..nets));
+                        changes.push((net, rng.gen_bool(0.5)));
+                    }
+                    (fixed, changes)
+                })
+                .collect();
+            for style in [DelayStyle::Transport, DelayStyle::Inertial] {
+                let budget = rng.gen_range(8..300usize);
+                let monitored: Vec<NetId> =
+                    (0..nets).filter(|_| rng.gen_bool(0.3)).map(NetId).collect();
+                let build = |model: &DelayModel| {
+                    let mut builder = Simulator::builder(&nl)
+                        .delay_model(model.clone())
+                        .style(style)
+                        .event_budget(budget);
+                    for (k, &gi) in slow.iter().enumerate() {
+                        builder = builder.gate_delay(gi, (8 + 2 * k as u64) * model.max_delay());
+                    }
+                    for &net in &monitored {
+                        builder = builder.monitor(net);
+                    }
+                    builder.build()
+                };
+                let mut original = StepMemo::default();
+                let mut harness = Harness::new(build(&DelayModel::Unit), &mut original, true);
+                for (key, (fixed, changes)) in keys.iter().enumerate() {
+                    if harness.init(key, fixed).is_ok() {
+                        let changes: Vec<_> = changes.iter().map(|&(n, v)| (n, v, 1)).collect();
+                        if harness.step(key, &changes).error.is_some() {
+                            harness = Harness::new(build(&DelayModel::Unit), &mut original, true);
+                        }
+                    }
+                }
+                let mut copy = original.clone();
+                let random = DelayModel::Random {
+                    min: 1,
+                    max: 4,
+                    seed: rng.next_u64(),
+                };
+                let models = [
+                    DelayModel::Fixed(2),
+                    random,
+                    DelayModel::Fixed(3),
+                    DelayModel::Unit,
+                    DelayModel::Fixed(5),
+                ];
+                for model in &models {
+                    let oracle = rng.gen_bool(0.5);
+                    let mut a = Harness::new(build(model), &mut original, oracle);
+                    let mut b = Harness::new(build(model), &mut copy, oracle);
+                    for (key, (fixed, changes)) in keys.iter().enumerate() {
+                        let at = format!("case {case} {model:?} {style:?} key {key}");
+                        let before = fills(&b);
+                        let mut failed = false;
+                        if rng.gen_bool(0.9) {
+                            let result = a.init(key, fixed);
+                            assert_eq!(b.init(key, fixed), result, "{at}: init");
+                            failed = result.is_err();
+                            inits += usize::from(!failed && fills(&b).0 == before.0);
+                        }
+                        if !failed {
+                            let even = rng.gen_bool(0.5).then(|| rng.gen_range(0..3u64));
+                            let changes: Vec<(NetId, bool, u64)> = changes
+                                .iter()
+                                .map(|&(net, value)| {
+                                    (net, value, even.unwrap_or_else(|| rng.gen_range(0..5)))
+                                })
+                                .collect();
+                            let before = fills(&b);
+                            let outcome = a.step(key, &changes);
+                            assert_eq!(b.step(key, &changes), outcome, "{at}: step");
+                            failed = outcome.error.is_some();
+                            predictions += usize::from(oracle && fills(&b).1 == before.1);
+                            runs += usize::from(fills(&b).2 == before.2);
+                        }
+                        b.sim.assert_same_state(&a.sim, &at);
+                        assert_eq!(b.sim.stale(), a.sim.stale(), "{at}: stale set");
+                        let events = (b.sim.events_processed(), a.sim.events_processed());
+                        assert_eq!(events.0, events.1, "{at}: events");
+                        assert_eq!(fills(&b), fills(&a), "{at}: fills");
+                        if failed && rng.gen_bool(0.5) {
+                            a = Harness::new(build(model), &mut original, oracle);
+                            b = Harness::new(build(model), &mut copy, oracle);
+                        }
+                    }
+                }
+            }
+        }
+        // The copies serve every kind of record.
+        assert!(
+            inits > 1_500 && predictions > 800 && runs > 700,
+            "{inits} {predictions} {runs}"
         );
     }
 

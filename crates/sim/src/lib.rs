@@ -34,11 +34,12 @@
 //!   oracle ([`campaign::ZeroDelayOracle`], dirty-flag + process-queue
 //!   propagation over true-input counters and the gate records, with the
 //!   slow feedback gates held until the rest of the logic settles), the
-//!   per-worker [`campaign::StepMemo`] that runs each transition's
-//!   initialization rounds and settles its oracle once per start state
-//!   rather than once per delay assignment, and runs its event loop once
-//!   per start state and input skew across the delay assignments that
-//!   differ only in time scale, and the per-trial [`campaign::Harness`],
+//!   [`campaign::StepMemo`] that runs each transition's initialization
+//!   rounds and settles its oracle once per start state rather than once
+//!   per delay assignment, and runs its event loop once per start state and
+//!   input skew across the delay assignments that differ only in time
+//!   scale (a copy serves as the original, so campaign workers start from
+//!   one filled memo), and the per-trial [`campaign::Harness`],
 //! * [`analysis`] — waveform transition counting, from which campaigns
 //!   detect glitches.
 //!

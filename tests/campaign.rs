@@ -11,15 +11,16 @@ fn corpus_synthesis_options() -> SynthesisOptions {
     }
 }
 
-/// Same seed, same machine: the rendered report is byte-identical at 1, 2
-/// and 8 workers. Every random draw derives from `(seed, assignment, step)`,
-/// never from scheduling.
+/// Same seed, same machine: the rendered report is byte-identical at 1, 2,
+/// 3 and 8 workers. Every random draw derives from `(seed, assignment,
+/// step)`, never from scheduling, and a memo a worker adopts from another
+/// serves as the one it would have filled.
 #[test]
 fn campaign_report_is_byte_identical_across_worker_counts() {
     let options = corpus_synthesis_options();
     for table in [benchmarks::lion(), benchmarks::traffic()] {
         let result = synthesize_sparse(&table, &options).expect("corpus synthesizes");
-        let reports: Vec<_> = [1usize, 2, 8]
+        let reports: Vec<_> = [1usize, 2, 3, 8]
             .iter()
             .map(|&workers| {
                 run_campaign_sparse(
@@ -34,7 +35,8 @@ fn campaign_report_is_byte_identical_across_worker_counts() {
             .collect();
         let renders: Vec<String> = reports.iter().map(|r| r.render()).collect();
         assert_eq!(renders[0], renders[1], "{}: 1 vs 2 workers", table.name());
-        assert_eq!(renders[0], renders[2], "{}: 1 vs 8 workers", table.name());
+        assert_eq!(renders[0], renders[2], "{}: 1 vs 3 workers", table.name());
+        assert_eq!(renders[0], renders[3], "{}: 1 vs 8 workers", table.name());
         // The per-variable glitch histograms are merged in submission order,
         // so they too must be scheduling-independent (and sized to the
         // machine, not left empty).

@@ -28,14 +28,17 @@
 //! with `y1` in every source state, so every one of its steps is an init
 //! failure: no step may start from a total state that is not stable.
 //!
-//! A worker's step memo serves a later delay assignment only what an
-//! earlier one on the same worker recorded, so four assignments on one
-//! worker leave most of it idle. `tests/golden/campaign_replay.txt` pins a
-//! fourth configuration, `replay`, on the 20 machines: 16 assignments (four
-//! of each delay style) on two workers, seed 3, oracle on, every stable
-//! transition. It sets the workers explicitly because the smoke diff and
-//! the fuzz job run on the host's parallelism, which can leave each worker
-//! one or two assignments.
+//! A step memo serves a delay assignment only what earlier ones recorded,
+//! so four assignments leave most of it idle; and a campaign that steps
+//! every transition in order runs only the first of its unit-delay
+//! assignments, and copies the memo that run filled to its other workers.
+//! `tests/golden/campaign_replay.txt` pins a fourth configuration,
+//! `replay`, on the 20 machines: 16 assignments (four of each delay style)
+//! on two workers, seed 3, oracle on, every stable transition. Three of its
+//! unit-delay reports are merged from assignment 0's run, and a worker that
+//! claims an assignment after that run ends adopts the copy of its memo. It
+//! sets the workers explicitly because the smoke diff and the fuzz job run
+//! on the host's parallelism, and on one core no memo is copied.
 //!
 //! Each configuration is a separate test so the harness runs them in
 //! parallel.
