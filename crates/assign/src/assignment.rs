@@ -128,21 +128,34 @@ impl StateAssignment {
     ///
     /// Returns the first violation found.
     pub fn verify(&self, table: &FlowTable) -> Result<(), AssignmentError> {
-        if self.codes.len() != table.num_states() {
+        self.verify_against(table.num_states(), &required_dichotomies(table))
+    }
+
+    /// [`StateAssignment::verify`] against an already generated list of a
+    /// table's `states` and required dichotomies.
+    fn verify_against(
+        &self,
+        states: usize,
+        dichotomies: &[Dichotomy],
+    ) -> Result<(), AssignmentError> {
+        if self.codes.len() != states {
             return Err(AssignmentError::WrongStateCount {
                 codes: self.codes.len(),
-                states: table.num_states(),
+                states,
             });
         }
-        for a in table.states() {
-            for b in table.states() {
-                if a < b && self.codes[a.0] == self.codes[b.0] {
-                    return Err(AssignmentError::DuplicateCode { a, b });
+        for a in 0..states {
+            for b in a + 1..states {
+                if self.codes[a] == self.codes[b] {
+                    return Err(AssignmentError::DuplicateCode {
+                        a: StateId(a),
+                        b: StateId(b),
+                    });
                 }
             }
         }
         let columns = self.variable_columns();
-        for d in required_dichotomies(table) {
+        for d in dichotomies {
             if !columns.iter().any(|ones| d.separated_by(ones)) {
                 return Err(AssignmentError::CriticalRace {
                     dichotomy: d.to_string(),
@@ -243,9 +256,37 @@ pub fn assign_in(
     options: &AssignmentOptions,
     scratch: &mut AssignScratch,
 ) -> StateAssignment {
+    assign_for(table, &required_dichotomies(table), options, scratch)
+}
+
+/// [`assign_in`] with its codes checked as [`StateAssignment::verify`]
+/// checks them, against the required dichotomies the assignment was built
+/// from: the list is generated once, not again for the check.
+///
+/// # Errors
+///
+/// Returns the first violation found (never the case: see
+/// [`assign_with_options`]).
+pub fn assign_verified_in(
+    table: &FlowTable,
+    options: &AssignmentOptions,
+    scratch: &mut AssignScratch,
+) -> Result<StateAssignment, AssignmentError> {
     let dichotomies = required_dichotomies(table);
+    let assignment = assign_for(table, &dichotomies, options, scratch);
+    assignment.verify_against(table.num_states(), &dichotomies)?;
+    Ok(assignment)
+}
+
+/// [`assign_in`] over `table`'s already generated required `dichotomies`.
+fn assign_for(
+    table: &FlowTable,
+    dichotomies: &[Dichotomy],
+    options: &AssignmentOptions,
+    scratch: &mut AssignScratch,
+) -> StateAssignment {
     let seeds = adjacency_seeds(table);
-    let partitions = select_partitions_in(&dichotomies, &seeds, options, scratch);
+    let partitions = select_partitions_in(dichotomies, &seeds, options, scratch);
     let n = table.num_states();
 
     let mut columns: Vec<StateSet> = partitions.iter().map(|p| p.ones().clone()).collect();
@@ -397,6 +438,9 @@ mod tests {
                 "{}: scratch reuse changed the assignment",
                 table.name()
             );
+            let verified = assign_verified_in(&table, &options, &mut scratch)
+                .unwrap_or_else(|e| panic!("{}: {e}", table.name()));
+            assert_eq!(verified, assignment, "{}", table.name());
         }
     }
 

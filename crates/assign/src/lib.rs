@@ -65,7 +65,8 @@ pub mod index;
 pub mod options;
 
 pub use assignment::{
-    adjacency_seeds, assign, assign_in, assign_with_options, AssignmentError, StateAssignment,
+    adjacency_seeds, assign, assign_in, assign_verified_in, assign_with_options, AssignmentError,
+    StateAssignment,
 };
 pub use covering::{
     grow_candidates, select_partitions, select_partitions_in, select_partitions_with,

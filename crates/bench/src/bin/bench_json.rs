@@ -40,7 +40,8 @@
 //!    without and with bounded Step 2;
 //! 10. `batch.*` — a sequential `synthesize_sparse` loop and
 //!     `synthesize_many` at batch sizes 1/64/4096 over relabeled corpus
-//!     machines, plus cold- and warm-cache batches on a persistent service;
+//!     machines, plus cold- and warm-cache batches on a persistent service,
+//!     the last warm one with every outcome's equations rendered;
 //! 11. `sim.ladder.{ms,events}` — the simulator on a glitch-heavy inertial
 //!     xor-ladder workload, best of 5, and the events one run processes;
 //! 12. `campaign.*.{ms,events}` — Monte-Carlo hazard campaigns over both
@@ -566,8 +567,10 @@ fn batch(m: &mut Metrics, _: &Grid) {
     // machines is mostly warm *within* the batch), so it carries 64 distinct
     // isomorphism classes: 8 output-perturbed variants of each of the 8
     // corpus machines, each randomly relabeled. The hit batch is a fresh
-    // relabeling of the same 64 classes and is answered entirely by
-    // relabeling cached canonical results.
+    // relabeling of the same 64 classes and is answered entirely from cached
+    // canonical results. A served result relabels its equations only when
+    // they are read, so the read batch, one more fresh relabeling, also
+    // renders every outcome's equations.
     fn output_variant(t: &FlowTable, k: usize, name: &str) -> FlowTable {
         use fantom_flow::Bits;
         let mut v = t.clone();
@@ -599,18 +602,27 @@ fn batch(m: &mut Metrics, _: &Grid) {
         machines
     };
     let service = SynthesisService::new(ServiceOptions::default());
-    for (key, hits, misses) in [
-        ("batch.cache.cold_ms", 0, 64),
-        ("batch.cache.hit_ms", 64, 64),
+    for (key, hits, misses, read) in [
+        ("batch.cache.cold_ms", 0, 64, false),
+        ("batch.cache.hit_ms", 64, 64, false),
+        ("batch.cache.hit_read_ms", 128, 64, true),
     ] {
         let machines = class_batch(&mut rng);
-        let (ms, outcomes) = mean_ms(1, || service.synthesize_many(&machines));
+        let (ms, outcomes) = mean_ms(1, || {
+            let outcomes = service.synthesize_many(&machines);
+            if read {
+                for r in outcomes.iter().filter_map(|o| o.result.as_ref().ok()) {
+                    std::hint::black_box(r.render_equations());
+                }
+            }
+            outcomes
+        });
         assert!(outcomes.iter().all(|o| o.result.is_ok()));
         let stats = service.cache_stats();
         assert_eq!(
             (stats.hits, stats.misses),
             (hits, misses),
-            "the cold batch is 64 distinct isomorphism classes, the warm one all hits"
+            "the cold batch is 64 distinct isomorphism classes, the warm ones all hits"
         );
         m.put(key, ms);
     }

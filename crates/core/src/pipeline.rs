@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use fantom_assign::{assign_in, AssignmentOptions, StateAssignment};
+use fantom_assign::{assign_verified_in, AssignmentOptions, StateAssignment};
 use fantom_flow::{validate, FlowTable};
 use fantom_minimize::{reduce_with_options, ReductionOptions};
 
@@ -260,9 +260,10 @@ pub fn synthesize_sparse_with(
         table.clone()
     };
 
-    // Step 3: USTT state assignment.
-    let assignment = assign_in(&reduced_table, &options.assignment, &mut workspace.assign);
-    assignment.verify(&reduced_table)?;
+    // Step 3: USTT state assignment, checked against the required
+    // dichotomies it was built from.
+    let assignment =
+        assign_verified_in(&reduced_table, &options.assignment, &mut workspace.assign)?;
     let spec = SpecifiedTable::new(reduced_table.clone(), assignment.clone())?;
 
     // Step 4: output determination.

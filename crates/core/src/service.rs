@@ -24,6 +24,10 @@
 //!   submission. Both the machine that populated an entry and every later
 //!   hit therefore return exactly the same (relabeled) equations, which is
 //!   what keeps the batch deterministic even when isomorphic machines race.
+//! * **Relabel on read.** A result served through the cache is a view of
+//!   its cache entry: each relabeled part ([`Relabeled`]) holds the entry
+//!   and the request's label maps and is built the first time it is read,
+//!   once. A caller that reads only the report line never relabels at all.
 //!
 //! ## Cache semantics
 //!
@@ -39,12 +43,15 @@
 //! direct synthesis, never to a wrong answer).
 //!
 //! A hit is a lookup: the submission is canonicalized, its signature is
-//! looked up without inserting, the stored canonical table is compared with
-//! the submission carried through its canonical maps, entry by entry and in
-//! place ([`canonical::canonical_table_eq`]), and the cached covers are
-//! relabeled word by word. A submission that finds the entry filled while it
-//! waits for the entry's lock is compared the same way: only a miss builds
-//! the canonical table, which the cache stores. A hit is not validated:
+//! looked up without inserting, and the stored canonical table is compared
+//! with the submission carried through its canonical maps, entry by entry and
+//! in place ([`canonical::canonical_table_eq`]). The served result shares
+//! the entry (an [`Arc`]) and relabels its covers word by word only when they
+//! are read. It keeps the entry alive after the cache evicts it, and the
+//! first reader of a part, on whatever thread, pays that part's relabel once.
+//! A submission that finds the entry filled while it waits for the entry's
+//! lock is compared the same way: only a miss builds the canonical table,
+//! which the cache stores. A hit is not validated:
 //! validity is invariant under relabeling, and an entry exists only for a
 //! table that passed validation. Every submission that misses is validated
 //! (with [`SynthesisOptions::validate_input`]) before the cache is touched,
@@ -52,8 +59,10 @@
 //! the submitted table. With the cache disabled every table goes straight to
 //! [`synthesize_sparse_with`] under its original labeling.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fantom_assign::StateAssignment;
 use fantom_boolean::collections::HashMap;
@@ -122,6 +131,15 @@ pub enum CacheStatus {
 /// This is the transport-friendly subset of
 /// [`SparseSynthesisResult`]: the relabelable
 /// equations and metrics, without the intermediate spec/hazard structures.
+///
+/// A result served through the cache (a [`CacheStatus::Hit`] or
+/// [`CacheStatus::Miss`]) is a view of its cache entry: `reduced_table`,
+/// `outputs` and `factored` are [`Relabeled`] parts, built in the
+/// submission's labels on first read, and `assignment` is the entry's own.
+/// The result keeps the entry alive after the cache evicts it. The first
+/// reader of a part pays its relabel once; [`ServiceResult::report_line`]
+/// and [`ServiceResult::y_literals`] read relabeling-invariant counts and
+/// relabel nothing. An uncached result holds every part ready.
 #[derive(Debug, Clone)]
 pub struct ServiceResult {
     /// The submitted machine's name.
@@ -131,14 +149,15 @@ pub struct ServiceResult {
     /// The table actually synthesized, with input columns and output bits
     /// mapped back to the submission's labeling. State names are canonical
     /// row labels when the result went through the cache.
-    pub reduced_table: FlowTable,
-    /// The USTT state assignment of Step 3.
-    pub assignment: StateAssignment,
+    pub reduced_table: Relabeled<FlowTable>,
+    /// The USTT state assignment of Step 3 (relabeling-invariant, so a
+    /// cached result shares it).
+    pub assignment: Arc<StateAssignment>,
     /// Output-stage equations of Step 4, in the submission's labeling.
-    pub outputs: CoverOutputEquations,
+    pub outputs: Relabeled<CoverOutputEquations>,
     /// Factored, hazard-free equations of Step 7, in the submission's
     /// labeling.
-    pub factored: FactoredEquations,
+    pub factored: Relabeled<FactoredEquations>,
     /// Depth metrics (relabeling-invariant).
     pub depth: DepthReport,
     /// Number of distinct hazardous total states found by Step 5
@@ -146,12 +165,22 @@ pub struct ServiceResult {
     pub hazard_state_count: usize,
     /// How this result was produced.
     pub cache: CacheStatus,
+    /// The relabeling-invariant sizes the report line reads.
+    sizes: Sizes,
+}
+
+/// Sizes of a result that no relabeling changes.
+#[derive(Debug, Clone, Copy)]
+struct Sizes {
+    states_after: usize,
+    y_literals: usize,
+    z_literals: usize,
 }
 
 impl ServiceResult {
     /// Total literal count of the factored next-state expressions.
     pub fn y_literals(&self) -> usize {
-        self.factored.y_literals()
+        self.sizes.y_literals
     }
 
     /// Human-readable rendering of every synthesized equation, in the same
@@ -174,16 +203,72 @@ impl ServiceResult {
             "report {} status=ok states={}->{} state_vars={} depth={} fsv_depth={} y_depth={} y_literals={} z_literals={} hazard_states={}",
             self.name,
             self.states_before,
-            self.reduced_table.num_states(),
+            self.sizes.states_after,
             self.assignment.num_vars(),
             self.depth.total_depth,
             self.depth.fsv_depth,
             self.depth.y_depth,
-            self.y_literals(),
-            self.outputs.z_literals(),
+            self.sizes.y_literals,
+            self.sizes.z_literals,
             self.hazard_state_count,
         )
     }
+}
+
+/// A part of a [`ServiceResult`] in the submission's labels, read through
+/// [`Deref`]. A part served through the cache holds the cache entry and the
+/// request's label maps and builds its value on first read, once; clones
+/// taken before that read build their own. An uncached part holds its value
+/// ready.
+#[derive(Clone)]
+pub struct Relabeled<T> {
+    value: OnceLock<T>,
+    source: Option<(Arc<Labels>, Build<T>)>,
+}
+
+/// Builds a part in the submission's labels.
+type Build<T> = fn(&Labels) -> T;
+
+impl<T> Relabeled<T> {
+    fn ready(value: T) -> Self {
+        Relabeled {
+            value: OnceLock::from(value),
+            source: None,
+        }
+    }
+
+    fn on_read(labels: &Arc<Labels>, build: Build<T>) -> Self {
+        Relabeled {
+            value: OnceLock::new(),
+            source: Some((Arc::clone(labels), build)),
+        }
+    }
+}
+
+impl<T> Deref for Relabeled<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.value.get_or_init(|| {
+            let (labels, build) = self.source.as_ref().expect("an unbuilt part has a source");
+            build(labels)
+        })
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Relabeled<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// What a served result's parts are relabeled from: the cache entry, the
+/// request's canonical input and output maps, and the request's name.
+struct Labels {
+    core: Arc<CanonicalResult>,
+    input_map: Vec<usize>,
+    output_map: Vec<usize>,
+    name: String,
 }
 
 /// The outcome of one machine of a batch: the machine's name plus either its
@@ -317,12 +402,7 @@ impl SynthesisService {
         let canon = canonical::canonicalize(table, &self.options.canonical);
         if let Some(core) = self.cached(table, &canon) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(relabel_result(
-                &core.result,
-                &canon,
-                table.name(),
-                CacheStatus::Hit,
-            ));
+            return Ok(serve(core, canon, table.name(), CacheStatus::Hit));
         }
 
         // Not a hit: validate before the cache is touched, so an invalid
@@ -394,7 +474,7 @@ impl SynthesisService {
             }
             CacheStatus::Uncached => {}
         }
-        Ok(relabel_result(&core.result, &canon, table.name(), status))
+        Ok(serve(core, canon, table.name(), status))
     }
 
     /// The cached result for `canon`'s signature when its canonical table
@@ -493,86 +573,113 @@ pub(crate) fn claim_pool<S, T: Send>(
         .collect()
 }
 
-/// Package a sparse run as a service result.
+/// Package a sparse run as a service result with every part ready.
 fn from_sparse(
     r: SparseSynthesisResult,
     states_before: usize,
     cache: CacheStatus,
 ) -> ServiceResult {
+    let sizes = Sizes {
+        states_after: r.reduced_table.num_states(),
+        y_literals: r.factored.y_literals(),
+        z_literals: r.outputs.z_literals(),
+    };
     ServiceResult {
         name: r.name,
         states_before,
-        reduced_table: r.reduced_table,
-        assignment: r.assignment,
-        outputs: r.outputs,
-        factored: r.factored,
+        reduced_table: Relabeled::ready(r.reduced_table),
+        assignment: Arc::new(r.assignment),
+        outputs: Relabeled::ready(r.outputs),
+        factored: Relabeled::ready(r.factored),
         depth: r.depth,
         hazard_state_count: r.hazards.hazard_state_count(),
         cache,
+        sizes,
     }
 }
 
-/// Map a canonical result back onto a submission's labeling: input variable
-/// positions and output bit order are carried through every cover and
-/// expression by the inverse canonical maps; state variables (and `fsv`)
-/// keep their positions, so the assignment and the y-ordering are unchanged.
-/// Covers move their packed fields word by word
-/// ([`fantom_boolean::CoverFunction::permute_vars`]): a permutation keeps
-/// on/off covers disjoint, so nothing is rebuilt or re-checked.
-fn relabel_result(
-    core: &ServiceResult,
-    canon: &Canonicalization,
+/// Serve the cached canonical result `core` to a submission named `name`
+/// whose canonical maps are `canon`'s: the relabeling-invariant fields are
+/// copied or shared, and the labeled parts are built on first read.
+fn serve(
+    core: Arc<CanonicalResult>,
+    canon: Canonicalization,
     name: &str,
-    status: CacheStatus,
+    cache: CacheStatus,
 ) -> ServiceResult {
-    let ni = canon.input_map.len();
-    let inv_in = canonical::inverse_permutation(&canon.input_map);
-    let inv_out = canonical::inverse_permutation(&canon.output_map);
-    let identity: Vec<usize> = (0..core.reduced_table.num_states()).collect();
-    let reduced_table = canonical::relabel(&core.reduced_table, &identity, &inv_in, &inv_out, name);
+    let labels = Arc::new(Labels {
+        core,
+        input_map: canon.input_map,
+        output_map: canon.output_map,
+        name: name.to_string(),
+    });
+    let r = &labels.core.result;
+    ServiceResult {
+        name: name.to_string(),
+        states_before: r.states_before,
+        reduced_table: Relabeled::on_read(&labels, relabel_table),
+        assignment: Arc::clone(&r.assignment),
+        outputs: Relabeled::on_read(&labels, relabel_outputs),
+        factored: Relabeled::on_read(&labels, relabel_factored),
+        depth: r.depth,
+        hazard_state_count: r.hazard_state_count,
+        cache,
+        sizes: r.sizes,
+    }
+}
 
+// The canonical parts mapped back onto a submission's labeling: input
+// variable positions and output bit order are carried through every cover
+// and expression by the inverse canonical maps; state variables (and `fsv`)
+// keep their positions, so the assignment and the y-ordering are unchanged.
+// Covers move their packed fields word by word
+// ([`fantom_boolean::CoverFunction::permute_vars`]): a permutation keeps
+// on/off covers disjoint, so nothing is rebuilt or re-checked.
+
+fn relabel_table(l: &Labels) -> FlowTable {
+    let table = &*l.core.result.reduced_table;
+    let identity: Vec<usize> = (0..table.num_states()).collect();
+    let inv_in = canonical::inverse_permutation(&l.input_map);
+    let inv_out = canonical::inverse_permutation(&l.output_map);
+    canonical::relabel(table, &identity, &inv_in, &inv_out, &l.name)
+}
+
+fn relabel_outputs(l: &Labels) -> CoverOutputEquations {
+    let core = &*l.core.result.outputs;
+    let inv_in = canonical::inverse_permutation(&l.input_map);
+    let ni = inv_in.len();
     // Request output bit `b` is canonical output bit `output_map[b]`.
-    let outputs = CoverOutputEquations {
-        z: (canon.output_map.iter())
-            .map(|&cb| core.outputs.z[cb].permute_vars(&inv_in))
+    CoverOutputEquations {
+        z: (l.output_map.iter())
+            .map(|&cb| core.z[cb].permute_vars(&inv_in))
             .collect(),
-        z_covers: (canon.output_map.iter())
-            .map(|&cb| core.outputs.z_covers[cb].permute_vars(&inv_in))
+        z_covers: (l.output_map.iter())
+            .map(|&cb| core.z_covers[cb].permute_vars(&inv_in))
             .collect(),
-        z_exprs: (canon.output_map.iter())
-            .map(|&cb| permute_expr(&core.outputs.z_exprs[cb], &inv_in, ni))
+        z_exprs: (l.output_map.iter())
+            .map(|&cb| permute_expr(&core.z_exprs[cb], &inv_in, ni))
             .collect(),
-        ssd: core.outputs.ssd.permute_vars(&inv_in),
-        ssd_cover: core.outputs.ssd_cover.permute_vars(&inv_in),
-        ssd_expr: permute_expr(&core.outputs.ssd_expr, &inv_in, ni),
-    };
-    let factored = FactoredEquations {
-        fsv_cover: core.factored.fsv_cover.permute_vars(&inv_in),
-        fsv_expr: permute_expr(&core.factored.fsv_expr, &inv_in, ni),
+        ssd: core.ssd.permute_vars(&inv_in),
+        ssd_cover: core.ssd_cover.permute_vars(&inv_in),
+        ssd_expr: permute_expr(&core.ssd_expr, &inv_in, ni),
+    }
+}
+
+fn relabel_factored(l: &Labels) -> FactoredEquations {
+    let core = &*l.core.result.factored;
+    let inv_in = canonical::inverse_permutation(&l.input_map);
+    let ni = inv_in.len();
+    FactoredEquations {
+        fsv_cover: core.fsv_cover.permute_vars(&inv_in),
+        fsv_expr: permute_expr(&core.fsv_expr, &inv_in, ni),
         y_covers: core
-            .factored
             .y_covers
             .iter()
             .map(|c| c.permute_vars(&inv_in))
             .collect(),
-        y_exprs: core
-            .factored
-            .y_exprs
-            .iter()
+        y_exprs: (core.y_exprs.iter())
             .map(|e| permute_expr(e, &inv_in, ni))
             .collect(),
-    };
-
-    ServiceResult {
-        name: name.to_string(),
-        states_before: core.states_before,
-        reduced_table,
-        assignment: core.assignment.clone(),
-        outputs,
-        factored,
-        depth: core.depth,
-        hazard_state_count: core.hazard_state_count,
-        cache: status,
     }
 }
 

@@ -412,12 +412,9 @@ impl SpecifiedTable {
         // A destination point may also appear inside another entry's racing
         // subcube; carve the on-points out of the off cover so the partition
         // stays consistent (the dense path resolves this by set_on ordering).
-        let mut off_cover = Cover::from_cubes(vars, off);
-        for p in &on {
-            off_cover = off_cover.sharp_cube(p);
-        }
-        off_cover.remove_contained_cubes();
-        CoverFunction::from_on_off(Cover::from_cubes(vars, on), off_cover)
+        let on_cover = Cover::from_cubes(vars, on);
+        let off_cover = Cover::from_cubes(vars, off).sharp(&on_cover);
+        CoverFunction::from_on_off(on_cover, off_cover)
             .map_err(|e| SynthesisError::InvalidFlowTable(format!("inconsistent SSD: {e}")))
     }
 }

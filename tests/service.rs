@@ -130,8 +130,11 @@ fn assert_serves(submitted: &FlowTable, outcome: &SynthesisOutcome) {
         .assignment
         .verify(&served.reduced_table)
         .expect("assignment valid for the served reduced table");
-    let spec = SpecifiedTable::new(served.reduced_table.clone(), served.assignment.clone())
-        .expect("spec builds");
+    let spec = SpecifiedTable::new(
+        (*served.reduced_table).clone(),
+        (*served.assignment).clone(),
+    )
+    .expect("spec builds");
     let outputs = seance::outputs::generate_covers(&spec).expect("output covers");
     for (b, z) in outputs.z.iter().enumerate() {
         assert!(
@@ -299,6 +302,73 @@ fn bounded_cache_output_is_byte_identical_under_eviction_pressure() {
             "parallelism={parallelism}: entries = {}",
             stats.entries
         );
+    }
+}
+
+/// A served result is a view of its cache entry and keeps the entry alive:
+/// a miss and a hit served from an entry that a 1-entry cache then evicts,
+/// read only after the eviction, still pass the submitted-table check and
+/// render what a fresh service renders for them.
+#[test]
+fn served_results_outlive_their_evicted_entry() {
+    let mut rng = 0x0e71_c7ed_u64;
+    let lion = benchmarks::lion();
+    let copy = relabeled_copy(&lion, &mut rng, "lion_iso");
+    let batch = [lion.clone(), copy];
+    let options = ServiceOptions {
+        parallelism: 1,
+        max_cache_entries: 1,
+        ..ServiceOptions::default()
+    };
+    let service = SynthesisService::new(options);
+    let served = service.synthesize_many(&batch);
+    let statuses: Vec<CacheStatus> = served
+        .iter()
+        .map(|o| o.result.as_ref().expect("lion synthesizes").cache)
+        .collect();
+    assert_eq!(statuses, [CacheStatus::Miss, CacheStatus::Hit]);
+
+    // Another class takes the only slot; lion's entry is gone from the cache.
+    service.synthesize_many(&[benchmarks::traffic()]);
+    assert_eq!(service.cache_stats().entries, 1);
+    let again = service.synthesize_many(std::slice::from_ref(&lion));
+    assert_eq!(again[0].result.as_ref().unwrap().cache, CacheStatus::Miss);
+
+    assert_batch_serves(&batch, &served);
+    let fresh = synthesize_many(&batch, &options);
+    assert_eq!(full_render(&served), full_render(&fresh));
+}
+
+/// A hit cloned before its first read and read on another thread renders
+/// the same equations as the original, and so do two threads reading one
+/// result at once.
+#[test]
+fn hits_read_on_other_threads_render_the_same_equations() {
+    let mut rng = 0x7ead_5eed_u64;
+    let service = SynthesisService::new(ServiceOptions {
+        parallelism: 1,
+        ..ServiceOptions::default()
+    });
+    for table in corpus() {
+        let copy = relabeled_copy(&table, &mut rng, &format!("{}_iso", table.name()));
+        let outcomes = service.synthesize_many(&[table.clone(), copy.clone()]);
+        let hit = outcomes[1]
+            .result
+            .as_ref()
+            .expect("resubmission synthesizes");
+        assert_eq!(hit.cache, CacheStatus::Hit, "{}", table.name());
+
+        let clone = hit.clone();
+        let elsewhere = std::thread::spawn(move || clone.render_equations());
+        let shared: Vec<String> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2).map(|_| s.spawn(|| hit.render_equations())).collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let elsewhere = elsewhere.join().unwrap();
+        assert_eq!(elsewhere, shared[0], "{}", table.name());
+        assert_eq!(shared[0], shared[1], "{}", table.name());
+        assert_eq!(elsewhere, hit.render_equations(), "{}", table.name());
+        assert_serves(&copy, &outcomes[1]);
     }
 }
 
