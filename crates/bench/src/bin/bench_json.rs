@@ -15,7 +15,8 @@
 //! The families, in run order:
 //!
 //! 1. `micro.*.packed_ns` — cube containment, adjacency merge, intersection
-//!    and minterm membership on 24-variable cube pairs;
+//!    and minterm membership on 24-variable cube pairs, each the least of
+//!    five timing windows (as are the `kernel.*` keys);
 //! 2. `kernel.cube.*.packed_ns` and `kernel.index.*.packed_ns` — the
 //!    multi-word loops behind the public calls: `Cube::covers` and
 //!    `Cube::intersect` at 32/64/128/256 variables, and `CoverIndex`
@@ -26,8 +27,9 @@
 //!    hazard regions and Step 7's on-pair consensus at n = 16/20/24 (the
 //!    n = 16 prime set is checked, untimed, against Quine–McCluskey);
 //! 4. `reduce.*` — bounded Step 2 reduction on the large suite (time,
-//!    compatibles, classes, completeness) and exact reduction of the small
-//!    corpus;
+//!    compatibles, classes, completeness) and on the 10-state grid files
+//!    (time; their covers come from the exact search), and exact reduction
+//!    of the small corpus;
 //! 5. `assign.*.{ms,vars}` — Step 3 on the small corpus (default budgets),
 //!    the unreduced large suite and the grid (bounded budgets);
 //! 6. `assign.index.*.{grow_ms,greedy_ns}` — candidate growth and the lazy
@@ -136,22 +138,32 @@ impl Metrics {
     }
 }
 
-/// Time `op` until at least ~50 ms have elapsed; returns mean ns per call.
+/// Mean ns per call of `op` over a window of at least ~50 ms, the least of
+/// five windows: like [`best_ms`], slower windows only measure machine
+/// noise.
 fn time_ns(mut op: impl FnMut() -> usize) -> f64 {
-    let mut iters: u64 = 1;
-    loop {
+    let mut window = |iters: u64| {
         let start = Instant::now();
         let mut sink = 0usize;
         for _ in 0..iters {
             sink = sink.wrapping_add(op());
         }
-        let elapsed = start.elapsed();
         std::hint::black_box(sink);
+        start.elapsed()
+    };
+    let mut iters: u64 = 1;
+    let first = loop {
+        let elapsed = window(iters);
         if elapsed.as_millis() >= 50 || iters >= 1 << 24 {
-            return elapsed.as_nanos() as f64 / iters as f64;
+            break elapsed;
         }
         iters = iters.saturating_mul(4);
-    }
+    };
+    (1..5)
+        .map(|_| window(iters))
+        .fold(first, std::cmp::min)
+        .as_nanos() as f64
+        / iters as f64
 }
 
 /// Mean ns of one pass of `op` over `pairs`.
@@ -343,9 +355,14 @@ fn engine(m: &mut Metrics, _: &Grid) {
 }
 
 /// Step 2: bounded reduction on the large suite (the pivoted, capped
-/// Bron–Kerbosch engine) and the exact reducer over the small corpus.
-fn reduction(m: &mut Metrics, _: &Grid) {
+/// Bron–Kerbosch engine) and on the 10-state grid files, where the exact
+/// cover search runs, and the exact reducer over the small corpus.
+fn reduction(m: &mut Metrics, grid: &Grid) {
     let options = ReductionOptions::bounded();
+    for (key, table) in grid.iter().filter(|(key, _)| key.starts_with("s10.")) {
+        let (ms, _) = mean_ms(20, || reduce_with_options(table, &options));
+        m.put(format!("reduce.{key}.ms"), ms);
+    }
     for table in benchmarks::large_suite() {
         let name = table.name();
         let enumeration = maximal_compatibles_bounded(&compatibility(&table), &options);

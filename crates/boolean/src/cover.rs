@@ -220,8 +220,16 @@ impl Cover {
     /// the subtrahends that can actually hit it (the pieces of a cube stay
     /// inside it, so its intersecting-candidate set bounds theirs).
     pub fn sharp(&self, other: &Cover) -> Cover {
+        self.sharp_indexed(other, &crate::index::CoverIndex::build(other))
+    }
+
+    /// [`Cover::sharp`] with `other`'s index built by the caller, so that
+    /// several covers sharped by the same subtrahend share one index.
+    ///
+    /// `index` must be `CoverIndex::build(other)`.
+    pub fn sharp_indexed(&self, other: &Cover, index: &crate::index::CoverIndex) -> Cover {
         debug_assert_eq!(self.num_vars, other.num_vars);
-        let index = crate::index::CoverIndex::build(other);
+        debug_assert_eq!(index.len(), other.cubes().len());
         let (mut cand, mut ids) = (Vec::new(), Vec::new());
         let (mut pieces, mut next): (Vec<Cube>, Vec<Cube>) = (Vec::new(), Vec::new());
         let mut out_cubes: Vec<Cube> = Vec::new();

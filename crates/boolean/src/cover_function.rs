@@ -43,6 +43,26 @@ pub struct CoverFunction {
     off: Cover,
 }
 
+/// The first on-cube that intersects an off-cube, with that off-cube.
+///
+/// Checked through the off index: one word-parallel candidate query per
+/// on-cube instead of an |on| × |off| pairwise intersection scan. The pair
+/// scan only runs to name the offending off-cube once a violation is known.
+fn overlap<'a>(on: &'a Cover, off: &'a Cover) -> Option<(&'a Cube, &'a Cube)> {
+    let off_index = crate::index::CoverIndex::build(off);
+    let mut cand = Vec::new();
+    let a = on
+        .cubes()
+        .iter()
+        .find(|a| off_index.intersecting_candidates(a, &mut cand))?;
+    let b = off
+        .cubes()
+        .iter()
+        .find(|b| a.intersect(b).is_some())
+        .expect("index reported an intersecting off-cube");
+    Some((a, b))
+}
+
 impl CoverFunction {
     /// Build a function from disjoint on- and off-set covers; everything
     /// outside both is a don't-care.
@@ -59,27 +79,29 @@ impl CoverFunction {
                 found: off.num_vars(),
             });
         }
-        // Disjointness check through the off index: one word-parallel
-        // candidate query per on-cube instead of an |on| × |off| pairwise
-        // intersection scan. The pair scan only runs to name the offending
-        // cubes once a violation is known.
-        let off_index = crate::index::CoverIndex::build(&off);
-        let mut cand = Vec::new();
-        for a in on.cubes() {
-            if off_index.intersecting_candidates(a, &mut cand) {
-                let b = off
-                    .cubes()
-                    .iter()
-                    .find(|b| a.intersect(b).is_some())
-                    .expect("index reported an intersecting off-cube");
-                return Err(BooleanError::OverlappingCovers {
-                    on: a.to_string(),
-                    off: b.to_string(),
-                });
-            }
+        if let Some((a, b)) = overlap(&on, &off) {
+            return Err(BooleanError::OverlappingCovers {
+                on: a.to_string(),
+                off: b.to_string(),
+            });
         }
         let num_vars = on.num_vars();
         Ok(CoverFunction { num_vars, on, off })
+    }
+
+    /// Build a function from on- and off-set covers of one width that the
+    /// caller has made disjoint by construction; unlike
+    /// [`CoverFunction::from_on_off`], release builds do not re-check them.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the widths differ or an on-cube intersects an
+    /// off-cube.
+    pub fn from_disjoint_on_off(on: Cover, off: Cover) -> Self {
+        debug_assert_eq!(on.num_vars(), off.num_vars());
+        debug_assert!(overlap(&on, &off).is_none(), "on- and off-covers intersect");
+        let num_vars = on.num_vars();
+        CoverFunction { num_vars, on, off }
     }
 
     /// Convert a dense [`Function`] into cover form, one minterm cube per

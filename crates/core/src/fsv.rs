@@ -16,7 +16,7 @@
 //!   proceeds normally (this is what limits a FANTOM machine to at most two
 //!   state changes per input change).
 
-use fantom_boolean::{Cover, CoverFunction, Cube, Function, Literal};
+use fantom_boolean::{Cover, CoverFunction, CoverIndex, Cube, Function, Literal};
 use fantom_flow::Bits;
 
 use crate::hazard::HazardAnalysis;
@@ -309,6 +309,7 @@ fn extend_next_state_cover(
             .map(|&m| Cube::from_minterm(vars, m).expect("hazard minterm in range"))
             .collect(),
     );
+    let hp_index = CoverIndex::build(&hp_cover);
 
     let mut on: Vec<Cube> = Vec::new();
     let mut off: Vec<Cube> = Vec::new();
@@ -318,13 +319,13 @@ fn extend_next_state_cover(
     // fsv = 0 half: base minus the hazard points ...
     on.extend(
         base.on_cover()
-            .sharp(&hp_cover)
+            .sharp_indexed(&hp_cover, &hp_index)
             .iter()
             .map(|c| c.appended(Literal::Zero)),
     );
     off.extend(
         base.off_cover()
-            .sharp(&hp_cover)
+            .sharp_indexed(&hp_cover, &hp_index)
             .iter()
             .map(|c| c.appended(Literal::Zero)),
     );
@@ -338,11 +339,13 @@ fn extend_next_state_cover(
         }
         // A don't-care hazard point stays don't-care in both halves.
     }
-    CoverFunction::from_on_off(
+    // The halves differ in the fsv literal, the base covers are disjoint,
+    // their sharps miss every hazard point, and each point joins the side
+    // opposite its base value, so the carving is disjoint by construction.
+    CoverFunction::from_disjoint_on_off(
         Cover::from_cubes(ext_vars, on),
         Cover::from_cubes(ext_vars, off),
     )
-    .expect("hazard carving keeps the extended covers disjoint")
 }
 
 #[cfg(test)]

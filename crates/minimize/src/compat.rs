@@ -19,7 +19,7 @@ use crate::options::ReductionOptions;
 const WORD_BITS: usize = 64;
 
 #[inline]
-fn word_count(n: usize) -> usize {
+pub(crate) fn word_count(n: usize) -> usize {
     n.div_ceil(WORD_BITS)
 }
 
@@ -29,22 +29,22 @@ fn get_bit(row: &[u64], i: usize) -> bool {
 }
 
 #[inline]
-fn set_bit(row: &mut [u64], i: usize) {
+pub(crate) fn set_bit(row: &mut [u64], i: usize) {
     row[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
 }
 
 #[inline]
-fn clear_bit(row: &mut [u64], i: usize) {
+pub(crate) fn clear_bit(row: &mut [u64], i: usize) {
     row[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
 }
 
 #[inline]
-fn popcount(row: &[u64]) -> usize {
+pub(crate) fn popcount(row: &[u64]) -> usize {
     row.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Iterate the set bit indices of a word slice.
-fn for_each_bit(row: &[u64], mut f: impl FnMut(usize)) {
+pub(crate) fn for_each_bit(row: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &w) in row.iter().enumerate() {
         let mut w = w;
         while w != 0 {

@@ -4,7 +4,10 @@ use std::collections::BTreeSet;
 
 use fantom_flow::{FlowTable, StateId};
 
-use crate::compat::{maximal_compatibles_bounded, CompatibilityTable};
+use crate::compat::{
+    clear_bit, for_each_bit, maximal_compatibles_bounded, popcount, set_bit, word_count,
+    CompatibilityTable,
+};
 use crate::options::ReductionOptions;
 
 /// A closed cover of the state set: a collection of compatible classes such
@@ -93,21 +96,49 @@ pub fn closed_cover(table: &FlowTable, compat: &CompatibilityTable) -> StateCove
     closed_cover_with(table, compat, &ReductionOptions::default())
 }
 
+/// Nodes the exact cover search may visit in one [`closed_cover_with`] call
+/// before it gives up and the greedy cover is taken instead. The largest
+/// search over the corpus, perfbench's relabel panel and fresh service
+/// classes, and 3,000 generated 3–12-state tables visits 2,143.
+const EXACT_COVER_NODE_BUDGET: u64 = 1_000_000;
+
 /// Select a closed cover of compatibles for `table` under the budgets of
 /// `options`.
 ///
 /// Candidate classes are the (possibly budget-truncated) compatibles together
-/// with all singleton classes. When enumeration completed and the machine is
-/// small (`exact_cover_max_states`), an exact search tries covers of
-/// increasing size; otherwise a greedy pair-merging cover is built: classes
-/// are chosen largest-coverage-first and the chosen set is repaired to
-/// closure by adding implied classes. The result always covers every state
-/// and is always closed (in the worst case it degrades to the trivial
-/// cover).
+/// with all singleton classes, sorted largest first (stably, so equal sizes
+/// keep their enumeration order). When enumeration completed and the machine
+/// is small (`exact_cover_max_states`), an exact search returns the first
+/// closed cover in order of size, then of candidate indices
+/// (lexicographically), or the trivial cover if no smaller one exists. It
+/// walks the candidates depth-first as packed state sets and cuts a branch
+/// when its remaining slots times the size of the largest class left cannot
+/// reach the uncovered states, or when the classes left cannot cover them;
+/// both cuts are sound because the candidates are sorted largest first, so
+/// the walk returns the cover a full enumeration would. A leaf checks
+/// closure with one AND per implied set, against the precomputed set of
+/// candidates that contain it. The walk visits at most a fixed budget of a
+/// million nodes.
+///
+/// Past that budget, on a larger machine or after a truncated enumeration,
+/// a greedy pair-merging cover is built instead: classes are chosen
+/// largest-coverage-first and the chosen set is repaired to closure by
+/// adding implied classes. The result always covers every state and is
+/// always closed (in the worst case it degrades to the trivial cover).
 pub fn closed_cover_with(
     table: &FlowTable,
     compat: &CompatibilityTable,
     options: &ReductionOptions,
+) -> StateCover {
+    closed_cover_budgeted(table, compat, options, EXACT_COVER_NODE_BUDGET)
+}
+
+/// [`closed_cover_with`] with the exact search's node budget as a parameter.
+pub(crate) fn closed_cover_budgeted(
+    table: &FlowTable,
+    compat: &CompatibilityTable,
+    options: &ReductionOptions,
+    node_budget: u64,
 ) -> StateCover {
     let n = table.num_states();
     let enumeration = maximal_compatibles_bounded(compat, options);
@@ -139,12 +170,9 @@ pub fn closed_cover_with(
     candidates.sort_by_key(|c| std::cmp::Reverse(c.len()));
 
     if enumeration.complete && n <= options.exact_cover_max_states {
-        for size in 1..n {
-            if let Some(cover) = search_cover(table, &candidates, size, n) {
-                return cover;
-            }
+        if let Some(cover) = ExactSearch::new(table, &candidates, node_budget).first_cover(n) {
+            return cover;
         }
-        return StateCover::trivial(n);
     }
     greedy_closed_cover(table, compat, &candidates, n, options.refine_passes)
 }
@@ -342,43 +370,176 @@ fn refine_classes(
     classes
 }
 
-fn search_cover(
-    table: &FlowTable,
-    candidates: &[Vec<StateId>],
-    size: usize,
-    num_states: usize,
-) -> Option<StateCover> {
-    let mut chosen: Vec<usize> = Vec::new();
-    search_rec(table, candidates, size, num_states, 0, &mut chosen)
+/// The exact search's state: the candidates and their implied sets as packed
+/// sets, built once per [`closed_cover_with`] call, and the depth-first
+/// walk's scratch.
+struct ExactSearch<'a> {
+    candidates: &'a [Vec<StateId>],
+    /// Words per state set.
+    state_words: usize,
+    /// Candidate `i`'s states, in row `i`.
+    states: Vec<u64>,
+    /// Row `i` is the union of candidates `i..`; the extra last row is empty.
+    suffix: Vec<u64>,
+    /// The obligations of the chosen classes: per implied set, the set of
+    /// candidates that contain it, `cand_words` words. Candidate `i`'s
+    /// obligations are the words `first[i]..first[i + 1]`.
+    hosts: Vec<u64>,
+    first: Vec<usize>,
+    cand_words: usize,
+    /// The walk: the chosen candidates in order and as a set, and in row `d`
+    /// the states that the first `d` of them leave uncovered.
+    chosen: Vec<usize>,
+    chosen_set: Vec<u64>,
+    uncovered: Vec<u64>,
+    nodes: u64,
+    node_budget: u64,
 }
 
-fn search_rec(
-    table: &FlowTable,
-    candidates: &[Vec<StateId>],
-    size: usize,
-    num_states: usize,
-    start: usize,
-    chosen: &mut Vec<usize>,
-) -> Option<StateCover> {
-    if chosen.len() == size {
-        let cover = StateCover {
-            classes: chosen.iter().map(|&i| candidates[i].clone()).collect(),
-        };
-        let covered =
-            (0..num_states).all(|s| cover.classes.iter().any(|c| c.contains(&StateId(s))));
-        if covered && cover.is_closed(table) {
-            return Some(cover);
+impl<'a> ExactSearch<'a> {
+    fn new(table: &FlowTable, candidates: &'a [Vec<StateId>], node_budget: u64) -> Self {
+        let n = table.num_states();
+        let m = candidates.len();
+        let (state_words, cand_words) = (word_count(n), word_count(m));
+        let mut states = vec![0u64; m * state_words];
+        // Row `s`: the candidates that contain state `s`.
+        let mut containing = vec![0u64; n * cand_words];
+        for (i, class) in candidates.iter().enumerate() {
+            for s in class {
+                set_bit(&mut states[i * state_words..], s.0);
+                set_bit(&mut containing[s.0 * cand_words..], i);
+            }
         }
-        return None;
-    }
-    for i in start..candidates.len() {
-        chosen.push(i);
-        if let Some(cover) = search_rec(table, candidates, size, num_states, i + 1, chosen) {
-            return Some(cover);
+        let mut suffix = vec![0u64; (m + 1) * state_words];
+        for i in (0..m).rev() {
+            for w in 0..state_words {
+                suffix[i * state_words + w] =
+                    suffix[(i + 1) * state_words + w] | states[i * state_words + w];
+            }
         }
-        chosen.pop();
+
+        let mut hosts = Vec::new();
+        let mut first = Vec::with_capacity(m + 1);
+        let mut implied = vec![0u64; state_words];
+        let mut host = vec![0u64; cand_words];
+        for (i, class) in candidates.iter().enumerate() {
+            first.push(hosts.len());
+            for c in 0..table.num_columns() {
+                implied.fill(0);
+                for &s in class {
+                    if let Some(t) = table.next_state(s, c) {
+                        set_bit(&mut implied, t.0);
+                    }
+                }
+                // A leaf covers every state, so a set of at most one state
+                // is always hosted, and so is a set inside the class itself.
+                let own = &states[i * state_words..(i + 1) * state_words];
+                if popcount(&implied) <= 1 || is_subset(&implied, own) {
+                    continue;
+                }
+                host.fill(!0);
+                for_each_bit(&implied, |t| {
+                    let row = &containing[t * cand_words..(t + 1) * cand_words];
+                    for (h, r) in host.iter_mut().zip(row) {
+                        *h &= r;
+                    }
+                });
+                hosts.extend_from_slice(&host);
+            }
+        }
+        first.push(hosts.len());
+
+        // Row 0: every state is uncovered before the first choice.
+        let mut uncovered = vec![0; (n + 1) * state_words];
+        uncovered[..state_words].copy_from_slice(&suffix[..state_words]);
+        ExactSearch {
+            candidates,
+            state_words,
+            states,
+            suffix,
+            hosts,
+            first,
+            cand_words,
+            chosen: Vec::with_capacity(n),
+            chosen_set: vec![0; cand_words],
+            uncovered,
+            nodes: 0,
+            node_budget,
+        }
     }
-    None
+
+    /// The first closed cover of fewer than `n` classes in size-then-
+    /// lexicographic order of candidate indices, else the trivial cover;
+    /// `None` once the walk visits more than `node_budget` nodes.
+    fn first_cover(mut self, n: usize) -> Option<StateCover> {
+        for size in 1..n {
+            if self.descend(size, 0)? {
+                let classes = self
+                    .chosen
+                    .iter()
+                    .map(|&i| self.candidates[i].clone())
+                    .collect();
+                return Some(StateCover { classes });
+            }
+        }
+        Some(StateCover::trivial(n))
+    }
+
+    /// Extend the chosen prefix by `left` candidates from index `start` on;
+    /// `Some(true)` leaves the first cover found in `chosen`.
+    fn descend(&mut self, left: usize, start: usize) -> Option<bool> {
+        let sw = self.state_words;
+        let row = self.chosen.len() * sw;
+        let uncovered = popcount(&self.uncovered[row..row + sw]);
+        if left == 0 {
+            return Some(uncovered == 0 && self.is_closed());
+        }
+        let end = (self.candidates.len() + 1).saturating_sub(left);
+        for i in start..end {
+            // The candidates are sorted largest first, so once either bound
+            // fails at `i` it fails at every later index: `left` classes of
+            // at most `candidates[i].len()` states cannot reach `uncovered`
+            // states, or the classes from `i` on miss an uncovered state.
+            if left * self.candidates[i].len() < uncovered
+                || !is_subset(
+                    &self.uncovered[row..row + sw],
+                    &self.suffix[i * sw..(i + 1) * sw],
+                )
+            {
+                break;
+            }
+            self.nodes += 1;
+            if self.nodes > self.node_budget {
+                return None;
+            }
+            for w in 0..sw {
+                self.uncovered[row + sw + w] = self.uncovered[row + w] & !self.states[i * sw + w];
+            }
+            self.chosen.push(i);
+            set_bit(&mut self.chosen_set, i);
+            if self.descend(left - 1, i + 1)? {
+                return Some(true);
+            }
+            self.chosen.pop();
+            clear_bit(&mut self.chosen_set, i);
+        }
+        Some(false)
+    }
+
+    /// Whether every obligation of every chosen candidate has a chosen host:
+    /// one AND per obligation (and word of the candidate set).
+    fn is_closed(&self) -> bool {
+        self.chosen.iter().all(|&i| {
+            self.hosts[self.first[i]..self.first[i + 1]]
+                .chunks_exact(self.cand_words)
+                .all(|host| host.iter().zip(&self.chosen_set).any(|(h, c)| h & c != 0))
+        })
+    }
+}
+
+/// Whether the packed set `a` lies inside `b`.
+fn is_subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(a, b)| a & !b == 0)
 }
 
 #[cfg(test)]
@@ -518,6 +679,35 @@ mod tests {
             greedy_refined.len(),
             exact.len()
         );
+    }
+
+    #[test]
+    fn exhausted_node_budget_falls_back_to_the_greedy_cover() {
+        let greedy_options = ReductionOptions {
+            exact_cover_max_states: 0,
+            ..ReductionOptions::default()
+        };
+        for table in benchmarks::all() {
+            let compat = compatibility(&table);
+            for budget in [0, 1, 3] {
+                let cover =
+                    closed_cover_budgeted(&table, &compat, &ReductionOptions::default(), budget);
+                assert!(cover.covers_all_states(&table), "{}", table.name());
+                assert!(cover.is_closed(&table), "{}", table.name());
+                for class in &cover.classes {
+                    assert!(compat.set_is_compatible(class), "{}", table.name());
+                }
+            }
+        }
+        // On lion9 and train11 the exact and the greedy covers differ, so a
+        // budget of one node visibly ends in the greedy cover.
+        for table in [benchmarks::lion9(), benchmarks::train11()] {
+            let compat = compatibility(&table);
+            let starved = closed_cover_budgeted(&table, &compat, &ReductionOptions::default(), 1);
+            let greedy = closed_cover_with(&table, &compat, &greedy_options);
+            assert_eq!(starved, greedy, "{}", table.name());
+            assert_ne!(starved, closed_cover(&table, &compat), "{}", table.name());
+        }
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //!
 //! Both clique enumeration and exact cover selection are exponential in the
 //! worst case. [`ReductionOptions`] caps them (`max_compatibles`,
-//! `max_clique_width`, `node_budget`, `exact_cover_max_states`); when a cap
-//! is hit, [`maximal_compatibles_bounded`] reports the enumeration as
-//! incomplete and [`closed_cover_with`] degrades to a greedy pair-merging
-//! cover with closure repair, followed by `refine_passes` rounds of
+//! `max_clique_width`, `node_budget`, `exact_cover_max_states`), and the
+//! exact cover search, a pruned depth-first walk over packed state sets,
+//! has a fixed node budget of its own; when a cap is hit,
+//! [`maximal_compatibles_bounded`] reports the enumeration as incomplete (or
+//! the search gives up) and [`closed_cover_with`] degrades to a greedy
+//! pair-merging cover with closure repair, followed by `refine_passes` rounds of
 //! local search (drop redundant classes, merge compatible pairs) that only
 //! accepts covers whose reduced machine stays normal-mode and strongly
 //! connected. Degraded covers are still complete and closed, so

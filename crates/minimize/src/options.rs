@@ -21,8 +21,16 @@ pub struct ReductionOptions {
     pub max_clique_width: usize,
     /// Abort enumeration after this many Bron–Kerbosch search nodes.
     pub node_budget: u64,
-    /// Above this state count the exact closed-cover search (exponential in
-    /// the candidate count) is replaced by the greedy cover heuristic.
+    /// Up to this state count (after a complete enumeration) the closed
+    /// cover is the exact search's: the first closed cover in order of size,
+    /// then of candidate indices, over the candidates sorted largest first.
+    /// The search walks packed state sets depth-first and cuts a branch when
+    /// its remaining slots times the size of the largest class left cannot
+    /// reach the uncovered states, or when the classes left cannot cover
+    /// them, so it returns what a full enumeration of the combinations would;
+    /// it is still exponential in the worst case, so past a fixed budget of a
+    /// million nodes it gives up for the greedy cover. Above this state count
+    /// the greedy cover heuristic runs directly.
     pub exact_cover_max_states: usize,
     /// Rounds of local-search refinement applied to greedy covers: redundant
     /// classes are dropped and compatible class pairs are merged (with

@@ -43,9 +43,9 @@ impl Reduction {
 /// that, selection switches to the greedy heuristic, which still yields a
 /// complete, closed (behaviourally valid) cover but may merge fewer states
 /// than the exact search. Use [`reduce_with_options`] with
-/// [`ReductionOptions::exact`] to force the exact search at any size (the
-/// search is exponential), or [`ReductionOptions::bounded`] for large
-/// machines.
+/// [`ReductionOptions::exact`] to try the exact search at any size (the
+/// search is exponential, and past its node budget it takes the greedy
+/// cover), or [`ReductionOptions::bounded`] for large machines.
 pub fn reduce(table: &FlowTable) -> Reduction {
     reduce_with_options(table, &ReductionOptions::default())
 }
