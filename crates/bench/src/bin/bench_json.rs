@@ -138,10 +138,10 @@ impl Metrics {
     }
 }
 
-/// Mean ns per call of `op` over a window of at least ~50 ms, the least of
-/// five windows: like [`best_ms`], slower windows only measure machine
-/// noise.
+/// Mean ns per call of `op` over a window of about 50 ms, the least of five
+/// windows: like [`best_ms`], slower windows only measure machine noise.
 fn time_ns(mut op: impl FnMut() -> usize) -> f64 {
+    const WINDOW_NS: u128 = 50_000_000;
     let mut window = |iters: u64| {
         let start = Instant::now();
         let mut sink = 0usize;
@@ -149,21 +149,20 @@ fn time_ns(mut op: impl FnMut() -> usize) -> f64 {
             sink = sink.wrapping_add(op());
         }
         std::hint::black_box(sink);
-        start.elapsed()
+        start.elapsed().as_nanos()
     };
     let mut iters: u64 = 1;
-    let first = loop {
+    let elapsed = loop {
         let elapsed = window(iters);
-        if elapsed.as_millis() >= 50 || iters >= 1 << 24 {
+        if elapsed >= WINDOW_NS || iters >= 1 << 24 {
             break elapsed;
         }
         iters = iters.saturating_mul(4);
     };
-    (1..5)
-        .map(|_| window(iters))
-        .fold(first, std::cmp::min)
-        .as_nanos() as f64
-        / iters as f64
+    // The growth overshoots by up to 4x; scale the windows back to ~50 ms.
+    let iters = (u128::from(iters) * WINDOW_NS / elapsed.max(1)).max(1) as u64;
+    let least = (0..5).map(|_| window(iters)).min().expect("five windows");
+    least as f64 / iters as f64
 }
 
 /// Mean ns of one pass of `op` over `pairs`.
