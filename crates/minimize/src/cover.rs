@@ -381,7 +381,7 @@ struct ExactSearch<'a> {
     states: Vec<u64>,
     /// Row `i` is the union of candidates `i..`; the extra last row is empty.
     suffix: Vec<u64>,
-    /// The obligations of the chosen classes: per implied set, the set of
+    /// The obligations of the candidates' implied sets: per set, the set of
     /// candidates that contain it, `cand_words` words. Candidate `i`'s
     /// obligations are the words `first[i]..first[i + 1]`.
     hosts: Vec<u64>,
